@@ -157,8 +157,9 @@ fn main() {
     println!("service experiment: {n_tenants} tenants x {n_jobs} jobs");
     let (scale, tenants) = scale_leg(n_tenants, n_jobs);
     let completed = scale.jobs.iter().filter(|j| j.result.is_ok()).count();
-    let p50 = scale.latency_quantile(0.50).unwrap_or(f64::NAN);
-    let p99 = scale.latency_quantile(0.99).unwrap_or(f64::NAN);
+    let [p50, p99] = scale
+        .latency_quantiles(&[0.50, 0.99])
+        .map_or([f64::NAN; 2], |q| [q[0], q[1]]);
     let quotas_held = scale
         .tenants
         .iter()

@@ -33,10 +33,10 @@ fn mix(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-struct SeedStream(u64);
+pub(crate) struct SeedStream(u64);
 
 impl SeedStream {
-    fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         SeedStream(mix(seed))
     }
 
@@ -46,12 +46,12 @@ impl SeedStream {
     }
 
     /// Uniform in `[lo, hi]`.
-    fn range(&mut self, lo: usize, hi: usize) -> usize {
+    pub(crate) fn range(&mut self, lo: usize, hi: usize) -> usize {
         lo + (self.next_u64() % (hi - lo + 1) as u64) as usize
     }
 
     /// Uniform in `[0, 1)`.
-    fn f64(&mut self) -> f64 {
+    pub(crate) fn f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
 }

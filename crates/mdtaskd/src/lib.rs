@@ -36,81 +36,17 @@
 //! (the default).
 
 use mdtask_core::run::{run_workload, RunConfig, Workload};
-use netsim::trace::TraceEvent;
-use netsim::{parallel, Cluster, EventKind, FaultPlan, RetryPolicy, SimExecutor, SimReport};
-use std::collections::HashMap;
+use netsim::{parallel, Cluster, FaultPlan, RetryPolicy, SimReport};
+use sched::SchedState;
 use std::sync::Mutex;
 use taskframe::{Engine, EngineError};
 
 pub mod chaos;
+mod sched;
 
 /// Floor on a job's virtual duration so zero-cost measurements still make
 /// progress on the event loop.
 const MIN_JOB_S: f64 = 1e-6;
-
-/// Stride-scheduling numerator: a tenant of weight `w` advances its pass
-/// by `STRIDE_K / w` per admission, so long-run admission counts are
-/// proportional to weights. Wide enough that integer truncation is
-/// negligible even for extreme weight ratios: at `w = u32::MAX` the stride
-/// is still ≥ 256, and the relative truncation error is below `2^-8` (at
-/// the old `1 << 20` a weight of 1000 already mis-shared by 0.05%).
-const STRIDE_K: u64 = 1 << 40;
-
-/// The stride accumulators of one service run: per-tenant pass values,
-/// lowest-pass-first admission order. Kept overflow-free by rebasing —
-/// subtracting the global minimum pass whenever it goes positive — which
-/// preserves admission order exactly (only differences ever matter) while
-/// bounding every pass by one maximal stride above zero. Without
-/// rebasing a weight-1 tenant would wrap `u64` after `2^24` admissions.
-#[derive(Clone, Debug)]
-struct StrideSched {
-    pass: Vec<u64>,
-    stride: Vec<u64>,
-}
-
-impl StrideSched {
-    fn new(weights: &[u32]) -> Self {
-        StrideSched {
-            pass: vec![0; weights.len()],
-            stride: weights
-                .iter()
-                .map(|&w| (STRIDE_K / w.max(1) as u64).max(1))
-                .collect(),
-        }
-    }
-
-    /// The sort key for admission order: lowest pass first.
-    fn pass(&self, tenant: usize) -> u64 {
-        self.pass[tenant]
-    }
-
-    /// Charge one admission to `tenant`, then rebase.
-    fn charge(&mut self, tenant: usize) {
-        self.pass[tenant] = self.pass[tenant].saturating_add(self.stride[tenant]);
-        if let Some(&m) = self.pass.iter().min() {
-            if m > 0 {
-                for p in &mut self.pass {
-                    *p -= m;
-                }
-            }
-        }
-    }
-
-    /// A tenant whose queue drained long ago wakes with a stale low pass;
-    /// left alone it would monopolize admissions until it "caught up" on
-    /// credit it never queued for, starving everyone else (the classic
-    /// stride sleeper flood). Re-join at the current front instead:
-    /// lift the waker's pass to the minimum among runnable tenants.
-    fn wake(&mut self, tenant: usize, runnable: impl Iterator<Item = usize>) {
-        if let Some(m) = runnable
-            .filter(|&t| t != tenant)
-            .map(|t| self.pass[t])
-            .min()
-        {
-            self.pass[tenant] = self.pass[tenant].max(m);
-        }
-    }
-}
 
 /// One tenant of the service.
 #[derive(Clone, Debug, PartialEq)]
@@ -254,13 +190,19 @@ impl ServiceReport {
     /// Exact p-quantile of successful-job latencies (0 ≤ p ≤ 1), or
     /// `None` when nothing completed.
     pub fn latency_quantile(&self, p: f64) -> Option<f64> {
+        self.latency_quantiles(&[p]).map(|q| q[0])
+    }
+
+    /// Exact quantiles of successful-job latencies, one per entry of `ps`
+    /// (each 0 ≤ p ≤ 1), from one sort; `None` when nothing completed.
+    pub fn latency_quantiles(&self, ps: &[f64]) -> Option<Vec<f64>> {
         let mut lat: Vec<f64> = self.jobs.iter().filter_map(JobOutcome::latency_s).collect();
         if lat.is_empty() {
             return None;
         }
         lat.sort_by(f64::total_cmp);
-        let idx = ((lat.len() - 1) as f64 * p.clamp(0.0, 1.0)).round() as usize;
-        Some(lat[idx])
+        let at = |p: f64| lat[((lat.len() - 1) as f64 * p.clamp(0.0, 1.0)).round() as usize];
+        Some(ps.iter().map(|&p| at(p)).collect())
     }
 
     /// Completed jobs per virtual second.
@@ -331,34 +273,50 @@ impl Service {
                     tenants.len()
                 )));
             }
-            if j.submit_s.is_nan() || j.submit_s < 0.0 {
+            // An infinite submit time would never arrive and leave the job
+            // unresolved.
+            if !j.submit_s.is_finite() || j.submit_s < 0.0 {
                 return Err(EngineError::Unsupported(format!(
                     "job {i} has invalid submit time {}",
                     j.submit_s
                 )));
             }
+            if let Some(d) = j.policy.deadline_s {
+                if d.is_nan() || d.is_sign_negative() {
+                    return Err(EngineError::Unsupported(format!(
+                        "job {i} has invalid deadline {d}"
+                    )));
+                }
+            }
         }
         let measured = self.measure_workloads(jobs)?;
-        Ok(self.schedule(tenants, jobs, &measured))
+        let mut st = SchedState::new(self, tenants, jobs, &measured);
+        st.run();
+        Ok(st.finish())
     }
 
     /// Execute each distinct (workload, cluster) pair once — the real
     /// kernels, fanned across host threads in deterministic order — and
-    /// return virtual duration + output fingerprint per pair.
-    #[allow(clippy::type_complexity)]
-    fn measure_workloads(
-        &self,
-        jobs: &[JobRequest],
-    ) -> Result<HashMap<(Workload, usize), (f64, u64)>, EngineError> {
+    /// return virtual duration + output fingerprint, resolved per job: the
+    /// entry for job `j` on cluster `c` is at `j * clusters + c`.
+    fn measure_workloads(&self, jobs: &[JobRequest]) -> Result<Vec<(f64, u64)>, EngineError> {
         let mut distinct: Vec<Workload> = Vec::new();
-        for j in jobs {
-            if !distinct.contains(&j.workload) {
-                distinct.push(j.workload);
-            }
-        }
+        let kind_of: Vec<usize> = jobs
+            .iter()
+            .map(|j| {
+                distinct
+                    .iter()
+                    .position(|w| *w == j.workload)
+                    .unwrap_or_else(|| {
+                        distinct.push(j.workload);
+                        distinct.len() - 1
+                    })
+            })
+            .collect();
+        let n_clusters = self.clusters.len();
         let pairs: Vec<(Workload, usize)> = distinct
             .iter()
-            .flat_map(|w| (0..self.clusters.len()).map(move |c| (*w, c)))
+            .flat_map(|w| (0..n_clusters).map(move |c| (*w, c)))
             .collect();
         // The deterministic-timing toggle is process-global; serialize
         // measurement phases so concurrent `Service::run`s (tests, a
@@ -382,756 +340,12 @@ impl Service {
                 .map(|out| (out.report.makespan_s.max(MIN_JOB_S), out.fingerprint))
         });
         netsim::set_deterministic_timing(prev);
-        let mut measured = HashMap::new();
-        for (pair, out) in pairs.into_iter().zip(outs) {
-            measured.insert(pair, out?);
-        }
-        Ok(measured)
-    }
-
-    /// The deterministic virtual-time event loop.
-    fn schedule(
-        &self,
-        tenants: &[TenantSpec],
-        jobs: &[JobRequest],
-        measured: &HashMap<(Workload, usize), (f64, u64)>,
-    ) -> ServiceReport {
-        let mut st = SchedState::new(self, tenants, jobs, measured);
-        // Submissions in time order (stable: ties keep batch order).
-        let mut order: Vec<usize> = (0..jobs.len()).collect();
-        order.sort_by(|&a, &b| jobs[a].submit_s.total_cmp(&jobs[b].submit_s));
-        let mut next_sub = 0usize;
-        let mut now = 0.0f64;
-        loop {
-            // Next event: submission, completion, requeue eligibility,
-            // node death, or budget change.
-            let mut t_next = f64::INFINITY;
-            if next_sub < order.len() {
-                t_next = t_next.min(jobs[order[next_sub]].submit_s);
-            }
-            for f in &st.inflight {
-                t_next = t_next.min(f.end_s);
-            }
-            for q in &st.queues {
-                for e in q {
-                    if e.eligible_s > now {
-                        t_next = t_next.min(e.eligible_s);
-                    }
-                }
-            }
-            for d in &st.deaths {
-                if d.0 > now {
-                    t_next = t_next.min(d.0);
-                    break; // sorted
-                }
-            }
-            if let Some(t) = st.next_partition_event_after(now) {
-                t_next = t_next.min(t);
-            }
-            for c in &self.clusters {
-                if let Some(t) = c.next_mem_change_after(now) {
-                    t_next = t_next.min(t);
-                }
-            }
-            let queued: usize = st.queues.iter().map(Vec::len).sum();
-            if t_next.is_infinite() {
-                if queued > 0 {
-                    // Nothing in flight, nothing scheduled, nothing ever
-                    // changing again: the queued jobs can never run.
-                    st.fail_stalled(now);
-                }
-                break;
-            }
-            // Events at t=now (admissions freed by this pass) are handled
-            // below; otherwise advance.
-            now = now.max(t_next);
-            st.process_deaths(now);
-            st.process_partitions(now);
-            st.process_mem_changes(now);
-            st.process_completions(now);
-            while next_sub < order.len() && jobs[order[next_sub]].submit_s <= now {
-                st.submit(order[next_sub], now.max(jobs[order[next_sub]].submit_s));
-                next_sub += 1;
-            }
-            st.admit_all(now);
-            let queued: usize = st.queues.iter().map(Vec::len).sum();
-            if next_sub >= order.len()
-                && st.inflight.is_empty()
-                && queued == 0
-                && st.zombies.is_empty()
-            {
-                break;
-            }
-        }
-        st.finish(now)
-    }
-}
-
-/// A queued job: `eligible_s` is its earliest admissible time (submit
-/// time, or observation + backoff after a kill).
-#[derive(Clone, Copy, Debug)]
-struct QEntry {
-    job: usize,
-    eligible_s: f64,
-    enqueued_s: f64,
-}
-
-/// An executing job.
-#[derive(Clone, Copy, Debug)]
-struct InFlight {
-    job: usize,
-    cluster: usize,
-    node: usize,
-    slot: usize,
-    start_s: f64,
-    end_s: f64,
-    ws: u64,
-}
-
-struct SchedState<'a> {
-    svc: &'a Service,
-    tenants: &'a [TenantSpec],
-    jobs: &'a [JobRequest],
-    /// Virtual duration + output fingerprint per (workload, cluster).
-    measured: &'a HashMap<(Workload, usize), (f64, u64)>,
-    control: SimExecutor,
-    execs: Vec<SimExecutor>,
-    /// Per-tenant queues, kept in (priority desc, deadline asc, seq asc)
-    /// order.
-    queues: Vec<Vec<QEntry>>,
-    inflight: Vec<InFlight>,
-    /// Stride-scheduling accumulators (pass per tenant, rebased).
-    stride: StrideSched,
-    /// Attempts started per job.
-    attempts: Vec<u32>,
-    /// (cluster, node) liveness and busy slots.
-    alive: Vec<Vec<bool>>,
-    slots: Vec<Vec<Vec<bool>>>,
-    /// All scripted deaths, sorted by time; processed ones are marked.
-    deaths: Vec<(f64, usize, usize, bool)>,
-    /// Attempts the control plane gave up on while their node was merely
-    /// cut off: `(attempt, suspected_s, heal_s)`. The attempt is still
-    /// computing behind the cut; at heal its stale result arrives and is
-    /// fenced, and its slot/ledger are finally reclaimed.
-    zombies: Vec<(InFlight, f64, f64)>,
-    /// Tenant resident bytes (quota accounting).
-    tenant_resident: Vec<u64>,
-    outcomes: Vec<JobOutcome>,
-    stats: Vec<TenantStats>,
-    peak_concurrent: usize,
-    last_event_s: f64,
-}
-
-impl<'a> SchedState<'a> {
-    fn new(
-        svc: &'a Service,
-        tenants: &'a [TenantSpec],
-        jobs: &'a [JobRequest],
-        measured: &'a HashMap<(Workload, usize), (f64, u64)>,
-    ) -> Self {
-        let mk_exec = |cluster: Cluster| {
-            let mut e = SimExecutor::new(cluster);
-            if svc.trace {
-                e.enable_trace();
-            }
-            e.set_phase("service");
-            e
-        };
-        let control = mk_exec(svc.clusters[0].clone().with_faults(FaultPlan::none()));
-        let execs: Vec<SimExecutor> = svc.clusters.iter().map(|c| mk_exec(c.clone())).collect();
-        let mut deaths: Vec<(f64, usize, usize, bool)> = Vec::new();
-        for (c, cluster) in svc.clusters.iter().enumerate() {
-            for d in cluster.faults().deaths() {
-                if d.node < cluster.nodes {
-                    deaths.push((d.at_s, c, d.node, false));
-                }
-            }
-        }
-        deaths.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
-        let alive = svc.clusters.iter().map(|c| vec![true; c.nodes]).collect();
-        let slots = svc
-            .clusters
+        let per_kind = outs.into_iter().collect::<Result<Vec<_>, _>>()?;
+        Ok(kind_of
             .iter()
-            .map(|c| vec![vec![false; c.profile.cores_per_node]; c.nodes])
-            .collect();
-        let outcomes = jobs
-            .iter()
-            .enumerate()
-            .map(|(i, j)| JobOutcome {
-                job: i,
-                tenant: j.tenant,
-                submit_s: j.submit_s,
-                admit_s: None,
-                end_s: None,
-                cluster: None,
-                retries: 0,
-                result: Err(EngineError::Unsupported("job never resolved".into())),
-            })
-            .collect();
-        SchedState {
-            svc,
-            tenants,
-            jobs,
-            measured,
-            control,
-            execs,
-            queues: vec![Vec::new(); tenants.len()],
-            inflight: Vec::new(),
-            stride: StrideSched::new(&tenants.iter().map(|t| t.weight).collect::<Vec<_>>()),
-            attempts: vec![0; jobs.len()],
-            alive,
-            slots,
-            deaths,
-            zombies: Vec::new(),
-            tenant_resident: vec![0; tenants.len()],
-            outcomes,
-            stats: vec![TenantStats::default(); tenants.len()],
-            peak_concurrent: 0,
-            last_event_s: 0.0,
-        }
-    }
-
-    /// Largest budget any node could ever offer a job's working set —
-    /// the "can this ever run" admission question.
-    fn ever_hostable(&self, ws: u64) -> bool {
-        if ws == 0 {
-            return true;
-        }
-        self.svc.clusters.iter().any(|c| {
-            let cap = c.profile.mem_per_node;
-            // A scripted *set* may raise a shrunk budget back, but never
-            // above hardware capacity.
-            ws <= cap
-        })
-    }
-
-    fn reject(&mut self, job: usize, at_s: f64, reason: String) {
-        let tenant = self.jobs[job].tenant;
-        self.control.record_reject(tenant, job, at_s);
-        self.stats[tenant].rejected += 1;
-        self.outcomes[job].end_s = Some(at_s);
-        self.outcomes[job].result = Err(EngineError::Rejected {
-            tenant,
-            reason,
-            at_s,
-        });
-        self.last_event_s = self.last_event_s.max(at_s);
-    }
-
-    /// A submission arrives: backpressure and feasibility checks, then
-    /// into the tenant's queue.
-    fn submit(&mut self, job: usize, at_s: f64) {
-        let req = &self.jobs[job];
-        let tenant = req.tenant;
-        self.stats[tenant].submitted += 1;
-        let spec = &self.tenants[tenant];
-        if self.queues[tenant].len() >= spec.max_pending {
-            self.reject(
-                job,
-                at_s,
-                format!(
-                    "queue full: {} jobs pending, tenant allows {}",
-                    self.queues[tenant].len(),
-                    spec.max_pending
-                ),
-            );
-            return;
-        }
-        if req.working_set_bytes > spec.quota_bytes {
-            self.reject(
-                job,
-                at_s,
-                format!(
-                    "working set {} exceeds tenant quota {}",
-                    req.working_set_bytes, spec.quota_bytes
-                ),
-            );
-            return;
-        }
-        if !self.ever_hostable(req.working_set_bytes) {
-            self.reject(
-                job,
-                at_s,
-                format!(
-                    "working set {} exceeds every node's capacity",
-                    req.working_set_bytes
-                ),
-            );
-            return;
-        }
-        self.control.record_enqueue(tenant, job, at_s);
-        self.enqueue(QEntry {
-            job,
-            eligible_s: at_s,
-            enqueued_s: at_s,
-        });
-    }
-
-    /// Insert preserving (priority desc, deadline asc, seq asc).
-    fn enqueue(&mut self, e: QEntry) {
-        let tenant = self.jobs[e.job].tenant;
-        if self.queues[tenant].is_empty() {
-            let queues = &self.queues;
-            self.stride
-                .wake(tenant, (0..queues.len()).filter(|&t| !queues[t].is_empty()));
-        }
-        let key = |j: usize| {
-            let req = &self.jobs[j];
-            (
-                std::cmp::Reverse(req.priority),
-                req.policy.deadline_s.unwrap_or(f64::INFINITY),
-                j,
-            )
-        };
-        let ke = key(e.job);
-        let pos = self.queues[tenant]
-            .iter()
-            .position(|q| {
-                let kq = key(q.job);
-                ke.0 < kq.0 || (ke.0 == kq.0 && (ke.1, ke.2) < (kq.1, kq.2))
-            })
-            .unwrap_or(self.queues[tenant].len());
-        self.queues[tenant].insert(pos, e);
-    }
-
-    /// Kill every resident job on nodes that die at `now`.
-    fn process_deaths(&mut self, now: f64) {
-        for i in 0..self.deaths.len() {
-            let (at_s, c, node, done) = self.deaths[i];
-            if done || at_s > now {
-                continue;
-            }
-            self.deaths[i].3 = true;
-            self.alive[c][node] = false;
-            let victims: Vec<InFlight> = self
-                .inflight
-                .iter()
-                .copied()
-                .filter(|f| f.cluster == c && f.node == node)
-                .collect();
-            self.inflight
-                .retain(|f| !(f.cluster == c && f.node == node));
-            for v in victims {
-                self.release(&v, at_s);
-                self.record_attempt(&v, at_s, true);
-                self.execs[c].report_mut().lost_time_s += at_s - v.start_s;
-                let policy = self.jobs[v.job].policy;
-                self.requeue_killed(v.job, at_s + policy.detection_delay_s);
-            }
-        }
-    }
-
-    /// Can the control plane reach `node` of cluster `c` at `t`? Node 0 is
-    /// each cluster's control ingress; a scripted partition that separates
-    /// a node from it makes the node unschedulable (and its resident jobs
-    /// suspectable) until heal.
-    fn reachable(&self, c: usize, node: usize, t: f64) -> bool {
-        let faults = self.svc.clusters[c].faults();
-        !faults.has_partitions() || faults.can_reach(0, node, t)
-    }
-
-    /// Suspicion and reconciliation across scripted network partitions.
-    ///
-    /// A node behind a cut is *alive*: its resident jobs keep computing,
-    /// but their results cannot reach the control plane and their
-    /// heartbeats stop. When a job's detector fires while the cut is still
-    /// up (a false positive), the control plane requeues the job elsewhere
-    /// and the original attempt becomes a zombie holding its slot and
-    /// ledger bytes. At heal the zombie's stale completion arrives and is
-    /// fenced — counted, never applied — and its resources are reclaimed.
-    /// A cut the detector outlives is ridden out: delivery is merely
-    /// delayed (see [`Self::process_completions`]).
-    fn process_partitions(&mut self, now: f64) {
-        // Suspicion pass: zombify in-flight victims whose detector fired.
-        let mut i = 0;
-        while i < self.inflight.len() {
-            let f = self.inflight[i];
-            let faults = self.svc.clusters[f.cluster].faults();
-            let mut zombified = false;
-            if faults.has_partitions() {
-                if let Some(det) = self.jobs[f.job].policy.detector() {
-                    for p in faults.partitions() {
-                        if !p.separates(0, f.node) || p.from_s < f.start_s || p.from_s >= f.end_s {
-                            continue;
-                        }
-                        let suspect = det.suspect_time(p.from_s);
-                        if suspect >= p.to_s || suspect > now {
-                            continue;
-                        }
-                        let v = self.inflight.remove(i);
-                        self.record_attempt(&v, suspect, true);
-                        let rep = self.execs[v.cluster].report_mut();
-                        rep.zombie_attempts += 1;
-                        rep.zombie_time_s += v.end_s.min(p.to_s) - v.start_s;
-                        self.zombies.push((v, suspect, p.to_s));
-                        self.requeue_killed(v.job, suspect);
-                        zombified = true;
-                        break;
-                    }
-                }
-            }
-            if !zombified {
-                i += 1;
-            }
-        }
-        // Heal pass: reclaim each zombie's slot/ledger and fence its
-        // stale result, exactly once.
-        let mut z = 0;
-        while z < self.zombies.len() {
-            let (v, suspect, heal) = self.zombies[z];
-            if heal > now {
-                z += 1;
-                continue;
-            }
-            self.zombies.remove(z);
-            self.release(&v, heal);
-            self.control
-                .record_fenced("stale-completion", suspect, heal);
-        }
-    }
-
-    /// Earliest future partition-driven event: a detector firing on an
-    /// in-flight job behind a cut, or a heal owing a zombie its fence.
-    fn next_partition_event_after(&self, now: f64) -> Option<f64> {
-        fn push(cand: f64, t: &mut Option<f64>) {
-            *t = Some(t.map_or(cand, |x| x.min(cand)));
-        }
-        let mut t: Option<f64> = None;
-        for f in &self.inflight {
-            let faults = self.svc.clusters[f.cluster].faults();
-            if !faults.has_partitions() {
-                continue;
-            }
-            let Some(det) = self.jobs[f.job].policy.detector() else {
-                continue;
-            };
-            for p in faults.partitions() {
-                if !p.separates(0, f.node) || p.from_s < f.start_s || p.from_s >= f.end_s {
-                    continue;
-                }
-                let suspect = det.suspect_time(p.from_s);
-                if suspect < p.to_s && suspect > now {
-                    push(suspect, &mut t);
-                }
-            }
-        }
-        for &(_, _, heal) in &self.zombies {
-            if heal > now {
-                push(heal, &mut t);
-            }
-        }
-        t
-    }
-
-    /// Evict the newest jobs on any node whose budget no longer holds its
-    /// residents (scripted shrinks; scripted sets may instead make queued
-    /// work admissible — the admission pass handles that side).
-    fn process_mem_changes(&mut self, now: f64) {
-        for c in 0..self.svc.clusters.len() {
-            for node in 0..self.svc.clusters[c].nodes {
-                if !self.alive[c][node] {
-                    continue;
-                }
-                loop {
-                    let budget = self.execs[c].mem_budget(node, now);
-                    if self.execs[c].mem_resident(node) <= budget {
-                        break;
-                    }
-                    // Newest admission on the node is evicted first.
-                    let victim = self
-                        .inflight
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, f)| f.cluster == c && f.node == node && f.ws > 0)
-                        .max_by(|(_, a), (_, b)| {
-                            a.start_s.total_cmp(&b.start_s).then(a.job.cmp(&b.job))
-                        })
-                        .map(|(i, _)| i);
-                    let Some(i) = victim else {
-                        break; // residue is not ours to evict
-                    };
-                    let v = self.inflight.remove(i);
-                    self.release(&v, now);
-                    self.record_attempt(&v, now, true);
-                    self.execs[c].report_mut().lost_time_s += now - v.start_s;
-                    self.requeue_killed(v.job, now);
-                }
-            }
-        }
-    }
-
-    /// Put a killed job back in its queue (bounded attempts, prompt
-    /// deadline gate) or fail it typed.
-    fn requeue_killed(&mut self, job: usize, observed_s: f64) {
-        let req = &self.jobs[job];
-        let policy = req.policy;
-        let attempts = self.attempts[job];
-        if attempts >= policy.max_attempts {
-            self.fail(
-                job,
-                observed_s,
-                EngineError::RetriesExhausted {
-                    attempts,
-                    last_failure_s: observed_s,
-                },
-            );
-            return;
-        }
-        let eligible = observed_s + policy.backoff_before(attempts + 1);
-        if let Err(e) = policy.deadline_gate(observed_s, eligible) {
-            self.fail(job, observed_s, EngineError::from(e));
-            return;
-        }
-        self.control
-            .record_recovery("requeue", observed_s, eligible);
-        self.control.report_mut().retries += 1;
-        self.outcomes[job].retries += 1;
-        self.enqueue(QEntry {
-            job,
-            eligible_s: eligible,
-            enqueued_s: observed_s,
-        });
-    }
-
-    fn fail(&mut self, job: usize, at_s: f64, err: EngineError) {
-        let tenant = self.jobs[job].tenant;
-        self.stats[tenant].failed += 1;
-        self.outcomes[job].end_s = Some(at_s);
-        self.outcomes[job].result = Err(err);
-        self.last_event_s = self.last_event_s.max(at_s);
-    }
-
-    /// Release a job's slot and ledger reservation.
-    fn release(&mut self, f: &InFlight, at_s: f64) {
-        self.slots[f.cluster][f.node][f.slot] = false;
-        if f.ws > 0 {
-            self.execs[f.cluster].release_memory(f.node, f.ws);
-            let tenant = self.jobs[f.job].tenant;
-            self.tenant_resident[tenant] -= f.ws;
-        }
-        self.last_event_s = self.last_event_s.max(at_s);
-    }
-
-    /// Record one execution interval as a task event on the cluster's
-    /// data-plane trace.
-    fn record_attempt(&mut self, f: &InFlight, end_s: f64, killed: bool) {
-        let exec = &mut self.execs[f.cluster];
-        let core = f.node * self.svc.clusters[f.cluster].profile.cores_per_node + f.slot;
-        let rep = exec.report_mut();
-        if let Some(trace) = &mut rep.trace {
-            let label = trace.intern(self.jobs[f.job].workload.label());
-            let phase = trace.intern("service");
-            trace.record(TraceEvent {
-                task: trace.next_id(),
-                core,
-                start_s: f.start_s,
-                end_s,
-                killed,
-                ready_s: f.start_s,
-                phase,
-                kind: EventKind::Task {
-                    label,
-                    speculative: false,
-                },
-            });
-        }
-    }
-
-    /// Admit as many queued jobs as capacity allows, one at a time, in
-    /// stride-scheduled tenant order.
-    fn admit_all(&mut self, now: f64) {
-        loop {
-            // Tenants in stride order: lowest pass first, id tie-break. A
-            // blocked tenant (quota, no slot) does not block the others —
-            // the scan falls through to the next pass.
-            let mut order: Vec<usize> = (0..self.tenants.len())
-                .filter(|&t| self.queues[t].iter().any(|e| e.eligible_s <= now))
-                .collect();
-            order.sort_by_key(|&t| (self.stride.pass(t), t));
-            let mut advanced = false;
-            for t in order {
-                if self.try_admit_tenant(t, now) {
-                    // Pass values shifted: re-derive the order.
-                    advanced = true;
-                    break;
-                }
-            }
-            if !advanced {
-                break;
-            }
-        }
-    }
-
-    /// Try to admit the best admissible entry of one tenant's queue.
-    fn try_admit_tenant(&mut self, tenant: usize, now: f64) -> bool {
-        let spec = &self.tenants[tenant];
-        for qi in 0..self.queues[tenant].len() {
-            let e = self.queues[tenant][qi];
-            if e.eligible_s > now {
-                continue;
-            }
-            let req = &self.jobs[e.job];
-            let ws = req.working_set_bytes;
-            if self.tenant_resident[tenant].saturating_add(ws) > spec.quota_bytes {
-                continue; // quota: wait for the tenant's own jobs to drain
-            }
-            let Some((c, node, slot)) = self.find_slot(ws, now) else {
-                continue;
-            };
-            // Deadline gate at admission: a job that cannot finish by its
-            // deadline fails now instead of occupying a slot uselessly.
-            let (dur, fp) = self.measured_for(e.job, c);
-            if let Some(deadline) = req.policy.deadline_s {
-                if now + dur > deadline {
-                    self.queues[tenant].remove(qi);
-                    self.fail(
-                        e.job,
-                        now,
-                        EngineError::DeadlineExceeded {
-                            deadline_s: deadline,
-                            at_s: now,
-                        },
-                    );
-                    return true; // progress was made (the queue shrank)
-                }
-            }
-            self.queues[tenant].remove(qi);
-            self.slots[c][node][slot] = true;
-            if ws > 0 {
-                let ok = self.execs[c].try_reserve_memory(node, ws, now);
-                debug_assert!(ok, "find_slot pre-checked the reservation");
-                self.tenant_resident[tenant] += ws;
-                let st = &mut self.stats[tenant];
-                st.mem_high_water = st.mem_high_water.max(self.tenant_resident[tenant]);
-            }
-            self.attempts[e.job] += 1;
-            if self.outcomes[e.job].admit_s.is_none() {
-                self.outcomes[e.job].admit_s = Some(now);
-                self.stats[tenant].queue_wait_s += now - req.submit_s;
-            }
-            self.control.record_admit(tenant, e.job, e.enqueued_s, now);
-            let f = InFlight {
-                job: e.job,
-                cluster: c,
-                node,
-                slot,
-                start_s: now,
-                end_s: now + dur,
-                ws,
-            };
-            self.inflight.push(f);
-            self.peak_concurrent = self.peak_concurrent.max(self.inflight.len());
-            // Stash the fingerprint for completion time.
-            self.outcomes[e.job].cluster = Some(c);
-            self.outcomes[e.job].result = Ok(fp);
-            self.stride.charge(tenant);
-            return true;
-        }
-        false
-    }
-
-    fn measured_for(&self, job: usize, cluster: usize) -> (f64, u64) {
-        // measure_workloads resolved every (workload, cluster) pair that
-        // can reach this point; a missing entry is a scheduler bug.
-        self.measured
-            .get(&(self.jobs[job].workload, cluster))
+            .flat_map(|&k| &per_kind[k * n_clusters..(k + 1) * n_clusters])
             .copied()
-            .expect("measured duration for admitted job")
-    }
-
-    /// First (cluster, node, slot) that can host `ws` bytes right now.
-    fn find_slot(&mut self, ws: u64, now: f64) -> Option<(usize, usize, usize)> {
-        for c in 0..self.svc.clusters.len() {
-            for node in 0..self.svc.clusters[c].nodes {
-                if !self.alive[c][node] || !self.reachable(c, node, now) {
-                    continue;
-                }
-                let Some(slot) = self.slots[c][node].iter().position(|b| !b) else {
-                    continue;
-                };
-                if ws > 0 {
-                    let budget = self.execs[c].mem_budget(node, now);
-                    if self.execs[c].mem_resident(node).saturating_add(ws) > budget {
-                        continue;
-                    }
-                }
-                return Some((c, node, slot));
-            }
-        }
-        None
-    }
-
-    /// Complete every in-flight job whose end time has passed.
-    fn process_completions(&mut self, now: f64) {
-        // A result computed behind an active cut cannot reach the control
-        // plane until the cut heals: defer delivery, keeping the job in
-        // flight (and suspectable) until then.
-        for f in self.inflight.iter_mut() {
-            if f.end_s <= now {
-                let faults = self.svc.clusters[f.cluster].faults();
-                if faults.has_partitions() {
-                    let reach = faults.earliest_reach(0, f.node, f.end_s);
-                    if reach > f.end_s {
-                        f.end_s = reach;
-                    }
-                }
-            }
-        }
-        let done: Vec<InFlight> = self
-            .inflight
-            .iter()
-            .copied()
-            .filter(|f| f.end_s <= now)
-            .collect();
-        self.inflight.retain(|f| f.end_s > now);
-        // Deterministic completion order: by (end, job).
-        let mut done = done;
-        done.sort_by(|a, b| a.end_s.total_cmp(&b.end_s).then(a.job.cmp(&b.job)));
-        for f in done {
-            self.release(&f, f.end_s);
-            self.record_attempt(&f, f.end_s, false);
-            let tenant = self.jobs[f.job].tenant;
-            self.stats[tenant].completed += 1;
-            self.outcomes[f.job].end_s = Some(f.end_s);
-            let exec = &mut self.execs[f.cluster];
-            let rep = exec.report_mut();
-            rep.tasks += 1;
-            rep.compute_s += f.end_s - f.start_s;
-            rep.makespan_s = rep.makespan_s.max(f.end_s);
-        }
-    }
-
-    /// Fail every still-queued job: nothing can ever admit them.
-    fn fail_stalled(&mut self, now: f64) {
-        for t in 0..self.queues.len() {
-            let entries: Vec<QEntry> = std::mem::take(&mut self.queues[t]);
-            for e in entries {
-                self.reject(
-                    e.job,
-                    now,
-                    "stalled: no node can ever admit this job".to_string(),
-                );
-            }
-        }
-    }
-
-    fn finish(mut self, now: f64) -> ServiceReport {
-        debug_assert!(self.inflight.is_empty(), "jobs left in flight");
-        let makespan = self.last_event_s.max(now);
-        self.control.report_mut().makespan_s = makespan;
-        self.control.report_mut().tasks = self.outcomes.iter().filter(|o| o.result.is_ok()).count();
-        ServiceReport {
-            control: self.control.into_report(),
-            clusters: self
-                .execs
-                .into_iter()
-                .map(SimExecutor::into_report)
-                .collect(),
-            jobs: self.outcomes,
-            tenants: self.stats,
-            makespan_s: makespan,
-            peak_concurrent: self.peak_concurrent,
-        }
+            .collect())
     }
 }
 
@@ -1260,72 +474,6 @@ mod tests {
             }
             other => panic!("expected Rejected, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn a_million_admissions_share_exactly_at_weight_1_vs_1000() {
-        // Drive the stride accumulators directly for a million
-        // admissions at the most truncation-hostile ratio in service
-        // configs. Regression for two accumulator bugs: integer
-        // truncation of `STRIDE_K / w` skewing long-run shares (0.05%
-        // at the old `1 << 20`), and unbounded pass growth overflowing
-        // `u64` on long-lived services.
-        let mut s = StrideSched::new(&[1, 1000]);
-        let total = 1_000_000usize;
-        let mut admitted = [0usize; 2];
-        let mut last_light = 0usize;
-        let mut max_gap = 0usize;
-        for i in 0..total {
-            let t = (0..2).min_by_key(|&t| (s.pass(t), t)).unwrap();
-            admitted[t] += 1;
-            if t == 0 {
-                max_gap = max_gap.max(i - last_light);
-                last_light = i;
-            }
-            s.charge(t);
-            // Overflow-free: rebasing keeps every pass within one
-            // maximal stride of zero, at any horizon.
-            assert!(s.pass(0) <= STRIDE_K && s.pass(1) <= STRIDE_K);
-        }
-        let exact_light = total as f64 / 1001.0;
-        assert!(
-            (admitted[0] as f64 - exact_light).abs() < 2.0,
-            "weight-1 tenant got {} admissions, exact share is {exact_light:.3}",
-            admitted[0]
-        );
-        // Starvation-free: the light tenant is served every ~1001
-        // admissions, never pushed to the end of the run.
-        assert!(
-            max_gap <= 1002,
-            "light tenant starved for {max_gap} consecutive admissions"
-        );
-    }
-
-    #[test]
-    fn a_waking_tenant_rejoins_at_the_front_instead_of_flooding() {
-        // Tenant 0 sleeps while tenant 1 absorbs 100 admissions; waking
-        // with its stale pass it would win the next 100 in a row.
-        let mut s = StrideSched::new(&[1, 1]);
-        for _ in 0..100 {
-            s.charge(1);
-        }
-        s.wake(0, [1].into_iter());
-        let mut streak = 0usize;
-        let mut worst = 0usize;
-        for _ in 0..200 {
-            let t = (0..2).min_by_key(|&t| (s.pass(t), t)).unwrap();
-            if t == 0 {
-                streak += 1;
-                worst = worst.max(streak);
-            } else {
-                streak = 0;
-            }
-            s.charge(t);
-        }
-        assert!(
-            worst <= 1,
-            "woken tenant flooded {worst} consecutive admissions"
-        );
     }
 
     #[test]
@@ -1573,9 +721,23 @@ mod tests {
             .run(&[tenant(GIB, 8)], &[JobRequest::new(3, 0.0, lf(11))])
             .unwrap_err();
         assert!(matches!(err, EngineError::Unsupported(_)), "{err}");
-        let err = svc
-            .run(&[tenant(GIB, 8)], &[JobRequest::new(0, f64::NAN, lf(11))])
-            .unwrap_err();
-        assert!(matches!(err, EngineError::Unsupported(_)), "{err}");
+        // A submit time that never arrives would leave its job unresolved.
+        for submit_s in [f64::NAN, -1.0, f64::INFINITY] {
+            let err = svc
+                .run(&[tenant(GIB, 8)], &[JobRequest::new(0, submit_s, lf(11))])
+                .unwrap_err();
+            assert!(matches!(err, EngineError::Unsupported(_)), "{err}");
+        }
+        for deadline_s in [f64::NAN, -1.0] {
+            let mut policy = RetryPolicy::new(1);
+            policy.deadline_s = Some(deadline_s);
+            let err = svc
+                .run(
+                    &[tenant(GIB, 8)],
+                    &[JobRequest::new(0, 0.0, lf(11)).policy(policy)],
+                )
+                .unwrap_err();
+            assert!(matches!(err, EngineError::Unsupported(_)), "{err}");
+        }
     }
 }

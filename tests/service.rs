@@ -8,6 +8,11 @@ use mdtask::service::chaos::{fuzz_service, ServiceChaosConfig};
 use mdtask_core::run::Workload;
 use taskframe::EngineError;
 
+/// The golden `ServiceReport` hashes of `mdtaskd`'s own test tree, gated
+/// by tier-1 from here.
+#[path = "../crates/mdtaskd/tests/golden_reports.rs"]
+mod golden_reports;
+
 const MIB: u64 = 1 << 20;
 const GIB: u64 = 1 << 30;
 
