@@ -1,12 +1,17 @@
 //! Connected-components ablation: union–find vs BFS on bilayer cutoff
-//! graphs, plus the partial-components merge (Approach 3's reduce).
+//! graphs, plus the partial-components merge (Approach 3's reduce) and the
+//! three shapes a reduce over many partials can take (`fold/`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use graphops::{
     connected_components_bfs, connected_components_uf, merge_partials, partial_components,
+    PartialComponents,
 };
 use mdsim::BilayerSpec;
+use mdtask_core::leaflet::block_edges_tree;
+use mdtask_core::partition::{grid_for_tasks, plan_2d_grid};
 use std::hint::black_box;
+use taskframe::fold_pairwise;
 
 fn bilayer_edges(n: usize) -> (usize, Vec<(u32, u32)>) {
     let b = mdsim::bilayer::generate(
@@ -58,5 +63,34 @@ fn bench_partial_merge(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_cc, bench_partial_merge);
+/// `lf_8k`'s tree-search reduce: the 1 035 block partials of an 8 192-atom
+/// bilayer folded left (one growing accumulator), pairwise (what
+/// `Rdd::try_reduce` does) and in one n-ary merge (what an MPI rank does).
+fn bench_fold_shapes(c: &mut Criterion) {
+    let b = mdsim::bilayer::generate(
+        &BilayerSpec {
+            n_atoms: 8192,
+            ..Default::default()
+        },
+        7,
+    );
+    let parts: Vec<PartialComponents> = plan_2d_grid(8192, grid_for_tasks(1024))
+        .into_iter()
+        .map(|blk| partial_components(&block_edges_tree(&b.positions, blk, b.suggested_cutoff)))
+        .collect();
+    assert_eq!(parts.len(), 1035);
+    let pair = |a, b| merge_partials(&[a, b]);
+    let mut g = c.benchmark_group("fold");
+    g.sample_size(10);
+    g.bench_function("left", |bch| {
+        bch.iter(|| black_box(&parts).iter().cloned().reduce(pair))
+    });
+    g.bench_function("pairwise", |bch| {
+        bch.iter(|| fold_pairwise(black_box(&parts).clone(), pair))
+    });
+    g.bench_function("nary", |bch| bch.iter(|| merge_partials(black_box(&parts))));
+    g.finish();
+}
+
+criterion_group!(benches, bench_cc, bench_partial_merge, bench_fold_shapes);
 criterion_main!(benches);

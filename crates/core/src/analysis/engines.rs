@@ -6,6 +6,13 @@
 //! shape of the bespoke Leaflet-Finder/PSA drivers — so an analysis
 //! expressed through [`ParallelAnalysis`] is byte-identical to a
 //! hand-written driver (proven for LF and PSA in `tests/api_surface.rs`).
+//!
+//! Collectives are *charged* on the virtual clock by the engine
+//! primitives and merely *executed* on the host, once each (DESIGN.md §5l,
+//! "Host cost of collectives"): a broadcast ships the analysis's own `Arc`
+//! of the shared input, a tree reduce is a balanced pairwise fold, and the
+//! MPI gather moves the rank outputs to the driver.
+//! `tests/golden_collectives.rs` freezes the reports.
 
 use super::{DriverCtx, Gathered, MpiClocks, ParallelAnalysis, ReduceShape};
 use crate::EngineKind;
@@ -14,10 +21,11 @@ use netsim::Cluster;
 use pilot::{Session, UnitDescription};
 use sparklet::{Rdd, SparkContext};
 use std::sync::Arc;
-use taskframe::{EngineError, TaskCtx};
+use taskframe::{fold_pairwise, EngineError, TaskCtx};
 
 /// Spark posture: one RDD partition per slice; `Gather` collects, `Tree`
-/// runs the engine-side `treeReduce`.
+/// runs the engine-side `treeReduce` ([`Rdd::try_reduce`]'s pairwise
+/// fold).
 pub(crate) fn run_spark<A: ParallelAnalysis + 'static>(
     sc: &SparkContext,
     a: &Arc<A>,
@@ -34,7 +42,7 @@ pub(crate) fn run_spark<A: ParallelAnalysis + 'static>(
     // the broadcast variable when the analysis asks for it.
     let rdd: Rdd<A::Item> = if a.broadcast() {
         sc.set_phase("broadcast");
-        let bc = sc.broadcast((*a.shared()).clone())?;
+        let bc = sc.broadcast(a.shared())?;
         let task = Arc::clone(a);
         Rdd::from_partitions(sc.clone(), n_tasks, move |p, ctx: &TaskCtx| {
             let s = slices[p];
@@ -97,7 +105,7 @@ pub(crate) fn run_spark<A: ParallelAnalysis + 'static>(
 }
 
 /// Dask posture: one delayed task per slice; `Gather` gathers them,
-/// `Tree` reduces through a binary combine ladder.
+/// `Tree` reduces through a binary ladder of combine tasks.
 pub(crate) fn run_dask<A: ParallelAnalysis + 'static>(
     client: &DaskClient,
     a: &Arc<A>,
@@ -112,13 +120,13 @@ pub(crate) fn run_dask<A: ParallelAnalysis + 'static>(
         ReduceShape::Gather => {
             let tasks: Vec<Delayed<Vec<A::Item>>> = if a.broadcast() {
                 client.set_phase("broadcast");
-                let bc = client.broadcast((*a.shared()).clone())?;
+                let bc = client.broadcast(a.shared())?;
                 client.set_phase(phase);
                 let fs: Vec<_> = slices
                     .iter()
                     .map(|&s| {
                         let task = Arc::clone(a);
-                        move |shared: &A::Shared, ctx: &TaskCtx| {
+                        move |shared: &Arc<A::Shared>, ctx: &TaskCtx| {
                             if let Some(bytes) = task.io_bytes(s) {
                                 ctx.charge(net.transfer_time(bytes, false));
                             }
@@ -184,21 +192,11 @@ pub(crate) fn run_dask<A: ParallelAnalysis + 'static>(
                     }
                 })
                 .collect();
-            let mut level: Vec<Delayed<A::Item>> = client.delayed_many(fs);
-            while level.len() > 1 {
-                let mut next = Vec::with_capacity(level.len().div_ceil(2));
-                let mut it = level.into_iter();
-                while let Some(x) = it.next() {
-                    match it.next() {
-                        Some(y) => next.push(client.combine(&[&x, &y], |vals, _| {
-                            a.combine(vals[0].clone(), vals[1].clone())
-                        })),
-                        None => next.push(x),
-                    }
-                }
-                level = next;
-            }
-            let merged = match level.into_iter().next() {
+            let leaves: Vec<Delayed<A::Item>> = client.delayed_many(fs);
+            let root = fold_pairwise(leaves, |x, y| {
+                client.combine_pair(x, y, |x, y, _| a.combine(x, y))
+            });
+            let merged = match root {
                 Some(d) => {
                     let (vals, t1) = client.try_gather(std::slice::from_ref(&d))?;
                     client.note_phase(phase, t0, t1);
@@ -272,9 +270,9 @@ pub(crate) fn run_pilot<A: ParallelAnalysis + 'static>(
         session.cluster().clone(),
     );
     // The pilot has no engine-side reduce; tree-shaped analyses fold at
-    // the client (associativity makes the left fold equivalent).
+    // the client, in the same pairwise shape as the engines' tree reduce.
     if one {
-        let merged = items.into_iter().reduce(|x, y| a.combine(x, y));
+        let merged = fold_pairwise(items, |x, y| a.combine(x, y));
         a.finalize(Gathered::Merged(merged), ctx)
     } else {
         a.finalize(Gathered::Items(items), ctx)
@@ -309,14 +307,11 @@ pub(crate) fn run_mpi<A: ParallelAnalysis + 'static>(
             let received;
             let local: &A::Shared = if broadcast {
                 comm.set_phase("broadcast");
-                let v = (comm.rank() == 0).then(|| (*shared).clone());
+                let v = (comm.rank() == 0).then(|| Arc::clone(&shared));
                 // A replica too big for the fixed per-rank buffers
                 // surfaces typed on every rank instead of tearing the
                 // job down.
-                received = match comm.try_bcast(0, v) {
-                    Ok(v) => v,
-                    Err(e) => return Err(e),
-                };
+                received = comm.try_bcast(0, v)?;
                 &received
             } else {
                 &shared // pre-partitioned: ranks read their slices as I/O
@@ -340,7 +335,7 @@ pub(crate) fn run_mpi<A: ParallelAnalysis + 'static>(
             let t_map = comm.clock();
             comm.set_phase("gather");
             let gathered = comm.try_gather(0, wire)?;
-            Ok((gathered, t_start, t_bcast, t_map))
+            Ok::<_, EngineError>((gathered, t_start, t_bcast, t_map))
         },
     )?;
 
@@ -351,16 +346,13 @@ pub(crate) fn run_mpi<A: ParallelAnalysis + 'static>(
     let mut start_min = f64::INFINITY;
     let mut bcast_max = 0.0f64;
     let mut map_max = 0.0f64;
-    for rank_result in &out.results {
-        let (gathered, t_start, t_bcast, t_map) = match rank_result {
-            Ok(r) => r,
-            Err(e) => return Err(e.clone()),
-        };
-        start_min = start_min.min(*t_start);
-        bcast_max = bcast_max.max(*t_bcast);
-        map_max = map_max.max(*t_map);
+    for rank_result in out.results {
+        let (gathered, t_start, t_bcast, t_map) = rank_result?;
+        start_min = start_min.min(t_start);
+        bcast_max = bcast_max.max(t_bcast);
+        map_max = map_max.max(t_map);
         if let Some(rank_outs) = gathered {
-            wires.extend(rank_outs.iter().cloned());
+            wires.extend(rank_outs);
         }
     }
     let clocks = MpiClocks {

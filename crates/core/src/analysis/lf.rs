@@ -237,7 +237,7 @@ impl ParallelAnalysis for LfEdges {
                     report: ctx.finish(),
                 })
             }
-            Gathered::Ranks(wires) => Ok(finalize_mpi(n, self.approach, &wires, ctx)),
+            Gathered::Ranks(wires) => Ok(finalize_mpi(n, self.approach, wires, ctx)),
             Gathered::Merged(_) => unreachable!("LfEdges is gather-shaped"),
         }
     }
@@ -388,7 +388,7 @@ impl ParallelAnalysis for LfPartials {
                     report: ctx.finish(),
                 })
             }
-            Gathered::Ranks(wires) => Ok(finalize_mpi(n, self.approach, &wires, ctx)),
+            Gathered::Ranks(wires) => Ok(finalize_mpi(n, self.approach, wires, ctx)),
             Gathered::Items(_) => unreachable!("LfPartials is tree-shaped"),
         }
     }
@@ -400,23 +400,18 @@ impl ParallelAnalysis for LfPartials {
 fn finalize_mpi(
     n: usize,
     approach: LfApproach,
-    wires: &[RankOut],
+    wires: Vec<RankOut>,
     mut ctx: DriverCtx<'_>,
 ) -> LfOutput {
     let mut all_edges: Vec<(u32, u32)> = Vec::new();
     let mut all_partials: Vec<PartialComponents> = Vec::new();
     let mut edges_found = 0u64;
     let mut shuffle_bytes = 0u64;
-    for (edges, partials, found) in wires {
-        shuffle_bytes += edge_shuffle_bytes(edges.len() as u64)
-            + PartialComponents {
-                components: partials.clone(),
-            }
-            .wire_bytes();
-        all_edges.extend_from_slice(edges);
-        all_partials.push(PartialComponents {
-            components: partials.clone(),
-        });
+    for (edges, components, found) in wires {
+        let partial = PartialComponents { components };
+        shuffle_bytes += edge_shuffle_bytes(edges.len() as u64) + partial.wire_bytes();
+        all_edges.extend(edges);
+        all_partials.push(partial);
         edges_found += found;
     }
     let MpiClocks {

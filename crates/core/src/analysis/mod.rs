@@ -249,15 +249,17 @@ impl<'a> DriverCtx<'a> {
 /// byte-identical to the bespoke drivers they replaced.
 pub trait ParallelAnalysis: Send + Sync {
     /// The input every map task reads (broadcast when
-    /// [`broadcast`](Self::broadcast) is true, captured otherwise).
-    type Shared: Payload + Clone + Send + Sync + 'static;
+    /// [`broadcast`](Self::broadcast) is true, captured otherwise). Not
+    /// `Clone`: every engine shares the one [`shared`](Self::shared)
+    /// `Arc`, none copies the input.
+    type Shared: Payload + Send + Sync + 'static;
     /// One unit of work (an index range, a 2-D block, …). `Copy` so the
     /// planners can hand slices to closures freely.
     type Slice: Copy + Send + Sync + 'static;
     /// One mapped result element.
     type Item: Payload + Clone + Send + Sync + 'static;
     /// What one MPI rank ships to rank 0 (commonly `Vec<Item>`).
-    type Wire: Payload + Clone + Send + Sync + 'static;
+    type Wire: Payload + Send + Sync + 'static;
     /// The finalized analysis result.
     type Output;
 
@@ -324,7 +326,9 @@ pub trait ParallelAnalysis: Send + Sync {
         ReduceShape::Gather
     }
 
-    /// Associative pairwise combine (tree-shaped analyses).
+    /// Associative pairwise combine (tree-shaped analyses). Engines keep
+    /// slice order and choose the bracketing, so it need not be
+    /// commutative.
     fn combine(&self, _a: Self::Item, _b: Self::Item) -> Self::Item {
         unimplemented!("combine is required for ReduceShape::Tree analyses")
     }

@@ -479,6 +479,23 @@ impl DaskClient {
         })
     }
 
+    /// [`Self::combine`] of two inputs the task consumes — one rung of a
+    /// reduction tree, whose operands nothing else reads — charged
+    /// exactly like the borrowed form.
+    pub fn combine_pair<T: Payload, U: Payload>(
+        &self,
+        a: Delayed<T>,
+        b: Delayed<T>,
+        f: impl FnOnce(T, T, &TaskCtx) -> U,
+    ) -> Delayed<U> {
+        let deps_ready = a.ready.max(b.ready);
+        let bytes = a.value.wire_bytes() + b.value.wire_bytes();
+        let dep_error = a.error.or(b.error);
+        self.submit_inner(deps_ready, bytes, 2, dep_error, move |ctx| {
+            f(a.value, b.value, ctx)
+        })
+    }
+
     /// Submit a task that depends on `dep` but needs no data transfer —
     /// the dependency is already resident on every worker (a broadcast
     /// value).

@@ -33,7 +33,8 @@ impl PartialComponents {
 }
 
 /// Compute partial components from a local edge list. Node ids are global;
-/// only nodes incident to a local edge appear in the result.
+/// only nodes incident to a local edge appear in the result, so no
+/// component is ever empty.
 pub fn partial_components(edges: &[(u32, u32)]) -> PartialComponents {
     // Compress the sparse global ids into a dense local space, run
     // union–find there, then expand back.
@@ -75,7 +76,10 @@ pub fn partial_components(edges: &[(u32, u32)]) -> PartialComponents {
 
 /// Merge partial components: any two partials sharing a node are joined.
 /// This is the reduce of Approach 3 and must be associative and commutative
-/// (property-tested) because engines merge in arbitrary shuffle order.
+/// (property-tested: any bracketing and either operand order give the same
+/// canonical result) because engines merge in arbitrary shuffle order and
+/// tree shape. Empty components — `components` is a public field — carry
+/// no node and are dropped.
 pub fn merge_partials(parts: &[PartialComponents]) -> PartialComponents {
     // Union-find over component indices, keyed by first-seen node.
     let total: usize = parts.iter().map(|p| p.components.len()).sum();
@@ -83,7 +87,7 @@ pub fn merge_partials(parts: &[PartialComponents]) -> PartialComponents {
     let mut owner_of_node: std::collections::HashMap<u32, u32> = std::collections::HashMap::new();
     let mut flat: Vec<&Vec<u32>> = Vec::with_capacity(total);
     for p in parts {
-        for comp in &p.components {
+        for comp in p.components.iter().filter(|c| !c.is_empty()) {
             let idx = flat.len() as u32;
             flat.push(comp);
             for &node in comp {
@@ -154,6 +158,21 @@ mod tests {
     }
 
     #[test]
+    fn merge_drops_empty_components() {
+        // Used to index `g[0]` of the empty group and panic.
+        let p = PartialComponents {
+            components: vec![vec![], vec![1, 2]],
+        };
+        assert_eq!(merge_partials(&[p]).components, vec![vec![1, 2]]);
+        let only_empty = PartialComponents {
+            components: vec![vec![], vec![]],
+        };
+        let m = merge_partials(&[only_empty.clone(), only_empty]);
+        assert_eq!(m, PartialComponents::default());
+        assert_eq!(partial_components(&[]), PartialComponents::default());
+    }
+
+    #[test]
     fn wire_bytes_formula() {
         let p = PartialComponents {
             components: vec![vec![1, 2, 3], vec![4]],
@@ -190,6 +209,75 @@ mod tests {
         merged.components == expected
     }
 
+    fn merge_pair(a: PartialComponents, b: PartialComponents) -> PartialComponents {
+        merge_partials(&[a, b])
+    }
+
+    fn merge_balanced(parts: &[PartialComponents]) -> PartialComponents {
+        match parts {
+            [] => PartialComponents::default(),
+            [one] => one.clone(),
+            _ => {
+                let (l, r) = parts.split_at(parts.len() / 2);
+                merge_pair(merge_balanced(l), merge_balanced(r))
+            }
+        }
+    }
+
+    /// The reduce shapes an engine may run over the same partials — left
+    /// fold, right fold, balanced tree, one n-ary call — must agree.
+    fn all_bracketings_agree(parts: &[PartialComponents]) -> bool {
+        let nary = merge_partials(parts);
+        let left = parts.iter().cloned().reduce(merge_pair).unwrap_or_default();
+        let right = parts
+            .iter()
+            .rev()
+            .cloned()
+            .reduce(|acc, p| merge_pair(p, acc))
+            .unwrap_or_default();
+        left == nary && right == nary && merge_balanced(parts) == nary
+    }
+
+    #[test]
+    fn bracketings_agree_on_bilayer_block_partials() {
+        use rand::{Rng, SeedableRng};
+        // Two jittered 25 × 40 sheets 30 Å apart: 2 000 atoms, neighbours
+        // within a sheet only, like the leaflets of `mdsim::bilayer`.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let pts: Vec<[f32; 3]> = (0..2000)
+            .map(|i| {
+                let (sheet, cell) = (i / 1000, i % 1000);
+                let mut jitter = || rng.gen_range(-1.0f32..1.0);
+                [
+                    (cell / 40) as f32 * 8.0 + jitter(),
+                    (cell % 40) as f32 * 8.0 + jitter(),
+                    sheet as f32 * 30.0 + jitter(),
+                ]
+            })
+            .collect();
+        let near = |i: usize, j: usize| {
+            let d: f32 = (0..3).map(|k| (pts[i][k] - pts[j][k]).powi(2)).sum();
+            d <= 10.5 * 10.5
+        };
+        // One partial per block of the upper triangle of an 8 × 8 grid.
+        let mut parts = Vec::new();
+        for r in 0..8 {
+            for c in r..8 {
+                let mut edges = Vec::new();
+                for i in r * 250..(r + 1) * 250 {
+                    for j in (c * 250..(c + 1) * 250).filter(|&j| i < j && near(i, j)) {
+                        edges.push((i as u32, j as u32));
+                    }
+                }
+                parts.push(partial_components(&edges));
+            }
+        }
+        let merged = merge_partials(&parts);
+        assert_eq!(merged.components.len(), 2, "one component per sheet");
+        assert_eq!(merged.node_count(), 2000);
+        assert!(all_bracketings_agree(&parts));
+    }
+
     #[test]
     fn merge_equals_global_cc_small() {
         let edges = [(0, 1), (1, 2), (4, 5), (2, 4), (8, 9)];
@@ -212,6 +300,26 @@ mod tests {
                 .collect();
             prop_assume!(!edges.is_empty());
             prop_assert!(partition_roundtrip(n, &edges, k));
+        }
+
+        /// Merging is associative: however k ≤ 8 partials are bracketed,
+        /// the canonical result is the same.
+        #[test]
+        fn merge_is_associative(
+            n in 2usize..40,
+            raw in prop::collection::vec((0u32..40, 0u32..40), 1..120),
+            k in 1usize..9,
+        ) {
+            let edges: Vec<(u32, u32)> = raw.into_iter()
+                .map(|(a, b)| (a % n as u32, b % n as u32))
+                .filter(|(a, b)| a != b)
+                .collect();
+            prop_assume!(!edges.is_empty());
+            let parts: Vec<PartialComponents> = edges
+                .chunks(edges.len().div_ceil(k))
+                .map(partial_components)
+                .collect();
+            prop_assert!(all_bracketings_agree(&parts));
         }
 
         /// Merging is order-insensitive: shuffling the partials yields the

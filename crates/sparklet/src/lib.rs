@@ -95,6 +95,49 @@ mod tests {
     }
 
     #[test]
+    fn reduce_is_an_order_preserving_logarithmic_tree() {
+        // One `(lo, hi, depth)` interval per partition, every fifth
+        // partition empty. `f` accepts only adjacent operands in order and
+        // counts the combines stacked on a value.
+        let is_empty = |p: usize| p % 5 == 3;
+        for parts in [1usize, 2, 3, 7, 64, 1035] {
+            let filled = (0..parts).filter(|&p| !is_empty(p)).count() as u32;
+            let rdd = Rdd::from_partitions(ctx(), parts, move |p, _| {
+                if is_empty(p) {
+                    return Vec::new();
+                }
+                let lo = (0..p).filter(|&q| !is_empty(q)).count() as u32;
+                vec![(lo, lo + 1, 0u32)]
+            });
+            let (lo, hi, depth) = rdd
+                .reduce(|a, b| {
+                    assert_eq!(a.1, b.0, "operands adjacent and in partition order");
+                    (a.0, b.1, a.2.max(b.2) + 1)
+                })
+                .expect("some partition is filled");
+            assert_eq!((lo, hi), (0, filled), "{parts} partitions");
+            // A left fold reads `filled - 1` here.
+            assert_eq!(
+                depth,
+                filled.next_power_of_two().trailing_zeros(),
+                "{parts} partitions"
+            );
+        }
+    }
+
+    #[test]
+    fn reduce_of_a_non_commutative_op_equals_the_serial_fold() {
+        let words: Vec<String> = (0..50).map(|i| format!("w{i};")).collect();
+        for parts in [1, 3, 7, 64] {
+            // 64 partitions of 50 words: some are empty.
+            let joined = ctx()
+                .parallelize(words.clone(), parts)
+                .reduce(|a, b| a + &b);
+            assert_eq!(joined, Some(words.concat()), "{parts} partitions");
+        }
+    }
+
+    #[test]
     fn group_by_key_shuffles() {
         let sc = ctx();
         let pairs: Vec<(u32, u32)> = (0..40).map(|i| (i % 4, i)).collect();

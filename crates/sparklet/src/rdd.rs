@@ -5,7 +5,7 @@ use netsim::measure;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use taskframe::{EngineError, Payload, TaskCtx};
+use taskframe::{fold_pairwise, EngineError, Payload, TaskCtx};
 
 type Compute<T> = Arc<dyn Fn(usize, &TaskCtx) -> Vec<T> + Send + Sync>;
 pub(crate) type Prepare = Arc<dyn Fn(&mut JobState) -> Result<Vec<f64>, EngineError> + Send + Sync>;
@@ -609,32 +609,35 @@ where
         self.try_count().expect("sparklet job failed")
     }
 
-    /// Fold all elements with an associative `f` (per-partition fold, then
-    /// driver-side combine of one value per partition), surfacing job
-    /// failure.
+    /// Reduce all elements with `f`, surfacing job failure.
+    ///
+    /// `f` must be associative; it need not be commutative. Each partition
+    /// folds its own elements in order, one value per non-empty partition
+    /// comes back to the driver (charged in partition order), and the
+    /// driver combines those as a balanced pairwise tree
+    /// ([`taskframe::fold_pairwise`]) that keeps partition order — so no
+    /// value passes through more than ⌈log₂ partitions⌉ driver-side
+    /// combines.
     pub fn try_reduce(&self, f: impl Fn(T, T) -> T) -> Result<Option<T>, EngineError> {
         let mut st = self.ctx.inner.state.lock();
         let parts = self.run_stage(&mut st)?;
         let net = self.ctx.inner.cluster.profile.network;
         let mut gather = 0.0;
-        let mut acc: Option<T> = None;
+        let mut locals = Vec::with_capacity(parts.len());
         for part in parts {
             if let Some(local) = part.into_iter().reduce(&f) {
                 gather += net.transfer_time(local.wire_bytes(), false);
-                acc = Some(match acc {
-                    None => local,
-                    Some(a) => f(a, local),
-                });
+                locals.push(local);
             }
         }
         st.frontier += gather;
         let fr = st.frontier;
         st.exec.advance_makespan(fr);
         st.exec.report_mut().comm_s += gather;
-        Ok(acc)
+        Ok(fold_pairwise(locals, f))
     }
 
-    /// Fold all elements with an associative `f` (panics on job failure).
+    /// [`Self::try_reduce`], panicking on job failure.
     pub fn reduce(&self, f: impl Fn(T, T) -> T) -> Option<T> {
         self.try_reduce(f).expect("sparklet job failed")
     }

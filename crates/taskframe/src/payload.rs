@@ -106,6 +106,18 @@ impl<T: Payload> Payload for &T {
     }
 }
 
+/// A shared value costs what its contents cost: engines broadcast an
+/// `Arc` of the input without copying it on the host, and every byte
+/// count, transfer charge and memory check sees the pointee.
+impl<T: Payload> Payload for std::sync::Arc<T> {
+    fn wire_bytes(&self) -> u64 {
+        (**self).wire_bytes()
+    }
+    fn item_count(&self) -> u64 {
+        (**self).item_count()
+    }
+}
+
 impl<T: Payload> Payload for &[T] {
     fn wire_bytes(&self) -> u64 {
         4 + self.iter().map(Payload::wire_bytes).sum::<u64>()
@@ -159,6 +171,15 @@ mod tests {
         assert_eq!(f.item_count(), 10);
         let traj = vec![Frame::zeros(10), Frame::zeros(10)];
         assert_eq!(traj.wire_bytes(), 4 + 2 * 124);
+    }
+
+    #[test]
+    fn arc_delegates_to_the_pointee() {
+        let traj = vec![Frame::zeros(10), Frame::zeros(10)];
+        let (bytes, items) = (traj.wire_bytes(), traj.item_count());
+        let shared = std::sync::Arc::new(traj);
+        assert_eq!(shared.wire_bytes(), bytes);
+        assert_eq!(shared.item_count(), items);
     }
 
     #[test]

@@ -207,6 +207,114 @@ fn builtin_rmsd_matches_direct_kernel_and_contacts_matches_brute_force() {
     }
 }
 
+/// A shared input and a rank wire that are deliberately not `Clone`: no
+/// engine may copy either, so this compiles only while every runner
+/// shares the analysis's one `Arc` and moves the gathered wires.
+struct Sealed(Vec<u32>);
+
+impl Payload for Sealed {
+    fn wire_bytes(&self) -> u64 {
+        self.0.wire_bytes()
+    }
+    fn item_count(&self) -> u64 {
+        self.0.item_count()
+    }
+}
+
+struct Squares {
+    input: Arc<Sealed>,
+    broadcast: bool,
+}
+
+impl ParallelAnalysis for Squares {
+    type Shared = Sealed;
+    type Slice = (u32, u32);
+    type Item = (u32, u64);
+    type Wire = Sealed;
+    type Output = (Vec<u64>, SimReport);
+
+    fn name(&self) -> &'static str {
+        "squares"
+    }
+
+    fn shared(&self) -> Arc<Sealed> {
+        Arc::clone(&self.input)
+    }
+
+    fn slices(&self, _engine: EngineKind, _cluster: &Cluster) -> Vec<(u32, u32)> {
+        mdtask::analysis::partition::plan_1d(self.input.0.len(), 6)
+    }
+
+    fn broadcast(&self) -> bool {
+        self.broadcast
+    }
+
+    fn map(&self, shared: &Sealed, s: (u32, u32)) -> Vec<(u32, u64)> {
+        (s.0..s.1)
+            .map(|i| (i, (shared.0[i as usize] as u64).pow(2)))
+            .collect()
+    }
+
+    fn rank_map(&self, shared: &Sealed, mine: &[(u32, u32)]) -> Sealed {
+        // Ranks ship their raw inputs; the driver squares them.
+        Sealed(
+            mine.iter()
+                .flat_map(|&s| (s.0..s.1).map(|i| shared.0[i as usize]))
+                .collect(),
+        )
+    }
+
+    fn finalize(
+        &self,
+        gathered: Gathered<(u32, u64), Sealed>,
+        ctx: mdtask::analysis::DriverCtx<'_>,
+    ) -> Result<(Vec<u64>, SimReport), EngineError> {
+        let mut values: Vec<u64> = match gathered {
+            Gathered::Items(items) => items.into_iter().map(|(_, v)| v).collect(),
+            Gathered::Ranks(wires) => wires
+                .into_iter()
+                .flat_map(|w| w.0)
+                .map(|x| (x as u64).pow(2))
+                .collect(),
+            Gathered::Merged(_) => unreachable!("squares is gather-shaped"),
+        };
+        values.sort_unstable(); // round-robin rank order interleaves slices
+        Ok((values, ctx.finish()))
+    }
+}
+
+#[test]
+fn shared_input_need_not_be_clone_on_any_engine() {
+    mdtask::cluster::set_deterministic_timing(true);
+    let input = Arc::new(Sealed((0..97).collect()));
+    let reference: Vec<u64> = (0..97u64).map(|x| x * x).collect();
+    for engine in ENGINES {
+        for broadcast in [false, true] {
+            let run = || {
+                RunConfig::new(Cluster::new(laptop(), 2), engine)
+                    .mpi_world(4)
+                    .run_analysis(Squares {
+                        input: Arc::clone(&input),
+                        broadcast,
+                    })
+                    .unwrap_or_else(|e| panic!("{engine:?} broadcast={broadcast}: {e:?}"))
+            };
+            let (values, report) = run();
+            assert_eq!(values, reference, "{engine:?} broadcast={broadcast}");
+            assert_eq!(run().1, report, "{engine:?} broadcast={broadcast}: report");
+            // The pilot has no broadcast primitive; the other three charge
+            // the replica's bytes, seen through the `Arc`.
+            let charged = broadcast && engine != Engine::Pilot;
+            assert_eq!(
+                report.bytes_broadcast > 0,
+                charged,
+                "{engine:?} broadcast={broadcast}"
+            );
+        }
+    }
+    assert_eq!(Arc::strong_count(&input), 1, "no engine kept the input");
+}
+
 /// Sorted canonical form: the kernels may emit edges in any order.
 fn canon(mut edges: Vec<(u32, u32)>) -> Vec<(u32, u32)> {
     for e in edges.iter_mut() {

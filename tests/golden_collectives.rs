@@ -1,0 +1,404 @@
+//! Golden `(output, report)` hashes of the engine collectives: reduce,
+//! broadcast and gather as the four runners behind
+//! [`RunConfig::run_analysis`] execute them.
+//!
+//! The constants were recorded on the commit *before* the host side of the
+//! collectives was rewritten (the Spark/Pilot reduce folded left, one value
+//! at a time; every broadcast deep-copied the shared input; the MPI gather
+//! cloned each rank's wire). Those rewrites may not move a single virtual
+//! charge, byte count or trace event, and `tests/api_surface.rs` cannot
+//! say so — the deprecated drivers it compares against call the same
+//! primitives. So the reference is frozen here.
+//!
+//! A run is rendered to text and hashed with FNV-1a, as in
+//! `crates/mdtaskd/tests/golden_reports.rs`: `{:?}` of the output with the
+//! trace lifted out and printed event by event beside its resolved
+//! phase/label strings (`Trace`'s own `Debug` walks the interner's
+//! `HashMap`, whose order changes from process to process). A typed
+//! failure hashes its `{:?}`.
+
+use mdtask::analysis::partition::plan_1d;
+use mdtask::analysis::DriverCtx;
+use mdtask::prelude::*;
+use std::fmt::Debug;
+use std::sync::Arc;
+
+const ENGINES: [Engine; 4] = [Engine::Spark, Engine::Dask, Engine::Pilot, Engine::Mpi];
+
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// An output that carries its run's [`SimReport`].
+trait Reported: Debug {
+    fn report_mut(&mut self) -> &mut SimReport;
+}
+
+impl Reported for LfOutput {
+    fn report_mut(&mut self) -> &mut SimReport {
+        &mut self.report
+    }
+}
+
+impl<T: Debug> Reported for FrameSeries<T> {
+    fn report_mut(&mut self) -> &mut SimReport {
+        &mut self.report
+    }
+}
+
+impl Reported for (Vec<u32>, SimReport) {
+    fn report_mut(&mut self) -> &mut SimReport {
+        &mut self.1
+    }
+}
+
+fn digest<O: Reported>(result: Result<O, EngineError>) -> u64 {
+    let mut out = match result {
+        Ok(out) => out,
+        Err(e) => return fnv1a(&format!("{e:?}")),
+    };
+    let mut text = String::new();
+    match out.report_mut().trace.take() {
+        Some(trace) => {
+            for e in &trace.events {
+                text.push_str(&format!(
+                    "{e:?}|{}|{}\n",
+                    trace.phase_of(e),
+                    trace.label_of(e)
+                ));
+            }
+        }
+        None => text.push_str("untraced\n"),
+    }
+    text.push_str(&format!("{out:?}"));
+    fnv1a(&text)
+}
+
+/// Compare against the frozen constants; on a mismatch print what was
+/// computed in the form the constants are written in.
+fn assert_frozen(what: &str, got: &[u64], want: &[u64]) {
+    if got != want {
+        let rows: Vec<String> = got
+            .chunks(4)
+            .map(|row| {
+                let cells: Vec<String> = row
+                    .iter()
+                    .map(|h| {
+                        let s = format!("{h:016x}");
+                        format!("0x{}_{}_{}_{}", &s[0..4], &s[4..8], &s[8..12], &s[12..16])
+                    })
+                    .collect();
+                format!("    {},", cells.join(", "))
+            })
+            .collect();
+        panic!(
+            "{what}: a frozen hash moved; computed:\n{}",
+            rows.join("\n")
+        );
+    }
+}
+
+fn cluster(plan: Option<FaultPlan>) -> Cluster {
+    let c = Cluster::new(laptop(), 2);
+    match plan {
+        Some(p) => c.with_faults(p),
+        None => c,
+    }
+}
+
+/// Traced, serial, with a retry policy only when a plan is scripted (the
+/// clean runs keep each engine's native single-attempt posture).
+fn config(engine: Engine, plan: Option<FaultPlan>) -> RunConfig {
+    let faulty = plan.is_some();
+    let rc = RunConfig::new(cluster(plan), engine)
+        .threads(Threads::Serial)
+        .trace(true)
+        .mpi_world(16);
+    if faulty {
+        rc.retry_policy(RetryPolicy::new(4).with_detection_delay(0.25))
+    } else {
+        rc
+    }
+}
+
+/// Node 1 dies in the middle of a task it ran in the clean run (the
+/// middle one of those, by trace order), so the death interrupts work in
+/// flight; a run that never used node 1 loses it at half its makespan.
+fn death_mid_task(clean: &SimReport) -> FaultPlan {
+    let trace = clean.trace.as_ref().expect("golden runs are traced");
+    let on_node_1: Vec<&TraceEvent> = trace
+        .events
+        .iter()
+        .filter(|e| matches!(e.kind, EventKind::Task { .. }) && e.core / 8 == 1)
+        .collect();
+    let at_s = match on_node_1.get(on_node_1.len() / 2) {
+        Some(e) => 0.5 * (e.start_s + e.end_s),
+        None => 0.5 * clean.makespan_s,
+    };
+    FaultPlan::none().kill_node(1, at_s)
+}
+
+/// Run clean, then under the node death: two hashes.
+fn clean_and_faulty<O: Reported>(
+    engine: Engine,
+    run: impl Fn(&RunConfig) -> Result<O, EngineError>,
+) -> [u64; 2] {
+    let mut clean = run(&config(engine, None));
+    let plan = death_mid_task(
+        clean
+            .as_mut()
+            .expect("the clean run completes")
+            .report_mut(),
+    );
+    let faulty = run(&config(engine, Some(plan)));
+    [digest(clean), digest(faulty)]
+}
+
+fn bilayer(n_atoms: usize, seed: u64) -> (Arc<Vec<Vec3>>, f32) {
+    let b = mdtask::sim::bilayer::generate(
+        &BilayerSpec {
+            n_atoms,
+            ..Default::default()
+        },
+        seed,
+    );
+    (Arc::new(b.positions), b.suggested_cutoff)
+}
+
+fn trajectory() -> Arc<Trajectory> {
+    let spec = ChainSpec {
+        n_atoms: 30,
+        n_frames: 12,
+        stride: 1,
+        ..ChainSpec::default()
+    };
+    Arc::new(mdtask::sim::chain::generate(&spec, 71))
+}
+
+#[rustfmt::skip]
+const LF_REDUCE: [u64; 24] = [
+    0x4286_e421_6990_c93d, 0x1e19_ecb9_eb47_d5ac, 0xf9fb_e285_41c6_2f15, 0xc2cb_4f9f_4130_a24e,
+    0xc373_0a51_3969_d3e8, 0xa25e_800b_72bb_22e5, 0x4286_e421_6990_c93d, 0x1e19_ecb9_eb47_d5ac,
+    0xf9fb_e285_41c6_2f15, 0xc2cb_4f9f_4130_a24e, 0xc373_0a51_3969_d3e8, 0xa25e_800b_72bb_22e5,
+    0x7c27_8174_fc08_878d, 0xb5c4_e0ec_ffcc_a610, 0xaabd_7b62_dfb2_0258, 0x9875_9150_d6c5_9475,
+    0x346f_d548_c82b_42d6, 0xd990_e2af_2f1f_e792, 0x7c27_8174_fc08_878d, 0xb5c4_e0ec_ffcc_a610,
+    0xaabd_7b62_dfb2_0258, 0x9875_9150_d6c5_9475, 0x346f_d548_c82b_42d6, 0xd990_e2af_2f1f_e792,
+];
+
+/// The reduce: `run_lf` approaches 3 and 4 (partial components merged
+/// engine-side) on Spark, and the same calls on the Pilot, at 8, 64 and
+/// 1 035 blocks (`partitions` 1 024 plans a 45-row triangle).
+#[test]
+fn lf_partial_component_reduce_matches_the_frozen_hashes() {
+    mdtask::cluster::set_deterministic_timing(true);
+    let (positions, cutoff) = bilayer(2000, 7);
+    let mut got = Vec::new();
+    for engine in [Engine::Spark, Engine::Pilot] {
+        for approach in [LfApproach::ParallelCC, LfApproach::TreeSearch] {
+            for partitions in [8, 64, 1024] {
+                let lf = LfConfig {
+                    cutoff,
+                    partitions,
+                    paper_atoms: 2000,
+                    charge_io: true,
+                };
+                got.extend(clean_and_faulty(engine, |rc| {
+                    run_lf(&rc.clone().approach(approach), Arc::clone(&positions), &lf)
+                }));
+            }
+        }
+    }
+    assert_frozen("LF_REDUCE", &got, &LF_REDUCE);
+}
+
+/// A tree-shaped analysis no engine has seen: concatenation, which is
+/// associative but not commutative, so any reordering of the fold shows in
+/// the values and any change of the reduce's charges shows in the report.
+/// It reaches the four reduce paths `run_lf` cannot (the Pilot's
+/// client-side fold, Dask's combine ladder).
+struct Concat {
+    data: Arc<Vec<u32>>,
+    slices: usize,
+}
+
+impl ParallelAnalysis for Concat {
+    type Shared = Vec<u32>;
+    type Slice = (u32, u32);
+    type Item = Vec<u32>;
+    type Wire = Vec<(u32, Vec<u32>)>;
+    type Output = (Vec<u32>, SimReport);
+
+    fn name(&self) -> &'static str {
+        "concat"
+    }
+
+    fn shared(&self) -> Arc<Vec<u32>> {
+        Arc::clone(&self.data)
+    }
+
+    fn slices(&self, _engine: EngineKind, _cluster: &Cluster) -> Vec<(u32, u32)> {
+        plan_1d(self.data.len(), self.slices)
+    }
+
+    fn slice_cost_s(&self, s: (u32, u32)) -> f64 {
+        0.02 * (s.1 - s.0) as f64
+    }
+
+    fn map(&self, shared: &Vec<u32>, s: (u32, u32)) -> Vec<Vec<u32>> {
+        vec![self.map_one(shared, s)]
+    }
+
+    fn map_one(&self, shared: &Vec<u32>, s: (u32, u32)) -> Vec<u32> {
+        shared[s.0 as usize..s.1 as usize].to_vec()
+    }
+
+    fn reduce_shape(&self) -> ReduceShape {
+        ReduceShape::Tree
+    }
+
+    fn combine(&self, mut a: Vec<u32>, b: Vec<u32>) -> Vec<u32> {
+        a.extend(b);
+        a
+    }
+
+    fn rank_map(&self, shared: &Vec<u32>, mine: &[(u32, u32)]) -> Vec<(u32, Vec<u32>)> {
+        mine.iter()
+            .map(|&s| (s.0, self.map_one(shared, s)))
+            .collect()
+    }
+
+    fn finalize(
+        &self,
+        gathered: Gathered<Vec<u32>, Vec<(u32, Vec<u32>)>>,
+        ctx: DriverCtx<'_>,
+    ) -> Result<(Vec<u32>, SimReport), EngineError> {
+        let values = match gathered {
+            Gathered::Merged(merged) => merged.unwrap_or_default(),
+            Gathered::Ranks(wires) => {
+                // Round-robin rank order interleaves the slices.
+                let mut parts: Vec<(u32, Vec<u32>)> = wires.into_iter().flatten().collect();
+                parts.sort_by_key(|&(start, _)| start);
+                parts.into_iter().flat_map(|(_, v)| v).collect()
+            }
+            Gathered::Items(_) => unreachable!("concat is tree-shaped"),
+        };
+        Ok((values, ctx.finish()))
+    }
+}
+
+#[rustfmt::skip]
+const TREE_CUSTOM: [u64; 24] = [
+    0x25ec_b434_24ac_cbe6, 0x25ec_b434_24ac_cbe6, 0xf6db_b3d3_808c_58f9, 0x30a3_0c82_0fdd_9c8e,
+    0x99f3_0971_9586_38f9, 0x39bd_3625_995a_1607, 0xdff6_4541_6f71_a5ef, 0xdff6_4541_6f71_a5ef,
+    0xa54d_6d5e_9de3_5a8d, 0x53c9_bb35_bb29_ac6f, 0xd909_2ce1_e638_a432, 0xffb4_a5f0_7a5b_4d2a,
+    0x5fb3_d041_9aae_8bd1, 0x5fb3_d041_9aae_8bd1, 0xc692_ced6_483e_32ae, 0xeb94_bd84_e03c_5115,
+    0x6a6a_653a_5954_38e9, 0xd8d8_c600_3732_975d, 0x0a89_8641_8ab4_70d7, 0x9cee_bd62_3687_c98a,
+    0xfa97_1a16_7109_eb33, 0x4593_c2e7_155d_f7af, 0x9f73_2ca0_5e02_beac, 0x8bf0_4e2e_41c4_7a49,
+];
+
+#[test]
+fn tree_shaped_custom_analysis_matches_the_frozen_hashes() {
+    mdtask::cluster::set_deterministic_timing(true);
+    let data: Arc<Vec<u32>> = Arc::new((0..400).collect());
+    let mut got = Vec::new();
+    for engine in ENGINES {
+        for slices in [1, 13, 64] {
+            let hashes = clean_and_faulty(engine, |rc| {
+                let out = rc.run_analysis(Concat {
+                    data: Arc::clone(&data),
+                    slices,
+                })?;
+                assert_eq!(out.0, *data, "{engine:?}/{slices}: order preserved");
+                Ok(out)
+            });
+            got.extend(hashes);
+        }
+    }
+    assert_frozen("TREE_CUSTOM", &got, &TREE_CUSTOM);
+}
+
+#[rustfmt::skip]
+const BROADCAST: [u64; 32] = [
+    0x65ab_2d3a_0875_9e10, 0xb38c_b099_bf99_fc13, 0xdc31_5980_acb0_4488, 0x3763_85a5_c833_a9c5,
+    0xe6d5_bd49_0f6e_f6c8, 0x2b31_bb33_302a_9081, 0x6101_d703_09ba_6d03, 0xc81b_2e8a_385f_d83c,
+    0x4e49_687f_efc7_319f, 0x1107_2efd_adc5_49f2, 0xc96e_1799_fdff_c2cc, 0x114a_7683_80c4_29a5,
+    0xd1e7_30bf_2673_5a70, 0x88e5_ed9c_ad2d_6e2d, 0x8c5f_beea_80d1_60a1, 0xa62c_f588_3243_821a,
+    0x0b62_6ca5_7fa8_f94b, 0xecbd_70da_9df9_eafb, 0x40cb_afa5_7ec2_dc44, 0x5d3d_f80b_701d_c731,
+    0x0f49_84df_db3a_1e44, 0xebcb_078e_e000_7cb5, 0xe76e_e2a8_c03a_cb7f, 0x564d_bab3_3f70_d17e,
+    0x52aa_38f5_acdb_fcc5, 0x2fb5_a4e7_e15f_1bf1, 0x9a2d_d27a_a8ba_de03, 0x1efc_9c41_c583_10e8,
+    0xb96a_4d19_dfd7_65e7, 0x1fb2_d420_63ec_1c30, 0x74c0_5785_4d78_d698, 0x37c3_7fa9_e9b1_9141,
+];
+
+/// The broadcast (and, on MPI, the gather behind it): `run_lf` approach 1
+/// and the three frame-mapped analyses ship their shared input through
+/// each engine's broadcast primitive.
+#[test]
+fn broadcast_path_matches_the_frozen_hashes() {
+    mdtask::cluster::set_deterministic_timing(true);
+    let (positions, cutoff) = bilayer(240, 11);
+    let lf = LfConfig {
+        cutoff,
+        partitions: 16,
+        paper_atoms: 240,
+        charge_io: true,
+    };
+    let traj = trajectory();
+    let mut got = Vec::new();
+    for engine in ENGINES {
+        got.extend(clean_and_faulty(engine, |rc| {
+            let rc = rc.clone().approach(LfApproach::Broadcast1D);
+            run_lf(&rc, Arc::clone(&positions), &lf)
+        }));
+        got.extend(clean_and_faulty(engine, |rc| {
+            rc.run_analysis(rmsd_analysis(Arc::clone(&traj), AtomSelection::All, 0, 12))
+        }));
+        got.extend(clean_and_faulty(engine, |rc| {
+            rc.run_analysis(contacts_analysis(
+                Arc::clone(&traj),
+                AtomSelection::Stride(2),
+                5.0,
+                12,
+            ))
+        }));
+        got.extend(clean_and_faulty(engine, |rc| {
+            // A closure none of the built-ins ship: mean x of the selection.
+            rc.run_analysis(AnalysisFromFunction::new(
+                "mean-x",
+                Arc::clone(&traj),
+                AtomSelection::Stride(2),
+                12,
+                |frame: &Frame, sel: &AtomSelection| {
+                    let pts = sel.gather(frame);
+                    pts.iter().map(|p| p.x as f64).sum::<f64>() / pts.len() as f64
+                },
+            ))
+        }));
+    }
+    assert_frozen("BROADCAST", &got, &BROADCAST);
+}
+
+#[rustfmt::skip]
+const MPI_OVERSIZED_REPLICA: [u64; 1] = [0xf06c_35cd_5e9c_6bfe];
+
+/// An MPI broadcast whose replica exceeds the fixed per-rank buffer fails
+/// typed on every rank, with the same error value as before.
+#[test]
+fn mpi_oversized_replica_fails_with_the_frozen_error() {
+    mdtask::cluster::set_deterministic_timing(true);
+    let traj = trajectory();
+    // 12 frames of 30 atoms are 4 372 wire bytes; eight ranks share a
+    // node's budget.
+    let rc = config(Engine::Mpi, None).mem_budget(8 * 4000);
+    let rmsd = rc.run_analysis(rmsd_analysis(Arc::clone(&traj), AtomSelection::All, 0, 5));
+    assert!(
+        matches!(rmsd, Err(EngineError::MemoryExhausted { required, .. }) if required == 4372),
+        "{rmsd:?}"
+    );
+    assert_frozen(
+        "MPI_OVERSIZED_REPLICA",
+        &[digest(rmsd)],
+        &MPI_OVERSIZED_REPLICA,
+    );
+}
