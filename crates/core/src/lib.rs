@@ -14,8 +14,7 @@
 //!   (broadcast + 1-D; task API + 2-D; parallel connected components;
 //!   tree search) on Spark/Dask/MPI (+ approach 2 on RADICAL-Pilot);
 //! * [`decision`] — the conceptual decision framework of Tables 1 and 3,
-//!   queryable;
-//! * [`ogres`] — the Big Data Ogres facet characterization of §2.
+//!   queryable.
 //!
 //! Every engine implementation returns both a *real* analysis result
 //! (verified identical to the serial reference in tests) and a simulated
@@ -28,7 +27,6 @@ pub mod codec;
 pub mod common;
 pub mod decision;
 pub mod leaflet;
-pub mod ogres;
 pub mod partition;
 pub mod psa;
 pub mod run;

@@ -252,117 +252,38 @@ impl DaskClient {
                 error: Some(e),
             };
         }
-        // The dynamic scheduler reschedules a dead worker's tasks on the
-        // survivors once the heartbeat loss is noticed, backing off between
-        // reschedules and blacklisting the dead core, up to the policy's
-        // attempt budget.
-        let mut release = dispatch + fetch;
-        let mut attempts: u32 = 1;
-        let mut first_died: Option<f64> = None;
-        let mut avoid = None;
-        let mut error = None;
-        let placement = loop {
-            let opts = netsim::TaskOpts {
-                avoid_core: avoid,
-                ..Default::default()
-            };
-            match st
-                .exec
-                .run_task_attempt_detected(release, dur, opts, &policy)
-            {
-                Err(e) => {
-                    error = Some(EngineError::from(e));
-                    break None;
-                }
-                Ok(netsim::TaskAttempt::Done(p)) => break Some(p),
-                // A partitioned worker the scheduler's detector gave up
-                // on: the key was rescheduled, but the original worker is
-                // alive and completes behind the cut. When it reconnects
-                // its result carries a superseded transition epoch and the
-                // scheduler ignores it — exactly once, never double-set.
-                Ok(netsim::TaskAttempt::Zombie {
-                    core,
-                    suspected_at,
-                    deliver_at,
-                    ..
-                }) => {
-                    if attempts >= policy.max_attempts {
-                        error = Some(EngineError::RetriesExhausted {
-                            attempts,
-                            last_failure_s: suspected_at,
-                        });
-                        break None;
-                    }
-                    let redispatch = release.max(
-                        suspected_at
-                            + policy.backoff_before(attempts + 1)
-                            + profile.central_dispatch_s,
-                    );
-                    if let Err(e) = policy.deadline_gate(suspected_at, redispatch) {
-                        error = Some(EngineError::from(e));
-                        break None;
-                    }
-                    attempts += 1;
-                    avoid = Some(core);
-                    first_died.get_or_insert(suspected_at);
-                    st.exec
-                        .record_fenced("superseded-key", suspected_at, deliver_at);
-                    let rep = st.exec.report_mut();
-                    rep.retries += 1;
-                    rep.overhead_s += profile.central_dispatch_s;
-                    release = redispatch;
-                }
-                Ok(netsim::TaskAttempt::Killed { died_at, core, .. }) => {
-                    if attempts >= policy.max_attempts {
-                        error = Some(EngineError::RetriesExhausted {
-                            attempts,
-                            last_failure_s: died_at + policy.detection_delay_s,
-                        });
-                        break None;
-                    }
-                    // Gate the reschedule against the deadline *before*
-                    // the backoff sleep: a re-dispatch that would land
-                    // past the deadline fails now, typed, instead of
-                    // burning virtual time on a doomed attempt.
-                    let observed = died_at + policy.detection_delay_s;
-                    let redispatch = release.max(
-                        observed + policy.backoff_before(attempts + 1) + profile.central_dispatch_s,
-                    );
-                    if let Err(e) = policy.deadline_gate(observed, redispatch) {
-                        error = Some(EngineError::from(e));
-                        break None;
-                    }
-                    attempts += 1;
-                    avoid = Some(core);
-                    first_died.get_or_insert(died_at);
-                    let rep = st.exec.report_mut();
-                    rep.retries += 1;
-                    rep.overhead_s += profile.central_dispatch_s;
-                    release = redispatch;
-                }
-            }
+        // The dynamic scheduler reschedules a lost worker's tasks on the
+        // survivors through the executor's recovery loop; each reschedule
+        // costs one more pass through the scheduler. A partitioned worker
+        // the detector gave up on is alive and completes behind the cut:
+        // when it reconnects its result carries a superseded transition
+        // epoch and the scheduler ignores it — exactly once, never
+        // double-set.
+        let release = dispatch + fetch;
+        let redispatch = netsim::Redispatch {
+            at: |t| t + profile.central_dispatch_s,
+            overhead_s: profile.central_dispatch_s,
+            fence: "superseded-key",
+            log: netsim::RecoveryLog::Caller,
         };
-        let Some(placement) = placement else {
-            return Delayed {
-                value: out,
-                ready: release,
-                node: None,
-                error,
-            };
-        };
-        if let Some(deadline) = policy.deadline_s {
-            if placement.end > deadline {
+        let recovered = st.exec.run_task_recovering(
+            release,
+            dur,
+            &policy,
+            netsim::TaskOpts::default(),
+            redispatch,
+        );
+        let (placement, first_lost_s) = match recovered {
+            Ok(done) => done,
+            Err(e) => {
                 return Delayed {
                     value: out,
-                    ready: placement.end,
+                    ready: release,
                     node: None,
-                    error: Some(EngineError::DeadlineExceeded {
-                        deadline_s: deadline,
-                        at_s: placement.start,
-                    }),
-                };
+                    error: Some(e.into()),
+                }
             }
-        }
+        };
         // --- Worker memory manager (Dask's spill/pause/terminate) ---
         // The task's inputs plus its result form its working set on the
         // node it landed on; the result key stays resident afterwards.
@@ -402,12 +323,11 @@ impl DaskClient {
         // Transient input copies drop when the task finishes; only the
         // result key stays resident (released at gather).
         st.exec.release_memory(node, dep_transfer_bytes);
-        if let Some(died_at) = first_died {
-            st.exec
-                .record_recovery("reschedule", died_at, placement.end);
+        if let Some(lost_s) = first_lost_s {
+            st.exec.record_recovery("reschedule", lost_s, placement.end);
             st.exec
                 .report_mut()
-                .push_phase("recovery", died_at, placement.end);
+                .push_phase("recovery", lost_s, placement.end);
         }
         if fetch > 0.0 {
             // Inputs stream from wherever the deps live — approximated as

@@ -23,11 +23,9 @@
 //! completion time — building the graph eagerly executes it, which is
 //! timing-equivalent for a dependency-driven scheduler.
 
-mod array;
 mod bag;
 mod client;
 
-pub use array::{Chunk, DaskArray};
 pub use bag::Bag;
 pub use client::{DaskClient, Delayed};
 

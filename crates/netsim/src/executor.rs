@@ -13,54 +13,109 @@ pub struct TaskPlacement {
     pub end: f64,
 }
 
-/// Outcome of placing one task *attempt* against the cluster's fault plan.
+/// What became of one placement attempt (private: callers see the
+/// recovery loop's verdict, not its attempts).
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub enum TaskAttempt {
+enum Attempt {
     /// The attempt ran to completion.
     Done(TaskPlacement),
-    /// The attempt's node died mid-task: the work from `start` to
-    /// `died_at` is lost and the caller must decide how to recover
-    /// (retry, recompute from lineage, re-enqueue, or abort).
-    Killed {
+    /// The attempt was lost at `at_s`; the core it ran on is blacklisted
+    /// for the next one.
+    Failed {
         core: usize,
-        start: f64,
-        died_at: f64,
-    },
-    /// The attempt's node was partitioned from the driver mid-attempt and
-    /// the suspicion detector false-positived: the node is *alive* and the
-    /// attempt ran to completion at `end`, but the scheduler declared it
-    /// dead at `suspected_at` and must reschedule. The orphaned result
-    /// arrives at `deliver_at` (after heal) carrying a stale attempt
-    /// epoch; the caller MUST fence it ([`SimExecutor::record_fenced`]) so
-    /// it is rejected exactly-once and never double-counted.
-    Zombie {
-        core: usize,
-        start: f64,
-        /// When the zombie finished computing (its core was genuinely busy
-        /// until then — wasted work, accounted as `zombie_time_s`).
-        end: f64,
-        /// When the detector declared the node suspect; recovery starts
-        /// here, not at any real death.
-        suspected_at: f64,
-        /// When the stale result crosses the healed network and is fenced.
-        deliver_at: f64,
+        at_s: f64,
+        cause: Cause,
     },
 }
 
-/// Per-attempt placement options.
+/// Why an attempt was lost, which is also who observes the loss.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Cause {
+    /// The node died mid-task: the work from `start` to the death is lost
+    /// and the death is noticed one `detection_delay_s` later.
+    Death,
+    /// The watchdog killed it at `start + timeout_s`; the watchdog is its
+    /// own observer, so the kill is seen at once.
+    Watchdog { timeout_s: f64 },
+    /// The node was cut off from the driver mid-attempt and the suspicion
+    /// detector false-positived at `at_s`: the node is *alive* and the
+    /// attempt runs to completion (its core genuinely busy — wasted work,
+    /// accounted as `zombie_time_s`), but the scheduler gave up on it. The
+    /// orphaned result arrives at `deliver_at`, after heal, carrying a
+    /// stale attempt epoch, and is fenced exactly once.
+    Suspected { deliver_at: f64 },
+}
+
+impl Cause {
+    /// The recovery label of a loss observed this way.
+    fn label(self) -> &'static str {
+        match self {
+            Cause::Death => "death-detect",
+            Cause::Watchdog { .. } => "timeout",
+            Cause::Suspected { .. } => "suspicion",
+        }
+    }
+}
+
+/// Per-task placement options. Which core an attempt must avoid is not
+/// among them: the blacklist is the recovery loop's own state.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct TaskOpts {
-    /// Never place on this core (a speculative backup avoids the core the
-    /// original attempt runs on).
-    pub avoid_core: Option<usize>,
     /// Speculative-execution bound: an attempt observed still running at
     /// `start + cap` gets a backup copy launched on another core (chosen
     /// by the scheduler, avoiding the straggler's core). The backup
     /// *occupies* that core; the earlier finisher wins and the loser is
     /// killed (and shows in the trace as a killed attempt). If no other
-    /// core is free — or the backup would not finish earlier — no backup
-    /// is launched and the straggler runs to completion.
+    /// core is free — or the backup would not finish earlier, or would not
+    /// survive its own node's death or the watchdog — no backup is
+    /// launched and the straggler runs on. Not modelled under scripted
+    /// partitions, where the cap is ignored.
     pub speculation_cap: Option<f64>,
+}
+
+/// What differs between engines when a lost attempt comes back: the price
+/// of re-dispatch and the names it is recorded under. Everything else —
+/// the attempt budget, the blacklist, observation, backoff, the deadline —
+/// is [`SimExecutor::run_task_recovering`]'s.
+pub struct Redispatch<F> {
+    /// Maps the earliest instant the next attempt could go out (observation
+    /// plus backoff) to the instant the scheduler releases it: the
+    /// identity, `+ central_dispatch_s`, a database round-trip.
+    pub at: F,
+    /// Scheduler work charged to `overhead_s` for each re-dispatch.
+    pub overhead_s: f64,
+    /// The mechanism that rejects a zombie's stale result
+    /// (`"stale-shuffle-epoch"`, `"superseded-key"`, `"db-generation"`, …).
+    pub fence: &'static str,
+    /// How each lost attempt's recovery window is recorded.
+    pub log: RecoveryLog,
+}
+
+/// How the window from a lost attempt to its re-dispatch is recorded. A
+/// watchdog kill is recorded as a `"timeout"` recovery in every mode.
+#[derive(Clone, Copy, Debug)]
+pub enum RecoveryLog {
+    /// One recovery event named after what observed the loss
+    /// (`"death-detect"`, `"timeout"`, `"suspicion"`) and one `"recovery"`
+    /// phase, per lost attempt.
+    ByCause,
+    /// One recovery event under the engine's own label per lost attempt;
+    /// the caller adds a single phase from the first loss to success.
+    Labelled(&'static str),
+    /// Nothing per lost attempt: the caller records one window from the
+    /// first loss to success.
+    Caller,
+}
+
+/// The bare executor's re-dispatch: no scheduler in the way, so it costs
+/// nothing.
+fn redispatch_for_free(log: RecoveryLog) -> Redispatch<impl FnMut(f64) -> f64> {
+    Redispatch {
+        at: |t| t,
+        overhead_s: 0.0,
+        fence: "suspect-fence",
+        log,
+    }
 }
 
 /// Tournament tree over per-core free times: the earliest-free-core index
@@ -166,7 +221,8 @@ impl CoreIndex {
 /// The cluster's [`FaultPlan`](crate::FaultPlan) is consulted at placement
 /// time: cores on a node that has already died are never chosen, straggler
 /// cores stretch task durations, and an attempt whose interval crosses its
-/// node's death time comes back as [`TaskAttempt::Killed`].
+/// node's death time is lost and comes back through the recovery loop
+/// ([`Self::run_task_recovering`]).
 ///
 /// When tracing is enabled ([`Self::enable_trace`]) every placement is
 /// recorded as a typed [`TraceEvent`] stamped with the current phase
@@ -191,6 +247,9 @@ pub struct SimExecutor {
     /// Differential-testing escape hatch: route picks through the retired
     /// linear scan instead of the index (see [`Self::set_linear_pick`]).
     use_linear_pick: bool,
+    /// Core choices made so far, counting each tree descent or scan once.
+    #[cfg(test)]
+    picks: u64,
     report: SimReport,
     phase: String,
     task_label: String,
@@ -241,6 +300,8 @@ impl SimExecutor {
             index,
             max_free: 0.0,
             use_linear_pick: false,
+            #[cfg(test)]
+            picks: 0,
             report,
             phase: String::new(),
             task_label: "task".into(),
@@ -398,11 +459,6 @@ impl SimExecutor {
         self.use_linear_pick = on;
     }
 
-    fn pick_core(&self, ready: f64, avoid: Option<usize>) -> (usize, f64) {
-        self.try_pick_core(ready, avoid)
-            .expect("no surviving core can run the task (all nodes dead)")
-    }
-
     /// Partition-aware core choice: the driver (node 0) cannot dispatch
     /// across an active cut, so a core's earliest start is pushed to
     /// [`FaultPlan::earliest_reach`](crate::FaultPlan::earliest_reach) of
@@ -469,358 +525,261 @@ impl SimExecutor {
         Some((suspect, faults.earliest_reach(0, node, end)))
     }
 
-    /// Schedule a task on the best core, retrying transparently until an
-    /// attempt survives. `dur` is in simulated seconds (already scaled by
-    /// the machine profile). Engines with their own recovery semantics use
-    /// [`Self::run_task_attempt`] instead; this wrapper counts each rerun
-    /// as a retry.
-    pub fn run_task(&mut self, ready: f64, dur: f64) -> TaskPlacement {
-        let mut release = ready;
-        loop {
-            match self.run_task_attempt(release, dur) {
-                TaskAttempt::Done(p) => return p,
-                TaskAttempt::Killed { died_at, .. } => {
-                    self.report.retries += 1;
-                    release = release.max(died_at);
+    /// One core choice for one attempt: reachability-aware when the plan
+    /// scripts partitions, the indexed pick otherwise.
+    fn pick(&mut self, ready: f64, avoid: Option<usize>, cut_aware: bool) -> Option<(usize, f64)> {
+        #[cfg(test)]
+        {
+            self.picks += 1;
+        }
+        if cut_aware {
+            self.try_pick_core_reachable(ready, avoid)
+        } else {
+            self.try_pick_core(ready, avoid)
+        }
+    }
+
+    /// Place one attempt of a task released at `release` and say what
+    /// became of it. Nothing is placed when the attempt could not finish
+    /// by the policy's deadline.
+    fn attempt(
+        &mut self,
+        release: f64,
+        dur: f64,
+        policy: &RetryPolicy,
+        opts: TaskOpts,
+        avoid: Option<usize>,
+        cut_aware: bool,
+    ) -> Result<Attempt, PolicyError> {
+        // The blacklist is advisory, not fatal: when the blacklisted core
+        // is the *only* survivor, scheduling on nothing would deadlock the
+        // job, so the scheduler re-admits it — and traces that decision so
+        // the concession is visible, rather than silently re-picking the
+        // core it just blamed.
+        let picked = match self.pick(release, avoid, cut_aware) {
+            some @ Some(_) => some,
+            None => avoid
+                .and_then(|_| self.pick(release, None, cut_aware))
+                .inspect(|&(_, start)| {
+                    self.record_recovery("blacklist-fallback", release, release.max(start));
+                }),
+        };
+        let Some((core, start)) = picked else {
+            return Err(PolicyError::NoSurvivingCore { at_s: release });
+        };
+        let eff = dur * self.cluster.faults().slowdown(core);
+        let end = start + eff;
+        // The attempt is lost at the earlier of its node's death and the
+        // watchdog firing.
+        let timeout = policy.attempt_timeout_s;
+        let death = self
+            .death_of(core)
+            .filter(|&d| end > d)
+            .map(|d| (d, Cause::Death));
+        let watchdog = timeout
+            .filter(|&t| eff > t)
+            .map(|t| (start + t, Cause::Watchdog { timeout_s: t }));
+        let lost = match (death, watchdog) {
+            (Some(d), Some(w)) => Some(if w.0 <= d.0 { w } else { d }),
+            (d, w) => d.or(w),
+        };
+
+        // Speculative execution: the scheduler notices the attempt still
+        // running at `start + cap` and launches a fresh copy of `dur` on
+        // another core — which it genuinely occupies. The earlier finisher
+        // wins; the loser is killed where it stands. A backup only
+        // launches if the original is still running at detection time and
+        // a core exists on which the copy would survive (its node's death
+        // and the watchdog) and finish earlier.
+        if let Some(cap) = opts.speculation_cap.filter(|_| !cut_aware) {
+            let detect = start + cap;
+            let running_at_detect = lost.is_none_or(|(t, _)| t > detect);
+            if eff > cap && running_at_detect {
+                if let Some((bcore, bstart)) = self.pick(detect, Some(core), false) {
+                    let bdur = dur * self.cluster.faults().slowdown(bcore);
+                    let bend = bstart + bdur;
+                    let backup_survives = self.death_of(bcore).is_none_or(|d| bend <= d)
+                        && timeout.is_none_or(|t| bdur <= t);
+                    if backup_survives && bend < end {
+                        policy.deadline_gate(bstart, bend)?;
+                        // Original killed when the backup finishes (or
+                        // lost first — whichever comes sooner).
+                        let orig_stop = lost.map_or(bend, |(t, _)| t.min(bend));
+                        self.set_core_free(core, orig_stop);
+                        self.report.lost_time_s += orig_stop - start;
+                        self.report.retries += 1;
+                        self.record_task_event(core, release, start, orig_stop, true, false);
+                        return Ok(Attempt::Done(
+                            self.place(bcore, detect, bstart, bdur, true, bend),
+                        ));
+                    }
                 }
-                // Only the detected path produces zombies; the plain
-                // attempt API has no failure detector to false-positive.
-                TaskAttempt::Zombie { .. } => unreachable!("zombies need a detector"),
             }
         }
+
+        policy.deadline_gate(start, end)?;
+        if let Some((at_s, cause)) = lost {
+            // The core was busy until the loss and that work is gone.
+            self.set_core_free(core, at_s);
+            self.report.lost_time_s += at_s - start;
+            self.record_task_event(core, release, start, at_s, true, false);
+            return Ok(Attempt::Failed { core, at_s, cause });
+        }
+        let mut visible_end = end;
+        if cut_aware {
+            // Survived death and watchdog — but under a scripted partition
+            // the attempt may still be a zombie: alive, complete, and
+            // falsely given up on.
+            if let Some((at_s, deliver_at)) = self.zombie_outcome(core, start, end, policy) {
+                self.set_core_free(core, end);
+                self.report.zombie_attempts += 1;
+                self.report.zombie_time_s += end - start;
+                self.record_task_event(core, release, start, end, true, false);
+                let cause = Cause::Suspected { deliver_at };
+                return Ok(Attempt::Failed { core, at_s, cause });
+            }
+            // Completed behind a cut that heals before the detector gives
+            // up: the result is simply late. The core frees at compute
+            // end; only the driver-visible completion moves to the heal.
+            let node = self.cluster.node_of_core(core);
+            visible_end = self.cluster.faults().earliest_reach(0, node, end);
+            policy.deadline_gate(start, visible_end)?;
+        }
+        Ok(Attempt::Done(self.place(
+            core,
+            release,
+            start,
+            eff,
+            false,
+            visible_end,
+        )))
+    }
+
+    /// Schedule a task and bring it back from every lost attempt: the one
+    /// recovery loop under [`Self::run_task`], [`Self::run_task_policied`]
+    /// and the task engines. It owns the attempt budget, the blacklist
+    /// (the core an attempt was lost on is avoided by the next), when a
+    /// loss is observed (a death one `detection_delay_s` late; a watchdog
+    /// kill and a suspicion at once), the backoff, the deadline gate on
+    /// the re-dispatch, `retries`, and the fencing of a zombie's stale
+    /// result. The caller supplies only what re-dispatch costs and what it
+    /// is called ([`Redispatch`]).
+    ///
+    /// Returns the placement and, if any attempt was lost, when the first
+    /// one was. Never panics and never loops forever — exhaustion surfaces
+    /// as a typed [`PolicyError`].
+    pub fn run_task_recovering(
+        &mut self,
+        ready: f64,
+        dur: f64,
+        policy: &RetryPolicy,
+        opts: TaskOpts,
+        mut redispatch: Redispatch<impl FnMut(f64) -> f64>,
+    ) -> Result<(TaskPlacement, Option<f64>), PolicyError> {
+        assert!(dur >= 0.0 && ready >= 0.0, "negative time");
+        // Scripted partitions force the linear reachability-aware pick and
+        // arm the zombie path; partition-free plans keep the indexed pick
+        // and stay bit-identical to the pre-partition scheduler.
+        let cut_aware = self.cluster.faults().has_partitions();
+        let mut release = ready;
+        let mut attempt: u32 = 1;
+        let mut avoid = None;
+        let mut first_lost_s = None;
+        loop {
+            let (core, at_s, cause) =
+                match self.attempt(release, dur, policy, opts, avoid, cut_aware)? {
+                    Attempt::Done(placement) => return Ok((placement, first_lost_s)),
+                    Attempt::Failed { core, at_s, cause } => (core, at_s, cause),
+                };
+            let observed = match cause {
+                Cause::Death => at_s + policy.detection_delay_s,
+                Cause::Watchdog { .. } | Cause::Suspected { .. } => at_s,
+            };
+            if attempt >= policy.max_attempts {
+                return Err(match cause {
+                    Cause::Watchdog { timeout_s } => PolicyError::Timeout {
+                        attempt,
+                        timeout_s,
+                        at_s,
+                    },
+                    Cause::Death | Cause::Suspected { .. } => PolicyError::RetriesExhausted {
+                        attempts: attempt,
+                        last_failure_s: observed,
+                    },
+                });
+            }
+            attempt += 1;
+            // Without the blacklist a watchdog-killed straggler core would
+            // win the tie-break again.
+            avoid = Some(core);
+            first_lost_s.get_or_insert(at_s);
+            let next = release.max((redispatch.at)(observed + policy.backoff_before(attempt)));
+            // Gate the backoff against the deadline *before* sleeping: a
+            // redispatch already past the deadline fails right at the
+            // observation, instead of burning the backoff in virtual time
+            // and only noticing at the next placement.
+            policy.deadline_gate(observed, next)?;
+            if let Cause::Suspected { deliver_at } = cause {
+                // The stale result is rejected by its attempt epoch when
+                // it finally crosses the healed cut.
+                self.record_fenced(redispatch.fence, at_s, deliver_at);
+            }
+            let label = match (cause, redispatch.log) {
+                (Cause::Watchdog { .. }, _) | (_, RecoveryLog::ByCause) => Some(cause.label()),
+                (_, RecoveryLog::Labelled(label)) => Some(label),
+                (_, RecoveryLog::Caller) => None,
+            };
+            if let Some(label) = label {
+                self.record_recovery(label, at_s, next);
+            }
+            if matches!(redispatch.log, RecoveryLog::ByCause) {
+                self.report.push_phase("recovery", at_s, next);
+            }
+            self.report.retries += 1;
+            self.report.overhead_s += redispatch.overhead_s;
+            release = next;
+        }
+    }
+
+    /// Schedule a task on the best core, retrying transparently until an
+    /// attempt survives: no budget, no backoff, every death seen as it
+    /// happens, nothing recorded but the retry count. `dur` is in simulated
+    /// seconds (already scaled by the machine profile). Panics when every
+    /// node is dead.
+    pub fn run_task(&mut self, ready: f64, dur: f64) -> TaskPlacement {
+        let unbounded = RetryPolicy::new(u32::MAX);
+        self.run_task_recovering(
+            ready,
+            dur,
+            &unbounded,
+            TaskOpts::default(),
+            redispatch_for_free(RecoveryLog::Caller),
+        )
+        .expect("no surviving core can run the task (all nodes dead)")
+        .0
     }
 
     /// Schedule a task under a [`RetryPolicy`]: bounded retries with
     /// exponential backoff in simulated time, heartbeat-delayed death
     /// detection, a per-attempt watchdog timeout, and an optional absolute
-    /// deadline. Unlike [`Self::run_task`], this never panics and never
-    /// loops forever — exhaustion surfaces as a typed [`PolicyError`].
+    /// deadline. Unlike [`Self::run_task`], this never panics — exhaustion
+    /// surfaces as a typed [`PolicyError`].
     ///
-    /// Each killed attempt is charged as lost work, traced as a killed
+    /// Each lost attempt is charged as lost work, traced as a killed
     /// task, and followed by a `"recovery"` phase + [`EventKind::Recovery`]
     /// window covering detection and backoff, so the cost of the policy is
-    /// visible to the critical-path and metrics tooling.
+    /// visible to the critical-path and metrics tooling. Re-dispatch itself
+    /// is free here; an engine that pays for it calls
+    /// [`Self::run_task_recovering`] with its own price.
     pub fn run_task_policied(
         &mut self,
         ready: f64,
         dur: f64,
         policy: &RetryPolicy,
     ) -> Result<TaskPlacement, PolicyError> {
-        assert!(dur >= 0.0 && ready >= 0.0, "negative time");
-        // Scripted partitions force the linear reachability-aware pick and
-        // arm the zombie path; partition-free plans keep the indexed pick
-        // and stay bit-identical to the pre-partition scheduler.
-        let has_parts = self.cluster.faults().has_partitions();
-        let mut release = ready;
-        let mut attempt: u32 = 1;
-        // After a kill the offending core is blacklisted for the next
-        // attempt (Spark-style executor blacklisting) — without this a
-        // watchdog-killed straggler core would win the tie-break again.
-        let mut avoid: Option<usize> = None;
-        loop {
-            let pick = |s: &Self, avoid: Option<usize>| {
-                if has_parts {
-                    s.try_pick_core_reachable(release, avoid)
-                } else {
-                    s.try_pick_core(release, avoid)
-                }
-            };
-            // The blacklist is advisory, not fatal: when the blacklisted
-            // core is the *only* survivor, scheduling on nothing would
-            // deadlock the job, so the scheduler re-admits it — and traces
-            // that decision so the concession is visible, rather than
-            // silently re-picking the core it just blamed.
-            let picked = match pick(self, avoid) {
-                some @ Some(_) => some,
-                None => match avoid.and_then(|_| pick(self, None)) {
-                    Some((core, start)) => {
-                        self.record_recovery("blacklist-fallback", release, release.max(start));
-                        Some((core, start))
-                    }
-                    None => None,
-                },
-            };
-            let Some((core, start)) = picked else {
-                return Err(PolicyError::NoSurvivingCore { at_s: release });
-            };
-            let eff = dur * self.cluster.faults().slowdown(core);
-            let end = start + eff;
-            if let Some(deadline) = policy.deadline_s {
-                if end > deadline {
-                    return Err(PolicyError::DeadlineExceeded {
-                        deadline_s: deadline,
-                        at_s: start,
-                    });
-                }
-            }
-            let death = self.death_of(core).filter(|&d| end > d);
-            let watchdog = policy
-                .attempt_timeout_s
-                .filter(|&t| eff > t)
-                .map(|t| start + t);
-            // The attempt dies at the earlier of its node's death and the
-            // watchdog firing; `timed_out` records which observer won.
-            let (killed_at, timed_out) = match (death, watchdog) {
-                (None, None) => {
-                    // Survived death and watchdog — but under a scripted
-                    // partition the attempt may still be a zombie: alive,
-                    // complete, and falsely given up on.
-                    if let Some((suspected_at, deliver_at)) =
-                        self.zombie_outcome(core, start, end, policy)
-                    {
-                        self.set_core_free(core, end);
-                        self.report.zombie_attempts += 1;
-                        self.report.zombie_time_s += end - start;
-                        self.record_task_event(core, release, start, end, true, false);
-                        if attempt >= policy.max_attempts {
-                            return Err(PolicyError::RetriesExhausted {
-                                attempts: attempt,
-                                last_failure_s: suspected_at,
-                            });
-                        }
-                        attempt += 1;
-                        avoid = Some(core);
-                        let redispatch = suspected_at + policy.backoff_before(attempt);
-                        policy.deadline_gate(suspected_at, redispatch)?;
-                        // The stale result is rejected by its attempt epoch
-                        // when it finally crosses the healed cut.
-                        self.record_fenced("suspect-fence", suspected_at, deliver_at);
-                        self.record_recovery("suspicion", suspected_at, redispatch);
-                        self.report.push_phase("recovery", suspected_at, redispatch);
-                        self.report.retries += 1;
-                        release = release.max(redispatch);
-                        continue;
-                    }
-                    if has_parts {
-                        let node = self.cluster.node_of_core(core);
-                        let deliver = self.cluster.faults().earliest_reach(0, node, end);
-                        if deliver > end {
-                            // Completed behind a cut that heals before the
-                            // detector gives up: the result is simply late.
-                            // The core frees at compute end; only the
-                            // driver-visible completion moves to the heal.
-                            self.set_core_free(core, end);
-                            self.record_task_event(core, release, start, end, false, false);
-                            self.report.tasks += 1;
-                            self.report.compute_s += eff;
-                            self.report.makespan_s = self.report.makespan_s.max(deliver);
-                            return Ok(TaskPlacement {
-                                core,
-                                start,
-                                end: deliver,
-                            });
-                        }
-                    }
-                    return Ok(self.place(core, release, start, eff));
-                }
-                (Some(d), None) => (d, false),
-                (None, Some(t)) => (t, true),
-                (Some(d), Some(t)) => (d.min(t), t <= d),
-            };
-            self.set_core_free(core, killed_at);
-            self.report.lost_time_s += killed_at - start;
-            self.record_task_event(core, release, start, killed_at, true, false);
-            // A watchdog kill is observed immediately (the watchdog *is*
-            // the observer); a node death is only noticed one heartbeat
-            // later.
-            let observed = if timed_out {
-                killed_at
-            } else {
-                killed_at + policy.detection_delay_s
-            };
-            if attempt >= policy.max_attempts {
-                return Err(if timed_out {
-                    PolicyError::Timeout {
-                        attempt,
-                        timeout_s: policy.attempt_timeout_s.unwrap_or(0.0),
-                        at_s: killed_at,
-                    }
-                } else {
-                    PolicyError::RetriesExhausted {
-                        attempts: attempt,
-                        last_failure_s: observed,
-                    }
-                });
-            }
-            attempt += 1;
-            avoid = Some(core);
-            let redispatch = observed + policy.backoff_before(attempt);
-            // Gate the backoff against the deadline *before* sleeping: a
-            // redispatch already past the deadline fails right at the
-            // observation, instead of burning the backoff in virtual time
-            // and only noticing at the next placement.
-            policy.deadline_gate(observed, redispatch)?;
-            self.record_recovery(
-                if timed_out { "timeout" } else { "death-detect" },
-                killed_at,
-                redispatch,
-            );
-            self.report.push_phase("recovery", killed_at, redispatch);
-            self.report.retries += 1;
-            release = release.max(redispatch);
-        }
-    }
-
-    /// Place a single task attempt (no automatic recovery).
-    pub fn run_task_attempt(&mut self, ready: f64, dur: f64) -> TaskAttempt {
-        self.run_task_attempt_with(ready, dur, TaskOpts::default())
-    }
-
-    /// Like [`Self::run_task_attempt_with`], but surfaces "every node is
-    /// dead" as a typed error instead of panicking — engine recovery loops
-    /// use this so a fault plan can never hang or crash a policied job.
-    pub fn run_task_attempt_checked(
-        &mut self,
-        ready: f64,
-        dur: f64,
-        opts: TaskOpts,
-    ) -> Result<TaskAttempt, PolicyError> {
-        if self
-            .try_pick_core(ready, opts.avoid_core)
-            .or_else(|| self.try_pick_core(ready, None))
-            .is_none()
-        {
-            return Err(PolicyError::NoSurvivingCore { at_s: ready });
-        }
-        Ok(self.run_task_attempt_with(ready, dur, opts))
-    }
-
-    /// Place a single task attempt under a suspicion-based failure
-    /// detector — the partition-aware sibling of
-    /// [`Self::run_task_attempt_checked`], used by engines whose recovery
-    /// loop must handle split-brain. Without scripted partitions this
-    /// delegates to the checked path bit-for-bit. With partitions:
-    /// dispatch waits out any active cut between the driver and a core's
-    /// node, a cut opening mid-attempt plus a detector false-positive
-    /// surfaces as [`TaskAttempt::Zombie`] (core busy to compute end, work
-    /// accounted as `zombie_time_s`, trace shows a killed attempt), and a
-    /// cut the detector waits out merely delays the result: `Done` with
-    /// `end` pushed to the heal. Speculation is not modelled on the
-    /// partition path (`opts.speculation_cap` is ignored there).
-    pub fn run_task_attempt_detected(
-        &mut self,
-        ready: f64,
-        dur: f64,
-        opts: TaskOpts,
-        policy: &RetryPolicy,
-    ) -> Result<TaskAttempt, PolicyError> {
-        if !self.cluster.faults().has_partitions() {
-            return self.run_task_attempt_checked(ready, dur, opts);
-        }
-        assert!(dur >= 0.0 && ready >= 0.0, "negative time");
-        let picked = self
-            .try_pick_core_reachable(ready, opts.avoid_core)
-            .or_else(|| self.try_pick_core_reachable(ready, None));
-        let Some((core, start)) = picked else {
-            return Err(PolicyError::NoSurvivingCore { at_s: ready });
-        };
-        let eff = dur * self.cluster.faults().slowdown(core);
-        let end = start + eff;
-        if let Some(died_at) = self.death_of(core).filter(|&d| end > d) {
-            self.set_core_free(core, died_at);
-            self.report.lost_time_s += died_at - start;
-            self.record_task_event(core, ready, start, died_at, true, false);
-            return Ok(TaskAttempt::Killed {
-                core,
-                start,
-                died_at,
-            });
-        }
-        if let Some((suspected_at, deliver_at)) = self.zombie_outcome(core, start, end, policy) {
-            self.set_core_free(core, end);
-            self.report.zombie_attempts += 1;
-            self.report.zombie_time_s += end - start;
-            self.record_task_event(core, ready, start, end, true, false);
-            return Ok(TaskAttempt::Zombie {
-                core,
-                start,
-                end,
-                suspected_at,
-                deliver_at,
-            });
-        }
-        let node = self.cluster.node_of_core(core);
-        let deliver = self.cluster.faults().earliest_reach(0, node, end);
-        self.set_core_free(core, end);
-        self.record_task_event(core, ready, start, end, false, false);
-        self.report.tasks += 1;
-        self.report.compute_s += eff;
-        self.report.makespan_s = self.report.makespan_s.max(deliver);
-        Ok(TaskAttempt::Done(TaskPlacement {
-            core,
-            start,
-            end: deliver,
-        }))
-    }
-
-    /// Place a single task attempt with placement options.
-    pub fn run_task_attempt_with(&mut self, ready: f64, dur: f64, opts: TaskOpts) -> TaskAttempt {
-        assert!(dur >= 0.0 && ready >= 0.0, "negative time");
-        let (core, start) = self.pick_core(ready, opts.avoid_core);
-        let eff = dur * self.cluster.faults().slowdown(core);
-        let orig_end = start + eff;
-        let death = self.death_of(core).filter(|&d| orig_end > d);
-
-        // Speculative execution: the scheduler notices the attempt still
-        // running at `start + cap` and launches a fresh copy of `dur` on
-        // another core — which it genuinely occupies. The earlier finisher
-        // wins; the loser is killed where it stands. A backup only
-        // launches if the original is still alive at detection time and a
-        // core exists on which the copy would finish earlier.
-        if let Some(cap) = opts.speculation_cap {
-            let detect = start + cap;
-            let alive_at_detect = death.is_none_or(|d| d > detect);
-            if eff > cap && alive_at_detect {
-                if let Some((bcore, bstart)) = self.try_pick_core(detect, Some(core)) {
-                    let bdur = dur * self.cluster.faults().slowdown(bcore);
-                    let bend = bstart + bdur;
-                    let backup_survives = self.death_of(bcore).is_none_or(|d| bend <= d);
-                    if backup_survives && bend < orig_end {
-                        // Original killed when the backup finishes (or its
-                        // node dies first — whichever comes sooner).
-                        let orig_stop = death.map_or(bend, |d| d.min(bend));
-                        self.set_core_free(core, orig_stop);
-                        self.report.lost_time_s += orig_stop - start;
-                        self.report.retries += 1;
-                        self.record_task_event(core, ready, start, orig_stop, true, false);
-                        return TaskAttempt::Done(
-                            self.place_attempt(bcore, detect, bstart, bdur, true),
-                        );
-                    }
-                }
-            }
-        }
-
-        if let Some(died_at) = death {
-            // Killed mid-task: the core was busy until the death and
-            // that work is lost.
-            self.set_core_free(core, died_at);
-            self.report.lost_time_s += died_at - start;
-            self.record_task_event(core, ready, start, died_at, true, false);
-            return TaskAttempt::Killed {
-                core,
-                start,
-                died_at,
-            };
-        }
-        TaskAttempt::Done(self.place(core, ready, start, eff))
-    }
-
-    /// Schedule a task on a specific core (SPMD rank pinning). Straggler
-    /// slowdowns apply; a pinned task has nowhere to retry, so placing it
-    /// on a core whose node dies mid-task is a panic (SPMD jobs abort —
-    /// engines with that semantic check the plan themselves first).
-    pub fn run_task_on(&mut self, core: usize, ready: f64, dur: f64) -> TaskPlacement {
-        assert!(core < self.core_free.len(), "core {core} out of range");
-        let start = self.core_free[core].max(ready);
-        let eff = dur * self.cluster.faults().slowdown(core);
-        if let Some(died_at) = self.death_of(core) {
-            assert!(
-                start + eff <= died_at,
-                "pinned core {core} dies at {died_at}s mid-task"
-            );
-        }
-        self.place(core, ready, start, eff)
+        let free = redispatch_for_free(RecoveryLog::ByCause);
+        self.run_task_recovering(ready, dur, policy, TaskOpts::default(), free)
+            .map(|(placement, _)| placement)
     }
 
     /// The core the `k`-th task of a batch released at time `at` will land
@@ -846,25 +805,29 @@ impl SimExecutor {
         order[k % order.len()].1
     }
 
-    fn place(&mut self, core: usize, ready: f64, start: f64, dur: f64) -> TaskPlacement {
-        self.place_attempt(core, ready, start, dur, false)
-    }
-
-    fn place_attempt(
+    /// Book a completed attempt: its core is busy until the compute end
+    /// `start + dur`; the driver sees the result at `visible_end`, which is
+    /// later than that only behind a cut.
+    fn place(
         &mut self,
         core: usize,
         ready: f64,
         start: f64,
         dur: f64,
         speculative: bool,
+        visible_end: f64,
     ) -> TaskPlacement {
         let end = start + dur;
         self.set_core_free(core, end);
         self.record_task_event(core, ready, start, end, false, speculative);
         self.report.tasks += 1;
         self.report.compute_s += dur;
-        self.report.makespan_s = self.report.makespan_s.max(end);
-        TaskPlacement { core, start, end }
+        self.report.makespan_s = self.report.makespan_s.max(visible_end);
+        TaskPlacement {
+            core,
+            start,
+            end: visible_end,
+        }
     }
 
     fn record_task_event(
@@ -1208,6 +1171,24 @@ mod tests {
         )
     }
 
+    /// One attempt outside the recovery loop, as the engines' tasks see it:
+    /// no policy beyond the defaults, an optional speculation cap.
+    fn attempt(e: &mut SimExecutor, ready: f64, dur: f64, cap: Option<f64>) -> Attempt {
+        let opts = TaskOpts {
+            speculation_cap: cap,
+        };
+        e.attempt(ready, dur, &RetryPolicy::default(), opts, None, false)
+            .expect("a core survives")
+    }
+
+    /// The placement of a speculated 1 s task released at t = 0.
+    fn speculated(e: &mut SimExecutor, cap: f64) -> TaskPlacement {
+        match attempt(e, 0.0, 1.0, Some(cap)) {
+            Attempt::Done(p) => p,
+            other => panic!("expected completion, got {other:?}"),
+        }
+    }
+
     #[test]
     fn fills_idle_cores_first() {
         let mut e = exec(2);
@@ -1242,16 +1223,6 @@ mod tests {
         }
         assert_eq!(e8.report().makespan_s, 8.0);
         assert_eq!(e16.report().makespan_s, 4.0);
-    }
-
-    #[test]
-    fn pinned_tasks_serialize_on_their_core() {
-        let mut e = exec(2);
-        let a = e.run_task_on(0, 0.0, 1.0);
-        let b = e.run_task_on(0, 0.0, 1.0);
-        assert_eq!(a.end, 1.0);
-        assert_eq!(b.start, 1.0);
-        assert_eq!(e.core_free_at(1), 0.0);
     }
 
     #[test]
@@ -1366,18 +1337,14 @@ mod tests {
     fn attempt_crossing_node_death_is_killed() {
         // 2 nodes × 1 core; node 0 dies at t=1, task needs [0, 2).
         let mut e = faulty(1, 2, FaultPlan::none().kill_node(0, 1.0));
-        match e.run_task_attempt(0.0, 2.0) {
-            TaskAttempt::Killed {
-                core,
-                start,
-                died_at,
-            } => {
-                assert_eq!(core, 0);
-                assert_eq!(start, 0.0);
-                assert_eq!(died_at, 1.0);
+        assert_eq!(
+            attempt(&mut e, 0.0, 2.0, None),
+            Attempt::Failed {
+                core: 0,
+                at_s: 1.0,
+                cause: Cause::Death
             }
-            other => panic!("expected a kill, got {other:?}"),
-        }
+        );
         assert_eq!(e.report().lost_time_s, 1.0);
         assert_eq!(
             e.report().tasks,
@@ -1426,22 +1393,10 @@ mod tests {
         let plan = FaultPlan::none().slow_core(0, 10.0);
         let mut capped = faulty(2, 1, plan.clone());
         capped.enable_trace();
-        let got = capped.run_task_attempt_with(
-            0.0,
-            1.0,
-            TaskOpts {
-                speculation_cap: Some(2.0),
-                ..Default::default()
-            },
-        );
-        match got {
-            TaskAttempt::Done(p) => {
-                assert_eq!(p.core, 1, "backup avoids the straggler core");
-                assert_eq!(p.start, 2.0, "backup launches at detection time");
-                assert_eq!(p.end, 3.0);
-            }
-            other => panic!("expected completion, got {other:?}"),
-        }
+        let p = speculated(&mut capped, 2.0);
+        assert_eq!(p.core, 1, "backup avoids the straggler core");
+        assert_eq!(p.start, 2.0, "backup launches at detection time");
+        assert_eq!(p.end, 3.0);
         assert_eq!(capped.report().retries, 1, "the backup attempt is a retry");
         // Both cores were genuinely occupied: the straggler until its kill,
         // the backup until it finished.
@@ -1468,18 +1423,8 @@ mod tests {
         // straggler finishes at its stretched duration and no phantom
         // retry is counted.
         let mut e = faulty(1, 1, FaultPlan::none().slow_core(0, 10.0));
-        let got = e.run_task_attempt_with(
-            0.0,
-            1.0,
-            TaskOpts {
-                speculation_cap: Some(2.0),
-                ..Default::default()
-            },
-        );
-        match got {
-            TaskAttempt::Done(p) => assert_eq!(p.end, 10.0),
-            other => panic!("expected completion, got {other:?}"),
-        }
+        let p = speculated(&mut e, 2.0);
+        assert_eq!(p.end, 10.0);
         assert_eq!(e.report().retries, 0);
     }
 
@@ -1489,38 +1434,28 @@ mod tests {
         // backup there would lose, so none launches.
         let plan = FaultPlan::none().slow_core(0, 3.0).slow_core(1, 10.0);
         let mut e = faulty(2, 1, plan);
-        let got = e.run_task_attempt_with(
-            0.0,
-            1.0,
-            TaskOpts {
-                speculation_cap: Some(2.0),
-                ..Default::default()
-            },
-        );
-        match got {
-            TaskAttempt::Done(p) => {
-                assert_eq!(p.core, 0);
-                assert_eq!(p.end, 3.0);
-            }
-            other => panic!("expected completion, got {other:?}"),
-        }
+        let p = speculated(&mut e, 2.0);
+        assert_eq!(p.core, 0);
+        assert_eq!(p.end, 3.0);
         assert_eq!(e.report().retries, 0);
         assert_eq!(e.core_free_at(1), 0.0, "no phantom backup occupancy");
     }
 
     #[test]
-    fn avoid_core_places_elsewhere() {
+    fn blacklisted_core_is_avoided() {
         let mut e = exec(2);
-        let got = e.run_task_attempt_with(
-            0.0,
-            1.0,
-            TaskOpts {
-                avoid_core: Some(0),
-                ..Default::default()
-            },
-        );
+        let got = e
+            .attempt(
+                0.0,
+                1.0,
+                &RetryPolicy::default(),
+                TaskOpts::default(),
+                Some(0),
+                false,
+            )
+            .unwrap();
         match got {
-            TaskAttempt::Done(p) => assert_eq!(p.core, 1),
+            Attempt::Done(p) => assert_eq!(p.core, 1),
             other => panic!("{other:?}"),
         }
     }
@@ -1891,21 +1826,9 @@ mod tests {
         // the original is killed at t=6. Lost work = [0, 6), one retry.
         let plan = FaultPlan::none().slow_core(0, 10.0).slow_core(1, 4.0);
         let mut e = faulty(2, 1, plan);
-        let got = e.run_task_attempt_with(
-            0.0,
-            1.0,
-            TaskOpts {
-                speculation_cap: Some(2.0),
-                ..Default::default()
-            },
-        );
-        match got {
-            TaskAttempt::Done(p) => {
-                assert_eq!(p.core, 1);
-                assert_eq!(p.end, 6.0, "backup pays its own straggler factor");
-            }
-            other => panic!("expected completion, got {other:?}"),
-        }
+        let p = speculated(&mut e, 2.0);
+        assert_eq!(p.core, 1);
+        assert_eq!(p.end, 6.0, "backup pays its own straggler factor");
         assert_eq!(e.report().retries, 1);
         assert_eq!(e.report().lost_time_s, 6.0, "original occupied [0, 6)");
         assert_eq!(e.core_free_at(0), 6.0);
@@ -1921,21 +1844,9 @@ mod tests {
         // appears.
         let plan = FaultPlan::none().slow_core(0, 10.0).kill_node(1, 2.5);
         let mut e = faulty(1, 2, plan);
-        let got = e.run_task_attempt_with(
-            0.0,
-            1.0,
-            TaskOpts {
-                speculation_cap: Some(2.0),
-                ..Default::default()
-            },
-        );
-        match got {
-            TaskAttempt::Done(p) => {
-                assert_eq!(p.core, 0);
-                assert_eq!(p.end, 10.0);
-            }
-            other => panic!("expected completion, got {other:?}"),
-        }
+        let p = speculated(&mut e, 2.0);
+        assert_eq!(p.core, 0);
+        assert_eq!(p.end, 10.0);
         assert_eq!(e.report().retries, 0, "no retry for an unlaunched backup");
         assert_eq!(e.report().lost_time_s, 0.0);
         assert_eq!(e.core_free_at(1), 0.0, "dying node never occupied");
@@ -1949,22 +1860,10 @@ mod tests {
         // its node lives until t=4.
         let plan = FaultPlan::none().slow_core(0, 10.0).kill_node(0, 4.0);
         let mut e = faulty(1, 2, plan);
-        let got = e.run_task_attempt_with(
-            0.0,
-            1.0,
-            TaskOpts {
-                speculation_cap: Some(2.0),
-                ..Default::default()
-            },
-        );
-        match got {
-            TaskAttempt::Done(p) => {
-                assert_eq!(p.core, 1);
-                assert_eq!(p.start, 2.0);
-                assert_eq!(p.end, 3.0);
-            }
-            other => panic!("expected completion, got {other:?}"),
-        }
+        let p = speculated(&mut e, 2.0);
+        assert_eq!(p.core, 1);
+        assert_eq!(p.start, 2.0);
+        assert_eq!(p.end, 3.0);
         assert_eq!(e.report().retries, 1);
         assert_eq!(e.report().lost_time_s, 3.0);
         assert_eq!(e.core_free_at(0), 3.0, "straggler core freed at the kill");
@@ -1977,21 +1876,143 @@ mod tests {
         // 2.5 < backup end 3.0, so lost work is [0, 2.5).
         let plan = FaultPlan::none().slow_core(0, 10.0).kill_node(0, 2.5);
         let mut e = faulty(1, 2, plan);
-        let got = e.run_task_attempt_with(
-            0.0,
-            1.0,
-            TaskOpts {
-                speculation_cap: Some(2.0),
-                ..Default::default()
-            },
-        );
-        match got {
-            TaskAttempt::Done(p) => assert_eq!((p.core, p.end), (1, 3.0)),
-            other => panic!("expected completion, got {other:?}"),
-        }
+        let p = speculated(&mut e, 2.0);
+        assert_eq!((p.core, p.end), (1, 3.0));
         assert_eq!(e.report().retries, 1);
         assert_eq!(e.report().lost_time_s, 2.5);
         assert_eq!(e.core_free_at(0), 2.5);
+    }
+
+    // ---- one attempt, one loop ----
+
+    /// An engine-priced task: every re-dispatch costs 0.125 s of scheduler
+    /// time, and the engine logs its own recovery window.
+    fn engine_task(
+        e: &mut SimExecutor,
+        dur: f64,
+        policy: &RetryPolicy,
+    ) -> (TaskPlacement, Option<f64>) {
+        let redispatch = Redispatch {
+            at: |t| t + 0.125,
+            overhead_s: 0.125,
+            fence: "test-fence",
+            log: RecoveryLog::Caller,
+        };
+        e.run_task_recovering(0.0, dur, policy, TaskOpts::default(), redispatch)
+            .unwrap()
+    }
+
+    #[test]
+    fn each_attempt_costs_exactly_one_core_pick() {
+        let mut clean = exec(4);
+        engine_task(&mut clean, 1.0, &RetryPolicy::default());
+        assert_eq!(clean.picks, 1, "a fault-free task descends the tree once");
+
+        let mut killed = faulty(1, 2, FaultPlan::none().kill_node(0, 1.0));
+        let (p, first_lost_s) = engine_task(&mut killed, 2.0, &RetryPolicy::default());
+        assert_eq!(p.core, 1);
+        assert_eq!(first_lost_s, Some(1.0));
+        assert_eq!(killed.picks, 2, "one pick per attempt, lost or not");
+    }
+
+    #[test]
+    fn engine_pays_its_redispatch_price_once_per_lost_attempt() {
+        let mut e = faulty(1, 2, FaultPlan::none().kill_node(0, 1.0));
+        e.enable_trace();
+        let policy = RetryPolicy::new(3)
+            .with_detection_delay(0.5)
+            .with_backoff(0.25, 2.0, 10.0);
+        let (p, _) = engine_task(&mut e, 2.0, &policy);
+        assert_eq!(p.start, 1.875, "death + detection + backoff + dispatch");
+        assert_eq!(e.report().overhead_s, 0.125);
+        assert_eq!(e.report().retries, 1);
+        // The engine records its own window: the loop logged nothing.
+        assert_eq!(e.report().phase_total("recovery"), None);
+        let t = e.trace().unwrap();
+        assert!(t.events.iter().all(|ev| ev.occupies_core()));
+    }
+
+    #[test]
+    fn watchdog_firing_is_named_even_when_the_engine_logs_recovery() {
+        let mut e = faulty(2, 1, FaultPlan::none().slow_core(0, 10.0));
+        e.enable_trace();
+        let (p, first_lost_s) = engine_task(&mut e, 1.0, &RetryPolicy::new(3).with_timeout(2.0));
+        assert_eq!((p.core, p.start), (1, 2.125));
+        assert_eq!(first_lost_s, Some(2.0));
+        let t = e.trace().unwrap();
+        let recoveries: Vec<&str> = t
+            .events
+            .iter()
+            .filter(|ev| matches!(ev.kind, EventKind::Recovery { .. }))
+            .map(|ev| t.label_of(ev))
+            .collect();
+        assert_eq!(recoveries, ["timeout"]);
+    }
+
+    #[test]
+    fn watchdog_and_speculation_compose() {
+        let opts = TaskOpts {
+            speculation_cap: Some(2.0),
+        };
+        // The watchdog fires before the scheduler would notice the
+        // straggler: no backup, the attempt is lost to the timeout.
+        let plan = FaultPlan::none().slow_core(0, 10.0);
+        let mut early = faulty(2, 1, plan.clone());
+        let tight = RetryPolicy::new(3).with_timeout(1.5);
+        assert_eq!(
+            early.attempt(0.0, 1.0, &tight, opts, None, false),
+            Ok(Attempt::Failed {
+                core: 0,
+                at_s: 1.5,
+                cause: Cause::Watchdog { timeout_s: 1.5 }
+            })
+        );
+        // A later watchdog lets the backup launch; the backup fits its own
+        // timeout, wins, and the original is stopped when it finishes.
+        let mut late = faulty(2, 1, plan);
+        let loose = RetryPolicy::new(3).with_timeout(4.0);
+        match late.attempt(0.0, 1.0, &loose, opts, None, false) {
+            Ok(Attempt::Done(p)) => assert_eq!((p.core, p.start, p.end), (1, 2.0, 3.0)),
+            other => panic!("expected the backup to win, got {other:?}"),
+        }
+        assert_eq!(late.report().lost_time_s, 3.0);
+        // A backup that would itself time out is never launched.
+        let plan = FaultPlan::none().slow_core(0, 10.0).slow_core(1, 5.0);
+        let mut doomed = faulty(2, 1, plan);
+        assert_eq!(
+            doomed.attempt(0.0, 1.0, &loose, opts, None, false),
+            Ok(Attempt::Failed {
+                core: 0,
+                at_s: 4.0,
+                cause: Cause::Watchdog { timeout_s: 4.0 }
+            })
+        );
+        assert_eq!(doomed.core_free_at(1), 0.0, "no phantom backup occupancy");
+    }
+
+    #[test]
+    fn result_delivered_after_the_deadline_fails_before_placing() {
+        // Node 1 is cut off over [0.5, 3): its 1 s task finishes at 1 but
+        // the driver only hears of it at the heal, past the 2 s deadline.
+        // No detector is configured, so the cut is simply waited out.
+        let plan = FaultPlan::none()
+            .kill_node(0, 0.0)
+            .partition(vec![vec![1]], 0.5, 3.0);
+        let mut e = faulty(1, 2, plan.clone());
+        let got = e.run_task_policied(0.0, 1.0, &RetryPolicy::new(3).with_deadline(2.0));
+        assert_eq!(
+            got,
+            Err(PolicyError::DeadlineExceeded {
+                deadline_s: 2.0,
+                at_s: 0.0
+            })
+        );
+        assert_eq!(e.report().tasks, 0);
+        // Without the deadline the same task completes, late.
+        let mut e = faulty(1, 2, plan);
+        let p = e.run_task_policied(0.0, 1.0, &RetryPolicy::new(3)).unwrap();
+        assert_eq!((p.start, p.end), (0.0, 3.0));
+        assert_eq!(e.core_free_at(1), 1.0, "the core frees at compute end");
     }
 
     // ---- per-node memory model ----

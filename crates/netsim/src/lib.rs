@@ -34,7 +34,7 @@ pub use chaos::{ChaosConfig, ChaosOutcome, Fingerprint, FuzzReport, Violation};
 pub use clock::{deterministic_timing, measure, measure_scaled, set_deterministic_timing};
 pub use cluster::{comet, laptop, wrangler, Cluster, ClusterBuilder, MachineProfile, NetworkModel};
 pub use critical::{CpSegment, CriticalPath};
-pub use executor::{SimExecutor, TaskAttempt, TaskOpts, TaskPlacement};
+pub use executor::{RecoveryLog, Redispatch, SimExecutor, TaskOpts, TaskPlacement};
 pub use fault::{FaultPlan, FaultPlanError, MemSet, MemShrink, NodeDeath, Straggler};
 pub use metrics::{Histogram, Metrics, NodeMemory, NodeTraffic, PhaseShare};
 pub use parallel::Threads;

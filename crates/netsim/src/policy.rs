@@ -19,9 +19,13 @@
 //!
 //! All engines derive their policy from
 //! `FrameworkProfile::retry_policy()` and surface exhaustion as
-//! `EngineError` values; [`SimExecutor::run_task_policied`]
-//! (crate::SimExecutor::run_task_policied) is the executor-level
-//! counterpart used by synthetic workloads and the chaos harness.
+//! `EngineError` values. A task-level policy is read in one place,
+//! [`SimExecutor::run_task_recovering`](crate::SimExecutor::run_task_recovering):
+//! the Spark map stage, the Dask task submit and the Pilot unit loop call
+//! it with their price of re-dispatch, and
+//! [`SimExecutor::run_task_policied`](crate::SimExecutor::run_task_policied)
+//! — synthetic workloads, streams, the chaos harness — is the same loop
+//! with a free one.
 
 use std::error::Error;
 use std::fmt;
@@ -155,7 +159,9 @@ impl RetryPolicy {
     /// When the redispatch already falls past `deadline_s` the backoff
     /// sleep is doomed — the typed error surfaces *now*, stamped with the
     /// observation time, instead of burning virtual time on a wait whose
-    /// attempt could never be allowed to run.
+    /// attempt could never be allowed to run. The executor gates an
+    /// attempt the same way before placing it: decided at its start, due
+    /// at its end.
     pub fn deadline_gate(&self, observed_s: f64, redispatch_s: f64) -> Result<(), PolicyError> {
         match self.deadline_s {
             Some(deadline) if redispatch_s > deadline => Err(PolicyError::DeadlineExceeded {

@@ -355,92 +355,31 @@ impl Session {
             let dur = self
                 .cluster
                 .scale_compute(host_s + self.profile.worker_overhead_s);
-            // A unit whose node dies goes back to FAILED in the database.
-            // The loss is noticed one agent DB poll later; the client
-            // re-enqueues with backoff, paying the scheduling round-trip
-            // again before a surviving core picks the unit up — bounded by
-            // the policy's attempt budget.
+            // A unit whose attempt is lost goes back to FAILED in the
+            // database and the client re-enqueues it through the executor's
+            // recovery loop, paying the scheduling round-trip again before a
+            // surviving core picks it up. A partitioned agent the DB poll
+            // gave up on is alive and finishes behind the cut; its eventual
+            // state update carries a stale generation number and the DB
+            // rejects it — exactly once.
             let policy = st.policy;
-            let mut attempts: u32 = 1;
-            let mut first_died: Option<f64> = None;
-            let mut avoid = None;
-            let placement = loop {
-                let opts = netsim::TaskOpts {
-                    avoid_core: avoid,
-                    ..Default::default()
-                };
-                match st
-                    .exec
-                    .run_task_attempt_detected(t_sched, dur, opts, &policy)?
-                {
-                    netsim::TaskAttempt::Done(p) => break p,
-                    netsim::TaskAttempt::Killed { died_at, core, .. } => {
-                        if attempts >= policy.max_attempts {
-                            return Err(EngineError::RetriesExhausted {
-                                attempts,
-                                last_failure_s: died_at + policy.detection_delay_s,
-                            });
-                        }
-                        // Gate the re-enqueue against the deadline before
-                        // paying the backoff and DB round-trip: a retry
-                        // that could only dispatch past the deadline fails
-                        // at observation time, typed.
-                        let observed = died_at + policy.detection_delay_s;
-                        let redispatch = st
-                            .db
-                            .roundtrip(observed + policy.backoff_before(attempts + 1));
-                        policy.deadline_gate(observed, redispatch)?;
-                        attempts += 1;
-                        avoid = Some(core);
-                        first_died.get_or_insert(died_at);
-                        st.exec.report_mut().retries += 1;
-                        t_sched = redispatch;
-                        st.exec.record_recovery("re-enqueue", died_at, t_sched);
-                    }
-                    // A partitioned agent the DB poll gave up on: the unit
-                    // went back to FAILED and was re-enqueued, but the
-                    // original agent is alive and finishes behind the cut.
-                    // Its eventual state update carries a stale generation
-                    // number and the DB rejects it — exactly once.
-                    netsim::TaskAttempt::Zombie {
-                        core,
-                        suspected_at,
-                        deliver_at,
-                        ..
-                    } => {
-                        if attempts >= policy.max_attempts {
-                            return Err(EngineError::RetriesExhausted {
-                                attempts,
-                                last_failure_s: suspected_at,
-                            });
-                        }
-                        let redispatch = st
-                            .db
-                            .roundtrip(suspected_at + policy.backoff_before(attempts + 1));
-                        policy.deadline_gate(suspected_at, redispatch)?;
-                        attempts += 1;
-                        avoid = Some(core);
-                        first_died.get_or_insert(suspected_at);
-                        st.exec
-                            .record_fenced("db-generation", suspected_at, deliver_at);
-                        st.exec.report_mut().retries += 1;
-                        t_sched = redispatch;
-                        st.exec.record_recovery("re-enqueue", suspected_at, t_sched);
-                    }
-                }
+            let SessionState { exec, db, .. } = &mut *st;
+            let redispatch = netsim::Redispatch {
+                at: |t| db.roundtrip(t),
+                overhead_s: 0.0,
+                fence: "db-generation",
+                log: netsim::RecoveryLog::Labelled("re-enqueue"),
             };
-            if let Some(deadline) = policy.deadline_s {
-                if placement.end > deadline {
-                    return Err(EngineError::DeadlineExceeded {
-                        deadline_s: deadline,
-                        at_s: placement.start,
-                    });
-                }
-            }
-            if let Some(died_at) = first_died {
-                st.exec
-                    .report_mut()
-                    .push_phase("recovery", died_at, placement.end);
+            let (placement, first_lost_s) = exec.run_task_recovering(
+                t_sched,
+                dur,
+                &policy,
+                netsim::TaskOpts::default(),
+                redispatch,
+            )?;
+            if let Some(lost_s) = first_lost_s {
+                exec.report_mut()
+                    .push_phase("recovery", lost_s, placement.end);
             }
             if ws > 0 {
                 // The unit's working set occupies its node for the

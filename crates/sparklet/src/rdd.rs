@@ -298,115 +298,44 @@ where
             }
             spec_cap = Some(cap);
         }
-        // Pass 2: place tasks on the simulated cores. An attempt killed by
-        // a node death is detected via heartbeat and re-dispatched by the
-        // driver (lineage makes the rerun possible) with exponential
-        // backoff, up to the policy's attempt budget.
+        // Pass 2: place tasks on the simulated cores. A lost attempt comes
+        // back through the executor's recovery loop (lineage makes the
+        // rerun possible); what the driver adds is one more central
+        // dispatch per re-dispatch, and a map output registered under a
+        // stale shuffle epoch — a zombie's, finished behind a cut after
+        // the stage was re-dispatched — is discarded exactly once.
         let policy = state.policy;
+        let opts = netsim::TaskOpts {
+            speculation_cap: spec_cap,
+        };
+        let dispatch_s = profile.central_dispatch_s;
         let mut stage_end = state.frontier;
         let mut cores = Vec::with_capacity(durs.len());
         for (i, &dur) in durs.iter().enumerate() {
             let p = todo[i];
             // Central dispatch: the driver releases tasks one at a time.
-            let mut release =
-                ready[p].max(dispatch_base + (i + 1) as f64 * profile.central_dispatch_s);
-            let mut attempts: u32 = 1;
-            let mut first_died: Option<f64> = None;
-            let mut avoid = None;
-            let placement = loop {
-                let opts = netsim::TaskOpts {
-                    speculation_cap: spec_cap,
-                    avoid_core: avoid,
-                };
-                match state
-                    .exec
-                    .run_task_attempt_detected(release, dur, opts, &policy)?
-                {
-                    netsim::TaskAttempt::Done(pl) => break pl,
-                    // A partitioned executor the driver's detector gave up
-                    // on: the stage was re-dispatched, but the original
-                    // attempt finished behind the cut. Its map output
-                    // registers under a stale shuffle epoch after heal and
-                    // the driver discards it — exactly once, never merged.
-                    netsim::TaskAttempt::Zombie {
-                        core,
-                        suspected_at,
-                        deliver_at,
-                        ..
-                    } => {
-                        if attempts >= policy.max_attempts {
-                            return Err(EngineError::RetriesExhausted {
-                                attempts,
-                                last_failure_s: suspected_at,
-                            });
-                        }
-                        let redispatch = release.max(
-                            suspected_at
-                                + policy.backoff_before(attempts + 1)
-                                + profile.central_dispatch_s,
-                        );
-                        policy.deadline_gate(suspected_at, redispatch)?;
-                        attempts += 1;
-                        avoid = Some(core);
-                        first_died.get_or_insert(suspected_at);
-                        state
-                            .exec
-                            .record_fenced("stale-shuffle-epoch", suspected_at, deliver_at);
-                        let rep = state.exec.report_mut();
-                        rep.retries += 1;
-                        rep.overhead_s += profile.central_dispatch_s;
-                        release = redispatch;
-                    }
-                    netsim::TaskAttempt::Killed { died_at, core, .. } => {
-                        if attempts >= policy.max_attempts {
-                            return Err(EngineError::RetriesExhausted {
-                                attempts,
-                                last_failure_s: died_at + policy.detection_delay_s,
-                            });
-                        }
-                        // The heartbeat reveals the loss, the driver backs
-                        // off, then re-dispatches (blacklisting the core
-                        // the attempt just died on). If that re-dispatch
-                        // already falls past the deadline, fail now rather
-                        // than burning the backoff wait on a doomed attempt.
-                        let observed = died_at + policy.detection_delay_s;
-                        let redispatch = release.max(
-                            observed
-                                + policy.backoff_before(attempts + 1)
-                                + profile.central_dispatch_s,
-                        );
-                        policy.deadline_gate(observed, redispatch)?;
-                        attempts += 1;
-                        avoid = Some(core);
-                        first_died.get_or_insert(died_at);
-                        let rep = state.exec.report_mut();
-                        rep.retries += 1;
-                        rep.overhead_s += profile.central_dispatch_s;
-                        release = redispatch;
-                    }
-                }
+            let release = ready[p].max(dispatch_base + (i + 1) as f64 * dispatch_s);
+            let redispatch = netsim::Redispatch {
+                at: |t| t + dispatch_s,
+                overhead_s: dispatch_s,
+                fence: "stale-shuffle-epoch",
+                log: netsim::RecoveryLog::Caller,
             };
-            if let Some(deadline) = policy.deadline_s {
-                if placement.end > deadline {
-                    return Err(EngineError::DeadlineExceeded {
-                        deadline_s: deadline,
-                        at_s: placement.start,
-                    });
-                }
-            }
-            if let Some(died_at) = first_died {
+            let (placement, first_lost_s) = state
+                .exec
+                .run_task_recovering(release, dur, &policy, opts, redispatch)?;
+            if let Some(lost_s) = first_lost_s {
                 state
                     .exec
-                    .record_recovery("re-dispatch", died_at, placement.end);
+                    .record_recovery("re-dispatch", lost_s, placement.end);
                 state
                     .exec
                     .report_mut()
-                    .push_phase("recovery", died_at, placement.end);
+                    .push_phase("recovery", lost_s, placement.end);
             }
             cores.push(placement.core);
             stage_end = stage_end.max(placement.end);
-            state.exec.report_mut().overhead_s +=
-                profile.worker_overhead_s + profile.central_dispatch_s;
+            state.exec.report_mut().overhead_s += profile.worker_overhead_s + dispatch_s;
         }
         // Stage-oriented scheduler: nothing downstream starts earlier.
         state.frontier = stage_end;

@@ -16,9 +16,18 @@
 //! phase/label strings (`Trace`'s own `Debug` walks the interner's
 //! `HashMap`, whose order changes from process to process). A typed
 //! failure hashes its `{:?}`.
+//!
+//! The second half of the table freezes what happens between a failed
+//! task attempt and the next one — zombies, fences and late deliveries
+//! under a scripted cut, speculation, the watchdog, backoff, detection
+//! delay and the typed errors — on the three task engines and on the bare
+//! [`SimExecutor`]. Those constants were recorded on the commit before the
+//! engines' hand-copied retry loops and the executor's `run_task*` entry
+//! points were folded into one recovery loop.
 
 use mdtask::analysis::partition::plan_1d;
 use mdtask::analysis::DriverCtx;
+use mdtask::cluster::{PolicyError, SimExecutor, TaskPlacement};
 use mdtask::prelude::*;
 use std::fmt::Debug;
 use std::sync::Arc;
@@ -48,7 +57,7 @@ impl<T: Debug> Reported for FrameSeries<T> {
     }
 }
 
-impl Reported for (Vec<u32>, SimReport) {
+impl<T: Debug> Reported for (T, SimReport) {
     fn report_mut(&mut self) -> &mut SimReport {
         &mut self.1
     }
@@ -123,16 +132,21 @@ fn config(engine: Engine, plan: Option<FaultPlan>) -> RunConfig {
     }
 }
 
+/// The task events node 1 (cores 8–15) hosted, in trace order.
+fn node_1_tasks(report: &SimReport) -> Vec<&TraceEvent> {
+    let trace = report.trace.as_ref().expect("golden runs are traced");
+    trace
+        .events
+        .iter()
+        .filter(|e| matches!(e.kind, EventKind::Task { .. }) && e.core / 8 == 1)
+        .collect()
+}
+
 /// Node 1 dies in the middle of a task it ran in the clean run (the
 /// middle one of those, by trace order), so the death interrupts work in
 /// flight; a run that never used node 1 loses it at half its makespan.
 fn death_mid_task(clean: &SimReport) -> FaultPlan {
-    let trace = clean.trace.as_ref().expect("golden runs are traced");
-    let on_node_1: Vec<&TraceEvent> = trace
-        .events
-        .iter()
-        .filter(|e| matches!(e.kind, EventKind::Task { .. }) && e.core / 8 == 1)
-        .collect();
+    let on_node_1 = node_1_tasks(clean);
     let at_s = match on_node_1.get(on_node_1.len() / 2) {
         Some(e) => 0.5 * (e.start_s + e.end_s),
         None => 0.5 * clean.makespan_s,
@@ -400,5 +414,256 @@ fn mpi_oversized_replica_fails_with_the_frozen_error() {
         "MPI_OVERSIZED_REPLICA",
         &[digest(rmsd)],
         &MPI_OVERSIZED_REPLICA,
+    );
+}
+
+// ---- recovery: what happens between a failed attempt and the next ----
+
+fn recovery_labels(report: &SimReport) -> Vec<String> {
+    let trace = report.trace.as_ref().expect("golden runs are traced");
+    trace
+        .events
+        .iter()
+        .filter(|e| matches!(e.kind, EventKind::Recovery { .. }))
+        .map(|e| trace.label_of(e).to_string())
+        .collect()
+}
+
+/// Heartbeats every 0.25 s, suspected 0.5 s after the last one heard; a
+/// death is noticed 0.25 s late and every re-dispatch backs off.
+fn suspicious_policy() -> RetryPolicy {
+    RetryPolicy::new(4)
+        .with_detection_delay(0.25)
+        .with_backoff(0.05, 2.0, 1.0)
+        .with_suspicion(0.25, 0.5)
+}
+
+fn suspicious_config(engine: Engine, plan: FaultPlan) -> RunConfig {
+    RunConfig::new(cluster(Some(plan)), engine)
+        .threads(Threads::Serial)
+        .trace(true)
+        .retry_policy(suspicious_policy())
+}
+
+fn concat(rc: &RunConfig, data: &Arc<Vec<u32>>, slices: usize) -> (Vec<u32>, SimReport) {
+    let out = rc
+        .run_analysis(Concat {
+            data: Arc::clone(data),
+            slices,
+        })
+        .expect("the run recovers");
+    assert_eq!(out.0, **data, "recovery never changes the values");
+    out
+}
+
+#[rustfmt::skip]
+const CUT_RECOVERY: [u64; 12] = [
+    0x9678_361a_ee58_52da, 0x40cf_e25a_a2df_1b39, 0xd0b0_8d10_d832_144f, 0x6cd2_b1de_504e_7c48,
+    0xe90c_246c_fd53_593e, 0x0d94_13e5_5aba_16ab, 0xe0df_0d31_95fe_fa89, 0xb286_bd63_2380_7cd2,
+    0x8126_2db3_c7eb_dd13, 0xecaf_9f58_a196_fd63, 0x1191_a504_5a7a_8bf4, 0x0ccb_8dc3_131a_a545,
+];
+
+/// Node 1 is cut off from the driver in the middle of a task it ran in
+/// the clean trace. A cut that outlives the suspicion timeout strands the
+/// attempt as a zombie: fenced under the engine's own label, rescheduled
+/// after backoff. A cut that heals first only delays the result.
+#[test]
+fn cut_recovery_matches_the_frozen_hashes() {
+    mdtask::cluster::set_deterministic_timing(true);
+    let data: Arc<Vec<u32>> = Arc::new((0..400).collect());
+    let mut got = Vec::new();
+    for engine in [Engine::Spark, Engine::Dask, Engine::Pilot] {
+        for slices in [13, 64] {
+            let clean = concat(&suspicious_config(engine, FaultPlan::none()), &data, slices);
+            let on_node_1 = node_1_tasks(&clean.1);
+            let task = on_node_1[on_node_1.len() / 2];
+            let (start, end) = (task.start_s, task.end_s);
+
+            let mid = 0.5 * (start + end);
+            let outlives = FaultPlan::none().partition(vec![vec![1]], mid, mid + 2.0);
+            let zombie = concat(&suspicious_config(engine, outlives), &data, slices);
+            let r = &zombie.1;
+            assert!(r.zombie_attempts > 0, "{engine:?}/{slices}: no zombie");
+            assert_eq!(r.fenced_results, r.zombie_attempts, "{engine:?}/{slices}");
+            assert!(r.retries >= r.zombie_attempts, "{engine:?}/{slices}");
+
+            // Opens just before the task ends, heals after it ended and
+            // before the detector gives up (> 0.25 s after the cut).
+            let late_cut = end - 0.1 * (end - start);
+            let heals_first = FaultPlan::none().partition(vec![vec![1]], late_cut, late_cut + 0.2);
+            let late = concat(&suspicious_config(engine, heals_first), &data, slices);
+            let r = &late.1;
+            assert_eq!(
+                (r.zombie_attempts, r.fenced_results, r.retries),
+                (0, 0, 0),
+                "{engine:?}/{slices}: a waited-out cut retries nothing"
+            );
+            assert!(
+                r.makespan_s > clean.1.makespan_s,
+                "{engine:?}/{slices}: the late result is late"
+            );
+            got.extend([digest(Ok(zombie)), digest(Ok(late))]);
+        }
+    }
+    assert_frozen("CUT_RECOVERY", &got, &CUT_RECOVERY);
+}
+
+#[rustfmt::skip]
+const SPARK_SPECULATION: [u64; 2] = [0x54f4_794b_b0a1_da8b, 0x784e_c8c4_dfb7_b20d];
+
+/// Spark with speculation on and core 8 slowed 50×: the backup copy wins.
+/// Then the same run with the backup's node dying under it.
+#[test]
+fn spark_speculation_matches_the_frozen_hashes() {
+    mdtask::cluster::set_deterministic_timing(true);
+    let data: Arc<Vec<u32>> = Arc::new((0..400).collect());
+    let run = |plan: FaultPlan| {
+        let rc = config(Engine::Spark, Some(plan)).speculation(1.5);
+        concat(&rc, &data, 13)
+    };
+    let straggler = FaultPlan::none().slow_core(8, 50.0);
+    let rescued = run(straggler.clone());
+    let trace = rescued.1.trace.as_ref().expect("traced");
+    let backup = trace
+        .events
+        .iter()
+        .find(|e| {
+            matches!(
+                e.kind,
+                EventKind::Task {
+                    speculative: true,
+                    ..
+                }
+            )
+        })
+        .expect("the backup copy ran and won");
+    assert!(rescued.1.retries >= 1, "the backup is a retry");
+    let dies_at = 0.5 * (backup.start_s + backup.end_s);
+    let doomed = run(straggler.kill_node(backup.core / 8, dies_at));
+    let got = [digest(Ok(rescued)), digest(Ok(doomed))];
+    assert_frozen("SPARK_SPECULATION", &got, &SPARK_SPECULATION);
+}
+
+fn executor(nodes: usize, cores_per_node: usize, plan: FaultPlan) -> SimExecutor {
+    let mut exec = SimExecutor::new(
+        Cluster::builder()
+            .nodes(nodes)
+            .cores_per_node(cores_per_node)
+            .fault_plan(plan)
+            .build(),
+    );
+    exec.enable_trace();
+    exec
+}
+
+/// Task `i`'s duration: 0.05–1.01 s, scattered.
+fn dur(i: u64) -> f64 {
+    0.05 + (i.wrapping_mul(2_654_435_761) % 97) as f64 * 0.01
+}
+
+#[rustfmt::skip]
+const BARE_EXECUTOR: [u64; 2] = [0x0706_5fe2_dfdf_f5b2, 0x0bdf_261f_8cf3_f3eb];
+
+/// The bare executor: 2 000 policied placements on 64 cores under two
+/// deaths, two stragglers the watchdog fires on, a cut that outlives the
+/// suspicion timeout, backoff, a detection delay and a deadline nothing
+/// reaches; then 300 `run_task` placements under two deaths, which count
+/// their retries and record no recovery.
+#[test]
+fn bare_executor_recovery_matches_the_frozen_hashes() {
+    let plan = FaultPlan::none()
+        .kill_node(2, 1.3)
+        .kill_node(5, 4.1)
+        .slow_core(3, 6.0)
+        .slow_core(40, 20.0)
+        .partition(vec![vec![1]], 2.0, 3.5);
+    let policy = suspicious_policy()
+        .with_timeout(2.0)
+        .with_deadline(10_000.0);
+    let mut exec = executor(8, 8, plan);
+    let placements: Vec<Result<TaskPlacement, PolicyError>> = (0..2000u64)
+        .map(|i| exec.run_task_policied(0.01 * (i % 7) as f64, dur(i), &policy))
+        .collect();
+    assert!(placements.iter().all(Result::is_ok), "every task recovers");
+    let policied = exec.into_report();
+    let labels = recovery_labels(&policied);
+    for cause in ["death-detect", "timeout", "suspicion"] {
+        assert!(labels.iter().any(|l| l == cause), "no {cause} recovery");
+    }
+    assert_eq!(policied.fenced_results, policied.zombie_attempts);
+    assert!(policied.zombie_attempts > 0);
+
+    let plan = FaultPlan::none().kill_node(1, 0.7).kill_node(3, 1.9);
+    let mut exec = executor(4, 4, plan);
+    let plain: Vec<TaskPlacement> = (0..300u64)
+        .map(|i| exec.run_task(0.01 * (i % 7) as f64, dur(i)))
+        .collect();
+    let unpolicied = exec.into_report();
+    assert!(unpolicied.retries > 0, "the deaths interrupted work");
+    assert!(recovery_labels(&unpolicied).is_empty());
+    assert!(unpolicied.phases.is_empty());
+
+    let got = [
+        digest(Ok((placements, policied))),
+        digest(Ok((plain, unpolicied))),
+    ];
+    assert_frozen("BARE_EXECUTOR", &got, &BARE_EXECUTOR);
+}
+
+/// One run per typed error, each with its exact value.
+#[test]
+fn bare_executor_errors_are_the_frozen_values() {
+    // Node 0 dies at 1 s, node 1 at 2 s, under a 5 s task with two attempts.
+    let plan = FaultPlan::none().kill_node(0, 1.0).kill_node(1, 2.0);
+    let policy = RetryPolicy::new(2).with_detection_delay(0.25);
+    assert_eq!(
+        executor(2, 1, plan).run_task_policied(0.0, 5.0, &policy),
+        Err(PolicyError::RetriesExhausted {
+            attempts: 2,
+            last_failure_s: 2.25
+        })
+    );
+    // Both cores 10× slow: the 2 s watchdog kills both attempts.
+    let plan = FaultPlan::none().slow_core(0, 10.0).slow_core(1, 10.0);
+    let policy = RetryPolicy::new(2).with_timeout(2.0);
+    assert_eq!(
+        executor(1, 2, plan).run_task_policied(0.0, 1.0, &policy),
+        Err(PolicyError::Timeout {
+            attempt: 2,
+            timeout_s: 2.0,
+            at_s: 4.0
+        })
+    );
+    // Cannot finish by the deadline: fails before placing anything.
+    let mut exec = executor(1, 1, FaultPlan::none());
+    let policy = RetryPolicy::new(3).with_deadline(1.0);
+    assert_eq!(
+        exec.run_task_policied(0.25, 2.0, &policy),
+        Err(PolicyError::DeadlineExceeded {
+            deadline_s: 1.0,
+            at_s: 0.25
+        })
+    );
+    assert_eq!(exec.report().tasks, 0);
+    // The deadline falls inside the backoff: fails when the loss is seen.
+    let policy = RetryPolicy::new(3)
+        .with_detection_delay(0.5)
+        .with_backoff(2.0, 2.0, 10.0)
+        .with_deadline(3.0);
+    assert_eq!(
+        executor(2, 1, FaultPlan::none().kill_node(0, 1.0)).run_task_policied(0.0, 2.0, &policy),
+        Err(PolicyError::DeadlineExceeded {
+            deadline_s: 3.0,
+            at_s: 1.5
+        })
+    );
+    // The only node is dead by the release.
+    assert_eq!(
+        executor(1, 1, FaultPlan::none().kill_node(0, 1.0)).run_task_policied(
+            2.0,
+            1.0,
+            &RetryPolicy::new(3)
+        ),
+        Err(PolicyError::NoSurvivingCore { at_s: 2.0 })
     );
 }

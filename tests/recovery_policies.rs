@@ -346,3 +346,79 @@ fn psa_mpi_with_policy_matches_fault_free() {
     );
     assert_eq!(faulty.report.retries, 1);
 }
+
+/// The task engines and how each is asked for LF.
+fn task_engine_config(engine: Engine, plan: FaultPlan, policy: RetryPolicy) -> RunConfig {
+    let rc = RunConfig::new(cluster().with_faults(plan), engine)
+        .retry_policy(policy)
+        .trace(true);
+    match engine {
+        Engine::Pilot => rc,
+        _ => rc.approach(LfApproach::Broadcast1D),
+    }
+}
+
+const TASK_ENGINES: [Engine; 3] = [Engine::Spark, Engine::Dask, Engine::Pilot];
+
+/// The per-attempt watchdog is honoured by every task engine: a straggler
+/// core stretches its task 50×, the watchdog — set between the clean and
+/// the stretched duration — kills the attempt, and the rerun on another
+/// core reproduces the fault-free answer.
+#[test]
+fn watchdog_kills_a_straggler_attempt_on_every_task_engine() {
+    let s = system();
+    for engine in TASK_ENGINES {
+        let rc = task_engine_config(engine, FaultPlan::none(), RetryPolicy::new(4));
+        let clean = run_lf(&rc, Arc::clone(&s.positions), &s.cfg).unwrap();
+        let trace = clean.report.trace.as_ref().expect("traced");
+        let tasks = || {
+            trace
+                .events
+                .iter()
+                .filter(|e| matches!(e.kind, EventKind::Task { .. }))
+        };
+        let straggler = tasks().next().expect("the run placed tasks").core;
+        let shortest = tasks()
+            .map(|e| e.end_s - e.start_s)
+            .fold(f64::INFINITY, f64::min);
+
+        let plan = FaultPlan::none().slow_core(straggler, 50.0);
+        let policy = RetryPolicy::new(4).with_timeout(25.0 * shortest);
+        let rc = task_engine_config(engine, plan, policy);
+        let got = run_lf(&rc, Arc::clone(&s.positions), &s.cfg)
+            .unwrap_or_else(|e| panic!("{engine:?}: the rerun must succeed, got {e:?}"));
+        assert_eq!(got.leaflet_sizes, clean.leaflet_sizes, "{engine:?}");
+        assert_eq!(got.n_components, clean.n_components, "{engine:?}");
+        assert_eq!(got.edges_found, clean.edges_found, "{engine:?}");
+        assert!(
+            got.report.retries >= 1,
+            "{engine:?}: the watchdog never fired"
+        );
+        assert!(got.report.lost_time_s > 0.0, "{engine:?}");
+        let trace = got.report.trace.as_ref().expect("traced");
+        assert!(
+            trace.events.iter().any(|e| {
+                matches!(e.kind, EventKind::Recovery { .. }) && trace.label_of(e) == "timeout"
+            }),
+            "{engine:?}: no `timeout` recovery in the trace"
+        );
+    }
+}
+
+/// A watchdog no attempt can beat exhausts the budget as a typed timeout.
+#[test]
+fn unbeatable_watchdog_is_a_typed_timeout_on_every_task_engine() {
+    let s = system();
+    for engine in TASK_ENGINES {
+        let policy = RetryPolicy::new(2).with_timeout(1e-9);
+        let rc = task_engine_config(engine, FaultPlan::none(), policy);
+        match run_lf(&rc, Arc::clone(&s.positions), &s.cfg) {
+            Err(EngineError::TaskTimeout {
+                attempt, timeout_s, ..
+            }) => {
+                assert_eq!((attempt, timeout_s), (2, 1e-9), "{engine:?}");
+            }
+            other => panic!("{engine:?}: expected TaskTimeout, got {other:?}"),
+        }
+    }
+}
