@@ -41,6 +41,7 @@ use crate::fault::{
     mix, FaultPlan, FrameDelay, FrameDrop, LinkDegrade, MemShrink, NodeDeath, Partition,
     ProducerStall, Straggler,
 };
+use crate::metrics::escape_json;
 use crate::report::SimReport;
 use crate::trace::EventKind;
 
@@ -483,20 +484,6 @@ impl FuzzReport {
         out.push_str("]}");
         out
     }
-}
-
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Check every oracle for one run. `Ok(outcome)` means the workload

@@ -16,43 +16,69 @@
 //! * timestamps are microseconds with fixed 3-decimal formatting, so
 //!   output is byte-stable across runs of the same schedule.
 //!
-//! JSON is hand-rolled (the workspace deliberately carries no serde); the
-//! strings involved are engine-internal identifiers escaped by
-//! [`crate::metrics::escape_json`].
+//! JSON is hand-rolled (the workspace deliberately carries no serde) and
+//! written in one pass into one buffer: each event is formatted straight
+//! into the output, and each phase/label string is escaped once, by
+//! [`crate::metrics::push_json_escaped`], however many events carry it.
+//! The bytes are a contract — `tests/golden_collectives.rs` freezes their
+//! hash for every event kind.
 
-use crate::metrics::escape_json;
-use crate::trace::{EventKind, Trace};
+use crate::metrics::push_json_escaped;
+use crate::trace::{EventKind, Sym, Trace};
+use std::fmt::{self, Write};
 
 const PID_CORES: u32 = 0;
 const PID_NETWORK: u32 = 1;
 const PID_DRIVER: u32 = 2;
 
-fn us(s: f64) -> String {
-    format!("{:.3}", s * 1e6)
+/// Seconds as microseconds with three decimals.
+struct Us(f64);
+
+impl fmt::Display for Us {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{:.3}", self.0 * 1e6)
+    }
 }
 
-fn meta(pid: u32, tid: usize, which: &str, name: &str) -> String {
-    format!(
-        "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"name\":\"{which}\",\"args\":{{\"name\":\"{}\"}}}}",
-        escape_json(name)
+/// A metadata (`"M"`) record naming a process or thread.
+fn meta(
+    out: &mut String,
+    pid: u32,
+    tid: usize,
+    which: &str,
+    name: fmt::Arguments<'_>,
+) -> fmt::Result {
+    write!(
+        out,
+        "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"name\":\"{which}\",\"args\":{{\"name\":\"{name}\"}}}}"
     )
 }
 
-fn slice(
+/// Start the next record of the event array: a complete (`"X"`) slice, up
+/// to and including the `phase` every slice's `args` begin with. `name`
+/// and `phase` are already escaped; the caller appends the kind's own
+/// args and closes both objects.
+fn open_slice(
+    out: &mut String,
     pid: u32,
     tid: usize,
     name: &str,
     cat: &str,
-    start_s: f64,
-    end_s: f64,
-    args: &str,
-) -> String {
-    format!(
-        "{{\"ph\":\"X\",\"pid\":{pid},\"tid\":{tid},\"name\":\"{}\",\"cat\":\"{cat}\",\"ts\":{},\"dur\":{},\"args\":{{{args}}}}}",
-        escape_json(name),
-        us(start_s),
-        us(end_s - start_s),
+    (start_s, end_s): (f64, f64),
+    phase: &str,
+) -> fmt::Result {
+    write!(
+        out,
+        ",\n{{\"ph\":\"X\",\"pid\":{pid},\"tid\":{tid},\"name\":\"{name}\",\"cat\":\"{cat}\",\"ts\":{},\"dur\":{},\"args\":{{\"phase\":\"{phase}\"",
+        Us(start_s),
+        Us(end_s - start_s),
     )
+}
+
+fn sorted_set(mut ids: Vec<usize>) -> Vec<usize> {
+    ids.sort_unstable();
+    ids.dedup();
+    ids
 }
 
 impl Trace {
@@ -60,40 +86,39 @@ impl Trace {
     /// for the track layout). Load the result in `chrome://tracing` or
     /// <https://ui.perfetto.dev>.
     pub fn to_chrome_json(&self) -> String {
-        let mut ev: Vec<String> = Vec::new();
-        ev.push(meta(PID_CORES, 0, "process_name", "cores"));
-        ev.push(meta(PID_NETWORK, 0, "process_name", "network"));
-        ev.push(meta(PID_DRIVER, 0, "process_name", "driver"));
+        // A task slice is ~170 bytes plus its label and phase.
+        let mut out = String::with_capacity(1024 + 192 * self.events.len());
+        self.write_chrome_json(&mut out)
+            .expect("formatting into a String cannot fail");
+        out
+    }
+
+    fn write_chrome_json(&self, out: &mut String) -> fmt::Result {
+        // Every interned string, escaped once, back to back: symbol `i`
+        // is `escaped[bounds[i]..bounds[i + 1]]`.
+        let mut escaped = String::new();
+        let mut bounds = vec![0];
+        for s in self.symbols() {
+            push_json_escaped(&mut escaped, s);
+            bounds.push(escaped.len());
+        }
+        let text = |sym: Sym| match bounds.get(sym as usize..) {
+            Some(&[from, to, ..]) => &escaped[from..to],
+            _ => "", // never issued by this interner
+        };
+
         let mut cores: Vec<usize> = Vec::new();
         let mut nodes: Vec<usize> = Vec::new();
         for e in &self.events {
-            match &e.kind {
-                EventKind::Task { .. } => {
-                    if !cores.contains(&e.core) {
-                        cores.push(e.core);
-                    }
-                }
+            match e.kind {
+                EventKind::Task { .. } => cores.push(e.core),
                 EventKind::Fetch {
                     from_node, to_node, ..
-                } => {
-                    for n in [*from_node, *to_node] {
-                        if !nodes.contains(&n) {
-                            nodes.push(n);
-                        }
-                    }
-                }
-                EventKind::Broadcast { .. } => {
-                    if !nodes.contains(&e.core) {
-                        nodes.push(e.core);
-                    }
-                }
+                } => nodes.extend([from_node, to_node]),
+                EventKind::Broadcast { .. } => nodes.push(e.core),
                 EventKind::Spill { node, .. }
                 | EventKind::Evict { node, .. }
-                | EventKind::Backpressure { node } => {
-                    if !nodes.contains(node) {
-                        nodes.push(*node);
-                    }
-                }
+                | EventKind::Backpressure { node } => nodes.push(node),
                 EventKind::Recovery { .. }
                 | EventKind::Fenced { .. }
                 | EventKind::OomKill { .. }
@@ -102,193 +127,115 @@ impl Trace {
                 | EventKind::Reject { .. } => {}
             }
         }
-        cores.sort_unstable();
-        nodes.sort_unstable();
-        for &c in &cores {
-            ev.push(meta(PID_CORES, c, "thread_name", &format!("core {c}")));
+
+        out.push_str("{\"traceEvents\":[\n");
+        meta(out, PID_CORES, 0, "process_name", format_args!("cores"))?;
+        for (pid, name) in [(PID_NETWORK, "network"), (PID_DRIVER, "driver")] {
+            out.push_str(",\n");
+            meta(out, pid, 0, "process_name", format_args!("{name}"))?;
         }
-        for &n in &nodes {
-            ev.push(meta(PID_NETWORK, n, "thread_name", &format!("node {n}")));
+        let core_tracks = sorted_set(cores)
+            .into_iter()
+            .map(|c| (PID_CORES, "core", c));
+        let node_tracks = sorted_set(nodes)
+            .into_iter()
+            .map(|n| (PID_NETWORK, "node", n));
+        for (pid, what, tid) in core_tracks.chain(node_tracks) {
+            out.push_str(",\n");
+            meta(out, pid, tid, "thread_name", format_args!("{what} {tid}"))?;
         }
 
         for (id, e) in self.events.iter().enumerate() {
-            match &e.kind {
+            let (start, end, phase) = (e.start_s, e.end_s, text(e.phase));
+            let span = (start, end);
+            match e.kind {
                 EventKind::Task { label, speculative } => {
-                    let args = format!(
-                        "\"phase\":\"{}\",\"killed\":{},\"speculative\":{},\"ready_us\":{}",
-                        escape_json(self.phase_of(e)),
+                    open_slice(out, PID_CORES, e.core, text(label), "task", span, phase)?;
+                    write!(
+                        out,
+                        ",\"killed\":{},\"speculative\":{speculative},\"ready_us\":{}}}}}",
                         e.killed,
-                        speculative,
-                        us(e.ready_s)
-                    );
-                    ev.push(slice(
-                        PID_CORES,
-                        e.core,
-                        self.resolve(*label),
-                        "task",
-                        e.start_s,
-                        e.end_s,
-                        &args,
-                    ));
+                        Us(e.ready_s)
+                    )?;
                 }
                 EventKind::Fetch {
                     from_node,
                     to_node,
                     bytes,
                 } => {
-                    let args = format!(
-                        "\"phase\":\"{}\",\"from_node\":{from_node},\"to_node\":{to_node},\"bytes\":{bytes},\"lost\":{}",
-                        escape_json(self.phase_of(e)),
-                        e.killed
-                    );
-                    // The fetch occupies the destination's network track…
-                    ev.push(slice(
-                        PID_NETWORK,
-                        *to_node,
-                        "fetch",
-                        "fetch",
-                        e.start_s,
-                        e.end_s,
-                        &args,
-                    ));
-                    // …with an async arrow from a zero-width marker on the
+                    // The fetch occupies the destination's network track,
+                    // with an async arrow from a zero-width marker on the
                     // source track (flow events bind to enclosing slices).
-                    ev.push(slice(
-                        PID_NETWORK,
-                        *from_node,
-                        "send",
-                        "fetch",
-                        e.start_s,
-                        e.start_s,
-                        &args,
-                    ));
-                    ev.push(format!(
-                        "{{\"ph\":\"s\",\"pid\":{PID_NETWORK},\"tid\":{from_node},\"name\":\"xfer\",\"cat\":\"fetch\",\"id\":{id},\"ts\":{}}}",
-                        us(e.start_s)
-                    ));
-                    ev.push(format!(
-                        "{{\"ph\":\"f\",\"bp\":\"e\",\"pid\":{PID_NETWORK},\"tid\":{to_node},\"name\":\"xfer\",\"cat\":\"fetch\",\"id\":{id},\"ts\":{}}}",
-                        us(e.end_s)
-                    ));
+                    for (tid, name, end) in [(to_node, "fetch", end), (from_node, "send", start)] {
+                        open_slice(out, PID_NETWORK, tid, name, "fetch", (start, end), phase)?;
+                        write!(
+                            out,
+                            ",\"from_node\":{from_node},\"to_node\":{to_node},\"bytes\":{bytes},\"lost\":{}}}}}",
+                            e.killed
+                        )?;
+                    }
+                    write!(
+                        out,
+                        ",\n{{\"ph\":\"s\",\"pid\":{PID_NETWORK},\"tid\":{from_node},\"name\":\"xfer\",\"cat\":\"fetch\",\"id\":{id},\"ts\":{}}}",
+                        Us(start)
+                    )?;
+                    write!(
+                        out,
+                        ",\n{{\"ph\":\"f\",\"bp\":\"e\",\"pid\":{PID_NETWORK},\"tid\":{to_node},\"name\":\"xfer\",\"cat\":\"fetch\",\"id\":{id},\"ts\":{}}}",
+                        Us(end)
+                    )?;
                 }
                 EventKind::Broadcast { bytes, dest_nodes } => {
-                    let args = format!(
-                        "\"phase\":\"{}\",\"bytes\":{bytes},\"dest_nodes\":{dest_nodes}",
-                        escape_json(self.phase_of(e))
-                    );
-                    ev.push(slice(
+                    open_slice(
+                        out,
                         PID_NETWORK,
                         e.core,
                         "broadcast",
                         "broadcast",
-                        e.start_s,
-                        e.end_s,
-                        &args,
-                    ));
+                        span,
+                        phase,
+                    )?;
+                    write!(out, ",\"bytes\":{bytes},\"dest_nodes\":{dest_nodes}}}}}")?;
                 }
-                EventKind::Recovery { label } => {
-                    let args = format!("\"phase\":\"{}\"", escape_json(self.phase_of(e)));
-                    ev.push(slice(
-                        PID_DRIVER,
-                        0,
-                        self.resolve(*label),
-                        "recovery",
-                        e.start_s,
-                        e.end_s,
-                        &args,
-                    ));
+                EventKind::Recovery { label } | EventKind::Fenced { label } => {
+                    let cat = e.kind.kind_name();
+                    open_slice(out, PID_DRIVER, 0, text(label), cat, span, phase)?;
+                    out.push_str("}}");
                 }
-                EventKind::Fenced { label } => {
-                    let args = format!("\"phase\":\"{}\"", escape_json(self.phase_of(e)));
-                    ev.push(slice(
-                        PID_DRIVER,
-                        0,
-                        self.resolve(*label),
-                        "fenced",
-                        e.start_s,
-                        e.end_s,
-                        &args,
-                    ));
-                }
-                EventKind::Spill { node, bytes } => {
-                    let args = format!(
-                        "\"phase\":\"{}\",\"node\":{node},\"bytes\":{bytes}",
-                        escape_json(self.phase_of(e))
-                    );
-                    ev.push(slice(
-                        PID_NETWORK,
-                        *node,
-                        "spill",
-                        "memory",
-                        e.start_s,
-                        e.end_s,
-                        &args,
-                    ));
-                }
-                EventKind::Evict { node, bytes } => {
-                    let args = format!(
-                        "\"phase\":\"{}\",\"node\":{node},\"bytes\":{bytes}",
-                        escape_json(self.phase_of(e))
-                    );
-                    ev.push(slice(
-                        PID_NETWORK,
-                        *node,
-                        "evict",
-                        "memory",
-                        e.start_s,
-                        e.end_s,
-                        &args,
-                    ));
+                EventKind::Spill { node, bytes } | EventKind::Evict { node, bytes } => {
+                    let name = e.kind.kind_name();
+                    open_slice(out, PID_NETWORK, node, name, "memory", span, phase)?;
+                    write!(out, ",\"node\":{node},\"bytes\":{bytes}}}}}")?;
                 }
                 EventKind::OomKill { node } => {
-                    let args = format!(
-                        "\"phase\":\"{}\",\"node\":{node}",
-                        escape_json(self.phase_of(e))
-                    );
-                    ev.push(slice(
-                        PID_DRIVER, 0, "oom-kill", "memory", e.start_s, e.end_s, &args,
-                    ));
+                    open_slice(out, PID_DRIVER, 0, "oom-kill", "memory", span, phase)?;
+                    write!(out, ",\"node\":{node}}}}}")?;
                 }
                 EventKind::Backpressure { node } => {
-                    let args = format!(
-                        "\"phase\":\"{}\",\"node\":{node}",
-                        escape_json(self.phase_of(e))
-                    );
-                    ev.push(slice(
+                    open_slice(
+                        out,
                         PID_NETWORK,
-                        *node,
+                        node,
                         "backpressure",
                         "stream",
-                        e.start_s,
-                        e.end_s,
-                        &args,
-                    ));
+                        span,
+                        phase,
+                    )?;
+                    write!(out, ",\"node\":{node}}}}}")?;
                 }
                 // Service-plane events (mdtaskd) render on the driver
                 // track like recovery windows.
                 EventKind::Enqueue { tenant, job }
                 | EventKind::Admit { tenant, job }
                 | EventKind::Reject { tenant, job } => {
-                    let args = format!(
-                        "\"phase\":\"{}\",\"tenant\":{tenant},\"job\":{job}",
-                        escape_json(self.phase_of(e))
-                    );
-                    ev.push(slice(
-                        PID_DRIVER,
-                        0,
-                        e.kind.kind_name(),
-                        "service",
-                        e.start_s,
-                        e.end_s,
-                        &args,
-                    ));
+                    let name = e.kind.kind_name();
+                    open_slice(out, PID_DRIVER, 0, name, "service", span, phase)?;
+                    write!(out, ",\"tenant\":{tenant},\"job\":{job}}}}}")?;
                 }
             }
         }
-        format!(
-            "{{\"traceEvents\":[\n{}\n],\"displayTimeUnit\":\"ms\"}}\n",
-            ev.join(",\n")
-        )
+        out.push_str("\n],\"displayTimeUnit\":\"ms\"}\n");
+        Ok(())
     }
 }
 

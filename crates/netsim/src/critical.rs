@@ -13,7 +13,7 @@
 //! edge-discovery time is 40–65%, while Spark's tree broadcast contributes
 //! a few percent (see `tests/observability.rs`).
 
-use crate::trace::Trace;
+use crate::trace::{Trace, TraceEvent};
 
 /// One link in the makespan chain.
 #[derive(Clone, Debug, PartialEq)]
@@ -39,6 +39,56 @@ pub struct CriticalPath {
     pub segments: Vec<CpSegment>,
 }
 
+/// Predecessor of `e` on the makespan chain: the latest-ending unvisited
+/// event finishing by the time `e` starts, a same-core handover preferred
+/// on ties. `by_end` holds every event index in `end_s` order.
+///
+/// The comparison is pairwise and not transitive (ends chained less than
+/// `eps` apart can span more than `eps`), so which tie wins depends on
+/// the order candidates are met in: record order. Only the top cluster
+/// of candidates — sorted ends no more than `eps` apart from their
+/// neighbour — is replayed: an event below a gap wider than `eps` loses
+/// to every cluster member and can never displace one.
+fn predecessor(
+    events: &[TraceEvent],
+    by_end: &[usize],
+    visited: &[bool],
+    e: &TraceEvent,
+    eps: f64,
+    cluster: &mut Vec<usize>,
+) -> Option<usize> {
+    let done_by_start = by_end.partition_point(|&i| events[i].end_s <= e.start_s + eps);
+    cluster.clear();
+    for &i in by_end[..done_by_start].iter().rev() {
+        if visited[i] {
+            continue;
+        }
+        if cluster
+            .last()
+            .is_some_and(|&above| events[above].end_s - events[i].end_s > eps)
+        {
+            break;
+        }
+        cluster.push(i);
+    }
+    cluster.sort_unstable();
+    let mut pred: Option<usize> = None;
+    for &i in cluster.iter() {
+        let c = &events[i];
+        let better = match pred {
+            None => true,
+            Some(p) => {
+                let d = c.end_s - events[p].end_s;
+                d > eps || (d.abs() <= eps && c.core == e.core && events[p].core != e.core)
+            }
+        };
+        if better {
+            pred = Some(i);
+        }
+    }
+    pred
+}
+
 impl CriticalPath {
     /// Walk the event graph backwards from the last-finishing event.
     pub fn from_trace(trace: &Trace) -> CriticalPath {
@@ -48,6 +98,9 @@ impl CriticalPath {
         }
         let eps = trace.span() * 1e-9 + 1e-12;
         let mut visited = vec![false; events.len()];
+        let mut by_end: Vec<usize> = (0..events.len()).collect();
+        by_end.sort_unstable_by(|&a, &b| events[a].end_s.total_cmp(&events[b].end_s));
+        let mut cluster = Vec::new();
         // Start from the event that ends last (ties: the later starter,
         // i.e. the shorter tail — it is the one that was actually waited
         // on last).
@@ -69,25 +122,9 @@ impl CriticalPath {
                 start_s: e.start_s,
                 end_s: e.end_s,
             });
-            // Predecessor: the latest-ending unvisited event finishing by
-            // the time `e` starts; prefer a same-core handover on ties.
-            let mut pred: Option<usize> = None;
-            for (i, c) in events.iter().enumerate() {
-                if visited[i] || c.end_s > e.start_s + eps {
-                    continue;
-                }
-                let better = match pred {
-                    None => true,
-                    Some(p) => {
-                        let d = c.end_s - events[p].end_s;
-                        d > eps || (d.abs() <= eps && c.core == e.core && events[p].core != e.core)
-                    }
-                };
-                if better {
-                    pred = Some(i);
-                }
-            }
-            let Some(p) = pred else { break };
+            let Some(p) = predecessor(events, &by_end, &visited, e, eps, &mut cluster) else {
+                break;
+            };
             let gap = e.start_s - events[p].end_s;
             if gap > eps {
                 chain.push(CpSegment {
@@ -164,7 +201,71 @@ impl CriticalPath {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::{EventKind, TraceEvent};
+    use crate::trace::EventKind;
+
+    /// The retired walk, kept verbatim as the oracle: every chain link
+    /// rescans every event for its predecessor.
+    fn from_trace_rescanning(trace: &Trace) -> CriticalPath {
+        let events = &trace.events;
+        if events.is_empty() {
+            return CriticalPath::default();
+        }
+        let eps = trace.span() * 1e-9 + 1e-12;
+        let mut visited = vec![false; events.len()];
+        // Start from the event that ends last (ties: the later starter,
+        // i.e. the shorter tail — it is the one that was actually waited
+        // on last).
+        let mut cur = (0..events.len())
+            .max_by(|&a, &b| {
+                events[a]
+                    .end_s
+                    .total_cmp(&events[b].end_s)
+                    .then(events[a].start_s.total_cmp(&events[b].start_s))
+            })
+            .expect("non-empty");
+        let mut chain: Vec<CpSegment> = Vec::new();
+        loop {
+            visited[cur] = true;
+            let e = &events[cur];
+            chain.push(CpSegment {
+                label: trace.label_of(e).to_string(),
+                phase: trace.phase_of(e).to_string(),
+                start_s: e.start_s,
+                end_s: e.end_s,
+            });
+            // Predecessor: the latest-ending unvisited event finishing by
+            // the time `e` starts; prefer a same-core handover on ties.
+            let mut pred: Option<usize> = None;
+            for (i, c) in events.iter().enumerate() {
+                if visited[i] || c.end_s > e.start_s + eps {
+                    continue;
+                }
+                let better = match pred {
+                    None => true,
+                    Some(p) => {
+                        let d = c.end_s - events[p].end_s;
+                        d > eps || (d.abs() <= eps && c.core == e.core && events[p].core != e.core)
+                    }
+                };
+                if better {
+                    pred = Some(i);
+                }
+            }
+            let Some(p) = pred else { break };
+            let gap = e.start_s - events[p].end_s;
+            if gap > eps {
+                chain.push(CpSegment {
+                    label: "wait".into(),
+                    phase: String::new(),
+                    start_s: events[p].end_s,
+                    end_s: e.start_s,
+                });
+            }
+            cur = p;
+        }
+        chain.reverse();
+        CriticalPath { segments: chain }
+    }
 
     fn task(t: &mut Trace, core: usize, start: f64, end: f64, label: &str) {
         let label = t.intern(label);
@@ -245,6 +346,43 @@ mod tests {
         let cp = CriticalPath::from_trace(&t);
         assert!(cp.segments.len() <= 6);
         assert_eq!(cp.segments[0].label, "base");
+    }
+
+    /// Seeded random traces built to hit the walk's tie rules: start and
+    /// end times drawn from a small grid (exact ties, same-core
+    /// handovers), jittered by thirds of `eps` (near-ties, and chains of
+    /// them spanning more than `eps`), with zero-duration events.
+    #[test]
+    fn indexed_walk_matches_the_rescanning_walk_on_random_traces() {
+        use crate::fault::mix;
+        let (mut links, mut waits) = (0, 0);
+        for seed in 0..600u64 {
+            let mut draws = 0u64;
+            let mut next = |n: u64| {
+                draws += 1;
+                mix(seed << 20 ^ draws) % n
+            };
+            let n = 1 + next(150) as usize;
+            let cores = 1 + next(4) as usize;
+            let grid = 1 + next(16);
+            let third_eps = grid as f64 * 1e-9 / 3.0;
+            let mut t = Trace::default();
+            for _ in 0..n {
+                let begin = next(grid) as f64;
+                let jitter = |k: u64| (k as f64 - 4.0) * third_eps;
+                let start = (begin + jitter(next(9))).max(0.0);
+                let end = match next(3) {
+                    0 => start, // zero duration
+                    len => (begin + len as f64 + jitter(next(9))).max(start),
+                };
+                task(&mut t, next(cores as u64) as usize, start, end, "t");
+            }
+            let got = CriticalPath::from_trace(&t);
+            assert_eq!(got, from_trace_rescanning(&t), "seed {seed}");
+            links += got.segments.len();
+            waits += got.segments.iter().filter(|s| s.label == "wait").count();
+        }
+        assert!(links > 3000 && waits > 100, "{links} links, {waits} waits");
     }
 
     #[test]

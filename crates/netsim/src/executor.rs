@@ -135,10 +135,14 @@ fn redispatch_for_free(log: RecoveryLog) -> Redispatch<impl FnMut(f64) -> f64> {
 ///   *strictly* earlier than the incumbent cannot win (left-first descent
 ///   therefore reproduces the linear scan's lowest-id tie-break exactly).
 ///
-/// A leaf survives only if it can start before its cap
-/// (`max(free, ready) < died_at`) — the same "node gone before the task
-/// could begin" rule the linear scan applies. Typical picks touch
-/// O(log cores) tree nodes.
+/// At a leaf the bound is exact for the core alone; the caller's `reach`
+/// turns it into the start the driver can actually dispatch at (the
+/// identity, or the heal of the cut the core's node sits behind). `reach`
+/// must never answer earlier than it is asked (`reach(c, t) ≥ t`) and must
+/// be monotone in `t`, so the subtree bound stays optimistic under it. A
+/// leaf survives only if it can start before its cap (`start < died_at`)
+/// — the same "node gone before the task could begin" rule the linear
+/// scan applies. Typical picks touch O(log cores) tree nodes.
 #[derive(Clone, Debug)]
 struct CoreIndex {
     leaves: usize,
@@ -180,32 +184,45 @@ impl CoreIndex {
         }
     }
 
-    fn pick(&self, ready: f64, avoid: Option<usize>) -> Option<(usize, f64)> {
+    fn pick(
+        &self,
+        ready: f64,
+        avoid: Option<usize>,
+        reach: impl Fn(usize, f64) -> f64 + Copy,
+    ) -> Option<(usize, f64)> {
         let mut best: Option<(usize, f64)> = None;
-        self.descend(1, ready, avoid, &mut best);
+        self.descend(1, ready, avoid, reach, &mut best);
         best
     }
 
-    fn descend(&self, n: usize, ready: f64, avoid: Option<usize>, best: &mut Option<(usize, f64)>) {
+    fn descend(
+        &self,
+        n: usize,
+        ready: f64,
+        avoid: Option<usize>,
+        reach: impl Fn(usize, f64) -> f64 + Copy,
+        best: &mut Option<(usize, f64)>,
+    ) {
         let key = self.min_key[n];
         if key == f64::INFINITY || self.max_cap[n] <= ready {
             return; // no admitted core below, or all dead by the release
         }
         let bound = if key > ready { key } else { ready };
-        if let Some((_, incumbent)) = *best {
-            if bound >= incumbent {
-                return; // cannot start strictly earlier than the incumbent
-            }
+        if best.is_some_and(|(_, incumbent)| bound >= incumbent) {
+            return; // cannot start strictly earlier than the incumbent
         }
         if n >= self.leaves {
             let c = n - self.leaves;
-            if Some(c) != avoid && bound < self.max_cap[n] {
-                *best = Some((c, bound));
+            if Some(c) != avoid {
+                let start = reach(c, bound);
+                if start < self.max_cap[n] && best.is_none_or(|(_, s)| start < s) {
+                    *best = Some((c, start));
+                }
             }
             return;
         }
-        self.descend(2 * n, ready, avoid, best);
-        self.descend(2 * n + 1, ready, avoid, best);
+        self.descend(2 * n, ready, avoid, reach, best);
+        self.descend(2 * n + 1, ready, avoid, reach, best);
     }
 }
 
@@ -413,17 +430,6 @@ impl SimExecutor {
         }
     }
 
-    /// Greedy core choice: earliest start, ties to the lowest id, skipping
-    /// cores whose node is dead by the time the task could start and cores
-    /// closed off by admission control. `None` when no eligible core
-    /// survives.
-    fn try_pick_core(&self, ready: f64, avoid: Option<usize>) -> Option<(usize, f64)> {
-        if self.use_linear_pick {
-            return self.try_pick_core_linear(ready, avoid);
-        }
-        self.index.pick(ready, avoid)
-    }
-
     /// The retired O(cores) scan, kept verbatim as the differential-testing
     /// oracle for the tournament-tree index (see the `index_matches_*`
     /// tests) and as the baseline leg of the `sim_throughput` bench. Not
@@ -457,36 +463,6 @@ impl SimExecutor {
     #[doc(hidden)]
     pub fn set_linear_pick(&mut self, on: bool) {
         self.use_linear_pick = on;
-    }
-
-    /// Partition-aware core choice: the driver (node 0) cannot dispatch
-    /// across an active cut, so a core's earliest start is pushed to
-    /// [`FaultPlan::earliest_reach`](crate::FaultPlan::earliest_reach) of
-    /// its node. Linear — the tournament tree cannot fold per-node
-    /// reachability into its keys — and only used when the plan scripts
-    /// partitions, so partition-free runs keep the O(log cores) path
-    /// bit-identical.
-    fn try_pick_core_reachable(&self, ready: f64, avoid: Option<usize>) -> Option<(usize, f64)> {
-        let mut best: Option<(usize, f64)> = None;
-        for (c, &free) in self.core_free.iter().enumerate() {
-            if Some(c) == avoid || !self.core_admitted(c) {
-                continue;
-            }
-            let node = self.cluster.node_of_core(c);
-            let start = self
-                .cluster
-                .faults()
-                .earliest_reach(0, node, free.max(ready));
-            if let Some(died_at) = self.death_of(c) {
-                if start >= died_at {
-                    continue; // node gone before the task could begin
-                }
-            }
-            if best.is_none_or(|(_, s)| start < s) {
-                best = Some((c, start));
-            }
-        }
-        best
     }
 
     /// Whether an attempt on `core` spanning `[start, end)` becomes a
@@ -525,17 +501,29 @@ impl SimExecutor {
         Some((suspect, faults.earliest_reach(0, node, end)))
     }
 
-    /// One core choice for one attempt: reachability-aware when the plan
-    /// scripts partitions, the indexed pick otherwise.
+    /// One core choice for one attempt — earliest start, ties to the lowest
+    /// id, skipping cores whose node is dead by the time the task could
+    /// start and cores closed off by admission control; `None` when no
+    /// eligible core survives. Under a scripted partition the driver
+    /// (node 0) cannot dispatch across an active cut, so a core's start is
+    /// pushed to [`FaultPlan::earliest_reach`](crate::FaultPlan::earliest_reach)
+    /// of its node; partition-free plans pick bit-identically to before.
     fn pick(&mut self, ready: f64, avoid: Option<usize>, cut_aware: bool) -> Option<(usize, f64)> {
         #[cfg(test)]
         {
             self.picks += 1;
         }
+        let cluster = &self.cluster;
         if cut_aware {
-            self.try_pick_core_reachable(ready, avoid)
+            self.index.pick(ready, avoid, |c, t| {
+                cluster
+                    .faults()
+                    .earliest_reach(0, cluster.node_of_core(c), t)
+            })
+        } else if self.use_linear_pick {
+            self.try_pick_core_linear(ready, avoid)
         } else {
-            self.try_pick_core(ready, avoid)
+            self.index.pick(ready, avoid, |_, t| t)
         }
     }
 
@@ -677,9 +665,9 @@ impl SimExecutor {
         mut redispatch: Redispatch<impl FnMut(f64) -> f64>,
     ) -> Result<(TaskPlacement, Option<f64>), PolicyError> {
         assert!(dur >= 0.0 && ready >= 0.0, "negative time");
-        // Scripted partitions force the linear reachability-aware pick and
-        // arm the zombie path; partition-free plans keep the indexed pick
-        // and stay bit-identical to the pre-partition scheduler.
+        // Scripted partitions make the pick reachability-aware and arm the
+        // zombie path; partition-free plans stay bit-identical to the
+        // pre-partition scheduler.
         let cut_aware = self.cluster.faults().has_partitions();
         let mut release = ready;
         let mut attempt: u32 = 1;
@@ -1551,7 +1539,7 @@ mod tests {
                 } else {
                     None
                 };
-                let fast = e.try_pick_core(ready, avoid);
+                let fast = e.pick(ready, avoid, false);
                 let slow = e.try_pick_core_linear(ready, avoid);
                 assert_eq!(
                     fast, slow,
@@ -1562,17 +1550,109 @@ mod tests {
         }
     }
 
+    /// The retired O(cores) partition-aware scan, kept verbatim as the
+    /// oracle for the cut-aware indexed pick: a core's earliest start is
+    /// its node's `earliest_reach` from the driver (node 0).
+    fn pick_reachable_linear(
+        e: &SimExecutor,
+        ready: f64,
+        avoid: Option<usize>,
+    ) -> Option<(usize, f64)> {
+        let mut best: Option<(usize, f64)> = None;
+        for (c, &free) in e.core_free.iter().enumerate() {
+            if Some(c) == avoid || !e.core_admitted(c) {
+                continue;
+            }
+            let node = e.cluster.node_of_core(c);
+            let start = e.cluster.faults().earliest_reach(0, node, free.max(ready));
+            if let Some(died_at) = e.death_of(c) {
+                if start >= died_at {
+                    continue; // node gone before the task could begin
+                }
+            }
+            if best.is_none_or(|(_, s)| start < s) {
+                best = Some((c, start));
+            }
+        }
+        best
+    }
+
+    #[test]
+    fn cut_aware_index_matches_linear_reachable_scan_on_randomized_states() {
+        let mut compared = 0;
+        let mut pushed_by_a_cut = 0;
+        for seed in 0..120u64 {
+            let mut rng = seed.wrapping_mul(0x5851f42d4c957f2d) + 7;
+            let nodes = 1 + (mix(&mut rng) % 6) as usize;
+            let per_node = 1 + (mix(&mut rng) % 7) as usize;
+            let cores = nodes * per_node;
+            let mut plan = FaultPlan::none();
+            for node in 0..nodes {
+                if unit(&mut rng) < 0.3 {
+                    plan = plan.kill_node(node, unit(&mut rng) * 10.0);
+                }
+            }
+            // 0–3 cuts. Each isolates a random set of nodes, the driver
+            // alone (every peer is behind the cut), or continues the
+            // previous window at the instant it heals; windows may also
+            // overlap, which the builder allows.
+            let mut last: Option<(Vec<Vec<usize>>, f64)> = None;
+            for _ in 0..mix(&mut rng) % 4 {
+                let (groups, from_s) = match (&last, mix(&mut rng) % 4) {
+                    (Some((groups, heal)), 0) => (groups.clone(), *heal),
+                    (_, 1) => (vec![vec![0]], unit(&mut rng) * 8.0),
+                    _ => {
+                        let cut: Vec<usize> = (0..nodes).filter(|_| unit(&mut rng) < 0.5).collect();
+                        (vec![cut], unit(&mut rng) * 8.0)
+                    }
+                };
+                let to_s = from_s + 0.25 + unit(&mut rng) * 4.0;
+                plan = plan.partition(groups.clone(), from_s, to_s);
+                last = Some((groups, to_s));
+            }
+            let cut_aware = plan.has_partitions();
+            let mut e = faulty(per_node, nodes, plan);
+            for node in 0..nodes {
+                if unit(&mut rng) < 0.3 {
+                    e.set_node_core_limit(node, (mix(&mut rng) % (per_node as u64 + 1)) as usize);
+                }
+            }
+            for _ in 0..cores * 2 {
+                let c = (mix(&mut rng) % cores as u64) as usize;
+                let bump = e.core_free_at(c) + unit(&mut rng) * 5.0;
+                e.set_core_free(c, bump);
+            }
+            for _ in 0..64 {
+                let ready = unit(&mut rng) * 12.0;
+                let avoid = (unit(&mut rng) < 0.5).then(|| (mix(&mut rng) % cores as u64) as usize);
+                let fast = e.pick(ready, avoid, cut_aware);
+                let slow = pick_reachable_linear(&e, ready, avoid);
+                assert_eq!(
+                    fast, slow,
+                    "seed {seed}: index and reachable scan disagree at \
+                     ready={ready}, avoid={avoid:?}"
+                );
+                compared += 1;
+                if let Some((c, start)) = fast {
+                    pushed_by_a_cut += (start > e.core_free_at(c).max(ready)) as usize;
+                }
+            }
+        }
+        assert_eq!(compared, 120 * 64);
+        assert!(pushed_by_a_cut > 200, "cuts rarely bit: {pushed_by_a_cut}");
+    }
+
     #[test]
     fn index_tracks_admission_limit_changes() {
         let mut e = exec(4);
         e.set_core_free(0, 5.0);
         e.set_node_core_limit(0, 1); // only core 0 admitted, busy until 5
-        assert_eq!(e.try_pick_core(0.0, None), Some((0, 5.0)));
-        assert_eq!(e.try_pick_core(0.0, Some(0)), None, "sole core avoided");
+        assert_eq!(e.pick(0.0, None, false), Some((0, 5.0)));
+        assert_eq!(e.pick(0.0, Some(0), false), None, "sole core avoided");
         e.set_node_core_limit(0, 2); // core 1 re-opens, idle
-        assert_eq!(e.try_pick_core(0.0, None), Some((1, 0.0)));
+        assert_eq!(e.pick(0.0, None, false), Some((1, 0.0)));
         e.set_node_core_limit(0, 0); // everything closed
-        assert_eq!(e.try_pick_core(0.0, None), None);
+        assert_eq!(e.pick(0.0, None, false), None);
     }
 
     #[test]

@@ -518,8 +518,8 @@ impl FaultPlan {
     }
 
     /// Fast gate for the partition-aware placement path: plans without
-    /// partitions keep the tournament-tree pick and the exact legacy
-    /// schedule, bit for bit.
+    /// partitions never ask for a core's reachability and keep the exact
+    /// legacy schedule, bit for bit.
     pub fn has_partitions(&self) -> bool {
         !self.partitions.is_empty()
     }

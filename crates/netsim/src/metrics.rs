@@ -474,6 +474,12 @@ pub(crate) fn json_num(x: f64) -> String {
 /// Escape a string for a JSON literal.
 pub(crate) fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
+    push_json_escaped(&mut out, s);
+    out
+}
+
+/// Append `s` to `out`, escaped for a JSON literal.
+pub(crate) fn push_json_escaped(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -485,7 +491,6 @@ pub(crate) fn escape_json(s: &str) -> String {
             c => out.push(c),
         }
     }
-    out
 }
 
 #[cfg(test)]

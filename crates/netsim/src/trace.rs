@@ -23,6 +23,7 @@
 //! never raw ids.
 
 use std::collections::HashMap;
+use std::fmt::{self, Write};
 
 /// Interned-string handle. `Sym(0)` is always the empty string.
 pub type Sym = u32;
@@ -259,6 +260,11 @@ impl Trace {
         self.interner.resolve(sym)
     }
 
+    /// Every interned string, indexed by its [`Sym`].
+    pub(crate) fn symbols(&self) -> &[String] {
+        &self.interner.strings
+    }
+
     /// Resolved phase name of an event recorded in this trace.
     pub fn phase_of(&self, e: &TraceEvent) -> &str {
         self.interner.resolve(e.phase)
@@ -456,116 +462,58 @@ impl Trace {
     /// kinds they do not apply to. Labels and phases must not contain
     /// commas or newlines (engine-internal identifiers never do).
     pub fn to_csv(&self) -> String {
-        let mut out = String::from(CSV_HEADER);
+        let mut out = String::with_capacity(CSV_HEADER.len() + 1 + 64 * self.events.len());
+        self.write_csv(&mut out)
+            .expect("formatting into a String cannot fail");
+        out
+    }
+
+    fn write_csv(&self, out: &mut String) -> fmt::Result {
+        out.push_str(CSV_HEADER);
         out.push('\n');
         for e in &self.events {
-            let (label, speculative, from_node, to_node, bytes, dest_nodes) = match &e.kind {
-                EventKind::Task { label, speculative } => (
-                    self.resolve(*label).to_string(),
-                    speculative.to_string(),
-                    String::new(),
-                    String::new(),
-                    String::new(),
-                    String::new(),
-                ),
-                EventKind::Fetch {
-                    from_node,
-                    to_node,
-                    bytes,
-                } => (
-                    "fetch".into(),
-                    String::new(),
-                    from_node.to_string(),
-                    to_node.to_string(),
-                    bytes.to_string(),
-                    String::new(),
-                ),
-                EventKind::Broadcast { bytes, dest_nodes } => (
-                    "broadcast".into(),
-                    String::new(),
-                    String::new(),
-                    String::new(),
-                    bytes.to_string(),
-                    dest_nodes.to_string(),
-                ),
-                EventKind::Recovery { label } | EventKind::Fenced { label } => (
-                    self.resolve(*label).to_string(),
-                    String::new(),
-                    String::new(),
-                    String::new(),
-                    String::new(),
-                    String::new(),
-                ),
-                // Memory events reuse the from_node column for their node.
-                EventKind::Spill { node, bytes } => (
-                    "spill".into(),
-                    String::new(),
-                    node.to_string(),
-                    String::new(),
-                    bytes.to_string(),
-                    String::new(),
-                ),
-                EventKind::Evict { node, bytes } => (
-                    "evict".into(),
-                    String::new(),
-                    node.to_string(),
-                    String::new(),
-                    bytes.to_string(),
-                    String::new(),
-                ),
-                EventKind::OomKill { node } => (
-                    "oom-kill".into(),
-                    String::new(),
-                    node.to_string(),
-                    String::new(),
-                    String::new(),
-                    String::new(),
-                ),
-                EventKind::Backpressure { node } => (
-                    "backpressure".into(),
-                    String::new(),
-                    node.to_string(),
-                    String::new(),
-                    String::new(),
-                    String::new(),
-                ),
-                // Service events reuse from_node for the tenant and
-                // to_node for the job id.
-                EventKind::Enqueue { tenant, job }
-                | EventKind::Admit { tenant, job }
-                | EventKind::Reject { tenant, job } => (
-                    e.kind.kind_name().into(),
-                    String::new(),
-                    tenant.to_string(),
-                    job.to_string(),
-                    String::new(),
-                    String::new(),
-                ),
-            };
-            let phase = self.phase_of(e);
+            let (label, phase) = (self.label_of(e), self.phase_of(e));
             debug_assert!(!label.contains(',') && !phase.contains(','));
-            out.push_str(&format!(
-                "{},{},{},{},{},{},{},{},{},{},{},{},{}\n",
+            write!(
+                out,
+                "{},{},{},{},{},{},{label},{phase},{},",
                 e.task,
                 e.core,
                 e.start_s,
                 e.end_s,
                 e.killed,
                 e.kind.kind_name(),
-                label,
-                phase,
                 e.ready_s,
-                speculative,
-                from_node,
-                to_node,
-                if matches!(e.kind, EventKind::Broadcast { .. }) {
-                    format!("{bytes};{dest_nodes}")
-                } else {
-                    bytes.clone()
-                },
-            ));
+            )?;
+            // speculative,from_node,to_node,bytes — empty where a column
+            // does not apply to the kind.
+            match e.kind {
+                EventKind::Task { speculative, .. } => write!(out, "{speculative},,,"),
+                EventKind::Fetch {
+                    from_node,
+                    to_node,
+                    bytes,
+                } => write!(out, ",{from_node},{to_node},{bytes}"),
+                EventKind::Broadcast { bytes, dest_nodes } => {
+                    write!(out, ",,,{bytes};{dest_nodes}")
+                }
+                EventKind::Recovery { .. } | EventKind::Fenced { .. } => write!(out, ",,,"),
+                // Memory events reuse the from_node column for their node.
+                EventKind::Spill { node, bytes } | EventKind::Evict { node, bytes } => {
+                    write!(out, ",{node},,{bytes}")
+                }
+                EventKind::OomKill { node } | EventKind::Backpressure { node } => {
+                    write!(out, ",{node},,")
+                }
+                // Service events reuse from_node for the tenant and
+                // to_node for the job id.
+                EventKind::Enqueue { tenant, job }
+                | EventKind::Admit { tenant, job }
+                | EventKind::Reject { tenant, job } => write!(out, ",{tenant},{job},"),
+            }?;
+            out.push('\n');
         }
-        out
+        Ok(())
     }
 
     /// Parse a trace back from [`Self::to_csv`] output (exact round-trip:

@@ -466,7 +466,40 @@ const CUT_RECOVERY: [u64; 12] = [
 /// Node 1 is cut off from the driver in the middle of a task it ran in
 /// the clean trace. A cut that outlives the suspicion timeout strands the
 /// attempt as a zombie: fenced under the engine's own label, rescheduled
-/// after backoff. A cut that heals first only delays the result.
+/// after backoff. A cut that heals first only delays the result. Returns
+/// the `(zombie, late)` runs.
+fn cut_runs(engine: Engine, slices: usize, data: &Arc<Vec<u32>>) -> [(Vec<u32>, SimReport); 2] {
+    let clean = concat(&suspicious_config(engine, FaultPlan::none()), data, slices);
+    let on_node_1 = node_1_tasks(&clean.1);
+    let task = on_node_1[on_node_1.len() / 2];
+    let (start, end) = (task.start_s, task.end_s);
+
+    let mid = 0.5 * (start + end);
+    let outlives = FaultPlan::none().partition(vec![vec![1]], mid, mid + 2.0);
+    let zombie = concat(&suspicious_config(engine, outlives), data, slices);
+    let r = &zombie.1;
+    assert!(r.zombie_attempts > 0, "{engine:?}/{slices}: no zombie");
+    assert_eq!(r.fenced_results, r.zombie_attempts, "{engine:?}/{slices}");
+    assert!(r.retries >= r.zombie_attempts, "{engine:?}/{slices}");
+
+    // Opens just before the task ends, heals after it ended and
+    // before the detector gives up (> 0.25 s after the cut).
+    let late_cut = end - 0.1 * (end - start);
+    let heals_first = FaultPlan::none().partition(vec![vec![1]], late_cut, late_cut + 0.2);
+    let late = concat(&suspicious_config(engine, heals_first), data, slices);
+    let r = &late.1;
+    assert_eq!(
+        (r.zombie_attempts, r.fenced_results, r.retries),
+        (0, 0, 0),
+        "{engine:?}/{slices}: a waited-out cut retries nothing"
+    );
+    assert!(
+        r.makespan_s > clean.1.makespan_s,
+        "{engine:?}/{slices}: the late result is late"
+    );
+    [zombie, late]
+}
+
 #[test]
 fn cut_recovery_matches_the_frozen_hashes() {
     mdtask::cluster::set_deterministic_timing(true);
@@ -474,35 +507,7 @@ fn cut_recovery_matches_the_frozen_hashes() {
     let mut got = Vec::new();
     for engine in [Engine::Spark, Engine::Dask, Engine::Pilot] {
         for slices in [13, 64] {
-            let clean = concat(&suspicious_config(engine, FaultPlan::none()), &data, slices);
-            let on_node_1 = node_1_tasks(&clean.1);
-            let task = on_node_1[on_node_1.len() / 2];
-            let (start, end) = (task.start_s, task.end_s);
-
-            let mid = 0.5 * (start + end);
-            let outlives = FaultPlan::none().partition(vec![vec![1]], mid, mid + 2.0);
-            let zombie = concat(&suspicious_config(engine, outlives), &data, slices);
-            let r = &zombie.1;
-            assert!(r.zombie_attempts > 0, "{engine:?}/{slices}: no zombie");
-            assert_eq!(r.fenced_results, r.zombie_attempts, "{engine:?}/{slices}");
-            assert!(r.retries >= r.zombie_attempts, "{engine:?}/{slices}");
-
-            // Opens just before the task ends, heals after it ended and
-            // before the detector gives up (> 0.25 s after the cut).
-            let late_cut = end - 0.1 * (end - start);
-            let heals_first = FaultPlan::none().partition(vec![vec![1]], late_cut, late_cut + 0.2);
-            let late = concat(&suspicious_config(engine, heals_first), &data, slices);
-            let r = &late.1;
-            assert_eq!(
-                (r.zombie_attempts, r.fenced_results, r.retries),
-                (0, 0, 0),
-                "{engine:?}/{slices}: a waited-out cut retries nothing"
-            );
-            assert!(
-                r.makespan_s > clean.1.makespan_s,
-                "{engine:?}/{slices}: the late result is late"
-            );
-            got.extend([digest(Ok(zombie)), digest(Ok(late))]);
+            got.extend(cut_runs(engine, slices, &data).map(|run| digest(Ok(run))));
         }
     }
     assert_frozen("CUT_RECOVERY", &got, &CUT_RECOVERY);
@@ -512,14 +517,12 @@ fn cut_recovery_matches_the_frozen_hashes() {
 const SPARK_SPECULATION: [u64; 2] = [0x54f4_794b_b0a1_da8b, 0x784e_c8c4_dfb7_b20d];
 
 /// Spark with speculation on and core 8 slowed 50×: the backup copy wins.
-/// Then the same run with the backup's node dying under it.
-#[test]
-fn spark_speculation_matches_the_frozen_hashes() {
-    mdtask::cluster::set_deterministic_timing(true);
-    let data: Arc<Vec<u32>> = Arc::new((0..400).collect());
+/// Then the same run with the backup's node dying under it. Returns the
+/// `(rescued, doomed)` runs.
+fn speculation_runs(data: &Arc<Vec<u32>>) -> [(Vec<u32>, SimReport); 2] {
     let run = |plan: FaultPlan| {
         let rc = config(Engine::Spark, Some(plan)).speculation(1.5);
-        concat(&rc, &data, 13)
+        concat(&rc, data, 13)
     };
     let straggler = FaultPlan::none().slow_core(8, 50.0);
     let rescued = run(straggler.clone());
@@ -540,7 +543,14 @@ fn spark_speculation_matches_the_frozen_hashes() {
     assert!(rescued.1.retries >= 1, "the backup is a retry");
     let dies_at = 0.5 * (backup.start_s + backup.end_s);
     let doomed = run(straggler.kill_node(backup.core / 8, dies_at));
-    let got = [digest(Ok(rescued)), digest(Ok(doomed))];
+    [rescued, doomed]
+}
+
+#[test]
+fn spark_speculation_matches_the_frozen_hashes() {
+    mdtask::cluster::set_deterministic_timing(true);
+    let data: Arc<Vec<u32>> = Arc::new((0..400).collect());
+    let got = speculation_runs(&data).map(|run| digest(Ok(run)));
     assert_frozen("SPARK_SPECULATION", &got, &SPARK_SPECULATION);
 }
 
@@ -567,10 +577,8 @@ const BARE_EXECUTOR: [u64; 2] = [0x0706_5fe2_dfdf_f5b2, 0x0bdf_261f_8cf3_f3eb];
 /// The bare executor: 2 000 policied placements on 64 cores under two
 /// deaths, two stragglers the watchdog fires on, a cut that outlives the
 /// suspicion timeout, backoff, a detection delay and a deadline nothing
-/// reaches; then 300 `run_task` placements under two deaths, which count
-/// their retries and record no recovery.
-#[test]
-fn bare_executor_recovery_matches_the_frozen_hashes() {
+/// reaches.
+fn bare_policied() -> (Vec<Result<TaskPlacement, PolicyError>>, SimReport) {
     let plan = FaultPlan::none()
         .kill_node(2, 1.3)
         .kill_node(5, 4.1)
@@ -592,7 +600,12 @@ fn bare_executor_recovery_matches_the_frozen_hashes() {
     }
     assert_eq!(policied.fenced_results, policied.zombie_attempts);
     assert!(policied.zombie_attempts > 0);
+    (placements, policied)
+}
 
+/// 300 `run_task` placements under two deaths, which count their retries
+/// and record no recovery.
+fn bare_plain() -> (Vec<TaskPlacement>, SimReport) {
     let plan = FaultPlan::none().kill_node(1, 0.7).kill_node(3, 1.9);
     let mut exec = executor(4, 4, plan);
     let plain: Vec<TaskPlacement> = (0..300u64)
@@ -602,11 +615,12 @@ fn bare_executor_recovery_matches_the_frozen_hashes() {
     assert!(unpolicied.retries > 0, "the deaths interrupted work");
     assert!(recovery_labels(&unpolicied).is_empty());
     assert!(unpolicied.phases.is_empty());
+    (plain, unpolicied)
+}
 
-    let got = [
-        digest(Ok((placements, policied))),
-        digest(Ok((plain, unpolicied))),
-    ];
+#[test]
+fn bare_executor_recovery_matches_the_frozen_hashes() {
+    let got = [digest(Ok(bare_policied())), digest(Ok(bare_plain()))];
     assert_frozen("BARE_EXECUTOR", &got, &BARE_EXECUTOR);
 }
 
@@ -666,4 +680,284 @@ fn bare_executor_errors_are_the_frozen_values() {
         ),
         Err(PolicyError::NoSurvivingCore { at_s: 2.0 })
     );
+}
+
+// ---- exports: the bytes `Trace::to_chrome_json` and `to_csv` write ----
+
+/// `[chrome, csv]` hashes of a trace.
+fn trace_hashes(trace: &Trace) -> [u64; 2] {
+    [fnv1a(&trace.to_chrome_json()), fnv1a(&trace.to_csv())]
+}
+
+/// Spark under a 600-byte node: a second persisted RDD evicts the first,
+/// which is recomputed; then a broadcast onto a node shrunk below the
+/// replica spills.
+fn spark_memory_pressure() -> [SimReport; 2] {
+    let sc = SparkContext::new(Cluster::builder().mem_budget(600).build());
+    sc.enable_trace();
+    let a = sc
+        .parallelize((0..64u64).collect(), 4)
+        .map(|x| x.wrapping_mul(0x9e37_79b9_7f4a_7c15))
+        .persist();
+    let first = a.collect();
+    sc.parallelize((0..64u64).collect(), 4).persist().collect();
+    assert_eq!(a.collect(), first, "recomputed partitions are identical");
+    let evicting = sc.report();
+    assert!(evicting.bytes_evicted > 0, "pressure must evict");
+
+    let plan = FaultPlan::none().shrink_memory(1, 0.0, 128);
+    let sc = SparkContext::new(
+        Cluster::builder()
+            .nodes(2)
+            .mem_budget(4096)
+            .fault_plan(plan)
+            .build(),
+    );
+    sc.enable_trace();
+    let table = sc.broadcast(vec![7u64; 64]).expect("degrades, not fails");
+    let out = sc
+        .parallelize(vec![0usize, 1], 2)
+        .map(move |i| table.value()[i])
+        .collect();
+    assert_eq!(out, vec![7, 7]);
+    let spilling = sc.report();
+    assert!(spilling.bytes_spilled > 0, "the shrunk node spills");
+    [evicting, spilling]
+}
+
+/// Dask under a 64 KiB node: resident results spill past the threshold;
+/// then a result no spill can make room for gets its worker killed.
+fn dask_memory_pressure() -> [SimReport; 2] {
+    let c = DaskClient::new(Cluster::builder().mem_budget(64 * 1024).build());
+    c.enable_trace();
+    let xs: Vec<Delayed<Vec<u64>>> = (0..10)
+        .map(|i| c.delayed(move |_| vec![i as u64; 1024]))
+        .collect();
+    c.try_gather(&xs).expect("spill, don't fail");
+    let spilling = c.report();
+    assert!(spilling.bytes_spilled > 0, "the spill threshold tripped");
+
+    let c = DaskClient::new(Cluster::builder().mem_budget(16 * 1024).build());
+    c.enable_trace();
+    let d = c.delayed(|_| vec![0u64; 64 * 1024]);
+    let err = c.try_gather(&[d]).expect_err("512 KiB in 16 KiB");
+    assert!(
+        matches!(err, EngineError::MemoryExhausted { .. }),
+        "{err:?}"
+    );
+    let killed = c.report();
+    assert!(killed.oom_kills >= 1);
+    [spilling, killed]
+}
+
+/// LF streamed through Dask while both nodes are pinched to 2 MiB for two
+/// seconds: ingestion pauses against the ledger and catches up.
+fn squeezed_stream() -> SimReport {
+    let plan = FaultPlan::none()
+        .shrink_memory(0, 2.0, 2 << 20)
+        .shrink_memory(1, 2.0, 2 << 20)
+        .set_memory(0, 4.0, 16 << 30)
+        .set_memory(1, 4.0, 16 << 30);
+    let rc = RunConfig::new(cluster(Some(plan.clone())), Engine::Dask)
+        .threads(Threads::Serial)
+        .trace(true)
+        .streaming(2.0, 2.0, 0.5)
+        .retry_policy(RetryPolicy::new(4).with_detection_delay(0.25));
+    let spec = ChainSpec {
+        n_atoms: 30,
+        n_frames: 20,
+        stride: 1,
+        ..ChainSpec::default()
+    };
+    let lf = LfConfig {
+        cutoff: 8.0,
+        partitions: 4,
+        paper_atoms: 30,
+        charge_io: false,
+    };
+    let source = StreamSource::new(20, 0.5)
+        .with_latency(0.05)
+        .with_jitter(0.1)
+        .with_faults(plan);
+    let traj = Arc::new(mdtask::sim::chain::generate(&spec, 11));
+    let run = run_lf_stream(&rc, traj, &lf, &source).expect("the squeeze is waited out");
+    assert!(run.output.backpressure_pauses > 0, "the squeeze was felt");
+    run.report
+}
+
+/// One tenant bursts ten jobs at a one-core cluster behind a queue of
+/// three: three are enqueued and admitted, seven refused.
+fn overloaded_service() -> Trace {
+    let cluster = Cluster::builder()
+        .nodes(1)
+        .cores_per_node(1)
+        .mem_budget(1 << 30)
+        .build();
+    let service = Service::new(vec![cluster], Engine::Spark).trace(true);
+    let tenants = vec![TenantSpec::new("burst", 1, 1 << 30, 3)];
+    let lf = Workload::Lf {
+        n_atoms: 96,
+        partitions: 2,
+        seed: 9,
+    };
+    let jobs: Vec<JobRequest> = (0..10)
+        .map(|_| JobRequest::new(0, 0.0, lf).working_set(10 << 20))
+        .collect();
+    let report = service.run(&tenants, &jobs).expect("a valid batch");
+    report.control.trace.expect("the service was traced")
+}
+
+/// A trace no engine writes: a label and a phase that need every escape
+/// the JSON writer knows, one event per kind on tracks far apart and out
+/// of order, zero-width and sub-microsecond intervals, and label and
+/// phase symbols the interner never issued.
+fn hand_built_trace() -> Trace {
+    let mut t = Trace::default();
+    let hostile = t.intern("q\"uote\\back\nline\rret\ttab\u{1}ctl/é");
+    let phase = t.intern("ph\"ase\\\u{1f}");
+    let plain = t.intern("stage-0");
+    let kinds = [
+        EventKind::Task {
+            label: hostile,
+            speculative: true,
+        },
+        EventKind::Task {
+            label: 4040,
+            speculative: false,
+        },
+        EventKind::Fetch {
+            from_node: 4095,
+            to_node: 7,
+            bytes: u64::MAX,
+        },
+        EventKind::Broadcast {
+            bytes: 0,
+            dest_nodes: 127,
+        },
+        EventKind::Recovery { label: hostile },
+        EventKind::Fenced { label: 9999 },
+        EventKind::Spill {
+            node: 300,
+            bytes: 1,
+        },
+        EventKind::Evict { node: 2, bytes: 2 },
+        EventKind::OomKill { node: 300 },
+        EventKind::Backpressure { node: 5 },
+        EventKind::Enqueue {
+            tenant: 3,
+            job: 1_000_000,
+        },
+        EventKind::Admit { tenant: 3, job: 0 },
+        EventKind::Reject { tenant: 0, job: 17 },
+        EventKind::Task {
+            label: plain,
+            speculative: false,
+        },
+    ];
+    for (i, kind) in kinds.into_iter().enumerate() {
+        let start_s = [0.0, 1e-9, 0.123_456_789, 1234.5][i % 4] * (1 + i / 4) as f64;
+        t.record(TraceEvent {
+            task: 100 - i,
+            core: [4095, 0, 77, 4095, 3][i % 5],
+            start_s,
+            end_s: start_s + [0.0, 4e-7, 1.0 / 3.0][i % 3],
+            killed: i % 2 == 0,
+            ready_s: start_s * 0.5,
+            phase: [phase, plain, 0, 777][i % 4],
+            kind,
+        });
+    }
+    t
+}
+
+#[rustfmt::skip]
+const EXPORTS: [u64; 52] = [
+    0x3f21_5a58_373c_a6ef, 0x114c_cadc_ccb0_3d3d, 0x3c02_89d5_3e78_0e96, 0x9b63_f372_4184_e144,
+    0xb827_6130_feda_950b, 0xec1f_5a54_e4ee_8c24, 0xd909_37bd_e8c9_30ec, 0xafc8_5690_2a06_40e4,
+    0x352b_1b0d_5805_d333, 0xff68_94b5_181c_2f6b, 0x00af_822f_7985_8acd, 0xe6c7_0131_7879_ad62,
+    0x1ac5_30b1_0b4c_b1fd, 0x9017_c2a4_ff63_ae9f, 0x1202_ce0d_c67c_3a18, 0x3f27_409a_1383_e1d9,
+    0xeecb_9279_6951_04f4, 0xaa8d_67ca_dbd9_b0a5, 0x739a_80e3_c855_ae2f, 0x9655_fd1b_470e_ccae,
+    0x6c70_d3cd_2878_2a07, 0x333f_bbdd_49d0_0101, 0x8c31_f84a_82e7_b0c4, 0x17ac_827b_c77c_ee3e,
+    0x352f_063c_8af8_67ca, 0x5ed3_8b07_8285_8028, 0x6a47_97a9_3ba6_0201, 0x2777_e255_d062_44ee,
+    0x5422_ff4e_aa73_2e97, 0x239e_adc8_59ab_92a7, 0x6ddc_0b0e_3ee2_d3ec, 0x1b55_1c7e_fc01_0c45,
+    0x3d63_5f74_4d74_1782, 0xfec6_cb7a_d8c5_963f, 0x2d5a_6d4a_dc9c_6607, 0x46d7_3809_7e28_7984,
+    0x56f5_df6d_ebb5_86d1, 0x6159_3d7a_92f4_14d7, 0x8b23_b1d8_1b44_155b, 0x03d1_cb89_4125_4705,
+    0x64c6_a384_9e6b_695a, 0xff33_fbd7_8d32_9b02, 0x8300_8c2f_844a_f8e3, 0xb073_2020_2d46_a3a4,
+    0x3a2e_a6eb_62f6_5c9b, 0x08da_c8be_7dca_c409, 0x8c19_4788_af28_6f91, 0x593d_d63a_3e6d_1448,
+    0x9e09_5454_fe80_89bd, 0xc2f3_e116_c989_5b19, 0xa5bd_8d9d_9fed_a528, 0x417f_b4e1_4bcc_4e66,
+];
+
+/// The exporters' bytes, frozen on the commit before `to_chrome_json`
+/// became a single-pass writer and `to_csv` stopped building a `String`
+/// per field: every [`EventKind`] arm, as the engines record them and as
+/// nothing does.
+#[test]
+fn trace_exports_match_the_frozen_hashes() {
+    mdtask::cluster::set_deterministic_timing(true);
+    let (positions, cutoff) = bilayer(240, 11);
+    let lf = LfConfig {
+        cutoff,
+        partitions: 16,
+        paper_atoms: 240,
+        charge_io: true,
+    };
+    let data: Arc<Vec<u32>> = Arc::new((0..400).collect());
+    let mut reports: Vec<SimReport> = Vec::new();
+    for engine in ENGINES {
+        let mut clean = run_lf(&config(engine, None), Arc::clone(&positions), &lf)
+            .expect("the clean run completes");
+        let plan = death_mid_task(clean.report_mut());
+        let faulty = run_lf(&config(engine, Some(plan)), Arc::clone(&positions), &lf)
+            .expect("the run recovers");
+        reports.extend([clean.report, faulty.report]);
+    }
+    reports.extend([bare_policied().1, bare_plain().1]);
+    for engine in [Engine::Spark, Engine::Dask, Engine::Pilot] {
+        reports.extend(cut_runs(engine, 13, &data).map(|run| run.1));
+    }
+    reports.extend(speculation_runs(&data).map(|run| run.1));
+    reports.extend(spark_memory_pressure());
+    reports.extend(dask_memory_pressure());
+    reports.push(squeezed_stream());
+    let mut traces: Vec<Trace> = reports.into_iter().filter_map(|r| r.trace).collect();
+    traces.extend([overloaded_service(), hand_built_trace(), Trace::default()]);
+    assert_eq!(traces.len(), 26, "every scenario was traced");
+
+    // Every arm is reached by an engine, not only by the hand-built trace.
+    let engine_kinds: Vec<&str> = traces[..traces.len() - 2]
+        .iter()
+        .flat_map(|t| &t.events)
+        .map(|e| e.kind.kind_name())
+        .collect();
+    for kind in [
+        "task",
+        "fetch",
+        "broadcast",
+        "recovery",
+        "fenced",
+        "spill",
+        "evict",
+        "oomkill",
+        "enqueue",
+        "admit",
+        "reject",
+        "backpressure",
+    ] {
+        assert!(engine_kinds.contains(&kind), "no engine recorded a {kind}");
+    }
+    let flagged = |pred: fn(&TraceEvent) -> bool| traces.iter().flat_map(|t| &t.events).any(pred);
+    assert!(flagged(|e| e.killed), "no killed event");
+    assert!(
+        flagged(|e| matches!(
+            e.kind,
+            EventKind::Task {
+                speculative: true,
+                ..
+            }
+        )),
+        "no speculative event"
+    );
+
+    let got: Vec<u64> = traces.iter().flat_map(trace_hashes).collect();
+    assert_frozen("EXPORTS", &got, &EXPORTS);
 }

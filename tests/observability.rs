@@ -91,6 +91,46 @@ fn chrome_export_of_lf_run_is_structurally_valid() {
     );
 }
 
+/// The bare executor under a cut that outlives the suspicion timeout:
+/// killed attempts, fences and recovery windows on the driver track. The
+/// export is left under `target/tmp/` for CI to load with a real JSON
+/// parser — the structural check here cannot see a missing comma.
+#[test]
+fn chrome_export_of_a_partitioned_policied_run_is_left_for_ci() {
+    use mdtask::cluster::SimExecutor;
+    let plan = FaultPlan::none()
+        .kill_node(2, 1.5)
+        .partition(vec![vec![1]], 1.0, 3.0);
+    let cluster = Cluster::builder()
+        .nodes(4)
+        .cores_per_node(4)
+        .fault_plan(plan)
+        .build();
+    let mut exec = SimExecutor::new(cluster);
+    exec.enable_trace();
+    exec.set_phase("policied \"cut\"");
+    let policy = RetryPolicy::new(4)
+        .with_detection_delay(0.25)
+        .with_suspicion(0.25, 0.5);
+    for i in 0..200 {
+        exec.run_task_policied(0.0, 0.25 + 0.01 * (i % 50) as f64, &policy)
+            .expect("one death and one healed cut leave cores to retry on");
+    }
+    let report = exec.into_report();
+    assert!(report.fenced_results > 0 && report.retries > report.fenced_results);
+    let json = report.trace.as_ref().expect("traced").to_chrome_json();
+    assert_structurally_valid_json(&json);
+    for cat in ["task", "recovery", "fenced"] {
+        assert!(
+            json.contains(&format!("\"cat\":\"{cat}\"")),
+            "no {cat} slice"
+        );
+    }
+    let path =
+        std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("partitioned_policied.trace.json");
+    std::fs::write(&path, json).expect("write the export for CI");
+}
+
 #[test]
 fn csv_round_trips_a_real_engine_trace() {
     let (cluster, cfg, positions) = traced_lf_clients();
