@@ -8,22 +8,17 @@
 //! each placement must search the busy core timeline, the regime engines
 //! hit between stage barriers — and measures wall-clock per leg:
 //!
-//! * **index** — the earliest-free-core tournament tree (production path),
-//!   untraced: the hot path allocates nothing per task.
-//! * **linear** — the retired O(cores) scan (`set_linear_pick`), kept
-//!   compiled as the differential baseline. At the largest shape the leg
-//!   caps its task count (`--linear-cap`) to stay affordable; throughput
-//!   is per-task, so the numbers stay comparable.
-//! * **traced** — the index path with a full trace on, at the smallest
-//!   shape only: the cost ceiling of observability.
+//! * **index** — the earliest-free-core tournament tree, untraced: the
+//!   hot path allocates nothing per task.
+//! * **traced** — the same with a full trace on, at the smallest shape
+//!   only: the cost ceiling of observability.
 //!
-//! Before timing anything, both pick paths replay an identical faulty
-//! workload (deaths + stragglers + admission limits) and their
-//! `SimReport`s are asserted byte-equal — the speedup is only meaningful
-//! if the fast path is exact.
+//! That the tree picks what the O(cores) scan it replaced would pick is
+//! the business of `netsim`'s unit tests (`index_matches_linear_scan_*`
+//! in `executor.rs`, which replay this backlog under faults), not of this
+//! bench.
 //!
-//! Results land in `--out` (default `results/sim_throughput.json`),
-//! including the index/linear speedup at each shape. With
+//! Results land in `--out` (default `results/sim_throughput.json`). With
 //! `--min-tasks-per-sec X` the binary exits 1 if the 4k-core index leg
 //! places fewer than X tasks per host-second — the CI floor, analogous to
 //! `host_parallel`'s `--min-speedup`.
@@ -34,7 +29,7 @@
 //!     --tasks 1000000 --min-tasks-per-sec 100000
 //! ```
 
-use netsim::{Cluster, FaultPlan, SimExecutor};
+use netsim::{Cluster, SimExecutor};
 use std::time::Instant;
 
 const CORES_PER_NODE: usize = 32;
@@ -45,12 +40,11 @@ fn dur(i: usize) -> f64 {
     0.5 + ((i as u64).wrapping_mul(2654435761) % 1000 + 1) as f64 * 1e-3
 }
 
-fn cluster(cores: usize, plan: FaultPlan) -> Cluster {
+fn cluster(cores: usize) -> Cluster {
     assert_eq!(cores % CORES_PER_NODE, 0);
     Cluster::builder()
         .nodes(cores / CORES_PER_NODE)
         .cores_per_node(CORES_PER_NODE)
-        .fault_plan(plan)
         .build()
 }
 
@@ -63,53 +57,16 @@ fn drive(exec: &mut SimExecutor, tasks: usize) -> (f64, f64) {
     (t.elapsed().as_secs_f64(), exec.report().makespan_s)
 }
 
-/// Replay one faulty workload through both pick paths and require
-/// byte-identical reports (trace included).
-fn assert_paths_identical(cores: usize, tasks: usize) {
-    let plan = FaultPlan::none()
-        .kill_node(1, 40.0)
-        .slow_core(3, 3.0)
-        .slow_core(cores / 2, 6.0);
-    let run = |linear: bool| {
-        let mut e = SimExecutor::new(cluster(cores, plan.clone()));
-        e.set_linear_pick(linear);
-        e.enable_trace();
-        e.set_node_core_limit(0, CORES_PER_NODE / 2);
-        for i in 0..tasks {
-            e.run_task(0.0, dur(i));
-        }
-        e.into_report()
-    };
-    assert_eq!(
-        run(false),
-        run(true),
-        "index and linear paths diverged at {cores} cores"
-    );
-}
-
 struct Point {
     cores: usize,
     tasks: usize,
     index_tps: f64,
-    linear_tasks: usize,
-    linear_tps: f64,
     traced_tps: Option<f64>,
-}
-
-impl Point {
-    fn speedup(&self) -> f64 {
-        self.index_tps / self.linear_tps
-    }
 }
 
 fn main() {
     let args = bench::cli::Cli::new()
         .value("--tasks", "N", "tasks per shape (default 1000000)")
-        .value(
-            "--linear-cap",
-            "N",
-            "max tasks for the linear leg at >= 100k cores (default 20000)",
-        )
         .value(
             "--min-tasks-per-sec",
             "X",
@@ -122,37 +79,19 @@ fn main() {
         )
         .parse();
     let tasks = args.usize_or("--tasks", 1_000_000);
-    let linear_cap = args.usize_or("--linear-cap", 20_000);
     let min_tps = args.f64_or("--min-tasks-per-sec", 0.0);
     let out_path = args.str_or("--out", "results/sim_throughput.json");
 
     println!("sim_throughput: {tasks} saturated tasks per shape, {CORES_PER_NODE} cores/node");
-    println!("cross-checking index vs linear placement equality...");
-    assert_paths_identical(256, 20_000);
-    assert_paths_identical(4096, 20_000);
-    println!("  identical (reports byte-equal, faults + admission included)");
 
     let shapes = [256usize, 4096, 100_000 - 100_000 % CORES_PER_NODE];
     let mut points = Vec::new();
     for (si, &cores) in shapes.iter().enumerate() {
-        // The linear leg is O(cores) per placement: affordable in full at
-        // the small shapes, capped at the largest.
-        let linear_tasks = if cores > 10_000 {
-            tasks.min(linear_cap)
-        } else {
-            tasks
-        };
-        let (index_s, makespan) = drive(
-            &mut SimExecutor::new(cluster(cores, FaultPlan::none())),
-            tasks,
-        );
-        let mut lin = SimExecutor::new(cluster(cores, FaultPlan::none()));
-        lin.set_linear_pick(true);
-        let (linear_s, _) = drive(&mut lin, linear_tasks);
+        let (index_s, makespan) = drive(&mut SimExecutor::new(cluster(cores)), tasks);
         // Full tracing only at the smallest shape: its event vector is the
         // bench's memory ceiling.
         let traced_tps = (si == 0).then(|| {
-            let mut e = SimExecutor::new(cluster(cores, FaultPlan::none()));
+            let mut e = SimExecutor::new(cluster(cores));
             e.enable_trace();
             let (s, _) = drive(&mut e, tasks);
             tasks as f64 / s
@@ -161,18 +100,12 @@ fn main() {
             cores,
             tasks,
             index_tps: tasks as f64 / index_s,
-            linear_tasks,
-            linear_tps: linear_tasks as f64 / linear_s,
             traced_tps,
         };
         println!(
-            "{:>7} cores: index {:>12.0} tasks/s, linear {:>12.0} tasks/s \
-             ({} tasks), speedup {:>8.1}x, makespan {makespan:.1}s{}",
+            "{:>7} cores: index {:>12.0} tasks/s, makespan {makespan:.1}s{}",
             p.cores,
             p.index_tps,
-            p.linear_tps,
-            p.linear_tasks,
-            p.speedup(),
             p.traced_tps
                 .map_or(String::new(), |t| format!(", traced {t:.0} tasks/s")),
         );
@@ -180,24 +113,18 @@ fn main() {
     }
 
     let at_4k = points.iter().find(|p| p.cores == 4096).expect("4k point");
-    let speedup_4k = at_4k.speedup();
     let index_tps_4k = at_4k.index_tps;
-    println!("4k-core point: {index_tps_4k:.0} tasks/s, {speedup_4k:.1}x over the linear scan");
 
     let mut json = format!(
         "{{\n  \"cores_per_node\": {CORES_PER_NODE},\n  \"tasks_per_shape\": {tasks},\n  \
-         \"equality_checked\": true,\n  \"points\": [\n"
+         \"points\": [\n"
     );
     for (i, p) in points.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"cores\": {}, \"tasks\": {}, \"index_tasks_per_s\": {:.0}, \
-             \"linear_tasks\": {}, \"linear_tasks_per_s\": {:.0}, \"speedup\": {:.2}{}}}{}\n",
+            "    {{\"cores\": {}, \"tasks\": {}, \"index_tasks_per_s\": {:.0}{}}}{}\n",
             p.cores,
             p.tasks,
             p.index_tps,
-            p.linear_tasks,
-            p.linear_tps,
-            p.speedup(),
             p.traced_tps.map_or(String::new(), |t| format!(
                 ", \"traced_tasks_per_s\": {t:.0}"
             )),
@@ -205,8 +132,7 @@ fn main() {
         ));
     }
     json.push_str(&format!(
-        "  ],\n  \"speedup_at_4k\": {speedup_4k:.2},\n  \
-         \"index_tasks_per_s_at_4k\": {index_tps_4k:.0},\n  \
+        "  ],\n  \"index_tasks_per_s_at_4k\": {index_tps_4k:.0},\n  \
          \"min_tasks_per_sec_required\": {min_tps}\n}}\n"
     ));
     if let Some(dir) = std::path::Path::new(&out_path).parent() {

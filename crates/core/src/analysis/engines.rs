@@ -1,27 +1,56 @@
 //! The four engine executors behind
 //! [`RunConfig::run_analysis`](crate::run::RunConfig::run_analysis).
 //!
-//! Each runner reproduces its engine's established driver posture — the
+//! This is the only place an engine's driver posture is written: the
 //! phase-label ordering, I/O charges, broadcast sequencing and reduce
-//! shape of the bespoke Leaflet-Finder/PSA drivers — so an analysis
-//! expressed through [`ParallelAnalysis`] is byte-identical to a
-//! hand-written driver (proven for LF and PSA in `tests/api_surface.rs`).
+//! shape each framework's Leaflet-Finder/PSA deployment had in the paper.
+//! `tests/golden_collectives.rs` freezes the reports, those of the
+//! hand-written per-engine drivers these runners replaced included.
 //!
 //! Collectives are *charged* on the virtual clock by the engine
 //! primitives and merely *executed* on the host, once each (DESIGN.md §5l,
 //! "Host cost of collectives"): a broadcast ships the analysis's own `Arc`
 //! of the shared input, a tree reduce is a balanced pairwise fold, and the
 //! MPI gather moves the rank outputs to the driver.
-//! `tests/golden_collectives.rs` freezes the reports.
 
 use super::{DriverCtx, Gathered, MpiClocks, ParallelAnalysis, ReduceShape};
 use crate::EngineKind;
 use dasklet::{DaskClient, Delayed};
-use netsim::Cluster;
+use netsim::{Cluster, NetworkModel};
 use pilot::{Session, UnitDescription};
 use sparklet::{Rdd, SparkContext};
 use std::sync::Arc;
 use taskframe::{fold_pairwise, EngineError, TaskCtx};
+
+/// What a task pays before it maps slice `s`: the read of its input from
+/// storage, then the analysis's declared cost.
+fn charge_slice<A: ParallelAnalysis>(a: &A, s: A::Slice, net: NetworkModel, ctx: &TaskCtx) {
+    if let Some(bytes) = a.io_bytes(s) {
+        ctx.charge(net.transfer_time(bytes, false));
+    }
+    charge_cost(a, s, ctx);
+}
+
+/// The declared cost alone, for a Compute-Unit (its input is staged, not
+/// read).
+fn charge_cost<A: ParallelAnalysis>(a: &A, s: A::Slice, ctx: &TaskCtx) {
+    let cost = a.slice_cost_s(s);
+    if cost > 0.0 {
+        ctx.charge(cost);
+    }
+}
+
+/// MPI runs at most one rank per core; a world outside `1..=cores` is
+/// answered typed here, before `mpilike` (which asserts it) spawns a rank.
+pub(crate) fn check_mpi_world(cluster: &Cluster, world: usize) -> Result<(), EngineError> {
+    let cores = cluster.total_cores();
+    if (1..=cores).contains(&world) {
+        return Ok(());
+    }
+    Err(EngineError::Unsupported(format!(
+        "an MPI world of {world} ranks on {cores} cores (need 1..={cores})"
+    )))
+}
 
 /// Spark posture: one RDD partition per slice; `Gather` collects, `Tree`
 /// runs the engine-side `treeReduce` ([`Rdd::try_reduce`]'s pairwise
@@ -38,46 +67,24 @@ pub(crate) fn run_spark<A: ParallelAnalysis + 'static>(
     let one = a.reduce_shape() == ReduceShape::Tree;
 
     // Map closures are 'static (Spark serializes them to executors), so
-    // the analysis and its shared input travel as Arc clones — or through
-    // the broadcast variable when the analysis asks for it.
-    let rdd: Rdd<A::Item> = if a.broadcast() {
+    // the analysis and its shared input travel as Arc clones — the input
+    // out of the broadcast variable when the analysis asks for one.
+    let shared = if a.broadcast() {
         sc.set_phase("broadcast");
-        let bc = sc.broadcast(a.shared())?;
-        let task = Arc::clone(a);
-        Rdd::from_partitions(sc.clone(), n_tasks, move |p, ctx: &TaskCtx| {
-            let s = slices[p];
-            if let Some(bytes) = task.io_bytes(s) {
-                ctx.charge(net.transfer_time(bytes, false));
-            }
-            let cost = task.slice_cost_s(s);
-            if cost > 0.0 {
-                ctx.charge(cost);
-            }
-            if one {
-                vec![task.map_one(bc.value(), s)]
-            } else {
-                task.map(bc.value(), s)
-            }
-        })
+        Arc::clone(sc.broadcast(a.shared())?.value())
     } else {
-        let task = Arc::clone(a);
-        let shared = a.shared();
-        Rdd::from_partitions(sc.clone(), n_tasks, move |p, ctx: &TaskCtx| {
-            let s = slices[p];
-            if let Some(bytes) = task.io_bytes(s) {
-                ctx.charge(net.transfer_time(bytes, false));
-            }
-            let cost = task.slice_cost_s(s);
-            if cost > 0.0 {
-                ctx.charge(cost);
-            }
-            if one {
-                vec![task.map_one(&shared, s)]
-            } else {
-                task.map(&shared, s)
-            }
-        })
+        a.shared()
     };
+    let task = Arc::clone(a);
+    let rdd: Rdd<A::Item> = Rdd::from_partitions(sc.clone(), n_tasks, move |p, ctx: &TaskCtx| {
+        let s = slices[p];
+        charge_slice(&*task, s, net, ctx);
+        if one {
+            vec![task.map_one(&shared, s)]
+        } else {
+            task.map(&shared, s)
+        }
+    });
 
     match a.reduce_shape() {
         ReduceShape::Gather => {
@@ -127,13 +134,7 @@ pub(crate) fn run_dask<A: ParallelAnalysis + 'static>(
                     .map(|&s| {
                         let task = Arc::clone(a);
                         move |shared: &Arc<A::Shared>, ctx: &TaskCtx| {
-                            if let Some(bytes) = task.io_bytes(s) {
-                                ctx.charge(net.transfer_time(bytes, false));
-                            }
-                            let cost = task.slice_cost_s(s);
-                            if cost > 0.0 {
-                                ctx.charge(cost);
-                            }
+                            charge_slice(&*task, s, net, ctx);
                             task.map(shared, s)
                         }
                     })
@@ -147,13 +148,7 @@ pub(crate) fn run_dask<A: ParallelAnalysis + 'static>(
                         let task = Arc::clone(a);
                         let shared = a.shared();
                         move |ctx: &TaskCtx| {
-                            if let Some(bytes) = task.io_bytes(s) {
-                                ctx.charge(net.transfer_time(bytes, false));
-                            }
-                            let cost = task.slice_cost_s(s);
-                            if cost > 0.0 {
-                                ctx.charge(cost);
-                            }
+                            charge_slice(&*task, s, net, ctx);
                             task.map(&shared, s)
                         }
                     })
@@ -181,13 +176,7 @@ pub(crate) fn run_dask<A: ParallelAnalysis + 'static>(
                     let task = Arc::clone(a);
                     let shared = a.shared();
                     move |ctx: &TaskCtx| {
-                        if let Some(bytes) = task.io_bytes(s) {
-                            ctx.charge(net.transfer_time(bytes, false));
-                        }
-                        let cost = task.slice_cost_s(s);
-                        if cost > 0.0 {
-                            ctx.charge(cost);
-                        }
+                        charge_slice(&*task, s, net, ctx);
                         task.map_one(&shared, s)
                     }
                 })
@@ -235,10 +224,7 @@ pub(crate) fn run_pilot<A: ParallelAnalysis + 'static>(
                 let working_set = input.len() as u64 * factor;
                 let task = Arc::clone(a);
                 UnitDescription::new(input, move |ctx: &TaskCtx, staged: &[u8]| {
-                    let cost = task.slice_cost_s(s);
-                    if cost > 0.0 {
-                        ctx.charge(cost);
-                    }
+                    charge_cost(&*task, s, ctx);
                     task.map_staged(s, token, staged)
                 })
                 .with_working_set(working_set)
@@ -247,10 +233,7 @@ pub(crate) fn run_pilot<A: ParallelAnalysis + 'static>(
                 let task = Arc::clone(a);
                 let sh = Arc::clone(&shared);
                 UnitDescription::compute_only(move |ctx: &TaskCtx, _staged: &[u8]| {
-                    let cost = task.slice_cost_s(s);
-                    if cost > 0.0 {
-                        ctx.charge(cost);
-                    }
+                    charge_cost(&*task, s, ctx);
                     if one {
                         vec![task.map_one(&sh, s)]
                     } else {
@@ -289,6 +272,7 @@ pub(crate) fn run_mpi<A: ParallelAnalysis + 'static>(
     restart_from_barrier: bool,
     a: &Arc<A>,
 ) -> Result<A::Output, EngineError> {
+    check_mpi_world(cluster, world)?;
     a.check(EngineKind::Mpi, cluster)?;
     let slices = a.slices(EngineKind::Mpi, cluster);
     let n_tasks = slices.len();

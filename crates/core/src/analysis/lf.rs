@@ -4,9 +4,9 @@
 //! [`LfEdges`] for the edge-gathering approaches (1: broadcast + 1-D
 //! strips, 2: task API + 2-D blocks) and [`LfPartials`] for the
 //! partial-connected-components approaches (3: parallel CC, 4: tree
-//! search), whose reduce is engine-side. Both reproduce the bespoke
-//! drivers' postures exactly — `tests/api_surface.rs` proves the reports
-//! byte-identical.
+//! search), whose reduce is engine-side. Both reproduce the postures of
+//! the hand-written per-engine drivers they replaced exactly —
+//! `tests/golden_collectives.rs` holds those drivers' reports.
 
 use super::{DriverCtx, Gathered, MpiClocks, ParallelAnalysis, ReduceShape};
 use crate::codec;
@@ -44,8 +44,8 @@ pub(crate) struct LfEdges {
     cfg: LfConfig,
     approach: LfApproach,
     /// Edges found across *executions* (Spark's broadcast counter — under
-    /// retries or speculation it counts every attempt, exactly like the
-    /// accumulator the bespoke driver used).
+    /// retries or speculation it counts every attempt, exactly like a
+    /// Spark accumulator).
     edge_count: AtomicU64,
 }
 

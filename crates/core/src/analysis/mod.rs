@@ -3,9 +3,9 @@
 //! This is the Rust analogue of pmda's `ParallelAnalysisBase` /
 //! `AnalysisFromFunction` (MDAnalysis ecosystem): an analysis declares how
 //! to split its input into slices, how to `map` one slice to items, how to
-//! reduce, and how to finalize — [`RunConfig::run_analysis`]
-//! (`crate::run::RunConfig::run_analysis`) executes it with each engine's
-//! native posture:
+//! reduce, and how to finalize —
+//! [`RunConfig::run_analysis`](crate::run::RunConfig::run_analysis)
+//! executes it with each engine's native posture:
 //!
 //! * **Spark** (`sparklet`) — one RDD partition per slice; `Gather`
 //!   analyses `collect`, `Tree` analyses `treeReduce` via [`ParallelAnalysis::combine`];
@@ -18,12 +18,13 @@
 //!   [`ParallelAnalysis::rank_map`] per rank inside a measured compute
 //!   block, results gathered to rank 0.
 //!
-//! Everything the bespoke drivers had comes for free: fault plans,
-//! [`netsim::RetryPolicy`], the memory ledger, tracing, partitions/zombie
-//! fencing, and host-thread bit-identity. The Leaflet Finder and PSA are
-//! themselves expressed as [`ParallelAnalysis`] instances ([`lf`],
-//! [`psa_impl`]) and are proven byte-identical to the legacy drivers in
-//! `tests/api_surface.rs`.
+//! Every analysis gets the engines' whole machinery for free: fault
+//! plans, [`netsim::RetryPolicy`], the memory ledger, tracing,
+//! partitions/zombie fencing, and host-thread bit-identity. The Leaflet
+//! Finder and PSA are themselves [`ParallelAnalysis`] instances (`lf.rs`,
+//! `psa_impl.rs`) and nothing else: the per-engine drivers they replaced
+//! are deleted, their outputs and reports frozen in
+//! `tests/golden_collectives.rs`.
 
 pub(crate) mod engines;
 pub mod frames;
@@ -207,8 +208,7 @@ impl<'a> DriverCtx<'a> {
 
     /// Run `f` on the driver, measure its real host time, and charge the
     /// scaled equivalent to the virtual clock under `label` — Spark/Dask
-    /// charge the driver, Pilot/MPI extend the makespan (the legacy
-    /// drivers' exact postures).
+    /// charge the driver, Pilot/MPI extend the makespan.
     pub fn charge_measured<T>(&mut self, label: &str, f: impl FnOnce() -> T) -> T {
         let (value, host_s) = netsim::measure(f);
         match &mut self.sink {
@@ -245,8 +245,8 @@ impl<'a> DriverCtx<'a> {
 /// describe engine-posture details (broadcast vs capture, staged bytes
 /// for the pilot, the whole-rank computation for MPI, phase labels and
 /// I/O charges) with defaults that fit simple frame-mapped analyses; the
-/// built-in Leaflet Finder and PSA instances override them to stay
-/// byte-identical to the bespoke drivers they replaced.
+/// built-in Leaflet Finder and PSA instances override them to reproduce
+/// each framework's deployment in the paper.
 pub trait ParallelAnalysis: Send + Sync {
     /// The input every map task reads (broadcast when
     /// [`broadcast`](Self::broadcast) is true, captured otherwise). Not

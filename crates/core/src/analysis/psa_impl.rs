@@ -1,12 +1,12 @@
 //! Path Similarity Analysis expressed as a [`ParallelAnalysis`].
 //!
-//! One instance replaces the four bespoke PSA drivers: per-block all-pairs
-//! Hausdorff distances over the 2-D partitioning of Algorithm 2, gathered
-//! and assembled at the driver. The per-pair kernel is the
-//! centroid-pruned Hausdorff ([`linalg::hausdorff_rmsd_pruned`]), which
-//! is bitwise-identical to the naive sweep the old drivers ran — so the
-//! distance matrices match the legacy output to the last bit
-//! (`tests/api_surface.rs`).
+//! One instance for all four engines: per-block all-pairs Hausdorff
+//! distances over the 2-D partitioning of Algorithm 2, gathered and
+//! assembled at the driver. The per-pair kernel is the centroid-pruned
+//! Hausdorff ([`linalg::hausdorff_rmsd_pruned`]), which is
+//! bitwise-identical to the naive sweep of [`crate::psa::psa_serial`]
+//! (and of the per-engine drivers this replaced, whose matrices
+//! `tests/golden_collectives.rs` holds).
 
 use super::{DriverCtx, Gathered, ParallelAnalysis};
 use crate::codec;

@@ -1,13 +1,10 @@
-//! The paper's remaining "commonly used algorithms" (§2): RMSD time
-//! series, pairwise frame distances, and sub-setting — each embarrassingly
-//! parallel over frames and expressible on any engine. Implemented here on
-//! Spark and Dask (the frameworks the paper recommends for data-parallel
-//! analysis) plus a serial reference.
+//! Serial reference for the RMSD time series, the paper's other "commonly
+//! used algorithm" (§2). It is embarrassingly parallel over frames; the
+//! parallel form is [`rmsd_analysis`](crate::rmsd_analysis) on any engine,
+//! which tests compare against this loop.
 
-use dasklet::{Bag, DaskClient};
 use linalg::{rmsd_superposed, Frame};
 use mdsim::Trajectory;
-use sparklet::SparkContext;
 
 /// Which frame metric an RMSD series uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -32,49 +29,15 @@ pub fn rmsd_series_serial(traj: &Trajectory, reference: &Frame, mode: RmsdMode) 
     traj.frames.iter().map(|f| m(f, reference)).collect()
 }
 
-/// RMSD series on Spark: frames partitioned into an RDD, map-only.
-pub fn rmsd_series_spark(
-    sc: &SparkContext,
-    traj: &Trajectory,
-    reference: &Frame,
-    mode: RmsdMode,
-    partitions: usize,
-) -> Vec<f64> {
-    let m = metric(mode);
-    let reference = reference.clone();
-    sc.parallelize(traj.frames.clone(), partitions)
-        .map(move |f| m(&f, &reference))
-        .collect()
-}
-
-/// RMSD series on Dask: a Bag of frames, mapped per partition.
-pub fn rmsd_series_dask(
-    client: &DaskClient,
-    traj: &Trajectory,
-    reference: &Frame,
-    mode: RmsdMode,
-    partitions: usize,
-) -> Vec<f64> {
-    let m = metric(mode);
-    let reference = reference.clone();
-    Bag::from_vec(client, traj.frames.clone(), partitions)
-        .map(move |f| m(f, &reference))
-        .compute()
-}
-
-/// Sub-setting (§2): restrict a trajectory to a selection of atom indices
-/// ("isolate parts of interest of MD simulation").
-pub fn subset_trajectory(traj: &Trajectory, indices: &[usize]) -> Trajectory {
-    Trajectory {
-        frames: traj.frames.iter().map(|f| f.subset(indices)).collect(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run::RunConfig;
+    use crate::{rmsd_analysis, AtomSelection};
     use mdsim::ChainSpec;
     use netsim::{laptop, Cluster};
+    use std::sync::Arc;
+    use taskframe::Engine;
 
     fn traj() -> Trajectory {
         let spec = ChainSpec {
@@ -109,22 +72,14 @@ mod tests {
 
     #[test]
     fn engines_match_serial() {
-        let t = traj();
-        let reference = rmsd_series_serial(&t, &t.frames[0], RmsdMode::Plain);
-        let sc = SparkContext::new(Cluster::new(laptop(), 2));
-        let spark = rmsd_series_spark(&sc, &t, &t.frames[0], RmsdMode::Plain, 4);
-        assert_eq!(spark, reference);
-        let client = DaskClient::new(Cluster::new(laptop(), 2));
-        let dask = rmsd_series_dask(&client, &t, &t.frames[0], RmsdMode::Plain, 4);
-        assert_eq!(dask, reference);
-    }
-
-    #[test]
-    fn subsetting_picks_atoms() {
-        let t = traj();
-        let sub = subset_trajectory(&t, &[0, 2, 4]);
-        assert_eq!(sub.n_atoms(), 3);
-        assert_eq!(sub.n_frames(), t.n_frames());
-        assert_eq!(sub.frames[3].positions()[1], t.frames[3].positions()[2]);
+        let t = Arc::new(traj());
+        let reference = rmsd_series_serial(&t, &t.frames[0], RmsdMode::Superposed);
+        for engine in Engine::ALL {
+            let rc = RunConfig::new(Cluster::new(laptop(), 2), engine);
+            let out = rc
+                .run_analysis(rmsd_analysis(Arc::clone(&t), AtomSelection::All, 0, 4))
+                .unwrap_or_else(|e| panic!("{engine:?} runs fault-free: {e}"));
+            assert_eq!(out.values, reference, "{engine:?}");
+        }
     }
 }

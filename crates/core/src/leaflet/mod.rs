@@ -1,6 +1,7 @@
-//! The Leaflet Finder (Algorithm 3) in the four architectural approaches
-//! of Table 2, on Spark, Dask and MPI (plus Approach 2 on RADICAL-Pilot,
-//! the only combination the paper evaluates for the pilot, Fig. 9).
+//! The Leaflet Finder (Algorithm 3): the four architectural approaches of
+//! Table 2, the job's configuration and output types, the serial
+//! reference and the pieces every approach shares — the edge kernels
+//! (`kernels.rs`) and the memory gates (`gates.rs`).
 //!
 //! | | Partitioning | Map | Shuffle | Reduce |
 //! |---|---|---|---|---|
@@ -9,28 +10,19 @@
 //! | Approach 3 | 2-D pre-partitioned | edges + partial CC | partial components O(n) | merge partials |
 //! | Approach 4 | 2-D pre-partitioned | BallTree edges + partial CC | partial components O(n) | merge partials |
 //!
-//! Every variant returns the same leaflet assignment (verified against the
-//! serial reference and the generator's ground truth) plus a simulated
-//! execution report with phase breakdowns (Fig. 8) and shuffle volumes
-//! (Table 2 discussion).
+//! The approaches run as [`ParallelAnalysis`](crate::ParallelAnalysis)
+//! instances (`analysis/lf.rs`) behind [`run_lf`](crate::run::run_lf), on
+//! Spark, Dask and MPI (plus Approach 2 on RADICAL-Pilot, the only
+//! combination the paper evaluates for the pilot, Fig. 9). Every variant
+//! returns the same leaflet assignment (verified against [`lf_serial`] and
+//! the generator's ground truth) plus a simulated execution report with
+//! phase breakdowns (Fig. 8) and shuffle volumes (Table 2 discussion).
 
-mod dask_impl;
 mod gates;
 mod kernels;
-mod mpi_impl;
-mod pilot_impl;
-mod spark_impl;
 
-#[allow(deprecated)]
-pub use dask_impl::lf_dask;
 pub use gates::{check_feasible, task_mem_budget, worker_mem};
 pub use kernels::{block_edges, block_edges_indexed, block_edges_tree, strip_edges};
-#[allow(deprecated)]
-pub use mpi_impl::{lf_mpi, lf_mpi_with_policy};
-#[allow(deprecated)]
-pub use pilot_impl::lf_pilot;
-#[allow(deprecated)]
-pub use spark_impl::lf_spark;
 
 pub(crate) use kernels::block_input_bytes;
 

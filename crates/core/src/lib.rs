@@ -9,14 +9,19 @@
 //!
 //! * [`partition`] — the 2-D partitioning of Algorithm 2 and the
 //!   memory-aware Leaflet Finder block planner;
-//! * [`psa`] — PSA on every engine plus a serial reference;
-//! * [`leaflet`] — the four architectural approaches of Table 2
-//!   (broadcast + 1-D; task API + 2-D; parallel connected components;
-//!   tree search) on Spark/Dask/MPI (+ approach 2 on RADICAL-Pilot);
+//! * [`analysis`] — the one way an analysis is written
+//!   ([`ParallelAnalysis`]) and [`run`] — the one way it is executed
+//!   ([`RunConfig::run_analysis`]; [`run_lf`] and [`run_psa`] are
+//!   instances);
+//! * [`psa`] — PSA's configuration, output and serial reference;
+//! * [`leaflet`] — the Leaflet Finder's four architectural approaches of
+//!   Table 2 (broadcast + 1-D; task API + 2-D; parallel connected
+//!   components; tree search), its edge kernels, memory gates and serial
+//!   reference;
 //! * [`decision`] — the conceptual decision framework of Tables 1 and 3,
 //!   queryable.
 //!
-//! Every engine implementation returns both a *real* analysis result
+//! Every run on every engine returns both a *real* analysis result
 //! (verified identical to the serial reference in tests) and a simulated
 //! execution report (`netsim::SimReport`) carrying virtual makespan and
 //! communication volumes — the quantities the paper's figures plot.

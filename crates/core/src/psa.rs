@@ -1,5 +1,8 @@
 //! Path Similarity Analysis (Algorithm 1) with the 2-D task partitioning
-//! of Algorithm 2, on every engine.
+//! of Algorithm 2: the job's configuration and output types, the serial
+//! reference, and the block helpers the
+//! [`ParallelAnalysis`](crate::ParallelAnalysis) instance
+//! (`analysis/psa_impl.rs`) behind [`run_psa`](crate::run::run_psa) uses.
 //!
 //! "The input data, i.e. a set of trajectory files, is equally distributed
 //! over the cores, generating one task per core. Each task reads its
@@ -11,16 +14,10 @@
 //! * Dask — one delayed function per task;
 //! * MPI — each task executed by a process (round-robin over ranks).
 
-use crate::codec;
-use crate::partition::{plan_psa_2d, Block};
-use dasklet::{DaskClient, Delayed};
+use crate::partition::Block;
 use linalg::{hausdorff_naive, DistanceMatrix};
 use mdsim::Trajectory;
-use netsim::{Cluster, SimReport};
-use pilot::{Session, UnitDescription};
-use sparklet::SparkContext;
-use std::sync::Arc;
-use taskframe::{EngineError, TaskCtx};
+use netsim::SimReport;
 
 /// PSA job parameters.
 #[derive(Clone, Debug)]
@@ -71,23 +68,6 @@ pub fn psa_serial(ensemble: &[Trajectory]) -> DistanceMatrix {
     d
 }
 
-/// The per-task kernel: all Hausdorff distances of one 2-D block,
-/// executed serially (Algorithm 2 step 3).
-fn block_distances(ensemble: &[Trajectory], b: Block) -> Vec<(u32, u32, f64)> {
-    let mut out = Vec::with_capacity(((b.row.1 - b.row.0) * (b.col.1 - b.col.0)) as usize);
-    for i in b.row.0..b.row.1 {
-        for j in b.col.0..b.col.1 {
-            let h = hausdorff_naive(
-                &ensemble[i as usize].frames,
-                &ensemble[j as usize].frames,
-                linalg::frame_rmsd,
-            );
-            out.push((i, j, h));
-        }
-    }
-    out
-}
-
 /// Bytes a task must read from storage for block `b`.
 pub(crate) fn block_input_bytes(ensemble: &[Trajectory], b: Block) -> u64 {
     let row: u64 = (b.row.0..b.row.1)
@@ -110,254 +90,14 @@ pub(crate) fn assemble(
     d
 }
 
-/// PSA on Spark: one RDD partition per task, map-only. Surfaces retry
-/// exhaustion under a fault plan as a typed error.
-#[deprecated(note = "use mdtask_core::run::{RunConfig, run_psa} instead")]
-pub fn psa_spark(
-    sc: &SparkContext,
-    ensemble: Arc<Vec<Trajectory>>,
-    cfg: &PsaConfig,
-) -> Result<PsaOutput, EngineError> {
-    psa_spark_impl(sc, ensemble, cfg)
-}
-
-pub(crate) fn psa_spark_impl(
-    sc: &SparkContext,
-    ensemble: Arc<Vec<Trajectory>>,
-    cfg: &PsaConfig,
-) -> Result<PsaOutput, EngineError> {
-    let n = ensemble.len();
-    let blocks = plan_psa_2d(n, cfg.groups);
-    let net = sc.cluster().profile.network;
-    let charge_io = cfg.charge_io;
-    let ens = Arc::clone(&ensemble);
-    let rdd = sparklet::Rdd::from_partitions(sc.clone(), blocks.len(), move |p, ctx: &TaskCtx| {
-        let b = blocks[p];
-        if charge_io {
-            ctx.charge(net.transfer_time(block_input_bytes(&ens, b), false));
-        }
-        block_distances(&ens, b)
-    });
-    sc.set_phase("psa-map");
-    let triples = rdd.try_collect()?;
-    Ok(PsaOutput {
-        distances: assemble(n, triples),
-        report: sc.report(),
-    })
-}
-
-/// PSA on Dask: one delayed function per task. Surfaces retry exhaustion
-/// under a fault plan as a typed error.
-#[deprecated(note = "use mdtask_core::run::{RunConfig, run_psa} instead")]
-pub fn psa_dask(
-    client: &DaskClient,
-    ensemble: Arc<Vec<Trajectory>>,
-    cfg: &PsaConfig,
-) -> Result<PsaOutput, EngineError> {
-    psa_dask_impl(client, ensemble, cfg)
-}
-
-pub(crate) fn psa_dask_impl(
-    client: &DaskClient,
-    ensemble: Arc<Vec<Trajectory>>,
-    cfg: &PsaConfig,
-) -> Result<PsaOutput, EngineError> {
-    let n = ensemble.len();
-    let blocks = plan_psa_2d(n, cfg.groups);
-    let net = client.cluster().profile.network;
-    client.set_phase("psa-map");
-    let fs: Vec<_> = blocks
-        .iter()
-        .map(|&b| {
-            let ens = Arc::clone(&ensemble);
-            let charge_io = cfg.charge_io;
-            move |ctx: &TaskCtx| {
-                if charge_io {
-                    ctx.charge(net.transfer_time(block_input_bytes(&ens, b), false));
-                }
-                block_distances(&ens, b)
-            }
-        })
-        .collect();
-    let tasks: Vec<Delayed<Vec<(u32, u32, f64)>>> = client.delayed_many(fs);
-    let (parts, _t) = client.try_gather(&tasks)?;
-    Ok(PsaOutput {
-        distances: assemble(n, parts.into_iter().flatten()),
-        report: client.report(),
-    })
-}
-
-/// PSA on RADICAL-Pilot: one Compute-Unit per task, inputs genuinely
-/// staged through the filesystem (encoded trajectories written to and read
-/// back from the staging area).
-#[deprecated(note = "use mdtask_core::run::{RunConfig, run_psa} instead")]
-pub fn psa_pilot(
-    session: &Session,
-    ensemble: &[Trajectory],
-    cfg: &PsaConfig,
-) -> Result<PsaOutput, EngineError> {
-    psa_pilot_impl(session, ensemble, cfg)
-}
-
-pub(crate) fn psa_pilot_impl(
-    session: &Session,
-    ensemble: &[Trajectory],
-    cfg: &PsaConfig,
-) -> Result<PsaOutput, EngineError> {
-    let n = ensemble.len();
-    let blocks = plan_psa_2d(n, cfg.groups);
-    let units: Vec<UnitDescription<Vec<(u32, u32, f64)>>> = blocks
-        .iter()
-        .map(|&b| {
-            let rows: Vec<&Trajectory> =
-                (b.row.0..b.row.1).map(|i| &ensemble[i as usize]).collect();
-            let cols: Vec<&Trajectory> =
-                (b.col.0..b.col.1).map(|j| &ensemble[j as usize]).collect();
-            let mut input = codec::encode_trajectories(&rows);
-            input.extend_from_slice(&codec::encode_trajectories(&cols));
-            // Remember the split point so the unit can decode both groups.
-            let row_len = codec::encode_trajectories(&rows).len();
-            // Staged bytes plus their decoded trajectory copies: the
-            // declared footprint admission control schedules against.
-            let working_set = input.len() as u64
-                * crate::analysis::AnalysisCost::DEFAULT.staging_working_set_factor;
-            UnitDescription::new(input, move |_ctx, staged: &[u8]| {
-                let rows = codec::decode_trajectories(&staged[..row_len]);
-                let cols = codec::decode_trajectories(&staged[row_len..]);
-                let mut out = Vec::new();
-                for (di, ti) in rows.iter().enumerate() {
-                    for (dj, tj) in cols.iter().enumerate() {
-                        let h = hausdorff_naive(&ti.frames, &tj.frames, linalg::frame_rmsd);
-                        out.push((b.row.0 + di as u32, b.col.0 + dj as u32, h));
-                    }
-                }
-                out
-            })
-            .with_working_set(working_set)
-        })
-        .collect();
-    let out = session.submit_and_wait(units)?;
-    Ok(PsaOutput {
-        distances: assemble(n, out.results.into_iter().flatten()),
-        report: out.report,
-    })
-}
-
-/// PSA on MPI: blocks round-robin over ranks, gather at rank 0.
-#[deprecated(note = "use mdtask_core::run::{RunConfig, run_psa} instead")]
-pub fn psa_mpi(
-    cluster: Cluster,
-    world: usize,
-    ensemble: &[Trajectory],
-    cfg: &PsaConfig,
-) -> PsaOutput {
-    psa_mpi_impl(cluster, world, ensemble, cfg)
-}
-
-pub(crate) fn psa_mpi_impl(
-    cluster: Cluster,
-    world: usize,
-    ensemble: &[Trajectory],
-    cfg: &PsaConfig,
-) -> PsaOutput {
-    let n = ensemble.len();
-    let blocks = plan_psa_2d(n, cfg.groups);
-    let net = cluster.profile.network;
-    let charge_io = cfg.charge_io;
-    let out = mpilike::run(cluster, world, |comm| {
-        comm.set_phase("psa-map");
-        let mine: Vec<Block> = blocks
-            .iter()
-            .copied()
-            .skip(comm.rank())
-            .step_by(comm.world())
-            .collect();
-        if charge_io {
-            let bytes: u64 = mine.iter().map(|&b| block_input_bytes(ensemble, b)).sum();
-            comm.charge(net.transfer_time(bytes, false));
-        }
-        let local: Vec<(u32, u32, f64)> = comm.compute(|| {
-            mine.iter()
-                .flat_map(|&b| block_distances(ensemble, b))
-                .collect()
-        });
-        comm.set_phase("gather");
-        comm.gather(0, local)
-    });
-    let triples = out.results.into_iter().flatten().flatten().flatten();
-    PsaOutput {
-        distances: assemble(n, triples),
-        report: out.report,
-    }
-}
-
-/// PSA on MPI under an explicit recovery policy: a node death restarts the
-/// job from the last completed collective barrier (or from startup when
-/// `restart_from_barrier` is false) instead of aborting, up to
-/// `policy.max_attempts` total attempts.
-#[deprecated(note = "use mdtask_core::run::{RunConfig, run_psa} with a retry policy instead")]
-pub fn psa_mpi_with_policy(
-    cluster: Cluster,
-    world: usize,
-    ensemble: &[Trajectory],
-    cfg: &PsaConfig,
-    policy: &netsim::RetryPolicy,
-    restart_from_barrier: bool,
-) -> Result<PsaOutput, EngineError> {
-    psa_mpi_with_policy_impl(cluster, world, ensemble, cfg, policy, restart_from_barrier)
-}
-
-pub(crate) fn psa_mpi_with_policy_impl(
-    cluster: Cluster,
-    world: usize,
-    ensemble: &[Trajectory],
-    cfg: &PsaConfig,
-    policy: &netsim::RetryPolicy,
-    restart_from_barrier: bool,
-) -> Result<PsaOutput, EngineError> {
-    let n = ensemble.len();
-    let blocks = plan_psa_2d(n, cfg.groups);
-    let net = cluster.profile.network;
-    let charge_io = cfg.charge_io;
-    let out = mpilike::try_run_with_policy(cluster, world, policy, restart_from_barrier, |comm| {
-        comm.set_phase("psa-map");
-        let mine: Vec<Block> = blocks
-            .iter()
-            .copied()
-            .skip(comm.rank())
-            .step_by(comm.world())
-            .collect();
-        if charge_io {
-            let bytes: u64 = mine.iter().map(|&b| block_input_bytes(ensemble, b)).sum();
-            comm.charge(net.transfer_time(bytes, false));
-        }
-        let local: Vec<(u32, u32, f64)> = comm.compute(|| {
-            mine.iter()
-                .flat_map(|&b| block_distances(ensemble, b))
-                .collect()
-        });
-        comm.set_phase("gather");
-        // A gathered total that overflows rank 0's fixed buffer surfaces
-        // typed on every rank instead of tearing mpirun down.
-        comm.try_gather(0, local)
-    })?;
-    let mut gathered = Vec::with_capacity(out.results.len());
-    for r in out.results {
-        gathered.push(r?);
-    }
-    let triples = gathered.into_iter().flatten().flatten().flatten();
-    Ok(PsaOutput {
-        distances: assemble(n, triples),
-        report: out.report,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::run::{run_psa, RunConfig};
     use mdsim::ChainSpec;
-    use netsim::{comet, laptop};
+    use netsim::{comet, laptop, Cluster};
+    use sparklet::SparkContext;
+    use std::sync::Arc;
     use taskframe::Engine;
 
     fn ensemble(count: usize) -> Vec<Trajectory> {

@@ -1,15 +1,15 @@
 //! The unified run API: pick an engine, configure the run once, execute.
 //!
-//! [`RunConfig`] folds everything the old free-function zoo spread over
-//! positional arguments and `*_with_policy` variants into one builder:
-//! engine choice ([`taskframe::Engine`]), Leaflet-Finder approach,
+//! [`RunConfig`] is one builder for everything a run needs besides its
+//! data: engine choice ([`taskframe::Engine`]), Leaflet-Finder approach,
 //! [`RetryPolicy`], MPI checkpoint/restart posture, Spark speculative
 //! execution, tracing, MPI world size, per-node memory budget and the
-//! host-parallelism degree ([`netsim::Threads`]). [`run_lf`] and
-//! [`run_psa`] construct the engine handle internally, apply the
-//! configuration, and dispatch — the legacy free functions remain as
-//! `#[deprecated]` wrappers and produce bit-identical results (see
-//! `tests/api_surface.rs`).
+//! host-parallelism degree ([`netsim::Threads`]).
+//! [`RunConfig::run_analysis`] constructs the engine handle, applies the
+//! configuration and executes a [`ParallelAnalysis`]; [`run_lf`] and
+//! [`run_psa`] are instances of it, and there is no other way to run
+//! either. (The per-engine drivers they replaced are gone; what those
+//! returned is frozen in `tests/golden_collectives.rs`.)
 //!
 //! ```
 //! use mdtask_core::run::{run_lf, RunConfig};
@@ -75,8 +75,7 @@ pub struct RunConfig {
 }
 
 /// Streaming knobs attached to a [`RunConfig`] by [`RunConfig::streaming`]:
-/// the event-time window layout plus the declared per-frame cost model and
-/// per-engine buffering sizes.
+/// the event-time window layout plus the declared per-frame cost model.
 #[derive(Clone, Debug)]
 pub struct StreamTuning {
     pub window_s: f64,
@@ -85,10 +84,22 @@ pub struct StreamTuning {
     pub late: LateDisposition,
     pub frame_cost_s: f64,
     pub state_bytes_per_frame: u64,
-    /// Frames per micro-batch (Spark's posture).
-    pub micro_batch: usize,
-    /// Ring-buffer slots (MPI's posture).
-    pub ring: usize,
+}
+
+impl StreamTuning {
+    /// Side-channel late frames and [`AnalysisCost::DEFAULT`]'s per-frame
+    /// cost model, over the given window layout.
+    fn new(window_s: f64, slide_s: f64, lateness_s: f64) -> Self {
+        let cost = AnalysisCost::DEFAULT;
+        StreamTuning {
+            window_s,
+            slide_s,
+            lateness_s,
+            late: LateDisposition::SideChannel,
+            frame_cost_s: cost.stream_frame_cost_s,
+            state_bytes_per_frame: cost.stream_state_bytes_per_frame,
+        }
+    }
 }
 
 impl RunConfig {
@@ -120,17 +131,7 @@ impl RunConfig {
         // Validates the layout eagerly so misconfiguration fails at build
         // time, not mid-stream.
         let _ = WindowSpec::sliding(window_s, slide_s, lateness_s);
-        let cost = AnalysisCost::DEFAULT;
-        self.streaming = Some(StreamTuning {
-            window_s,
-            slide_s,
-            lateness_s,
-            late: LateDisposition::SideChannel,
-            frame_cost_s: cost.stream_frame_cost_s,
-            state_bytes_per_frame: cost.stream_state_bytes_per_frame,
-            micro_batch: cost.stream_micro_batch,
-            ring: cost.stream_ring,
-        });
+        self.streaming = Some(StreamTuning::new(window_s, slide_s, lateness_s));
         self
     }
 
@@ -148,21 +149,6 @@ impl RunConfig {
         t.frame_cost_s = frame_cost_s;
         t.state_bytes_per_frame = state_bytes_per_frame;
         self
-    }
-
-    /// Per-engine stream buffering: Spark's micro-batch size and MPI's
-    /// ring-buffer slots (the other engines buffer nothing). Requires
-    /// [`Self::streaming`] first.
-    pub fn stream_buffering(mut self, micro_batch: usize, ring: usize) -> Self {
-        let t = self.tuning_mut();
-        t.micro_batch = micro_batch.max(1);
-        t.ring = ring.max(1);
-        self
-    }
-
-    /// The streaming knobs, if [`Self::streaming`] was called.
-    pub fn streaming_ref(&self) -> Option<&StreamTuning> {
-        self.streaming.as_ref()
     }
 
     fn tuning_mut(&mut self) -> &mut StreamTuning {
@@ -221,7 +207,9 @@ impl RunConfig {
         self
     }
 
-    /// MPI world size (default: one rank per simulated core).
+    /// MPI world size (default: one rank per simulated core). A world of
+    /// zero ranks, or of more ranks than cores, fails the run with
+    /// [`EngineError::Unsupported`].
     pub fn mpi_world(mut self, world: usize) -> Self {
         self.mpi_world = world;
         self
@@ -239,16 +227,6 @@ impl RunConfig {
     pub fn mem_budget(mut self, bytes: u64) -> Self {
         self.cluster.profile.mem_per_node = bytes;
         self
-    }
-
-    /// The cluster this run executes on.
-    pub fn cluster_ref(&self) -> &Cluster {
-        &self.cluster
-    }
-
-    /// The engine this run dispatches to.
-    pub fn engine_kind(&self) -> Engine {
-        self.engine
     }
 
     fn scoped<T>(&self, f: impl FnOnce() -> T) -> T {
@@ -293,11 +271,9 @@ impl RunConfig {
 
 /// Run the Leaflet Finder as configured.
 ///
-/// Since the generic-API redesign this is an instance of
-/// [`RunConfig::run_analysis`]: approaches 1–2 dispatch the
-/// edge-gathering analysis, 3–4 the partial-components analysis (the
-/// pilot implements approach 2 only). `tests/api_surface.rs` proves the
-/// outputs byte-identical to the legacy bespoke drivers.
+/// An instance of [`RunConfig::run_analysis`]: approaches 1–2 dispatch
+/// the edge-gathering analysis, 3–4 the partial-components analysis (the
+/// pilot implements approach 2 only).
 pub fn run_lf(
     cfg: &RunConfig,
     positions: Arc<Vec<Vec3>>,
@@ -317,7 +293,7 @@ pub fn run_lf(
 }
 
 /// Run Path Similarity Analysis as configured — an instance of
-/// [`RunConfig::run_analysis`] since the generic-API redesign.
+/// [`RunConfig::run_analysis`].
 pub fn run_psa(
     cfg: &RunConfig,
     ensemble: Arc<Vec<Trajectory>>,
@@ -365,7 +341,8 @@ pub fn lf_frame_value(frame: &linalg::Frame, cutoff: f32) -> u64 {
 /// the watermark/backpressure/lineage semantics of
 /// [`netsim::stream::run_stream`]. Window layout and cost model come from
 /// [`RunConfig::streaming`] (defaults: tumbling windows of four frame
-/// intervals with one interval of lateness when not set).
+/// intervals with one interval of lateness when not set); Spark's
+/// micro-batch and MPI's ring size are [`AnalysisCost::DEFAULT`]'s.
 pub fn run_lf_stream(
     cfg: &RunConfig,
     traj: Arc<Trajectory>,
@@ -374,16 +351,11 @@ pub fn run_lf_stream(
 ) -> Result<StreamRun, EngineError> {
     assert!(!traj.frames.is_empty(), "cannot stream an empty trajectory");
     let cost = AnalysisCost::DEFAULT;
-    let defaults = StreamTuning {
-        window_s: source.interval_s * 4.0,
-        slide_s: source.interval_s * 4.0,
-        lateness_s: source.interval_s,
-        late: LateDisposition::SideChannel,
-        frame_cost_s: cost.stream_frame_cost_s,
-        state_bytes_per_frame: cost.stream_state_bytes_per_frame,
-        micro_batch: cost.stream_micro_batch,
-        ring: cost.stream_ring,
-    };
+    let defaults = StreamTuning::new(
+        source.interval_s * 4.0,
+        source.interval_s * 4.0,
+        source.interval_s,
+    );
     let t = cfg.streaming.as_ref().unwrap_or(&defaults);
     let job = StreamJob::new(WindowSpec::sliding(t.window_s, t.slide_s, t.lateness_s))
         .late(t.late)
@@ -394,12 +366,14 @@ pub fn run_lf_stream(
     let frames = &traj.frames;
     let mut fv = move |i: usize| lf_frame_value(&frames[i % frames.len()], cutoff);
     cfg.scoped(|| match cfg.engine {
-        Engine::Spark => spark_handle(cfg).run_stream(&schedule, &job, t.micro_batch, &mut fv),
+        Engine::Spark => {
+            spark_handle(cfg).run_stream(&schedule, &job, cost.stream_micro_batch, &mut fv)
+        }
         Engine::Dask => dask_handle(cfg).run_stream(&schedule, &job, &mut fv),
         Engine::Pilot => pilot_handle(cfg)?.run_stream(&schedule, &job, &mut fv),
         Engine::Mpi => mpilike::run_stream_ring(
             cfg.cluster.clone(),
-            t.ring,
+            cost.stream_ring,
             &schedule,
             &job,
             &mpi_policy(cfg),
@@ -646,6 +620,7 @@ pub fn run_workload(cfg: &RunConfig, w: &Workload) -> Result<WorkloadRun, Engine
             optimized,
             seed,
         } => {
+            engines::check_mpi_world(&cfg.cluster, cfg.mpi_world)?;
             let spec = mdsim::ChainSpec {
                 n_atoms: 10,
                 n_frames,

@@ -261,9 +261,6 @@ pub struct SimExecutor {
     /// free time is monotone non-decreasing, so the running max equals the
     /// fold the old O(cores) [`Self::all_idle_at`] computed.
     max_free: f64,
-    /// Differential-testing escape hatch: route picks through the retired
-    /// linear scan instead of the index (see [`Self::set_linear_pick`]).
-    use_linear_pick: bool,
     /// Core choices made so far, counting each tree descent or scan once.
     #[cfg(test)]
     picks: u64,
@@ -316,7 +313,6 @@ impl SimExecutor {
             core_free,
             index,
             max_free: 0.0,
-            use_linear_pick: false,
             #[cfg(test)]
             picks: 0,
             report,
@@ -430,41 +426,6 @@ impl SimExecutor {
         }
     }
 
-    /// The retired O(cores) scan, kept verbatim as the differential-testing
-    /// oracle for the tournament-tree index (see the `index_matches_*`
-    /// tests) and as the baseline leg of the `sim_throughput` bench. Not
-    /// for production use — enable via [`Self::set_linear_pick`].
-    #[doc(hidden)]
-    pub fn try_pick_core_linear(&self, ready: f64, avoid: Option<usize>) -> Option<(usize, f64)> {
-        let mut best: Option<(usize, f64)> = None;
-        for (c, &free) in self.core_free.iter().enumerate() {
-            if Some(c) == avoid || !self.core_admitted(c) {
-                continue;
-            }
-            let start = free.max(ready);
-            if let Some(died_at) = self.death_of(c) {
-                if start >= died_at {
-                    continue; // node gone before the task could begin
-                }
-            }
-            if best.is_none_or(|(_, s)| start < s) {
-                best = Some((c, start));
-                if start <= ready {
-                    break; // cannot start earlier than the release time
-                }
-            }
-        }
-        best
-    }
-
-    /// Route core picks through the retired linear scan instead of the
-    /// index. Benchmarking/differential-testing knob only: both paths pick
-    /// identical `(core, start)` pairs, the linear one in O(cores).
-    #[doc(hidden)]
-    pub fn set_linear_pick(&mut self, on: bool) {
-        self.use_linear_pick = on;
-    }
-
     /// Whether an attempt on `core` spanning `[start, end)` becomes a
     /// zombie: a partition cuts its node off from the driver mid-attempt
     /// and the policy's suspicion detector fires before the cut heals, so
@@ -520,8 +481,6 @@ impl SimExecutor {
                     .faults()
                     .earliest_reach(0, cluster.node_of_core(c), t)
             })
-        } else if self.use_linear_pick {
-            self.try_pick_core_linear(ready, avoid)
         } else {
             self.index.pick(ready, avoid, |_, t| t)
         }
@@ -1481,10 +1440,10 @@ mod tests {
 
     // ---- earliest-free-core index vs. linear-scan oracle ----
     //
-    // ISSUE-6 satellite: the tournament tree must pick the *identical*
-    // (core, start) pair as the retired linear scan in every reachable
-    // state — randomized free times, node deaths, admission limits, and
-    // avoid sets. The linear scan is kept in-tree as the oracle.
+    // The tournament tree must pick the *identical* (core, start) pair as
+    // the retired linear scan in every reachable state — randomized free
+    // times, node deaths, admission limits, and avoid sets. The linear
+    // scan lives here as the oracle.
 
     /// Deterministic splitmix64, the same generator the chaos harness
     /// seeds its plans with.
@@ -1498,6 +1457,34 @@ mod tests {
 
     fn unit(state: &mut u64) -> f64 {
         (mix(state) >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    /// The retired O(cores) scan, kept verbatim as the oracle for the
+    /// tournament-tree index.
+    fn try_pick_core_linear(
+        e: &SimExecutor,
+        ready: f64,
+        avoid: Option<usize>,
+    ) -> Option<(usize, f64)> {
+        let mut best: Option<(usize, f64)> = None;
+        for (c, &free) in e.core_free.iter().enumerate() {
+            if Some(c) == avoid || !e.core_admitted(c) {
+                continue;
+            }
+            let start = free.max(ready);
+            if let Some(died_at) = e.death_of(c) {
+                if start >= died_at {
+                    continue; // node gone before the task could begin
+                }
+            }
+            if best.is_none_or(|(_, s)| start < s) {
+                best = Some((c, start));
+                if start <= ready {
+                    break; // cannot start earlier than the release time
+                }
+            }
+        }
+        best
     }
 
     #[test]
@@ -1540,7 +1527,7 @@ mod tests {
                     None
                 };
                 let fast = e.pick(ready, avoid, false);
-                let slow = e.try_pick_core_linear(ready, avoid);
+                let slow = try_pick_core_linear(&e, ready, avoid);
                 assert_eq!(
                     fast, slow,
                     "seed {seed}: index and linear scan disagree at \
@@ -1655,19 +1642,37 @@ mod tests {
         assert_eq!(e.pick(0.0, None, false), None);
     }
 
+    /// `sim_throughput`'s saturated backlog (every task released at 0,
+    /// 0.5–1.5 s each) under a node death, two stragglers and node 0's
+    /// admission halved, on a shallow and a deep tree: before each
+    /// placement the index must choose what the scan chooses — for the
+    /// task, and for the retry a death at 40 s on that core would ask for.
     #[test]
-    fn linear_pick_mode_is_behaviorally_identical() {
-        let plan = FaultPlan::none().kill_node(0, 2.0).slow_core(3, 3.0);
-        let run = |linear: bool| {
-            let mut e = faulty(2, 2, plan.clone());
-            e.set_linear_pick(linear);
-            e.enable_trace();
-            for i in 0..12 {
-                e.run_task(0.25 * (i % 4) as f64, 0.5 + 0.125 * (i % 3) as f64);
+    fn index_matches_linear_scan_through_a_faulty_saturated_backlog() {
+        for cores in [256, 4096] {
+            let plan = FaultPlan::none()
+                .kill_node(1, 40.0)
+                .slow_core(3, 3.0)
+                .slow_core(cores / 2, 6.0);
+            let mut e = faulty(32, cores / 32, plan);
+            e.set_node_core_limit(0, 16);
+            for i in 0..20_000u64 {
+                let want = try_pick_core_linear(&e, 0.0, None);
+                assert_eq!(e.pick(0.0, None, false), want, "{cores} cores, task {i}");
+                let avoid = want.map(|(c, _)| c);
+                assert_eq!(
+                    e.pick(40.0, avoid, false),
+                    try_pick_core_linear(&e, 40.0, avoid),
+                    "{cores} cores, retry of task {i}"
+                );
+                e.run_task(
+                    0.0,
+                    0.5 + (i.wrapping_mul(2654435761) % 1000 + 1) as f64 * 1e-3,
+                );
             }
-            e.into_report()
-        };
-        assert_eq!(run(false), run(true));
+            // 20 000 s of work on 240 admitted cores outlasts the death.
+            assert_eq!(e.report().retries > 0, cores == 256, "{cores} cores");
+        }
     }
 
     #[test]

@@ -60,11 +60,10 @@ pub use taskframe as frame;
 
 /// The most common imports in one place.
 ///
-/// The deprecated per-engine free functions (`lf_spark`, `psa_dask`, …)
-/// are intentionally *not* re-exported: [`RunConfig`] +
-/// [`run_lf`]/[`run_psa`]/[`RunConfig::run_analysis`] are the only
-/// supported entry points. The serial references (`lf_serial`,
-/// `psa_serial`) remain — they are oracles, not drivers.
+/// `RunConfig` + `run_lf`/`run_psa`/`RunConfig::run_analysis` are the
+/// only entry points; there are no per-engine drivers. The serial
+/// references (`lf_serial`, `psa_serial`) are oracles for tests, not a
+/// second way to run an analysis.
 pub mod prelude {
     pub use crate::analysis::leaflet::lf_serial;
     pub use crate::analysis::psa::psa_serial;

@@ -315,6 +315,104 @@ fn shared_input_need_not_be_clone_on_any_engine() {
     assert_eq!(Arc::strong_count(&input), 1, "no engine kept the input");
 }
 
+/// `trace_sampled(4)` keeps every fourth task event and changes nothing
+/// else: the trace says it is sampled, the network events (and so the
+/// byte totals conservation oracles add up) are complete, and the report
+/// around the trace is the unsampled run's.
+#[test]
+fn sampled_trace_thins_task_events_and_nothing_else() {
+    mdtask::cluster::set_deterministic_timing(true);
+    let traj = trajectory();
+    let tasks = |t: &Trace| {
+        let is_task = |e: &&TraceEvent| matches!(e.kind, EventKind::Task { .. });
+        t.events.iter().filter(is_task).count()
+    };
+    let network_bytes = |t: &Trace| {
+        t.events.iter().fold((0, 0), |(f, b), e| match e.kind {
+            EventKind::Fetch { bytes, .. } => (f + bytes, b),
+            EventKind::Broadcast { bytes, .. } => (f, b + bytes),
+            _ => (f, b),
+        })
+    };
+    for engine in [Engine::Spark, Engine::Dask, Engine::Pilot] {
+        let run = |rc: RunConfig| {
+            let rgyr = AnalysisFromFunction::new(
+                "rgyr",
+                Arc::clone(&traj),
+                AtomSelection::Stride(2),
+                12,
+                rgyr,
+            );
+            let mut report = rc.run_analysis(rgyr).expect("fault-free").report;
+            (report.trace.take().expect("traced"), report)
+        };
+        let rc = || RunConfig::new(Cluster::new(laptop(), 2), engine);
+        let (full, full_report) = run(rc().trace(true));
+        let (sampled, sampled_report) = run(rc().trace_sampled(4));
+        assert_eq!((full.sample_stride(), sampled.sample_stride()), (1, 4));
+        assert_eq!(
+            (tasks(&full), tasks(&sampled)),
+            (12, 3),
+            "{engine:?}: one task per frame, every fourth kept"
+        );
+        assert_eq!(network_bytes(&sampled), network_bytes(&full), "{engine:?}");
+        assert_ne!(network_bytes(&full), (0, 0), "{engine:?}: nothing moved");
+        assert_eq!(sampled_report, full_report, "{engine:?}: report");
+    }
+}
+
+/// A world of no ranks, or of more ranks than cores, is a misconfigured
+/// run: every entry point answers it typed instead of tripping `mpilike`'s
+/// assertion.
+#[test]
+fn impossible_mpi_world_is_a_typed_error_not_a_panic() {
+    let traj = trajectory();
+    let bilayer = mdtask::sim::bilayer::generate(
+        &BilayerSpec {
+            n_atoms: 96,
+            ..Default::default()
+        },
+        3,
+    );
+    let lf = LfConfig {
+        cutoff: bilayer.suggested_cutoff,
+        partitions: 4,
+        paper_atoms: 96,
+        charge_io: true,
+    };
+    let positions = Arc::new(bilayer.positions);
+    let ensemble = Arc::new(vec![(*traj).clone(), (*traj).clone()]);
+    let psa = PsaConfig {
+        groups: 1,
+        charge_io: true,
+    };
+    let rmsd2d = Workload::Rmsd2d {
+        n_traj: 2,
+        n_frames: 3,
+        optimized: true,
+        seed: 1,
+    };
+    for world in [0, 10_000] {
+        let rc = RunConfig::new(Cluster::new(laptop(), 2), Engine::Mpi).mpi_world(world);
+        let errors = [
+            run_lf(&rc, Arc::clone(&positions), &lf).err(),
+            run_psa(&rc, Arc::clone(&ensemble), &psa).err(),
+            rc.run_analysis(rmsd_analysis(Arc::clone(&traj), AtomSelection::All, 0, 4))
+                .err(),
+            run_workload(&rc, &rmsd2d).err(),
+        ];
+        for (i, e) in errors.into_iter().enumerate() {
+            match e {
+                Some(EngineError::Unsupported(m)) => assert!(
+                    m.contains(&format!("{world} ranks")) && m.contains("16 cores"),
+                    "entry point {i}, world {world}: {m}"
+                ),
+                other => panic!("entry point {i}, world {world}: {other:?}"),
+            }
+        }
+    }
+}
+
 /// Sorted canonical form: the kernels may emit edges in any order.
 fn canon(mut edges: Vec<(u32, u32)>) -> Vec<(u32, u32)> {
     for e in edges.iter_mut() {

@@ -3,6 +3,7 @@
 
 use mdtask::prelude::*;
 use mdtask::rp::entk::{Pipeline, Stage};
+use std::sync::Arc;
 
 #[test]
 fn entk_pipeline_runs_md_then_analysis() {
@@ -76,11 +77,15 @@ fn rmsd_series_parallel_equals_serial() {
         stride: 1,
         ..ChainSpec::default()
     };
-    let t = mdtask::sim::chain::generate(&spec, 3);
+    let t = Arc::new(mdtask::sim::chain::generate(&spec, 3));
     let reference = rmsd_series_serial(&t, &t.frames[0], RmsdMode::Superposed);
-    let sc = SparkContext::new(Cluster::new(laptop(), 2));
-    let spark = rmsd_series_spark(&sc, &t, &t.frames[0], RmsdMode::Superposed, 5);
-    assert_eq!(spark, reference);
+    for engine in Engine::ALL {
+        let rc = RunConfig::new(Cluster::new(laptop(), 2), engine);
+        let out = rc
+            .run_analysis(rmsd_analysis(Arc::clone(&t), AtomSelection::All, 0, 5))
+            .unwrap();
+        assert_eq!(out.values, reference, "{engine:?}");
+    }
     // Superposed RMSD strips global drift: it stays below plain RMSD.
     let plain = rmsd_series_serial(&t, &t.frames[0], RmsdMode::Plain);
     for (s, p) in reference.iter().zip(&plain) {

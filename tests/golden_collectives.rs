@@ -6,9 +6,7 @@
 //! collectives was rewritten (the Spark/Pilot reduce folded left, one value
 //! at a time; every broadcast deep-copied the shared input; the MPI gather
 //! cloned each rank's wire). Those rewrites may not move a single virtual
-//! charge, byte count or trace event, and `tests/api_surface.rs` cannot
-//! say so — the deprecated drivers it compares against call the same
-//! primitives. So the reference is frozen here.
+//! charge, byte count or trace event, so the reference is frozen here.
 //!
 //! A run is rendered to text and hashed with FNV-1a, as in
 //! `crates/mdtaskd/tests/golden_reports.rs`: `{:?}` of the output with the
@@ -24,6 +22,10 @@
 //! [`SimExecutor`]. Those constants were recorded on the commit before the
 //! engines' hand-copied retry loops and the executor's `run_task*` entry
 //! points were folded into one recovery loop.
+//!
+//! The last table is what is left of the hand-written per-engine LF and
+//! PSA drivers that `run_lf`/`run_psa` replaced: their outputs and reports,
+//! recorded on the last commit that had them.
 
 use mdtask::analysis::partition::plan_1d;
 use mdtask::analysis::DriverCtx;
@@ -960,4 +962,92 @@ fn trace_exports_match_the_frozen_hashes() {
 
     let got: Vec<u64> = traces.iter().flat_map(trace_hashes).collect();
     assert_frozen("EXPORTS", &got, &EXPORTS);
+}
+
+// ---- the per-engine drivers `run_lf` / `run_psa` replaced ----
+
+#[rustfmt::skip]
+const LEGACY_DRIVERS: [u64; 22] = [
+    0x3370_605b_3eaa_43b2, 0x8cfb_6da4_7460_323a, 0x62e8_ef6d_110a_463d, 0x6626_7596_efb1_7f47,
+    0xc9a2_39aa_66dc_f5d4, 0x2950_5671_d1cf_42a9, 0x4748_1b0b_b393_a154, 0xacab_ba3b_e8e6_3c94,
+    0xec97_bc35_bd9f_4c41, 0x4748_1b0b_b393_a154, 0xacab_ba3b_e8e6_3c94, 0xec97_bc35_bd9f_4c41,
+    0xf9c7_f996_a006_830f, 0x62e8_ef6d_110a_463d, 0x62e8_ef6d_110a_463d, 0x8b0f_de3a_e83d_5726,
+    0x3913_c507_ca89_c9dc, 0xa829_695e_0dbb_56d4, 0x3d14_df34_c876_7ae3, 0xbdb3_47a3_b7cb_96b4,
+    0xbdb3_47a3_b7cb_96b4, 0x3dad_c0aa_369e_ba63,
+];
+
+/// What the ten per-engine free functions (LF and PSA on Spark, Dask,
+/// Pilot and MPI, the last also under a retry policy) returned on the last
+/// commit that had them, for the scenarios that commit's API-surface test
+/// ran them and `run_lf`/`run_psa` side by side on. It asserted every
+/// output field and the whole `SimReport` equal, and the old drivers'
+/// digests were checked against these constants there once, so each is
+/// the old driver's as much as the new one's.
+#[test]
+fn legacy_driver_scenarios_match_the_frozen_hashes() {
+    mdtask::cluster::set_deterministic_timing(true);
+    let mpi = |cluster: Cluster| RunConfig::new(cluster, Engine::Mpi).mpi_world(8);
+    let mut got = Vec::new();
+
+    let (positions, cutoff) = bilayer(240, 11);
+    let lf = LfConfig {
+        cutoff,
+        partitions: 8,
+        paper_atoms: 240,
+        charge_io: true,
+    };
+    let lf_digest = |rc: RunConfig| digest(run_lf(&rc, Arc::clone(&positions), &lf));
+    for approach in LfApproach::ALL {
+        for rc in [
+            RunConfig::new(cluster(None), Engine::Spark),
+            RunConfig::new(cluster(None), Engine::Dask),
+            mpi(cluster(None)),
+        ] {
+            got.push(lf_digest(rc.approach(approach)));
+        }
+    }
+    got.push(lf_digest(RunConfig::new(cluster(None), Engine::Pilot)));
+    let plan = FaultPlan::none().kill_node(1, 0.4);
+    for restart_from_barrier in [true, false] {
+        got.push(lf_digest(
+            mpi(cluster(Some(plan.clone())))
+                .approach(LfApproach::Broadcast1D)
+                .retry_policy(RetryPolicy::new(4).with_detection_delay(0.25))
+                .checkpoint_restart(restart_from_barrier),
+        ));
+    }
+
+    let spec = ChainSpec {
+        n_atoms: 12,
+        n_frames: 6,
+        stride: 1,
+        ..ChainSpec::default()
+    };
+    let ensemble = Arc::new(mdtask::sim::chain::generate_ensemble(&spec, 5, 42));
+    let psa = PsaConfig {
+        groups: 2,
+        charge_io: true,
+    };
+    let psa_digest = |rc: RunConfig| {
+        digest(run_psa(&rc, Arc::clone(&ensemble), &psa).map(|out| (out.distances, out.report)))
+    };
+    for engine in [Engine::Spark, Engine::Dask, Engine::Pilot] {
+        got.push(psa_digest(RunConfig::new(cluster(None), engine)));
+    }
+    got.push(psa_digest(mpi(cluster(None))));
+    let plan = FaultPlan::none().kill_node(0, 0.3);
+    for restart_from_barrier in [true, false] {
+        got.push(psa_digest(
+            mpi(cluster(Some(plan.clone())))
+                .retry_policy(RetryPolicy::new(5).with_detection_delay(0.25))
+                .checkpoint_restart(restart_from_barrier),
+        ));
+    }
+
+    got.push(lf_digest(
+        RunConfig::new(cluster(None), Engine::Spark)
+            .approach(LfApproach::TreeSearch)
+            .trace(true),
+    ));
+    assert_frozen("LEGACY_DRIVERS", &got, &LEGACY_DRIVERS);
 }

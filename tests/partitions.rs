@@ -151,6 +151,11 @@ fn pilot_fences_zombies_and_converges_after_heal() {
 /// the barrier restart.
 #[test]
 fn mpi_fences_zombie_cohort_and_converges_after_heal() {
+    // The cut is aimed with the clean run's makespan, so every run below
+    // must see the same clock: another test of this binary turns the
+    // process-wide deterministic timing on, and did so between two of
+    // these runs about once in ten.
+    mdtask::cluster::set_deterministic_timing(true);
     let (positions, cfg) = lf_system();
     let rc = |plan| {
         RunConfig::new(cluster(plan), Engine::Mpi)

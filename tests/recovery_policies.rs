@@ -282,8 +282,8 @@ fn mpi_restarts_from_last_collective_barrier() {
 }
 
 /// A second death during the restarted MPI run exhausts `max_attempts = 2`
-/// and surfaces the typed error; plain `lf_mpi` (one attempt) still keeps
-/// the abort-on-death posture.
+/// and surfaces the typed error; MPI without a policy (one attempt) still
+/// keeps the abort-on-death posture.
 #[test]
 fn mpi_policy_exhaustion_and_default_abort() {
     let s = system();
@@ -311,8 +311,8 @@ fn mpi_policy_exhaustion_and_default_abort() {
     }
 }
 
-/// `psa_mpi_with_policy` survives a mid-job death and still reproduces the
-/// fault-free Hausdorff matrix bit-for-bit.
+/// PSA on MPI under a retry policy survives a mid-job death and still
+/// reproduces the fault-free Hausdorff matrix bit-for-bit.
 #[test]
 fn psa_mpi_with_policy_matches_fault_free() {
     let spec = ChainSpec {
