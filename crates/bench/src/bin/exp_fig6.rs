@@ -51,6 +51,7 @@ fn main() {
                 build,
                 &ensemble,
             )
+            .expect("fault-free, one rank per core")
             .report
             .makespan_s
         };

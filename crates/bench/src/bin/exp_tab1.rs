@@ -5,21 +5,16 @@
 //! cargo run -p bench --release --bin exp_tab1
 //! ```
 
-use mdtask_core::decision::framework_properties;
-use mdtask_core::EngineKind;
+use mdtask_core::decision::{framework_properties, paper_name};
+use mdtask_core::Engine;
 
 fn main() {
     println!("Table 1: Frameworks Comparison\n");
-    let engines = [
-        EngineKind::RadicalPilot,
-        EngineKind::Spark,
-        EngineKind::Dask,
-        EngineKind::Mpi,
-    ];
+    let engines = [Engine::Pilot, Engine::Spark, Engine::Dask, Engine::Mpi];
     let rows = framework_properties(engines[0]);
     print!("{:<26}", "");
     for e in engines {
-        print!("| {:<42}", e.label());
+        print!("| {:<42}", paper_name(e));
     }
     println!();
     for (i, (key, _)) in rows.iter().enumerate() {

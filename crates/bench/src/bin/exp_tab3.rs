@@ -6,17 +6,13 @@
 //! cargo run -p bench --release --bin exp_tab3
 //! ```
 
-use mdtask_core::decision::{rank, recommend, Criterion, Workload};
-use mdtask_core::EngineKind;
+use mdtask_core::decision::{paper_name, rank, recommend, Criterion, Workload};
+use mdtask_core::Engine;
 
 fn main() {
     println!("Table 3: Decision Framework — criteria and ranking");
     println!("(-: unsupported/low performance, o: minor, +: supported, ++: major)\n");
-    let engines = [
-        EngineKind::RadicalPilot,
-        EngineKind::Spark,
-        EngineKind::Dask,
-    ];
+    let engines = [Engine::Pilot, Engine::Spark, Engine::Dask];
     println!(
         "{:<28} {:>14} {:>8} {:>8}",
         "", "RADICAL-Pilot", "Spark", "Dask"
@@ -37,7 +33,7 @@ fn main() {
     };
     println!(
         "  PSA (embarrassingly parallel)      → {}",
-        recommend(&psa).label()
+        paper_name(recommend(&psa))
     );
     let lf = Workload {
         needs_shuffle: true,
@@ -45,7 +41,7 @@ fn main() {
     };
     println!(
         "  Leaflet Finder (map+reduce/shuffle) → {}",
-        recommend(&lf).label()
+        paper_name(recommend(&lf))
     );
     let ensemble = Workload {
         mixes_mpi_tasks: true,
@@ -53,11 +49,11 @@ fn main() {
     };
     println!(
         "  MD ensembles of MPI simulations     → {}",
-        recommend(&ensemble).label()
+        paper_name(recommend(&ensemble))
     );
 }
 
-fn print_row(c: Criterion, engines: &[EngineKind; 3]) {
+fn print_row(c: Criterion, engines: &[Engine; 3]) {
     println!(
         "  {:<26} {:>14} {:>8} {:>8}",
         c.label(),

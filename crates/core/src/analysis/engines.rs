@@ -14,7 +14,7 @@
 //! MPI gather moves the rank outputs to the driver.
 
 use super::{DriverCtx, Gathered, MpiClocks, ParallelAnalysis, ReduceShape};
-use crate::EngineKind;
+use crate::Engine;
 use dasklet::{DaskClient, Delayed};
 use netsim::{Cluster, NetworkModel};
 use pilot::{Session, UnitDescription};
@@ -40,18 +40,6 @@ fn charge_cost<A: ParallelAnalysis>(a: &A, s: A::Slice, ctx: &TaskCtx) {
     }
 }
 
-/// MPI runs at most one rank per core; a world outside `1..=cores` is
-/// answered typed here, before `mpilike` (which asserts it) spawns a rank.
-pub(crate) fn check_mpi_world(cluster: &Cluster, world: usize) -> Result<(), EngineError> {
-    let cores = cluster.total_cores();
-    if (1..=cores).contains(&world) {
-        return Ok(());
-    }
-    Err(EngineError::Unsupported(format!(
-        "an MPI world of {world} ranks on {cores} cores (need 1..={cores})"
-    )))
-}
-
 /// Spark posture: one RDD partition per slice; `Gather` collects, `Tree`
 /// runs the engine-side `treeReduce` ([`Rdd::try_reduce`]'s pairwise
 /// fold).
@@ -59,10 +47,10 @@ pub(crate) fn run_spark<A: ParallelAnalysis + 'static>(
     sc: &SparkContext,
     a: &Arc<A>,
 ) -> Result<A::Output, EngineError> {
-    a.check(EngineKind::Spark, sc.cluster())?;
-    let slices = a.slices(EngineKind::Spark, sc.cluster());
+    a.check(Engine::Spark, sc.cluster())?;
+    let slices = a.slices(Engine::Spark, sc.cluster());
     let n_tasks = slices.len();
-    let phase = a.map_phase(EngineKind::Spark);
+    let phase = a.map_phase(Engine::Spark);
     let net = sc.cluster().profile.network;
     let one = a.reduce_shape() == ReduceShape::Tree;
 
@@ -117,10 +105,10 @@ pub(crate) fn run_dask<A: ParallelAnalysis + 'static>(
     client: &DaskClient,
     a: &Arc<A>,
 ) -> Result<A::Output, EngineError> {
-    a.check(EngineKind::Dask, client.cluster())?;
-    let slices = a.slices(EngineKind::Dask, client.cluster());
+    a.check(Engine::Dask, client.cluster())?;
+    let slices = a.slices(Engine::Dask, client.cluster());
     let n_tasks = slices.len();
-    let phase = a.map_phase(EngineKind::Dask);
+    let phase = a.map_phase(Engine::Dask);
     let net = client.cluster().profile.network;
 
     match a.reduce_shape() {
@@ -206,8 +194,8 @@ pub(crate) fn run_pilot<A: ParallelAnalysis + 'static>(
     session: &Session,
     a: &Arc<A>,
 ) -> Result<A::Output, EngineError> {
-    a.check(EngineKind::RadicalPilot, session.cluster())?;
-    let slices = a.slices(EngineKind::RadicalPilot, session.cluster());
+    a.check(Engine::Pilot, session.cluster())?;
+    let slices = a.slices(Engine::Pilot, session.cluster());
     let n_tasks = slices.len();
     let shared = a.shared();
     let factor = a.cost().staging_working_set_factor;
@@ -246,7 +234,7 @@ pub(crate) fn run_pilot<A: ParallelAnalysis + 'static>(
     let out = session.submit_and_wait(units)?;
     let items: Vec<A::Item> = out.results.into_iter().flatten().collect();
     let ctx = DriverCtx::owned(
-        EngineKind::RadicalPilot,
+        Engine::Pilot,
         n_tasks,
         None,
         out.report,
@@ -272,11 +260,10 @@ pub(crate) fn run_mpi<A: ParallelAnalysis + 'static>(
     restart_from_barrier: bool,
     a: &Arc<A>,
 ) -> Result<A::Output, EngineError> {
-    check_mpi_world(cluster, world)?;
-    a.check(EngineKind::Mpi, cluster)?;
-    let slices = a.slices(EngineKind::Mpi, cluster);
+    a.check(Engine::Mpi, cluster)?;
+    let slices = a.slices(Engine::Mpi, cluster);
     let n_tasks = slices.len();
-    let phase = a.map_phase(EngineKind::Mpi);
+    let phase = a.map_phase(Engine::Mpi);
     let net = cluster.profile.network;
     let shared = a.shared();
     let broadcast = a.broadcast();
@@ -345,7 +332,7 @@ pub(crate) fn run_mpi<A: ParallelAnalysis + 'static>(
         map_max,
     };
     let ctx = DriverCtx::owned(
-        EngineKind::Mpi,
+        Engine::Mpi,
         n_tasks,
         Some(clocks),
         out.report,

@@ -9,7 +9,7 @@
 
 use super::{Gathered, ParallelAnalysis};
 use crate::partition::plan_1d;
-use crate::EngineKind;
+use crate::Engine;
 use linalg::{rmsd_superposed, Frame, Vec3};
 use mdsim::Trajectory;
 use neighbors::{neighbor_pairs, SearchStrategy};
@@ -121,7 +121,7 @@ where
         Arc::clone(&self.traj)
     }
 
-    fn slices(&self, _engine: EngineKind, _cluster: &Cluster) -> Vec<(u32, u32)> {
+    fn slices(&self, _engine: Engine, _cluster: &Cluster) -> Vec<(u32, u32)> {
         plan_1d(self.traj.n_frames(), self.slices)
     }
 
@@ -130,7 +130,7 @@ where
         true
     }
 
-    fn map_phase(&self, _engine: EngineKind) -> &'static str {
+    fn map_phase(&self, _engine: Engine) -> &'static str {
         "frame-map"
     }
 

@@ -16,7 +16,7 @@ use crate::leaflet::{
     LfOutput,
 };
 use crate::partition::{grid_for_tasks, plan_1d, plan_2d_grid, plan_2d_mem, Block, Range};
-use crate::EngineKind;
+use crate::Engine;
 use graphops::{merge_partials, partial_components, PartialComponents};
 use linalg::Vec3;
 use netsim::Cluster;
@@ -75,7 +75,7 @@ impl ParallelAnalysis for LfEdges {
         "leaflet-finder"
     }
 
-    fn check(&self, engine: EngineKind, cluster: &Cluster) -> Result<(), EngineError> {
+    fn check(&self, engine: Engine, cluster: &Cluster) -> Result<(), EngineError> {
         check_feasible(engine, self.approach, &self.cfg, cluster)
     }
 
@@ -83,7 +83,7 @@ impl ParallelAnalysis for LfEdges {
         Arc::clone(&self.positions)
     }
 
-    fn slices(&self, _engine: EngineKind, _cluster: &Cluster) -> Vec<LfSlice> {
+    fn slices(&self, _engine: Engine, _cluster: &Cluster) -> Vec<LfSlice> {
         let n = self.positions.len();
         match self.approach {
             LfApproach::Broadcast1D => plan_1d(n, self.cfg.partitions)
@@ -101,7 +101,7 @@ impl ParallelAnalysis for LfEdges {
         self.approach == LfApproach::Broadcast1D
     }
 
-    fn map_phase(&self, _engine: EngineKind) -> &'static str {
+    fn map_phase(&self, _engine: Engine) -> &'static str {
         "edge-discovery"
     }
 
@@ -219,13 +219,12 @@ impl ParallelAnalysis for LfEdges {
                 let shuffle_bytes = edge_shuffle_bytes(edges.len() as u64);
                 // Spark's broadcast approach reports the accumulator (all
                 // executions); the rest report the collected edge count.
-                let edges_found = if ctx.engine() == EngineKind::Spark
-                    && self.approach == LfApproach::Broadcast1D
-                {
-                    self.edge_count.load(Ordering::Relaxed)
-                } else {
-                    edges.len() as u64
-                };
+                let edges_found =
+                    if ctx.engine() == Engine::Spark && self.approach == LfApproach::Broadcast1D {
+                        self.edge_count.load(Ordering::Relaxed)
+                    } else {
+                        edges.len() as u64
+                    };
                 let (sizes, count) =
                     ctx.charge_measured("connected-components", || driver_components(n, &edges));
                 Ok(LfOutput {
@@ -289,7 +288,7 @@ impl ParallelAnalysis for LfPartials {
         "leaflet-finder"
     }
 
-    fn check(&self, engine: EngineKind, cluster: &Cluster) -> Result<(), EngineError> {
+    fn check(&self, engine: Engine, cluster: &Cluster) -> Result<(), EngineError> {
         check_feasible(engine, self.approach, &self.cfg, cluster)
     }
 
@@ -297,7 +296,7 @@ impl ParallelAnalysis for LfPartials {
         Arc::clone(&self.positions)
     }
 
-    fn slices(&self, _engine: EngineKind, cluster: &Cluster) -> Vec<Block> {
+    fn slices(&self, _engine: Engine, cluster: &Cluster) -> Vec<Block> {
         let n = self.positions.len();
         match self.approach {
             LfApproach::ParallelCC => plan_2d_mem(
@@ -310,10 +309,10 @@ impl ParallelAnalysis for LfPartials {
         }
     }
 
-    fn map_phase(&self, engine: EngineKind) -> &'static str {
+    fn map_phase(&self, engine: Engine) -> &'static str {
         // The SPMD engine folds the partial-CC into its edge loop; the
         // task engines label the fused map+reduce stage explicitly.
-        if engine == EngineKind::Mpi {
+        if engine == Engine::Mpi {
             "edge-discovery"
         } else {
             "edge-discovery+partial-cc"

@@ -35,7 +35,7 @@ pub use frames::{
     contacts_analysis, rmsd_analysis, AnalysisFromFunction, AtomSelection, FrameSeries,
 };
 
-use crate::EngineKind;
+use crate::Engine;
 use netsim::{Cluster, SimReport};
 use std::sync::Arc;
 use taskframe::{EngineError, Payload};
@@ -130,7 +130,7 @@ enum Sink<'a> {
 /// measured driver work to the virtual clock, attribute phase spans, and
 /// surrender the [`SimReport`].
 pub struct DriverCtx<'a> {
-    engine: EngineKind,
+    engine: Engine,
     tasks: usize,
     clocks: Option<MpiClocks>,
     sink: Sink<'a>,
@@ -139,7 +139,7 @@ pub struct DriverCtx<'a> {
 impl<'a> DriverCtx<'a> {
     pub(crate) fn spark(sc: &'a sparklet::SparkContext, tasks: usize) -> Self {
         DriverCtx {
-            engine: EngineKind::Spark,
+            engine: Engine::Spark,
             tasks,
             clocks: None,
             sink: Sink::Spark(sc),
@@ -148,7 +148,7 @@ impl<'a> DriverCtx<'a> {
 
     pub(crate) fn dask(client: &'a dasklet::DaskClient, tasks: usize) -> Self {
         DriverCtx {
-            engine: EngineKind::Dask,
+            engine: Engine::Dask,
             tasks,
             clocks: None,
             sink: Sink::Dask(client),
@@ -156,7 +156,7 @@ impl<'a> DriverCtx<'a> {
     }
 
     pub(crate) fn owned(
-        engine: EngineKind,
+        engine: Engine,
         tasks: usize,
         clocks: Option<MpiClocks>,
         report: SimReport,
@@ -174,7 +174,7 @@ impl<'a> DriverCtx<'a> {
     }
 
     /// Which engine executed the map stage.
-    pub fn engine(&self) -> EngineKind {
+    pub fn engine(&self) -> Engine {
         self.engine
     }
 
@@ -272,7 +272,7 @@ pub trait ParallelAnalysis: Send + Sync {
     }
 
     /// Feasibility gate, checked before any engine work.
-    fn check(&self, _engine: EngineKind, _cluster: &Cluster) -> Result<(), EngineError> {
+    fn check(&self, _engine: Engine, _cluster: &Cluster) -> Result<(), EngineError> {
         Ok(())
     }
 
@@ -281,7 +281,7 @@ pub trait ParallelAnalysis: Send + Sync {
 
     /// Work decomposition for this engine on this cluster. Must be
     /// non-empty for Spark runs (an RDD needs at least one partition).
-    fn slices(&self, engine: EngineKind, cluster: &Cluster) -> Vec<Self::Slice>;
+    fn slices(&self, engine: Engine, cluster: &Cluster) -> Vec<Self::Slice>;
 
     /// Ship [`shared`](Self::shared) through the engine's broadcast
     /// primitive (charged per its cost model) instead of capturing it.
@@ -290,7 +290,7 @@ pub trait ParallelAnalysis: Send + Sync {
     }
 
     /// Phase label of the map stage.
-    fn map_phase(&self, _engine: EngineKind) -> &'static str {
+    fn map_phase(&self, _engine: Engine) -> &'static str {
         "map"
     }
 

@@ -12,7 +12,7 @@ use super::{DriverCtx, Gathered, ParallelAnalysis};
 use crate::codec;
 use crate::partition::{plan_psa_2d, Block};
 use crate::psa::{assemble, block_input_bytes, PsaConfig, PsaOutput};
-use crate::EngineKind;
+use crate::Engine;
 use linalg::hausdorff_rmsd_pruned;
 use mdsim::Trajectory;
 use netsim::Cluster;
@@ -59,11 +59,11 @@ impl ParallelAnalysis for PsaAnalysis {
         Arc::clone(&self.ensemble)
     }
 
-    fn slices(&self, _engine: EngineKind, _cluster: &Cluster) -> Vec<Block> {
+    fn slices(&self, _engine: Engine, _cluster: &Cluster) -> Vec<Block> {
         plan_psa_2d(self.ensemble.len(), self.cfg.groups)
     }
 
-    fn map_phase(&self, _engine: EngineKind) -> &'static str {
+    fn map_phase(&self, _engine: Engine) -> &'static str {
         "psa-map"
     }
 

@@ -45,17 +45,6 @@ impl Dendrogram {
         self.labels_after(self.n_leaves - k)
     }
 
-    /// Cut at a distance threshold: clusters are the components formed by
-    /// merges with `height <= threshold`.
-    pub fn cut_at(&self, threshold: f64) -> Vec<usize> {
-        let applied = self
-            .merges
-            .iter()
-            .take_while(|m| m.height <= threshold)
-            .count();
-        self.labels_after(applied)
-    }
-
     /// Labels after applying the first `applied` merges.
     fn labels_after(&self, applied: usize) -> Vec<usize> {
         let n = self.n_leaves;
@@ -190,19 +179,6 @@ mod tests {
         let dend = hierarchical(&m, Linkage::Average);
         assert_eq!(dend.cut_into(3), vec![0, 1, 2]);
         assert_eq!(dend.cut_into(1), vec![0, 0, 0]);
-    }
-
-    #[test]
-    fn cut_at_threshold() {
-        let m = matrix_of(&[0.0, 1.0, 10.0, 11.0]);
-        let dend = hierarchical(&m, Linkage::Single);
-        // Threshold 2: the two pairs merge, the groups stay apart.
-        let labels = dend.cut_at(2.0);
-        assert_eq!(labels, vec![0, 0, 1, 1]);
-        // Threshold 100: everything merges.
-        assert_eq!(dend.cut_at(100.0), vec![0, 0, 0, 0]);
-        // Threshold 0.5: nothing merges.
-        assert_eq!(dend.cut_at(0.5), vec![0, 1, 2, 3]);
     }
 
     #[test]

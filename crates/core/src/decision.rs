@@ -2,7 +2,7 @@
 //! properties) and Table 3 (criteria ranking), as queryable data, plus the
 //! recommendation logic the paper's discussion implies.
 
-use crate::EngineKind;
+use crate::Engine;
 
 /// Support level, Table 3's `-` / `o` / `+` / `++` scale.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -90,44 +90,55 @@ impl Criterion {
     }
 }
 
+/// The name the paper's tables and text give each framework
+/// ([`Engine::label`] is the short CLI/JSON key).
+pub fn paper_name(engine: Engine) -> &'static str {
+    match engine {
+        Engine::Spark => "Spark",
+        Engine::Dask => "Dask",
+        Engine::Pilot => "RADICAL-Pilot",
+        Engine::Mpi => "MPI4py",
+    }
+}
+
 /// Table 3, verbatim. (`RADICAL-Pilot`'s "Large Number of Tasks" is `--`
 /// in the paper; we map it to `Unsupported`.)
-pub fn rank(engine: EngineKind, criterion: Criterion) -> Support {
+pub fn rank(engine: Engine, criterion: Criterion) -> Support {
     use Criterion::*;
-    use EngineKind::*;
+    use Engine::*;
     use Support::*;
     match (engine, criterion) {
-        (RadicalPilot, LowLatency) => Unsupported,
+        (Pilot, LowLatency) => Unsupported,
         (Spark, LowLatency) => Minor,
         (Dask, LowLatency) => Supported,
-        (RadicalPilot, Throughput) => Unsupported,
+        (Pilot, Throughput) => Unsupported,
         (Spark, Throughput) => Supported,
         (Dask, Throughput) => Major,
-        (RadicalPilot, MpiHpcTasks) => Supported,
+        (Pilot, MpiHpcTasks) => Supported,
         (Spark, MpiHpcTasks) => Minor,
         (Dask, MpiHpcTasks) => Minor,
-        (RadicalPilot, TaskApi) => Supported,
+        (Pilot, TaskApi) => Supported,
         (Spark, TaskApi) => Minor,
         (Dask, TaskApi) => Major,
-        (RadicalPilot, LargeNumberOfTasks) => Unsupported,
+        (Pilot, LargeNumberOfTasks) => Unsupported,
         (Spark, LargeNumberOfTasks) => Major,
         (Dask, LargeNumberOfTasks) => Major,
-        (RadicalPilot, PythonNativeCode) => Major,
+        (Pilot, PythonNativeCode) => Major,
         (Spark, PythonNativeCode) => Minor,
         (Dask, PythonNativeCode) => Supported,
-        (RadicalPilot, Java) => Minor,
+        (Pilot, Java) => Minor,
         (Spark, Java) => Major,
         (Dask, Java) => Minor,
-        (RadicalPilot, HigherLevelAbstraction) => Unsupported,
+        (Pilot, HigherLevelAbstraction) => Unsupported,
         (Spark, HigherLevelAbstraction) => Major,
         (Dask, HigherLevelAbstraction) => Supported,
-        (RadicalPilot, Shuffle) => Unsupported,
+        (Pilot, Shuffle) => Unsupported,
         (Spark, Shuffle) => Major,
         (Dask, Shuffle) => Supported,
-        (RadicalPilot, Broadcast) => Unsupported,
+        (Pilot, Broadcast) => Unsupported,
         (Spark, Broadcast) => Major,
         (Dask, Broadcast) => Supported,
-        (RadicalPilot, Caching) => Unsupported,
+        (Pilot, Caching) => Unsupported,
         (Spark, Caching) => Major,
         (Dask, Caching) => Minor,
         // MPI is the baseline, not ranked by Table 3.
@@ -151,34 +162,34 @@ pub struct Workload {
 }
 
 /// The paper's qualitative guidance, §4.4.1–4.4.2, as a function.
-pub fn recommend(w: &Workload) -> EngineKind {
+pub fn recommend(w: &Workload) -> Engine {
     if w.mixes_mpi_tasks {
         // "Executing MPI and Spark applications alongside … makes
         // RADICAL-Pilot particularly suitable when different programming
         // models need to be combined."
-        EngineKind::RadicalPilot
+        Engine::Pilot
     } else if w.iterative || w.needs_shuffle {
         // "Spark needs to be particularly considered for shuffle-intensive
         // applications. Its in-memory caching … suited for iterative
         // algorithms."
-        EngineKind::Spark
+        Engine::Spark
     } else if w.many_short_tasks {
         // "Dask provides a highly flexible, low-latency task management."
-        EngineKind::Dask
+        Engine::Dask
     } else if w.embarrassingly_parallel {
         // "The choice of framework does not significantly influence
         // performance … programmability and integrate-ability become more
         // important" — Dask's native-Python integration wins.
-        EngineKind::Dask
+        Engine::Dask
     } else {
-        EngineKind::Mpi
+        Engine::Mpi
     }
 }
 
 /// Table 1 rows: descriptive properties per framework.
-pub fn framework_properties(engine: EngineKind) -> Vec<(&'static str, &'static str)> {
+pub fn framework_properties(engine: Engine) -> Vec<(&'static str, &'static str)> {
     match engine {
-        EngineKind::RadicalPilot => vec![
+        Engine::Pilot => vec![
             ("Languages", "Python"),
             ("Task Abstraction", "Task (Compute-Unit)"),
             ("Functional Abstraction", "-"),
@@ -188,7 +199,7 @@ pub fn framework_properties(engine: EngineKind) -> Vec<(&'static str, &'static s
             ("Shuffle", "-"),
             ("Limitations", "no shuffle, filesystem-based communication"),
         ],
-        EngineKind::Spark => vec![
+        Engine::Spark => vec![
             ("Languages", "Java, Scala, Python, R"),
             ("Task Abstraction", "Map-Task"),
             ("Functional Abstraction", "RDD API"),
@@ -201,7 +212,7 @@ pub fn framework_properties(engine: EngineKind) -> Vec<(&'static str, &'static s
                 "high overheads for Python tasks (serialization)",
             ),
         ],
-        EngineKind::Dask => vec![
+        Engine::Dask => vec![
             ("Languages", "Python"),
             ("Task Abstraction", "Delayed"),
             ("Functional Abstraction", "Bag"),
@@ -217,7 +228,7 @@ pub fn framework_properties(engine: EngineKind) -> Vec<(&'static str, &'static s
                 "Dask Array can not deal with dynamic output shapes",
             ),
         ],
-        EngineKind::Mpi => vec![
+        Engine::Mpi => vec![
             ("Languages", "C, C++, Fortran, Python (mpi4py)"),
             ("Task Abstraction", "Process (rank)"),
             ("Functional Abstraction", "-"),
@@ -238,23 +249,21 @@ mod tests {
     fn table3_headline_orderings() {
         // Throughput: Dask > Spark > RP (Fig. 2/3).
         assert!(
-            rank(EngineKind::Dask, Criterion::Throughput)
-                > rank(EngineKind::Spark, Criterion::Throughput)
+            rank(Engine::Dask, Criterion::Throughput) > rank(Engine::Spark, Criterion::Throughput)
         );
         assert!(
-            rank(EngineKind::Spark, Criterion::Throughput)
-                > rank(EngineKind::RadicalPilot, Criterion::Throughput)
+            rank(Engine::Spark, Criterion::Throughput) > rank(Engine::Pilot, Criterion::Throughput)
         );
         // Shuffle/broadcast/caching: Spark strongest (§4.4.2).
         for c in [Criterion::Shuffle, Criterion::Broadcast, Criterion::Caching] {
-            assert_eq!(rank(EngineKind::Spark, c), Support::Major);
-            assert!(rank(EngineKind::Dask, c) < Support::Major);
-            assert_eq!(rank(EngineKind::RadicalPilot, c), Support::Unsupported);
+            assert_eq!(rank(Engine::Spark, c), Support::Major);
+            assert!(rank(Engine::Dask, c) < Support::Major);
+            assert_eq!(rank(Engine::Pilot, c), Support::Unsupported);
         }
         // RP leads on MPI/HPC task support.
         assert!(
-            rank(EngineKind::RadicalPilot, Criterion::MpiHpcTasks)
-                > rank(EngineKind::Spark, Criterion::MpiHpcTasks)
+            rank(Engine::Pilot, Criterion::MpiHpcTasks)
+                > rank(Engine::Spark, Criterion::MpiHpcTasks)
         );
     }
 
@@ -271,42 +280,56 @@ mod tests {
                 mixes_mpi_tasks: true,
                 ..Default::default()
             }),
-            EngineKind::RadicalPilot
+            Engine::Pilot
         );
         assert_eq!(
             recommend(&Workload {
                 needs_shuffle: true,
                 ..Default::default()
             }),
-            EngineKind::Spark
+            Engine::Spark
         );
         assert_eq!(
             recommend(&Workload {
                 iterative: true,
                 ..Default::default()
             }),
-            EngineKind::Spark
+            Engine::Spark
         );
         assert_eq!(
             recommend(&Workload {
                 many_short_tasks: true,
                 ..Default::default()
             }),
-            EngineKind::Dask
+            Engine::Dask
         );
         assert_eq!(
             recommend(&Workload {
                 embarrassingly_parallel: true,
                 ..Default::default()
             }),
-            EngineKind::Dask
+            Engine::Dask
         );
-        assert_eq!(recommend(&Workload::default()), EngineKind::Mpi);
+        assert_eq!(recommend(&Workload::default()), Engine::Mpi);
+    }
+
+    #[test]
+    fn paper_names_sit_beside_unchanged_short_labels() {
+        let names = Engine::ALL.map(|e| (paper_name(e), e.label()));
+        assert_eq!(
+            names,
+            [
+                ("Spark", "spark"),
+                ("Dask", "dask"),
+                ("RADICAL-Pilot", "pilot"),
+                ("MPI4py", "mpi"),
+            ]
+        );
     }
 
     #[test]
     fn properties_cover_all_engines() {
-        for e in EngineKind::ALL {
+        for e in Engine::ALL {
             let props = framework_properties(e);
             assert!(props.len() >= 8, "{e:?}");
             assert_eq!(props[0].0, "Languages");

@@ -18,7 +18,7 @@
 
 use super::{LfApproach, LfConfig};
 use crate::partition::grid_for_tasks;
-use crate::EngineKind;
+use crate::Engine;
 use netsim::Cluster;
 use taskframe::EngineError;
 
@@ -38,7 +38,7 @@ pub fn task_mem_budget(cluster: &Cluster) -> u64 {
 /// Can `engine` run `approach` on a paper-scale system of
 /// `cfg.paper_atoms` atoms without exhausting the memory model?
 pub fn check_feasible(
-    engine: EngineKind,
+    engine: Engine,
     approach: LfApproach,
     cfg: &LfConfig,
     cluster: &Cluster,
@@ -48,7 +48,7 @@ pub fn check_feasible(
     let budget = task_mem_budget(cluster);
     match approach {
         LfApproach::Broadcast1D => {
-            if engine == EngineKind::Dask {
+            if engine == Engine::Dask {
                 let state = n * dasklet::LISTWISE_STATE_BYTES_PER_ITEM;
                 if state > wmem {
                     return Err(EngineError::OutOfMemory {
@@ -89,7 +89,7 @@ pub fn check_feasible(
             let g_target = grid_for_tasks(cfg.partitions) as u64;
             let edge = n.div_ceil(g_target);
             let needs_split = edge * edge * 8 > budget;
-            if needs_split && engine == EngineKind::Dask {
+            if needs_split && engine == Engine::Dask {
                 return Err(EngineError::OutOfMemory {
                     node_mem: wmem,
                     required: edge * edge * 8,
@@ -138,11 +138,11 @@ mod tests {
             (524_288, false),
             (4_000_000, false),
         ] {
-            let r = check_feasible(EngineKind::Dask, LfApproach::Broadcast1D, &cfg(atoms), &c);
+            let r = check_feasible(Engine::Dask, LfApproach::Broadcast1D, &cfg(atoms), &c);
             assert_eq!(r.is_ok(), ok, "dask approach1 {atoms}");
         }
         // Spark/MPI: ok through 524k, OOM at 4M.
-        for engine in [EngineKind::Spark, EngineKind::Mpi] {
+        for engine in [Engine::Spark, Engine::Mpi] {
             for (atoms, ok) in [(524_288, true), (4_000_000, false)] {
                 let r = check_feasible(engine, LfApproach::Broadcast1D, &cfg(atoms), &c);
                 assert_eq!(r.is_ok(), ok, "{engine:?} approach1 {atoms}");
@@ -153,12 +153,7 @@ mod tests {
     #[test]
     fn approach2_blocks_4m_for_everyone() {
         let c = cluster();
-        for engine in [
-            EngineKind::Spark,
-            EngineKind::Dask,
-            EngineKind::Mpi,
-            EngineKind::RadicalPilot,
-        ] {
+        for engine in [Engine::Spark, Engine::Dask, Engine::Mpi, Engine::Pilot] {
             assert!(check_feasible(engine, LfApproach::Task2D, &cfg(524_288), &c).is_ok());
             assert!(check_feasible(engine, LfApproach::Task2D, &cfg(4_000_000), &c).is_err());
         }
@@ -167,32 +162,16 @@ mod tests {
     #[test]
     fn approach3_spares_spark_and_mpi_but_not_dask() {
         let c = cluster();
-        assert!(check_feasible(
-            EngineKind::Spark,
-            LfApproach::ParallelCC,
-            &cfg(4_000_000),
-            &c
-        )
-        .is_ok());
-        assert!(
-            check_feasible(EngineKind::Mpi, LfApproach::ParallelCC, &cfg(4_000_000), &c).is_ok()
-        );
-        assert!(check_feasible(
-            EngineKind::Dask,
-            LfApproach::ParallelCC,
-            &cfg(4_000_000),
-            &c
-        )
-        .is_err());
-        assert!(
-            check_feasible(EngineKind::Dask, LfApproach::ParallelCC, &cfg(524_288), &c).is_ok()
-        );
+        assert!(check_feasible(Engine::Spark, LfApproach::ParallelCC, &cfg(4_000_000), &c).is_ok());
+        assert!(check_feasible(Engine::Mpi, LfApproach::ParallelCC, &cfg(4_000_000), &c).is_ok());
+        assert!(check_feasible(Engine::Dask, LfApproach::ParallelCC, &cfg(4_000_000), &c).is_err());
+        assert!(check_feasible(Engine::Dask, LfApproach::ParallelCC, &cfg(524_288), &c).is_ok());
     }
 
     #[test]
     fn approach4_always_feasible() {
         let c = cluster();
-        for engine in EngineKind::ALL {
+        for engine in Engine::ALL {
             assert!(check_feasible(engine, LfApproach::TreeSearch, &cfg(4_000_000), &c).is_ok());
         }
     }

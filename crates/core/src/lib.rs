@@ -47,30 +47,3 @@ pub use run::{
     StreamTuning, Workload, WorkloadRun,
 };
 pub use taskframe::Engine;
-
-/// Which task-parallel engine executes an analysis.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum EngineKind {
-    Spark,
-    Dask,
-    RadicalPilot,
-    Mpi,
-}
-
-impl EngineKind {
-    pub const ALL: [EngineKind; 4] = [
-        EngineKind::Spark,
-        EngineKind::Dask,
-        EngineKind::RadicalPilot,
-        EngineKind::Mpi,
-    ];
-
-    pub fn label(self) -> &'static str {
-        match self {
-            EngineKind::Spark => "Spark",
-            EngineKind::Dask => "Dask",
-            EngineKind::RadicalPilot => "RADICAL-Pilot",
-            EngineKind::Mpi => "MPI4py",
-        }
-    }
-}

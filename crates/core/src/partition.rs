@@ -19,15 +19,6 @@ impl Block {
     pub fn is_diagonal(&self) -> bool {
         self.row == self.col
     }
-
-    /// Bytes a double-precision `cdist` matrix over this block occupies —
-    /// the quantity that forced the paper to split the 4M-atom dataset
-    /// into 42k tasks.
-    pub fn cdist_bytes(&self) -> u64 {
-        let r = (self.row.1 - self.row.0) as u64;
-        let c = (self.col.1 - self.col.0) as u64;
-        r * c * 8
-    }
 }
 
 /// Split `[0, n)` into `parts` contiguous, nearly-equal ranges (used by
@@ -215,12 +206,11 @@ mod tests {
     }
 
     #[test]
-    fn cdist_bytes() {
+    fn is_diagonal() {
         let b = Block {
             row: (0, 100),
             col: (100, 300),
         };
-        assert_eq!(b.cdist_bytes(), 100 * 200 * 8);
         assert!(!b.is_diagonal());
         assert!(Block {
             row: (0, 5),

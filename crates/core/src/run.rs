@@ -620,7 +620,6 @@ pub fn run_workload(cfg: &RunConfig, w: &Workload) -> Result<WorkloadRun, Engine
             optimized,
             seed,
         } => {
-            engines::check_mpi_world(&cfg.cluster, cfg.mpi_world)?;
             let spec = mdsim::ChainSpec {
                 n_atoms: 10,
                 n_frames,
@@ -635,7 +634,7 @@ pub fn run_workload(cfg: &RunConfig, w: &Workload) -> Result<WorkloadRun, Engine
             };
             let out = cfg.scoped(|| {
                 cpptraj::ensemble_psa(cfg.cluster.clone(), cfg.mpi_world, build, &ensemble)
-            });
+            })?;
             let mut fp = netsim::Fingerprint::new();
             for &d in out.distances.as_slice() {
                 fp.write_f64(d);

@@ -24,6 +24,7 @@ use linalg::{DistanceMatrix, Frame};
 use mdsim::Trajectory;
 use netsim::{Cluster, SimReport};
 use std::hint::black_box;
+use taskframe::EngineError;
 
 /// Which compiler build of the RMSD kernel to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -93,13 +94,13 @@ pub fn ensemble_psa(
     world: usize,
     build: KernelBuild,
     ensemble: &[Trajectory],
-) -> CppTrajOutput {
+) -> Result<CppTrajOutput, EngineError> {
     let n = ensemble.len();
     assert!(n >= 1, "ensemble must not be empty");
     // Upper-triangle pairs (i <= j); diagonal is zero by construction but
     // cheap enough to include, matching CPPTraj's all-pairs mode.
     let pairs: Vec<(usize, usize)> = (0..n).flat_map(|i| (i..n).map(move |j| (i, j))).collect();
-    let out = mpilike::run(cluster, world, |comm| {
+    let out = mpilike::try_run(cluster, world, |comm| {
         let mine: Vec<(usize, usize)> = pairs
             .iter()
             .copied()
@@ -115,7 +116,7 @@ pub fn ensemble_psa(
                 .collect()
         });
         comm.gather(0, local)
-    });
+    })?;
     let mut distances = DistanceMatrix::zeros(n, n);
     for rank_result in out.results.into_iter().flatten().flatten() {
         for (i, j, h) in rank_result {
@@ -123,10 +124,10 @@ pub fn ensemble_psa(
             distances.set(j as usize, i as usize, h);
         }
     }
-    CppTrajOutput {
+    Ok(CppTrajOutput {
         distances,
         report: out.report,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -171,8 +172,8 @@ mod tests {
     #[test]
     fn builds_agree_on_full_psa() {
         let e = small_ensemble(4);
-        let gnu = ensemble_psa(cluster(), 2, KernelBuild::GnuNoOpt, &e);
-        let intel = ensemble_psa(cluster(), 2, KernelBuild::IntelO3, &e);
+        let gnu = ensemble_psa(cluster(), 2, KernelBuild::GnuNoOpt, &e).unwrap();
+        let intel = ensemble_psa(cluster(), 2, KernelBuild::IntelO3, &e).unwrap();
         for i in 0..4 {
             for j in 0..4 {
                 let (g, o) = (gnu.distances.get(i, j), intel.distances.get(i, j));
@@ -187,7 +188,7 @@ mod tests {
     #[test]
     fn distance_matrix_is_symmetric_with_zero_diagonal() {
         let e = small_ensemble(5);
-        let out = ensemble_psa(cluster(), 3, KernelBuild::IntelO3, &e);
+        let out = ensemble_psa(cluster(), 3, KernelBuild::IntelO3, &e).unwrap();
         for i in 0..5 {
             assert_eq!(out.distances.get(i, i), 0.0);
             for j in 0..5 {
@@ -199,7 +200,7 @@ mod tests {
     #[test]
     fn matches_direct_hausdorff() {
         let e = small_ensemble(3);
-        let out = ensemble_psa(cluster(), 2, KernelBuild::IntelO3, &e);
+        let out = ensemble_psa(cluster(), 2, KernelBuild::IntelO3, &e).unwrap();
         for i in 0..3 {
             for j in 0..3 {
                 let direct =
@@ -215,8 +216,8 @@ mod tests {
     #[test]
     fn world_size_does_not_change_answers() {
         let e = small_ensemble(4);
-        let w1 = ensemble_psa(cluster(), 1, KernelBuild::IntelO3, &e);
-        let w6 = ensemble_psa(cluster(), 6, KernelBuild::IntelO3, &e);
+        let w1 = ensemble_psa(cluster(), 1, KernelBuild::IntelO3, &e).unwrap();
+        let w6 = ensemble_psa(cluster(), 6, KernelBuild::IntelO3, &e).unwrap();
         assert_eq!(w1.distances, w6.distances);
     }
 
@@ -234,7 +235,7 @@ mod tests {
         // (MDTASK_THREADS > host cores) would pollute them with contention.
         let serial = |world| {
             netsim::parallel::with_degree(netsim::parallel::Threads::Serial, || {
-                ensemble_psa(cluster(), world, KernelBuild::IntelO3, &e)
+                ensemble_psa(cluster(), world, KernelBuild::IntelO3, &e).unwrap()
             })
         };
         let t1 = serial(1).report.makespan_s;

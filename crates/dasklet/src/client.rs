@@ -81,11 +81,6 @@ impl<T> Delayed<T> {
         &self.value
     }
 
-    /// Consume into the result.
-    pub fn into_value(self) -> T {
-        self.value
-    }
-
     /// Virtual time at which this result became available.
     pub fn ready_at(&self) -> f64 {
         self.ready
@@ -416,21 +411,11 @@ impl DaskClient {
         })
     }
 
-    /// Submit a task that depends on `dep` but needs no data transfer —
-    /// the dependency is already resident on every worker (a broadcast
-    /// value).
-    pub fn delayed_after<T: Payload, U: Payload>(
-        &self,
-        dep: &Delayed<T>,
-        f: impl FnOnce(&T, &TaskCtx) -> U,
-    ) -> Delayed<U> {
-        self.submit_inner(dep.ready, 0, 0, dep.error.clone(), |ctx| f(&dep.value, ctx))
-    }
-
-    /// Batch form of [`Self::delayed_after`]: every task reads the same
-    /// broadcast dependency. Task ids, scheduler timeline and
-    /// memory-manager decisions match a serial loop of `delayed_after`
-    /// calls; only the real closure execution fans out across host
+    /// Submit a batch of tasks that depend on `dep` but need no data
+    /// transfer — the dependency is already resident on every worker (a
+    /// broadcast value). Task ids, scheduler timeline and memory-manager
+    /// decisions are those of submitting the tasks one by one in input
+    /// order; only the real closure execution fans out across host
     /// threads.
     pub fn delayed_after_many<T, U, F>(&self, dep: &Delayed<T>, fs: Vec<F>) -> Vec<Delayed<U>>
     where

@@ -10,9 +10,6 @@
 //!   points that Spark's stage-oriented scheduler introduces" (§3.4).
 //! * **A lightweight central scheduler** — per-task dispatch cost an order
 //!   of magnitude below Spark's (Fig. 2's throughput gap).
-//! * **Bags** — partitioned collections with `map` / `filter` /
-//!   `fold`-style reductions built from delayed tasks (tree reduce, no
-//!   barrier).
 //! * **Weak broadcast** — `scatter(broadcast=true)` handles the payload as
 //!   a *list*, paying per-element scheduler state and time; large arrays
 //!   exhaust worker memory, which is why the paper could not broadcast the
@@ -23,10 +20,8 @@
 //! completion time — building the graph eagerly executes it, which is
 //! timing-equivalent for a dependency-driven scheduler.
 
-mod bag;
 mod client;
 
-pub use bag::Bag;
 pub use client::{DaskClient, Delayed};
 
 /// Per-element scheduler/comm state for list-wise broadcast (bytes). The
@@ -96,31 +91,6 @@ mod tests {
         let xs: Vec<Delayed<u32>> = (0..8).map(|i| c.delayed(move |_| i * i)).collect();
         let (vals, _t) = c.gather(&xs);
         assert_eq!(vals, vec![0, 1, 4, 9, 16, 25, 36, 49]);
-    }
-
-    #[test]
-    fn bag_map_filter_compute() {
-        let c = client();
-        let bag = Bag::from_vec(&c, (0..100u32).collect(), 8);
-        let out = bag.map(|x| x * 2).filter(|x| x % 10 == 0).compute();
-        assert_eq!(out, (0..20).map(|i| i * 10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn bag_fold_tree_reduce() {
-        let c = client();
-        let bag = Bag::from_vec(&c, (1..=100u64).collect(), 7);
-        let total = bag.fold(|part| part.iter().sum::<u64>(), |a, b| a + b);
-        assert_eq!(total.map(|d| *d.value()), Some(5050));
-    }
-
-    #[test]
-    fn bag_map_partitions() {
-        let c = client();
-        let bag = Bag::from_vec(&c, (0..10u32).collect(), 3);
-        let lens = bag.map_partitions(|p| vec![p.len() as u32]).compute();
-        assert_eq!(lens.iter().sum::<u32>(), 10);
-        assert_eq!(lens.len(), 3);
     }
 
     #[test]
@@ -232,11 +202,8 @@ mod tests {
     }
 
     #[test]
-    fn empty_bag_and_empty_gather() {
+    fn empty_gather() {
         let c = client();
-        let bag = Bag::from_vec(&c, Vec::<u32>::new(), 3);
-        assert_eq!(bag.compute(), Vec::<u32>::new());
-        assert!(bag.fold(|p| p.len(), |a, b| a + b).map(|d| *d.value()) == Some(0));
         let (vals, _) = c.gather::<u32>(&[]);
         assert!(vals.is_empty());
     }

@@ -30,12 +30,6 @@ impl DistanceMatrix {
         }
     }
 
-    /// Build from parts. `data.len()` must equal `rows * cols`.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Self {
-        assert_eq!(data.len(), rows * cols, "DistanceMatrix shape mismatch");
-        DistanceMatrix { rows, cols, data }
-    }
-
     #[inline]
     pub fn rows(&self) -> usize {
         self.rows

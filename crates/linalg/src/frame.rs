@@ -39,12 +39,6 @@ impl Frame {
         &self.positions
     }
 
-    /// Mutable view of the positions.
-    #[inline]
-    pub fn positions_mut(&mut self) -> &mut [Vec3] {
-        &mut self.positions
-    }
-
     /// Geometric centre (centroid) of the frame, accumulated in `f64`.
     pub fn centroid(&self) -> Vec3 {
         let n = self.positions.len();
@@ -74,31 +68,6 @@ impl Frame {
     pub fn center(&mut self) {
         let c = self.centroid();
         self.translate(-c);
-    }
-
-    /// Select a subset of atoms by index ("sub-setting" in the paper's
-    /// catalogue of analysis operations, §2).
-    ///
-    /// # Panics
-    /// Panics if any index is out of range.
-    pub fn subset(&self, indices: &[usize]) -> Frame {
-        Frame {
-            positions: indices.iter().map(|&i| self.positions[i]).collect(),
-        }
-    }
-
-    /// Axis-aligned bounding box as `(min, max)` corners; `None` for an
-    /// empty frame.
-    pub fn bounding_box(&self) -> Option<(Vec3, Vec3)> {
-        let mut it = self.positions.iter();
-        let first = *it.next()?;
-        let mut lo = first;
-        let mut hi = first;
-        for &p in it {
-            lo = lo.min(p);
-            hi = hi.max(p);
-        }
-        Some((lo, hi))
     }
 }
 
@@ -144,23 +113,5 @@ mod tests {
         f.translate(Vec3::new(1.0, -1.0, 2.0));
         assert_eq!(f.positions()[0], Vec3::new(1.0, -1.0, 2.0));
         assert_eq!(f.positions()[1], Vec3::new(4.0, -1.0, 2.0));
-    }
-
-    #[test]
-    fn subset_picks_indices() {
-        let f = tri();
-        let s = f.subset(&[2, 0]);
-        assert_eq!(s.n_atoms(), 2);
-        assert_eq!(s.positions()[0], Vec3::new(0.0, 3.0, 0.0));
-        assert_eq!(s.positions()[1], Vec3::new(0.0, 0.0, 0.0));
-    }
-
-    #[test]
-    fn bounding_box() {
-        let f = tri();
-        let (lo, hi) = f.bounding_box().unwrap();
-        assert_eq!(lo, Vec3::ZERO);
-        assert_eq!(hi, Vec3::new(3.0, 3.0, 0.0));
-        assert!(Frame::zeros(0).bounding_box().is_none());
     }
 }

@@ -10,9 +10,8 @@
 //!
 //! A report is rendered to text and hashed with FNV-1a. The rendering is
 //! `{:?}` of the report with the traces lifted out and printed event by
-//! event beside their resolved phase/label strings: `Trace`'s own `Debug`
-//! walks the interner's `HashMap`, whose order changes from process to
-//! process.
+//! event beside their resolved phase/label strings
+//! (`tests/support/golden.rs`, shared with `tests/golden_collectives.rs`).
 //!
 //! The umbrella crate's `tests/service.rs` includes this file as a module,
 //! so tier-1 (`cargo test -q`) gates it too.
@@ -20,17 +19,15 @@
 use mdtask_core::run::Workload;
 use mdtaskd::chaos::{scenario_for_seed, ServiceChaosConfig};
 use mdtaskd::{JobRequest, Service, ServiceReport, TenantSpec};
-use netsim::{Cluster, FaultPlan, RetryPolicy, SimReport};
+use netsim::{Cluster, FaultPlan, RetryPolicy};
 use taskframe::Engine;
+
+#[path = "../../../tests/support/golden.rs"]
+mod golden;
+use golden::{assert_frozen, fnv1a, render_trace};
 
 const MIB: u64 = 1 << 20;
 const GIB: u64 = 1 << 30;
-
-fn fnv1a(text: &str) -> u64 {
-    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
 
 fn hash(report: &ServiceReport) -> u64 {
     let mut rest = report.clone();
@@ -40,20 +37,6 @@ fn hash(report: &ServiceReport) -> u64 {
     }
     text.push_str(&format!("{rest:?}"));
     fnv1a(&text)
-}
-
-fn render_trace(sim: &mut SimReport, out: &mut String) {
-    let Some(trace) = sim.trace.take() else {
-        out.push_str("untraced\n");
-        return;
-    };
-    for e in &trace.events {
-        out.push_str(&format!(
-            "{e:?}|{}|{}\n",
-            trace.phase_of(e),
-            trace.label_of(e)
-        ));
-    }
 }
 
 fn run(service: &Service, tenants: &[TenantSpec], jobs: &[JobRequest]) -> ServiceReport {
@@ -113,7 +96,7 @@ fn chaos_scenarios_match_the_frozen_hashes() {
             hash(&run(&s.service, &s.tenants, &s.jobs))
         })
         .collect();
-    assert_eq!(got, CHAOS, "a chaos scenario's report moved");
+    assert_frozen("CHAOS", &got, &CHAOS);
 }
 
 const EXP_SERVICE_SCALE: u64 = 0x8cc0_97f8_7619_2098;

@@ -148,6 +148,9 @@ where
 ///
 /// With `policy.max_attempts == 1` this is exactly [`try_run`]: the first
 /// death before the job's end surfaces as [`EngineError::WorkerLost`].
+///
+/// MPI runs at most one rank per core: a `world` outside `1..=cores` is
+/// [`EngineError::Unsupported`], answered before any rank is spawned.
 pub fn try_run_with_policy<T, F>(
     cluster: Cluster,
     world: usize,
@@ -159,12 +162,13 @@ where
     T: Send,
     F: Fn(&mut Comm) -> T + Send + Sync,
 {
-    assert!(world >= 1, "need at least one rank");
-    assert!(
-        world <= cluster.total_cores(),
-        "world size {world} exceeds {} cores",
-        cluster.total_cores()
-    );
+    // One rank per core, at least one rank.
+    let cores = cluster.total_cores();
+    if !(1..=cores).contains(&world) {
+        return Err(EngineError::Unsupported(format!(
+            "an MPI world of {world} ranks on {cores} cores (need 1..={cores})"
+        )));
+    }
     let profile = mpi_profile();
     let shared = Shared {
         rendezvous: Rendezvous::new(world),
@@ -458,16 +462,6 @@ impl<'a> Comm<'a> {
         self.shared.cluster.node_of_core(rank)
     }
 
-    /// Node hosting a rank (for extended collectives).
-    pub(crate) fn node_of(&self, rank: usize) -> usize {
-        self.node_of_rank(rank)
-    }
-
-    /// The cluster's network model (for extended collectives).
-    pub(crate) fn network(&self) -> netsim::NetworkModel {
-        self.shared.cluster.profile.network
-    }
-
     /// Execute real work; its measured time (scaled to the machine profile)
     /// advances this rank's virtual clock.
     pub fn compute<R>(&mut self, f: impl FnOnce() -> R) -> R {
@@ -489,15 +483,6 @@ impl<'a> Comm<'a> {
     pub fn charge(&mut self, secs: f64) {
         assert!(secs >= 0.0);
         self.clock += secs;
-    }
-
-    pub(crate) fn collective_ext<T, R, F>(&mut self, input: T, finish: F) -> R
-    where
-        T: Send + 'static,
-        R: Send + 'static,
-        F: FnOnce(&[f64], Vec<T>) -> (Vec<R>, Vec<f64>),
-    {
-        self.collective(input, finish)
     }
 
     fn collective<T, R, F>(&mut self, input: T, finish: F) -> R

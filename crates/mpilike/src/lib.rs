@@ -23,7 +23,6 @@
 //! byte counters the experiment harness prints.
 
 mod collective;
-mod collectives_ext;
 mod comm;
 mod stream;
 

@@ -156,36 +156,6 @@ impl BallTree {
         out
     }
 
-    /// Count of points within `radius` of `query` (no allocation).
-    pub fn count_radius(&self, query: Vec3, radius: f32) -> usize {
-        assert!(radius >= 0.0, "radius must be non-negative");
-        if self.nodes.is_empty() {
-            return 0;
-        }
-        let r2 = radius * radius;
-        let mut count = 0usize;
-        let mut stack = vec![0u32];
-        while let Some(id) = stack.pop() {
-            let node = &self.nodes[id as usize];
-            let d = query.dist(node.center);
-            if d > node.radius + radius {
-                continue;
-            }
-            // Whole-ball inclusion: every member is within radius.
-            if node.left == NO_CHILD {
-                for &i in &self.indices[node.start as usize..node.end as usize] {
-                    if query.dist2(self.points[i as usize]) <= r2 {
-                        count += 1;
-                    }
-                }
-            } else {
-                stack.push(node.left);
-                stack.push(node.right);
-            }
-        }
-        count
-    }
-
     /// Approximate heap footprint in bytes — used by the memory model to
     /// reproduce the paper's observation that "the tree has a smaller
     /// memory footprint than cdist" (§4.3.4).
@@ -219,7 +189,6 @@ mod tests {
         let t = BallTree::build(&[], 16);
         assert!(t.is_empty());
         assert!(t.query_radius(Vec3::ZERO, 5.0).is_empty());
-        assert_eq!(t.count_radius(Vec3::ZERO, 5.0), 0);
     }
 
     #[test]
@@ -230,7 +199,6 @@ mod tests {
         let interior = Vec3::new(1.0, 1.0, 1.0);
         let hits = t.query_radius(interior, 1.0);
         assert_eq!(hits.len(), 7);
-        assert_eq!(t.count_radius(interior, 1.0), 7);
     }
 
     #[test]
@@ -274,7 +242,6 @@ mod tests {
                 .map(|(i, _)| i as u32)
                 .collect();
             prop_assert_eq!(&got, &want);
-            prop_assert_eq!(t.count_radius(query, radius), want.len());
         }
     }
 }

@@ -203,13 +203,6 @@ impl ClusterBuilder {
         self
     }
 
-    /// Local scratch-disk bandwidth, bytes/second (spill cost).
-    pub fn disk_bandwidth(mut self, bps: f64) -> Self {
-        assert!(bps > 0.0, "disk bandwidth must be positive");
-        self.profile.disk_bandwidth_bps = bps;
-        self
-    }
-
     /// Scripted failures this allocation will suffer.
     pub fn fault_plan(mut self, faults: FaultPlan) -> Self {
         self.faults = faults;

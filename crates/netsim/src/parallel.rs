@@ -223,16 +223,6 @@ where
     })
 }
 
-/// [`run_owned_with`] at [`current_degree`].
-pub fn run_owned<I, T, F>(items: Vec<I>, f: F) -> Vec<T>
-where
-    I: Send,
-    T: Send,
-    F: Fn(usize, I) -> T + Sync,
-{
-    run_owned_with(current_degree(), items, f)
-}
-
 /// Counting semaphore bounding how many rank threads execute real compute
 /// concurrently (mpilike's generalization of its old global compute token:
 /// capacity 1 reproduces the strict serial order exactly).

@@ -21,9 +21,6 @@
 //!   matching "we were not able to scale RADICAL-Pilot to 32k or more
 //!   tasks" (§4.1).
 
-pub mod entk;
-pub mod mapreduce;
-
 use mdio::StagingArea;
 use netsim::{Cluster, RetryPolicy, SimExecutor, SimReport};
 use parking_lot::Mutex;

@@ -23,7 +23,6 @@
 
 mod context;
 mod rdd;
-mod rdd_ext;
 mod shuffle;
 mod stream;
 

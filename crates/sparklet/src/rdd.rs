@@ -198,15 +198,6 @@ where
         (self.compute)(p, ctx)
     }
 
-    /// Crate-visible accessors for operator extensions (`rdd_ext`).
-    pub(crate) fn stage_ready_public(&self, state: &mut JobState) -> Result<Vec<f64>, EngineError> {
-        self.stage_ready(state)
-    }
-
-    pub(crate) fn partition_input_public(&self, p: usize, ctx: &TaskCtx) -> Vec<T> {
-        self.partition_input(p, ctx)
-    }
-
     /// Ready times for this RDD's stage: skip upstream work if this RDD is
     /// already fully cached.
     fn stage_ready(&self, state: &mut JobState) -> Result<Vec<f64>, EngineError> {

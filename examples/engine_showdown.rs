@@ -58,7 +58,7 @@ fn main() {
     };
     println!(
         "decision framework says: {} (embarrassingly parallel → programmability wins)",
-        decision::recommend(&workload).label()
+        decision::paper_name(decision::recommend(&workload))
     );
     let coupled = Workload {
         needs_shuffle: true,
@@ -66,7 +66,7 @@ fn main() {
     };
     println!(
         "…and for shuffle-coupled analyses: {}",
-        decision::recommend(&coupled).label()
+        decision::paper_name(decision::recommend(&coupled))
     );
 }
 

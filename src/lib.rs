@@ -69,9 +69,9 @@ pub mod prelude {
     pub use crate::analysis::psa::psa_serial;
     pub use crate::analysis::{
         contacts_analysis, lf_frame_value, rmsd_analysis, run_lf, run_lf_stream, run_psa,
-        run_workload, AnalysisCost, AnalysisFromFunction, AtomSelection, Engine, EngineKind,
-        FrameSeries, Gathered, LfApproach, LfConfig, LfOutput, LfRun, ParallelAnalysis, PsaConfig,
-        PsaOutput, PsaRun, ReduceShape, RunConfig, StreamTuning, Workload, WorkloadRun,
+        run_workload, AnalysisCost, AnalysisFromFunction, AtomSelection, Engine, FrameSeries,
+        Gathered, LfApproach, LfConfig, LfOutput, LfRun, ParallelAnalysis, PsaConfig, PsaOutput,
+        PsaRun, ReduceShape, RunConfig, StreamTuning, Workload, WorkloadRun,
     };
     pub use crate::cluster::{
         check_stream_invariants, comet, laptop, wrangler, ChaosConfig, Cluster, CriticalPath,
@@ -79,7 +79,7 @@ pub mod prelude {
         SimReport, SourceLog, StreamError, StreamJob, StreamOutput, StreamRun, Threads, Trace,
         TraceEvent, WindowSpec,
     };
-    pub use crate::dask::{Bag, DaskClient, Delayed};
+    pub use crate::dask::{DaskClient, Delayed};
     pub use crate::frame::{BagEngine, EngineError, FrameworkProfile, Payload, TaskCtx};
     pub use crate::io::StreamSource;
     pub use crate::math::{DistanceMatrix, Frame, Vec3};
@@ -100,7 +100,7 @@ mod tests {
         let _ = Vec3::new(0.0, 0.0, 0.0);
         let _ = ChainSpec::default();
         let _ = laptop();
-        assert_eq!(EngineKind::ALL.len(), 4);
+        assert_eq!(Engine::ALL.len(), 4);
         assert_eq!(LfApproach::ALL.len(), 4);
     }
 }

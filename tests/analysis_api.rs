@@ -11,7 +11,7 @@ use mdtask::analysis::partition::Block;
 use mdtask::math::rmsd_superposed;
 use mdtask::prelude::*;
 use proptest::prelude::*;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 const ENGINES: [Engine; 4] = [Engine::Spark, Engine::Dask, Engine::Pilot, Engine::Mpi];
 const DEGREES: [Threads; 3] = [Threads::Fixed(1), Threads::Fixed(2), Threads::Fixed(8)];
@@ -224,6 +224,8 @@ impl Payload for Sealed {
 struct Squares {
     input: Arc<Sealed>,
     broadcast: bool,
+    /// Every `Engine` a hook was handed, in call order.
+    seen: Arc<Mutex<Vec<Engine>>>,
 }
 
 impl ParallelAnalysis for Squares {
@@ -241,12 +243,18 @@ impl ParallelAnalysis for Squares {
         Arc::clone(&self.input)
     }
 
-    fn slices(&self, _engine: EngineKind, _cluster: &Cluster) -> Vec<(u32, u32)> {
+    fn slices(&self, engine: Engine, _cluster: &Cluster) -> Vec<(u32, u32)> {
+        self.seen.lock().unwrap().push(engine);
         mdtask::analysis::partition::plan_1d(self.input.0.len(), 6)
     }
 
     fn broadcast(&self) -> bool {
         self.broadcast
+    }
+
+    fn map_phase(&self, engine: Engine) -> &'static str {
+        self.seen.lock().unwrap().push(engine);
+        "map"
     }
 
     fn map(&self, shared: &Sealed, s: (u32, u32)) -> Vec<(u32, u64)> {
@@ -269,6 +277,7 @@ impl ParallelAnalysis for Squares {
         gathered: Gathered<(u32, u64), Sealed>,
         ctx: mdtask::analysis::DriverCtx<'_>,
     ) -> Result<(Vec<u64>, SimReport), EngineError> {
+        self.seen.lock().unwrap().push(ctx.engine());
         let mut values: Vec<u64> = match gathered {
             Gathered::Items(items) => items.into_iter().map(|(_, v)| v).collect(),
             Gathered::Ranks(wires) => wires
@@ -290,17 +299,24 @@ fn shared_input_need_not_be_clone_on_any_engine() {
     let reference: Vec<u64> = (0..97u64).map(|x| x * x).collect();
     for engine in ENGINES {
         for broadcast in [false, true] {
+            let seen = Arc::new(Mutex::new(Vec::new()));
             let run = || {
                 RunConfig::new(Cluster::new(laptop(), 2), engine)
                     .mpi_world(4)
                     .run_analysis(Squares {
                         input: Arc::clone(&input),
                         broadcast,
+                        seen: Arc::clone(&seen),
                     })
                     .unwrap_or_else(|e| panic!("{engine:?} broadcast={broadcast}: {e:?}"))
             };
             let (values, report) = run();
             assert_eq!(values, reference, "{engine:?} broadcast={broadcast}");
+            // `slices`, `map_phase` (the pilot has no map phase to label)
+            // and `finalize` are all told the engine the run was
+            // configured with.
+            let hooks = if engine == Engine::Pilot { 2 } else { 3 };
+            assert_eq!(*seen.lock().unwrap(), vec![engine; hooks]);
             assert_eq!(run().1, report, "{engine:?} broadcast={broadcast}: report");
             // The pilot has no broadcast primitive; the other three charge
             // the replica's bytes, seen through the `Arc`.

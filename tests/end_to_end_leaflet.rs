@@ -71,7 +71,7 @@ fn paper_scale_memory_failures_reproduce() {
         ..s.cfg.clone()
     };
 
-    use mdtask::analysis::EngineKind::*;
+    use mdtask::analysis::Engine::*;
     // Approach 1: Dask dies at 524k; Spark/MPI at 4M.
     assert!(leaflet::check_feasible(Dask, LfApproach::Broadcast1D, &at(524_288), &c).is_err());
     assert!(leaflet::check_feasible(Spark, LfApproach::Broadcast1D, &at(524_288), &c).is_ok());

@@ -96,7 +96,8 @@ fn cpptraj_agrees_with_mdanalysis_path() {
         4,
         mdtask::cpp::KernelBuild::IntelO3,
         &e,
-    );
+    )
+    .expect("fault-free");
     for i in 0..e.len() {
         for j in 0..e.len() {
             assert!(

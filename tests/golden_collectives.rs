@@ -9,11 +9,10 @@
 //! charge, byte count or trace event, so the reference is frozen here.
 //!
 //! A run is rendered to text and hashed with FNV-1a, as in
-//! `crates/mdtaskd/tests/golden_reports.rs`: `{:?}` of the output with the
-//! trace lifted out and printed event by event beside its resolved
-//! phase/label strings (`Trace`'s own `Debug` walks the interner's
-//! `HashMap`, whose order changes from process to process). A typed
-//! failure hashes its `{:?}`.
+//! `crates/mdtaskd/tests/golden_reports.rs` (both through
+//! `tests/support/golden.rs`): `{:?}` of the output with the trace lifted
+//! out and printed event by event beside its resolved phase/label
+//! strings. A typed failure hashes its `{:?}`.
 //!
 //! The second half of the table freezes what happens between a failed
 //! task attempt and the next one — zombies, fences and late deliveries
@@ -34,13 +33,11 @@ use mdtask::prelude::*;
 use std::fmt::Debug;
 use std::sync::Arc;
 
-const ENGINES: [Engine; 4] = [Engine::Spark, Engine::Dask, Engine::Pilot, Engine::Mpi];
+#[path = "support/golden.rs"]
+mod golden;
+use golden::{assert_frozen, fnv1a, render_trace};
 
-fn fnv1a(text: &str) -> u64 {
-    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
+const ENGINES: [Engine; 4] = [Engine::Spark, Engine::Dask, Engine::Pilot, Engine::Mpi];
 
 /// An output that carries its run's [`SimReport`].
 trait Reported: Debug {
@@ -71,44 +68,9 @@ fn digest<O: Reported>(result: Result<O, EngineError>) -> u64 {
         Err(e) => return fnv1a(&format!("{e:?}")),
     };
     let mut text = String::new();
-    match out.report_mut().trace.take() {
-        Some(trace) => {
-            for e in &trace.events {
-                text.push_str(&format!(
-                    "{e:?}|{}|{}\n",
-                    trace.phase_of(e),
-                    trace.label_of(e)
-                ));
-            }
-        }
-        None => text.push_str("untraced\n"),
-    }
+    render_trace(out.report_mut(), &mut text);
     text.push_str(&format!("{out:?}"));
     fnv1a(&text)
-}
-
-/// Compare against the frozen constants; on a mismatch print what was
-/// computed in the form the constants are written in.
-fn assert_frozen(what: &str, got: &[u64], want: &[u64]) {
-    if got != want {
-        let rows: Vec<String> = got
-            .chunks(4)
-            .map(|row| {
-                let cells: Vec<String> = row
-                    .iter()
-                    .map(|h| {
-                        let s = format!("{h:016x}");
-                        format!("0x{}_{}_{}_{}", &s[0..4], &s[4..8], &s[8..12], &s[12..16])
-                    })
-                    .collect();
-                format!("    {},", cells.join(", "))
-            })
-            .collect();
-        panic!(
-            "{what}: a frozen hash moved; computed:\n{}",
-            rows.join("\n")
-        );
-    }
 }
 
 fn cluster(plan: Option<FaultPlan>) -> Cluster {
@@ -254,7 +216,7 @@ impl ParallelAnalysis for Concat {
         Arc::clone(&self.data)
     }
 
-    fn slices(&self, _engine: EngineKind, _cluster: &Cluster) -> Vec<(u32, u32)> {
+    fn slices(&self, _engine: Engine, _cluster: &Cluster) -> Vec<(u32, u32)> {
         plan_1d(self.data.len(), self.slices)
     }
 
