@@ -32,7 +32,8 @@
 //!     --mem-plans 100 --metrics-out results/chaos_mem_metrics.json
 //! ```
 
-use mdsim::BilayerSpec;
+use bench::report::{json_lines, Cell, Row};
+use bench::{death_window, fault_free_footprint, high_water, lf_system, write_artifact};
 use mdtask_core::leaflet::{LfApproach, LfConfig, LfOutput};
 use mdtask_core::run::{run_lf, RunConfig};
 use netsim::chaos::{fuzz, ChaosConfig, ChaosOutcome, Fingerprint, FuzzReport};
@@ -41,25 +42,6 @@ use std::sync::{Arc, Mutex};
 use taskframe::Engine;
 
 const MPI_WORLD: usize = 16;
-
-fn lf_workload() -> (Arc<Vec<linalg::Vec3>>, LfConfig) {
-    let b = mdsim::bilayer::generate(
-        &BilayerSpec {
-            n_atoms: 200,
-            ..Default::default()
-        },
-        7,
-    );
-    (
-        Arc::new(b.positions),
-        LfConfig {
-            cutoff: b.suggested_cutoff,
-            partitions: 8,
-            paper_atoms: 200,
-            charge_io: false,
-        },
-    )
-}
 
 /// Hash the *data* an LF run produced — the oracle compares this against
 /// the fault-free baseline.
@@ -71,15 +53,6 @@ fn fingerprint(out: &LfOutput) -> u64 {
     fp.write_usize(out.n_components);
     fp.write_u64(out.edges_found);
     fp.finish()
-}
-
-/// Deaths must land inside the engine's live window (startup + job).
-fn death_window(engine: Engine) -> (f64, f64) {
-    match engine {
-        Engine::Spark | Engine::Dask => (0.0, 3.0),
-        Engine::Pilot => (0.0, 40.0),
-        Engine::Mpi => (0.0, 1.5),
-    }
 }
 
 /// One LF run under `plan`; `traced` turns on the event trace (for the
@@ -133,79 +106,39 @@ impl MemAgg {
         self.bytes_evicted += report.bytes_evicted;
         self.recomputed_partitions += report.recomputed_partitions;
         self.oom_kills += report.oom_kills;
-        let hw = report.mem_high_water.iter().copied().max().unwrap_or(0);
-        self.mem_high_water_max = self.mem_high_water_max.max(hw);
+        self.mem_high_water_max = self.mem_high_water_max.max(high_water(report));
     }
 
-    fn to_json(&self, engine: &str, footprint: u64) -> String {
-        format!(
-            concat!(
-                "    {{\"engine\": \"{}\", \"fault_free_footprint_bytes\": {}, ",
-                "\"runs\": {}, \"typed_errors\": {}, \"bytes_spilled\": {}, ",
-                "\"bytes_evicted\": {}, \"recomputed_partitions\": {}, ",
-                "\"oom_kills\": {}, \"mem_high_water_max\": {}}}"
+    fn row(&self, engine: Engine, footprint: u64) -> Row {
+        Row(vec![
+            ("engine", Cell::Str(engine.label().into())),
+            ("fault_free_footprint_bytes", Cell::Int(footprint)),
+            ("runs", Cell::Int(self.runs as u64)),
+            ("typed_errors", Cell::Int(self.typed_errors as u64)),
+            ("bytes_spilled", Cell::Int(self.bytes_spilled)),
+            ("bytes_evicted", Cell::Int(self.bytes_evicted)),
+            (
+                "recomputed_partitions",
+                Cell::Int(self.recomputed_partitions as u64),
             ),
-            engine,
-            footprint,
-            self.runs,
-            self.typed_errors,
-            self.bytes_spilled,
-            self.bytes_evicted,
-            self.recomputed_partitions,
-            self.oom_kills,
-            self.mem_high_water_max,
-        )
+            ("oom_kills", Cell::Int(self.oom_kills as u64)),
+            ("mem_high_water_max", Cell::Int(self.mem_high_water_max)),
+        ])
     }
 }
 
-/// The fault-free peak footprint memory plans are scaled against. MPI
-/// keeps no resident ledger, so its proxy is the bytes its collectives
-/// move (which is what the fixed per-rank buffers must hold).
-fn fault_free_footprint(engine: Engine, positions: &Arc<Vec<linalg::Vec3>>, cfg: &LfConfig) -> u64 {
-    let outcome = run_engine(engine, &FaultPlan::none(), positions, cfg, false, true)
-        .expect("fault-free footprint probe must succeed");
-    let r = &outcome.report;
-    let peak = r.mem_high_water.iter().copied().max().unwrap_or(0);
-    if peak > 0 {
-        peak
-    } else {
-        (r.bytes_broadcast + r.bytes_shuffled).max(64 * 1024)
-    }
-}
-
-fn write_artifact(path: &str, contents: &str) {
-    if let Some(dir) = std::path::Path::new(path).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).expect("create artifact directory");
-        }
-    }
-    std::fs::write(path, contents).expect("write artifact");
-    eprintln!("wrote {path}");
-}
-
-fn dump_failure_artifacts(
-    engine: Engine,
-    report: &FuzzReport,
-    out_dir: &str,
-    positions: &Arc<Vec<linalg::Vec3>>,
-    cfg: &LfConfig,
-) {
-    write_artifact(
-        &format!("{out_dir}/chaos_failures_{}.json", engine.label()),
-        &report.to_json(),
+/// Print a failed battery's violations and write its `FuzzReport`.
+fn report_violations(engine: Engine, report: &FuzzReport, path: &str) {
+    println!(
+        "  {:<6} {} plans, {} VIOLATIONS",
+        engine.label(),
+        report.plans_run,
+        report.violations.len()
     );
-    // Replay the first shrunk counterexample with the event trace on, so
-    // the CI artifact shows the recovery timeline that broke the oracle.
-    if let Some(v) = report.violations.first() {
-        if let Ok(outcome) = run_engine(engine, &v.shrunk, positions, cfg, true, false) {
-            if let Some(trace) = &outcome.report.trace {
-                write_artifact(
-                    &format!("{out_dir}/chaos_failure_{}.trace.json", engine.label()),
-                    &trace.to_chrome_json(),
-                );
-            }
-        }
+    for v in &report.violations {
+        println!("         seed {}: {}", v.seed, v.message);
     }
+    write_artifact(path, &report.to_json());
 }
 
 fn main() {
@@ -234,7 +167,7 @@ fn main() {
     let metrics_out = args.metrics_out.clone();
     let engines = args.engines();
 
-    let (positions, cfg) = lf_workload();
+    let (positions, cfg) = lf_system(200, 7, 8, false);
     println!(
         "chaos sweep: {plans} seeded plans per engine (base seed {base_seed}), \
          LF 200 atoms on 2 laptop nodes, {} host threads",
@@ -262,29 +195,41 @@ fn main() {
             );
         } else {
             failed = true;
-            println!(
-                "  {:<6} {} plans, {} VIOLATIONS",
-                engine.label(),
-                report.plans_run,
-                report.violations.len()
+            let label = engine.label();
+            report_violations(
+                engine,
+                &report,
+                &format!("{out_dir}/chaos_failures_{label}.json"),
             );
-            for v in &report.violations {
-                println!("         seed {}: {}", v.seed, v.message);
+            // Replay the first shrunk counterexample with the event trace
+            // on, so the CI artifact shows the recovery timeline that
+            // broke the oracle.
+            let replay = report
+                .violations
+                .first()
+                .and_then(|v| run_engine(engine, &v.shrunk, &positions, &cfg, true, false).ok());
+            if let Some(trace) = replay.as_ref().and_then(|o| o.report.trace.as_ref()) {
+                write_artifact(
+                    &format!("{out_dir}/chaos_failure_{label}.trace.json"),
+                    &trace.to_chrome_json(),
+                );
             }
-            dump_failure_artifacts(engine, &report, &out_dir, &positions, &cfg);
         }
     }
     // Memory battery: pure mem-shrink plans scaled to each engine's own
     // fault-free footprint, so a 16 GiB default budget doesn't render
     // every shrink a no-op against KB-scale CI workloads.
-    let mut metric_rows: Vec<String> = Vec::new();
+    let mut metric_rows: Vec<Row> = Vec::new();
     if mem_plans > 0 {
         println!(
             "memory battery: {mem_plans} seeded mem-shrink plans per engine \
              (base seed {base_seed}), caps scaled to fault-free footprints"
         );
         for &engine in &engines {
-            let footprint = fault_free_footprint(engine, &positions, &cfg);
+            // The fault-free peak footprint memory plans are scaled against.
+            let clean = run_engine(engine, &FaultPlan::none(), &positions, &cfg, false, true)
+                .expect("fault-free footprint probe must succeed");
+            let footprint = fault_free_footprint(&clean.report);
             let mut ccfg = ChaosConfig::new(2, 8);
             ccfg.plans = mem_plans;
             ccfg.base_seed = base_seed;
@@ -308,7 +253,7 @@ fn main() {
                 res
             });
             let agg = agg.into_inner().unwrap();
-            metric_rows.push(agg.to_json(engine.label(), footprint));
+            metric_rows.push(agg.row(engine, footprint));
             if report.passed() {
                 println!(
                     "  {:<6} {} plans, all oracles held \
@@ -323,18 +268,10 @@ fn main() {
                 );
             } else {
                 failed = true;
-                println!(
-                    "  {:<6} {} plans, {} VIOLATIONS",
-                    engine.label(),
-                    report.plans_run,
-                    report.violations.len()
-                );
-                for v in &report.violations {
-                    println!("         seed {}: {}", v.seed, v.message);
-                }
-                write_artifact(
+                report_violations(
+                    engine,
+                    &report,
                     &format!("{out_dir}/chaos_mem_failures_{}.json", engine.label()),
-                    &report.to_json(),
                 );
             }
         }
@@ -343,7 +280,7 @@ fn main() {
         let body = format!(
             "{{\n  \"mem_plans_per_engine\": {mem_plans},\n  \"base_seed\": {base_seed},\n  \
              \"engines\": [\n{}\n  ]\n}}\n",
-            metric_rows.join(",\n")
+            json_lines(&metric_rows)
         );
         write_artifact(path, &body);
     }

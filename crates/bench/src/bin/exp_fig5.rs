@@ -16,48 +16,28 @@ use netsim::{comet, wrangler, Cluster, MachineProfile};
 use std::sync::Arc;
 use taskframe::Engine;
 
-struct Series {
-    name: &'static str,
-    runtimes: Vec<f64>,
-}
-
 fn run_machine(profile: MachineProfile, scale: usize, count: usize) {
     assert!(count >= 1);
     let ensemble = Arc::new(psa_ensemble(PsaSize::Large, count, scale, 42));
     let cores_axis = [16usize, 64, 256];
-    let mut series: Vec<Series> = vec![
-        Series {
-            name: "mpi4py",
-            runtimes: Vec::new(),
-        },
-        Series {
-            name: "spark",
-            runtimes: Vec::new(),
-        },
-        Series {
-            name: "dask",
-            runtimes: Vec::new(),
-        },
-        Series {
-            name: "rp",
-            runtimes: Vec::new(),
-        },
+    let engines = [
+        ("mpi4py", Engine::Mpi),
+        ("spark", Engine::Spark),
+        ("dask", Engine::Dask),
+        ("rp", Engine::Pilot),
     ];
+    // Per engine, the runtime at each core count.
+    let mut runtimes = vec![Vec::new(); engines.len()];
     for &cores in &cores_axis {
         let mut cfg = PsaConfig::for_cores(cores);
         // Cannot have more groups than ensemble members (Algorithm 2).
         cfg.groups = cfg.groups.min(count);
-        let time = |engine| {
+        for (series, &(_, engine)) in runtimes.iter_mut().zip(&engines) {
             let rc = RunConfig::new(Cluster::with_cores(profile.clone(), cores), engine)
                 .mpi_world(cores);
-            run_psa(&rc, Arc::clone(&ensemble), &cfg)
-                .map(|o| o.report.makespan_s)
-                .unwrap_or(f64::NAN)
-        };
-        series[0].runtimes.push(time(Engine::Mpi));
-        series[1].runtimes.push(time(Engine::Spark));
-        series[2].runtimes.push(time(Engine::Dask));
-        series[3].runtimes.push(time(Engine::Pilot));
+            let out = run_psa(&rc, Arc::clone(&ensemble), &cfg);
+            series.push(out.map_or(f64::NAN, |o| o.report.makespan_s));
+        }
     }
 
     println!("\n--- {} ---", profile.name);
@@ -66,14 +46,14 @@ fn run_machine(profile: MachineProfile, scale: usize, count: usize) {
         print!(" {:>12}", cores_nodes_label(c, &profile));
     }
     println!();
-    for s in &series {
-        print!("{:<8}", s.name);
-        for t in &s.runtimes {
+    for (&(name, _), series) in engines.iter().zip(&runtimes) {
+        print!("{name:<8}");
+        for t in series {
             print!(" {:>12}", secs(*t));
         }
         print!("   speedup:");
-        for t in &s.runtimes {
-            print!(" {:>5.2}", s.runtimes[0] / t);
+        for t in series {
+            print!(" {:>5.2}", series[0] / t);
         }
         println!();
     }

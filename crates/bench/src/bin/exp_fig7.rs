@@ -15,9 +15,9 @@
 //! cargo run -p bench --release --bin exp_fig7 -- --scale 64   # faster
 //! ```
 
-use bench::{cores_nodes_label, secs, Opts};
-use mdsim::{lf_dataset, LfDatasetId};
-use mdtask_core::leaflet::{LfApproach, LfConfig};
+use bench::{cores_nodes_label, lf_paper_system, secs, Opts};
+use mdsim::LfDatasetId;
+use mdtask_core::leaflet::LfApproach;
 use mdtask_core::run::{run_lf, RunConfig};
 use netsim::Cluster;
 use std::sync::Arc;
@@ -38,14 +38,7 @@ fn main() {
             "atoms", "cores/nd", "spark (s)", "dask (s)", "mpi4py (s)"
         );
         for id in LfDatasetId::ALL {
-            let system = lf_dataset(id, opts.scale, 7);
-            let positions = Arc::new(system.positions);
-            let cfg = LfConfig {
-                cutoff: system.suggested_cutoff,
-                partitions: 1024,
-                paper_atoms: id.paper_atoms(),
-                charge_io: true,
-            };
+            let (positions, cfg) = lf_paper_system(id, opts.scale);
             for &cores in &cores_axis {
                 let time = |engine| {
                     let rc =

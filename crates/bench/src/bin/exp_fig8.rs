@@ -10,9 +10,9 @@
 //! cargo run -p bench --release --bin exp_fig8
 //! ```
 
-use bench::{cores_nodes_label, secs, Opts};
-use mdsim::{lf_dataset, LfDatasetId};
-use mdtask_core::leaflet::{LfApproach, LfConfig};
+use bench::{cores_nodes_label, lf_paper_system, secs, Opts};
+use mdsim::LfDatasetId;
+use mdtask_core::leaflet::LfApproach;
 use mdtask_core::run::{run_lf, RunConfig};
 use netsim::Cluster;
 use std::sync::Arc;
@@ -27,42 +27,25 @@ fn main() {
     );
 
     for id in [LfDatasetId::Atoms131k, LfDatasetId::Atoms262k] {
-        let system = lf_dataset(id, opts.scale, 7);
-        let positions = Arc::new(system.positions);
-        let cfg = LfConfig {
-            cutoff: system.suggested_cutoff,
-            partitions: 1024,
-            paper_atoms: id.paper_atoms(),
-            charge_io: true,
-        };
+        let (positions, cfg) = lf_paper_system(id, opts.scale);
         println!("\n--- {} atoms ---", id.label());
         println!(
             "{:>9} | {:>10} {:>10} {:>6} | {:>10} {:>10} {:>6} | {:>10} {:>10} {:>6}",
             "cores/nd", "spark", "bcast", "%", "dask", "bcast", "%", "mpi", "bcast", "%"
         );
         for &cores in &cores_axis {
-            let mut cells: Vec<String> = Vec::new();
-            for engine in [Engine::Spark, Engine::Dask, Engine::Mpi] {
+            let groups = [Engine::Spark, Engine::Dask, Engine::Mpi].map(|engine| {
                 let rc = RunConfig::new(Cluster::with_cores(opts.machine.clone(), cores), engine)
                     .approach(LfApproach::Broadcast1D)
                     .mpi_world(cores);
                 let out =
                     run_lf(&rc, Arc::clone(&positions), &cfg).expect("approach1 fits 131k/262k");
-                push_cells(&mut cells, &out.report);
-            }
-
+                cells(&out.report)
+            });
             println!(
-                "{:>9} | {:>10} {:>10} {:>6} | {:>10} {:>10} {:>6} | {:>10} {:>10} {:>6}",
+                "{:>9} | {}",
                 cores_nodes_label(cores, &opts.machine),
-                cells[0],
-                cells[1],
-                cells[2],
-                cells[3],
-                cells[4],
-                cells[5],
-                cells[6],
-                cells[7],
-                cells[8],
+                groups.join(" | ")
             );
         }
     }
@@ -75,13 +58,7 @@ fn main() {
     if opts.wants_observability() {
         // Traced Dask run of the broadcast-heavy approach: the critical
         // path shows *why* broadcast dominates (Fig. 8's mechanism).
-        let system = lf_dataset(LfDatasetId::Atoms131k, opts.scale, 7);
-        let cfg = LfConfig {
-            cutoff: system.suggested_cutoff,
-            partitions: 1024,
-            paper_atoms: LfDatasetId::Atoms131k.paper_atoms(),
-            charge_io: true,
-        };
+        let (positions, cfg) = lf_paper_system(LfDatasetId::Atoms131k, opts.scale);
         let cores = 64;
         let rc = RunConfig::new(
             Cluster::with_cores(opts.machine.clone(), cores),
@@ -89,7 +66,7 @@ fn main() {
         )
         .approach(LfApproach::Broadcast1D)
         .trace(true);
-        let d = run_lf(&rc, Arc::new(system.positions), &cfg).expect("traced dask run");
+        let d = run_lf(&rc, positions, &cfg).expect("traced dask run");
         let trace = d.report.trace.as_ref().expect("trace enabled");
         println!("\ncritical path (dask, approach 1, {cores} cores):");
         print!("{}", netsim::CriticalPath::from_trace(trace).render());
@@ -97,10 +74,14 @@ fn main() {
     }
 }
 
-fn push_cells(cells: &mut Vec<String>, report: &netsim::SimReport) {
+/// One engine's `runtime bcast %` columns.
+fn cells(report: &netsim::SimReport) -> String {
     let bcast = report.phase_total("broadcast").unwrap_or(0.0);
     let edges = report.phase_total("edge-discovery").unwrap_or(f64::NAN);
-    cells.push(secs(report.makespan_s));
-    cells.push(secs(bcast));
-    cells.push(format!("{:.0}%", 100.0 * bcast / edges));
+    let share = format!("{:.0}%", 100.0 * bcast / edges);
+    format!(
+        "{:>10} {:>10} {share:>6}",
+        secs(report.makespan_s),
+        secs(bcast)
+    )
 }

@@ -10,9 +10,8 @@
 //! cargo run -p bench --release --bin exp_fig9
 //! ```
 
-use bench::{cores_nodes_label, secs, Opts};
-use mdsim::{lf_dataset, LfDatasetId};
-use mdtask_core::leaflet::LfConfig;
+use bench::{cores_nodes_label, lf_paper_system, secs, Opts};
+use mdsim::LfDatasetId;
 use mdtask_core::run::{run_lf, RunConfig};
 use netsim::Cluster;
 use std::sync::Arc;
@@ -30,40 +29,26 @@ fn main() {
         "cores/nd", "131k (s)", "262k (s)", "524k (s)"
     );
 
-    let datasets: Vec<_> = [
+    let datasets = [
         LfDatasetId::Atoms131k,
         LfDatasetId::Atoms262k,
         LfDatasetId::Atoms524k,
     ]
-    .into_iter()
-    .map(|id| {
-        let system = lf_dataset(id, opts.scale, 7);
-        let cfg = LfConfig {
-            cutoff: system.suggested_cutoff,
-            partitions: 1024,
-            paper_atoms: id.paper_atoms(),
-            charge_io: true,
-        };
-        (Arc::new(system.positions), cfg)
-    })
-    .collect();
+    .map(|id| lf_paper_system(id, opts.scale));
 
     for &cores in &cores_axis {
-        let mut row: Vec<String> = Vec::new();
-        for (positions, cfg) in &datasets {
+        let row = datasets.each_ref().map(|(positions, cfg)| {
             let rc = RunConfig::new(
                 Cluster::with_cores(opts.machine.clone(), cores),
                 Engine::Pilot,
             );
             let out = run_lf(&rc, Arc::clone(positions), cfg).expect("RP runs approach 2");
-            row.push(secs(out.report.makespan_s));
-        }
+            format!("{:>12}", secs(out.report.makespan_s))
+        });
         println!(
-            "{:>9} | {:>12} {:>12} {:>12}",
+            "{:>9} | {}",
             cores_nodes_label(cores, &opts.machine),
-            row[0],
-            row[1],
-            row[2]
+            row.join(" ")
         );
     }
     println!(

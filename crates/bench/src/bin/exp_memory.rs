@@ -23,11 +23,11 @@
 //! cargo run -p bench --release --bin exp_memory -- --out results/memory.json
 //! ```
 
-use bench::secs;
-use mdsim::BilayerSpec;
+use bench::report::{series_json, Cell, Point, Row, Series};
+use bench::{fault_free_footprint, high_water, lf_system, secs, write_artifact};
 use mdtask_core::leaflet::{LfApproach, LfConfig};
 use mdtask_core::run::{run_lf, RunConfig};
-use netsim::{laptop, Cluster, FaultPlan, SimReport};
+use netsim::{laptop, Cluster, FaultPlan};
 use std::sync::Arc;
 use taskframe::Engine;
 
@@ -40,122 +40,24 @@ const MEM_FRACS: [f64; 6] = [1.0, 0.75, 0.5, 0.35, 0.25, 0.15];
 /// latency) is visible before the MemoryExhausted cliff.
 const MPI_MEM_FRACS: [f64; 6] = [4.0, 3.0, 2.0, 1.6, 1.0, 0.5];
 const MPI_WORLD: usize = 16;
-
-/// One sweep point: both nodes capped at `cap_bytes` and what it cost.
-struct Point {
-    mem_frac: f64,
-    cap_bytes: u64,
-    outcome: Outcome,
-}
-
-enum Outcome {
-    Completed {
-        makespan_s: f64,
-        overhead_s: f64,
-        bytes_spilled: u64,
-        bytes_evicted: u64,
-        recomputed_partitions: usize,
-        oom_kills: usize,
-        mem_high_water: u64,
-    },
-    Failed(String),
-}
-
-struct Series {
-    engine: &'static str,
-    degradation: &'static str,
-    clean_makespan_s: f64,
-    footprint_bytes: u64,
-    points: Vec<Point>,
-}
-
-fn cluster(plan: FaultPlan) -> Cluster {
-    Cluster::new(laptop(), 2).with_faults(plan)
-}
+/// The printed table: two axis columns, then the outcome's.
+const COLUMNS: [(&str, usize); 9] = [
+    ("frac", 6),
+    ("cap", 12),
+    ("makespan", 10),
+    ("overhead", 10),
+    ("spilled", 10),
+    ("evicted", 10),
+    ("recomp", 7),
+    ("oom", 4),
+    ("high-water", 12),
+];
 
 /// Cap every node of the 2-node cluster to `cap` bytes from t=0.
 fn cap_plan(cap: u64) -> FaultPlan {
     FaultPlan::none()
         .shrink_memory(0, 0.0, cap)
         .shrink_memory(1, 0.0, cap)
-}
-
-/// Peak resident footprint of the fault-free run; for engines that never
-/// engage the ledger (MPI), the bytes their collectives move.
-fn footprint(clean: &SimReport) -> u64 {
-    let peak = clean.mem_high_water.iter().copied().max().unwrap_or(0);
-    if peak > 0 {
-        peak
-    } else {
-        (clean.bytes_broadcast + clean.bytes_shuffled).max(64 * 1024)
-    }
-}
-
-fn high_water(rep: &SimReport) -> u64 {
-    rep.mem_high_water.iter().copied().max().unwrap_or(0)
-}
-
-/// Sweep one engine: `run(plan)` returns the report of a capped run.
-/// Sweep points are independent, so they fan out across host threads
-/// (`--threads`); results come back in frac order regardless of degree.
-fn sweep<F>(
-    engine: &'static str,
-    degradation: &'static str,
-    clean: &SimReport,
-    fracs: &[f64],
-    run: F,
-) -> Series
-where
-    F: Fn(FaultPlan) -> Result<SimReport, String> + Sync,
-{
-    let fp = footprint(clean);
-    let points = netsim::parallel::run_indexed(fracs.len(), |i| {
-        let frac = fracs[i];
-        let cap = ((fp as f64 * frac) as u64).max(1);
-        let outcome = match run(cap_plan(cap)) {
-            Ok(rep) => Outcome::Completed {
-                makespan_s: rep.makespan_s,
-                overhead_s: rep.makespan_s - clean.makespan_s,
-                bytes_spilled: rep.bytes_spilled,
-                bytes_evicted: rep.bytes_evicted,
-                recomputed_partitions: rep.recomputed_partitions,
-                oom_kills: rep.oom_kills,
-                mem_high_water: high_water(&rep),
-            },
-            Err(e) => Outcome::Failed(e),
-        };
-        Point {
-            mem_frac: frac,
-            cap_bytes: cap,
-            outcome,
-        }
-    });
-    Series {
-        engine,
-        degradation,
-        clean_makespan_s: clean.makespan_s,
-        footprint_bytes: fp,
-        points,
-    }
-}
-
-fn lf_workload() -> (Arc<Vec<linalg::Vec3>>, LfConfig) {
-    let b = mdsim::bilayer::generate(
-        &BilayerSpec {
-            n_atoms: 1000,
-            ..Default::default()
-        },
-        17,
-    );
-    (
-        Arc::new(b.positions),
-        LfConfig {
-            cutoff: b.suggested_cutoff,
-            partitions: 32,
-            paper_atoms: 1000,
-            charge_io: true,
-        },
-    )
 }
 
 /// The paper-faithful degradation path each engine takes under pressure.
@@ -168,9 +70,13 @@ fn degradation(engine: Engine) -> &'static str {
     }
 }
 
+/// Sweep one engine: both nodes capped at each fraction of its fault-free
+/// footprint. Sweep points are independent, so they fan out across host
+/// threads (`--threads`); results come back in frac order regardless of
+/// degree.
 fn engine_series(engine: Engine, positions: &Arc<Vec<linalg::Vec3>>, cfg: &LfConfig) -> Series {
     let run = |plan: FaultPlan| {
-        let rc = RunConfig::new(cluster(plan), engine)
+        let rc = RunConfig::new(Cluster::new(laptop(), 2).with_faults(plan), engine)
             .approach(LfApproach::Broadcast1D)
             .mpi_world(MPI_WORLD);
         run_lf(&rc, Arc::clone(positions), cfg)
@@ -183,94 +89,45 @@ fn engine_series(engine: Engine, positions: &Arc<Vec<linalg::Vec3>>, cfg: &LfCon
     } else {
         &MEM_FRACS
     };
-    sweep(engine.label(), degradation(engine), &clean, fracs, run)
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-fn to_json(series: &[Series]) -> String {
-    let mut out = String::from("{\n  \"experiment\": \"memory-pressure sweep\",\n");
-    out.push_str("  \"machine\": \"laptop x2 nodes\",\n  \"series\": [\n");
-    for (i, s) in series.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"engine\": \"{}\", \"degradation\": \"{}\", \
-             \"clean_makespan_s\": {:.6}, \"footprint_bytes\": {}, \"points\": [\n",
-            s.engine, s.degradation, s.clean_makespan_s, s.footprint_bytes
-        ));
-        for (j, p) in s.points.iter().enumerate() {
-            let body = match &p.outcome {
-                Outcome::Completed {
-                    makespan_s,
-                    overhead_s,
-                    bytes_spilled,
-                    bytes_evicted,
-                    recomputed_partitions,
-                    oom_kills,
-                    mem_high_water,
-                } => format!(
-                    "\"makespan_s\": {makespan_s:.6}, \"overhead_s\": {overhead_s:.6}, \
-                     \"bytes_spilled\": {bytes_spilled}, \"bytes_evicted\": {bytes_evicted}, \
-                     \"recomputed_partitions\": {recomputed_partitions}, \
-                     \"oom_kills\": {oom_kills}, \"mem_high_water\": {mem_high_water}"
+    let footprint = fault_free_footprint(&clean);
+    let points = netsim::parallel::run_indexed(fracs.len(), |i| {
+        let cap = ((footprint as f64 * fracs[i]) as u64).max(1);
+        let outcome = run(cap_plan(cap)).map(|rep| {
+            Row(vec![
+                ("makespan_s", Cell::Secs(rep.makespan_s)),
+                ("overhead_s", Cell::Secs(rep.makespan_s - clean.makespan_s)),
+                ("bytes_spilled", Cell::Int(rep.bytes_spilled)),
+                ("bytes_evicted", Cell::Int(rep.bytes_evicted)),
+                (
+                    "recomputed_partitions",
+                    Cell::Int(rep.recomputed_partitions as u64),
                 ),
-                Outcome::Failed(e) => format!("\"error\": \"{}\"", json_escape(e)),
-            };
-            out.push_str(&format!(
-                "      {{\"mem_frac\": {:.2}, \"cap_bytes\": {}, {body}}}{}\n",
-                p.mem_frac,
-                p.cap_bytes,
-                if j + 1 < s.points.len() { "," } else { "" }
-            ));
+                ("oom_kills", Cell::Int(rep.oom_kills as u64)),
+                ("mem_high_water", Cell::Int(high_water(&rep))),
+            ])
+        });
+        Point {
+            axis: Row(vec![
+                ("mem_frac", Cell::Fixed(fracs[i], 2)),
+                ("cap_bytes", Cell::Int(cap)),
+            ]),
+            outcome,
         }
-        out.push_str(&format!(
-            "    ]}}{}\n",
-            if i + 1 < series.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-fn print_series(s: &Series) {
-    println!(
-        "\n--- {} / {} (clean {}, footprint {} B) ---",
-        s.engine,
-        s.degradation,
-        secs(s.clean_makespan_s),
-        s.footprint_bytes
-    );
-    println!(
-        "{:>6} {:>12} | {:>10} {:>10} {:>10} {:>10} {:>7} {:>4} {:>12}",
-        "frac", "cap", "makespan", "overhead", "spilled", "evicted", "recomp", "oom", "high-water"
-    );
-    for p in &s.points {
-        match &p.outcome {
-            Outcome::Completed {
-                makespan_s,
-                overhead_s,
-                bytes_spilled,
-                bytes_evicted,
-                recomputed_partitions,
-                oom_kills,
-                mem_high_water,
-            } => println!(
-                "{:>6.2} {:>12} | {:>10} {:>10} {:>10} {:>10} {:>7} {:>4} {:>12}",
-                p.mem_frac,
-                p.cap_bytes,
-                secs(*makespan_s),
-                secs(*overhead_s),
-                bytes_spilled,
-                bytes_evicted,
-                recomputed_partitions,
-                oom_kills,
-                mem_high_water
-            ),
-            Outcome::Failed(e) => {
-                println!("{:>6.2} {:>12} | failed: {e}", p.mem_frac, p.cap_bytes)
-            }
-        }
+    });
+    Series {
+        title: format!(
+            "{} / {} (clean {}, footprint {footprint} B)",
+            engine.label(),
+            degradation(engine),
+            secs(clean.makespan_s)
+        ),
+        header: Row(vec![
+            ("engine", Cell::Str(engine.label().into())),
+            ("degradation", Cell::Str(degradation(engine).into())),
+            ("clean_makespan_s", Cell::Secs(clean.makespan_s)),
+            ("footprint_bytes", Cell::Int(footprint)),
+        ]),
+        points,
     }
 }
 
@@ -285,22 +142,14 @@ fn main() {
          fault-free peak footprint ({MPI_MEM_FRACS:?} for MPI's per-rank \
          buffers; LF, 1000 atoms, 2 laptop nodes)"
     );
-    let (positions, cfg) = lf_workload();
+    let (positions, cfg) = lf_system(1000, 17, 32, true);
     let series: Vec<Series> = args
         .engines()
         .into_iter()
         .map(|engine| engine_series(engine, &positions, &cfg))
         .collect();
     for s in &series {
-        print_series(s);
+        print!("{}", s.table(&COLUMNS));
     }
-
-    let json = to_json(&series);
-    if let Some(dir) = std::path::Path::new(&out_path).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).expect("create results dir");
-        }
-    }
-    std::fs::write(&out_path, &json).expect("write memory.json");
-    eprintln!("wrote {out_path}");
+    write_artifact(&out_path, &series_json("memory-pressure sweep", &series));
 }

@@ -26,10 +26,12 @@
 //! cargo run -p bench --release --bin exp_partition -- --plans 200
 //! ```
 
+use bench::report::{json_lines, Cell, Row};
+use bench::{death_window, lf_system, write_artifact, ChaosLeg};
 use mdtask_core::run::{run_lf, RunConfig};
-use mdtask_core::{LfApproach, LfConfig, LfOutput};
-use netsim::chaos::{plan_for_seed, shrink, ChaosConfig};
-use netsim::{laptop, Cluster, FaultPlan, RetryPolicy};
+use mdtask_core::{LfApproach, LfOutput};
+use netsim::chaos::{plan_for_seed, ChaosConfig};
+use netsim::{laptop, Cluster, FaultPlan, RetryPolicy, SimReport};
 use std::sync::Arc;
 use taskframe::{Engine, EngineError};
 
@@ -37,27 +39,6 @@ const HEARTBEAT_S: f64 = 0.25;
 /// Cut durations crossed with detector timeouts in the sweep.
 const DURATIONS_S: [f64; 4] = [0.3, 0.75, 1.5, 3.0];
 const TIMEOUTS_S: [f64; 4] = [0.25, 0.5, 1.0, 2.0];
-
-fn system() -> (Arc<Vec<linalg::Vec3>>, LfConfig) {
-    let b = mdsim::bilayer::generate(
-        &mdsim::BilayerSpec {
-            n_atoms: 200,
-            ..Default::default()
-        },
-        7,
-    );
-    (
-        Arc::new(b.positions),
-        LfConfig {
-            // More partitions than one node's 8 cores, so node 1 hosts
-            // in-flight tasks for every cut to strand.
-            partitions: 16,
-            cutoff: b.suggested_cutoff,
-            paper_atoms: 200,
-            charge_io: false,
-        },
-    )
-}
 
 fn policy(timeout_s: f64) -> RetryPolicy {
     RetryPolicy::new(4)
@@ -96,17 +77,46 @@ fn matches(clean: &LfOutput, got: &LfOutput) -> bool {
         && got.edges_found == clean.edges_found
 }
 
+/// One (engine, cut duration, detector timeout) run of the sweep.
 struct SweepPoint {
     engine: Engine,
     duration_s: f64,
     timeout_s: f64,
-    false_positive: bool,
-    zombie_attempts: usize,
-    zombie_time_s: f64,
-    fenced_results: usize,
-    reschedules: usize,
-    makespan_s: f64,
+    report: SimReport,
     clean_makespan_s: f64,
+}
+
+impl SweepPoint {
+    fn false_positive(&self) -> bool {
+        self.report.zombie_attempts > 0
+    }
+
+    fn row(&self) -> Row {
+        let r = &self.report;
+        Row(vec![
+            ("engine", Cell::Str(format!("{:?}", self.engine))),
+            ("duration_s", Cell::Num(self.duration_s)),
+            ("timeout_s", Cell::Num(self.timeout_s)),
+            ("false_positive", Cell::Bool(self.false_positive())),
+            ("zombie_attempts", Cell::Int(r.zombie_attempts as u64)),
+            ("zombie_time_s", Cell::Secs(r.zombie_time_s)),
+            ("fenced_results", Cell::Int(r.fenced_results as u64)),
+            ("reschedules", Cell::Int(r.retries as u64)),
+            ("makespan_s", Cell::Secs(r.makespan_s)),
+            ("clean_makespan_s", Cell::Secs(self.clean_makespan_s)),
+        ])
+    }
+}
+
+/// The errors a partitioned run may legitimately end in.
+fn is_typed(e: &EngineError) -> bool {
+    matches!(
+        e,
+        EngineError::RetriesExhausted { .. }
+            | EngineError::DeadlineExceeded { .. }
+            | EngineError::WorkerLost { .. }
+            | EngineError::NoSurvivingWorkers { .. }
+    )
 }
 
 fn main() {
@@ -128,7 +138,9 @@ fn main() {
     let viol_dir = args.str_or("--violations-dir", "results");
     let mut failed = false;
 
-    let (positions, cfg) = system();
+    // More partitions than one node's 8 cores, so node 1 hosts in-flight
+    // tasks for every cut to strand.
+    let (positions, cfg) = lf_system(200, 7, 16, false);
     println!(
         "partition experiment: {}x{} duration x timeout sweep x 4 engines + {n_plans} chaos plans",
         DURATIONS_S.len(),
@@ -168,12 +180,7 @@ fn main() {
                     engine,
                     duration_s: duration,
                     timeout_s: timeout,
-                    false_positive: out.report.zombie_attempts > 0,
-                    zombie_attempts: out.report.zombie_attempts,
-                    zombie_time_s: out.report.zombie_time_s,
-                    fenced_results: out.report.fenced_results,
-                    reschedules: out.report.retries,
-                    makespan_s: out.report.makespan_s,
+                    report: out.report,
                     clean_makespan_s: clean.report.makespan_s,
                 });
             }
@@ -186,10 +193,10 @@ fn main() {
             p.engine,
             p.duration_s,
             p.timeout_s,
-            p.zombie_attempts,
-            p.zombie_time_s,
-            p.reschedules,
-            if p.false_positive {
+            p.report.zombie_attempts,
+            p.report.zombie_time_s,
+            p.report.retries,
+            if p.false_positive() {
                 " (false positive)"
             } else {
                 " (rode it out)"
@@ -208,7 +215,7 @@ fn main() {
                 .unwrap()
         };
         let hasty = at(DURATIONS_S[3], TIMEOUTS_S[0]);
-        if !hasty.false_positive || hasty.zombie_time_s <= 0.0 {
+        if !hasty.false_positive() || hasty.report.zombie_time_s <= 0.0 {
             eprintln!(
                 "FAILED: {engine:?}: a {}s cut under a {}s timeout must \
                  false-positive and waste work",
@@ -217,7 +224,7 @@ fn main() {
             failed = true;
         }
         let patient = at(DURATIONS_S[0], TIMEOUTS_S[3]);
-        if patient.false_positive || patient.fenced_results > 0 {
+        if patient.false_positive() || patient.report.fenced_results > 0 {
             eprintln!(
                 "FAILED: {engine:?}: a {}s cut under a {}s timeout must be \
                  waited out (no zombies, no fences)",
@@ -229,9 +236,7 @@ fn main() {
 
     // Chaos leg: generated cuts + link degradation stacked on the usual
     // deaths/stragglers, on every engine.
-    let mut completed = 0usize;
-    let mut typed = 0usize;
-    let mut violations = 0usize;
+    let mut leg = ChaosLeg::new("partition", viol_dir, is_typed);
     let mut chaos_zombies = 0usize;
     let mut chaos_fences = 0usize;
     for engine in Engine::ALL {
@@ -243,11 +248,7 @@ fn main() {
         .expect("fault-free run");
         let chaos_cfg = {
             let mut c = ChaosConfig::new(2, 8).with_partitions(2);
-            c.death_window_s = match engine {
-                Engine::Spark | Engine::Dask => (0.0, 3.0),
-                Engine::Pilot => (0.0, 40.0),
-                Engine::Mpi => (0.0, 1.5),
-            };
+            c.death_window_s = death_window(engine);
             // Aim the cuts at the engine's busy window so they land
             // among in-flight tasks.
             let busy_lo = if engine == Engine::Pilot { 34.0 } else { 0.05 };
@@ -272,40 +273,15 @@ fn main() {
         };
         for seed in 0..n_plans as u64 {
             let plan = plan_for_seed(&chaos_cfg, seed);
-            match verdict(&plan) {
-                Ok(None) => {
-                    completed += 1;
-                    let r = run_plan(plan.clone()).expect("just ran").report;
-                    chaos_zombies += r.zombie_attempts;
-                    chaos_fences += r.fenced_results;
-                }
-                Ok(Some(msg)) => {
-                    eprintln!("VIOLATION seed {seed} {engine:?}: {msg}");
-                    let shrunk = shrink(&plan, |cand| matches!(verdict(cand), Ok(Some(_))));
-                    let path = format!(
-                        "{viol_dir}/partition_violation_{seed}_{}.json",
-                        format!("{engine:?}").to_lowercase()
-                    );
-                    std::fs::create_dir_all(&viol_dir).ok();
-                    std::fs::write(&path, shrunk.to_json()).expect("write violating plan");
-                    eprintln!("  shrunk plan written to {path}");
-                    violations += 1;
-                    failed = true;
-                }
-                Err(
-                    EngineError::RetriesExhausted { .. }
-                    | EngineError::DeadlineExceeded { .. }
-                    | EngineError::WorkerLost { .. }
-                    | EngineError::NoSurvivingWorkers { .. },
-                ) => typed += 1,
-                Err(other) => {
-                    eprintln!("VIOLATION seed {seed} {engine:?}: untyped failure {other:?}");
-                    violations += 1;
-                    failed = true;
-                }
+            if leg.judge(engine, seed, &plan, verdict) {
+                let r = run_plan(plan).expect("just ran").report;
+                chaos_zombies += r.zombie_attempts;
+                chaos_fences += r.fenced_results;
             }
         }
     }
+    failed |= leg.violations > 0;
+    let (completed, typed, violations) = (leg.completed, leg.typed_failures, leg.violations);
     println!(
         "  chaos: {completed} completed, {typed} typed failures, {violations} violations, \
          {chaos_zombies} zombies all fenced ({chaos_fences} fences) over {} runs",
@@ -318,44 +294,20 @@ fn main() {
         failed = true;
     }
 
-    let mut rows = String::new();
-    for (i, p) in points.iter().enumerate() {
-        rows.push_str(&format!(
-            "    {{\"engine\": \"{:?}\", \"duration_s\": {}, \"timeout_s\": {}, \
-             \"false_positive\": {}, \"zombie_attempts\": {}, \"zombie_time_s\": {:.6}, \
-             \"fenced_results\": {}, \"reschedules\": {}, \"makespan_s\": {:.6}, \
-             \"clean_makespan_s\": {:.6}}}{}\n",
-            p.engine,
-            p.duration_s,
-            p.timeout_s,
-            p.false_positive,
-            p.zombie_attempts,
-            p.zombie_time_s,
-            p.fenced_results,
-            p.reschedules,
-            p.makespan_s,
-            p.clean_makespan_s,
-            if i + 1 == points.len() { "" } else { "," }
-        ));
-    }
+    let rows: Vec<Row> = points.iter().map(SweepPoint::row).collect();
     let json = format!(
         "{{\n  \"heartbeat_s\": {HEARTBEAT_S},\n  \
          \"durations_s\": {DURATIONS_S:?},\n  \"timeouts_s\": {TIMEOUTS_S:?},\n  \
-         \"sweep\": [\n{rows}  ],\n  \
+         \"sweep\": [\n{}\n  ],\n  \
          \"chaos_plans\": {n_plans},\n  \"chaos_runs\": {},\n  \
          \"chaos_completed\": {completed},\n  \"chaos_typed_failures\": {typed},\n  \
          \"chaos_violations\": {violations},\n  \
          \"chaos_zombie_attempts\": {chaos_zombies},\n  \
          \"chaos_fenced_results\": {chaos_fences}\n}}\n",
+        json_lines(&rows),
         n_plans * 4,
     );
-    if let Some(dir) = std::path::Path::new(&out_path).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).expect("create results dir");
-        }
-    }
-    std::fs::write(&out_path, &json).expect("write partition.json");
-    eprintln!("wrote {out_path}");
+    write_artifact(&out_path, &json);
     if failed {
         std::process::exit(1);
     }

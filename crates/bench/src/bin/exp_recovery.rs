@@ -25,8 +25,8 @@
 //! cargo run -p bench --release --bin exp_recovery -- --out results/recovery.json
 //! ```
 
-use bench::secs;
-use mdsim::BilayerSpec;
+use bench::report::{series_json, Cell, Point, Row, Series};
+use bench::{lf_system, secs, write_artifact};
 use mdtask_core::leaflet::{LfApproach, LfConfig};
 use mdtask_core::run::{run_lf, RunConfig};
 use netsim::{laptop, Cluster, FaultPlan, RetryPolicy, SimReport};
@@ -36,36 +36,17 @@ use taskframe::Engine;
 
 const DEATH_FRACS: [f64; 5] = [0.15, 0.35, 0.55, 0.75, 0.95];
 const MPI_WORLD: usize = 16;
-
-/// One sweep point: a node death at `t_kill_s` and what it cost.
-struct Point {
-    death_frac: f64,
-    t_kill_s: f64,
-    outcome: Outcome,
-}
-
-enum Outcome {
-    Recovered {
-        makespan_s: f64,
-        overhead_s: f64,
-        recovery_s: f64,
-        retries: usize,
-        recomputed_partitions: usize,
-        lost_time_s: f64,
-    },
-    Failed(String),
-}
-
-struct Series {
-    engine: &'static str,
-    variant: &'static str,
-    clean_makespan_s: f64,
-    points: Vec<Point>,
-}
-
-fn cluster(plan: FaultPlan) -> Cluster {
-    Cluster::new(laptop(), 2).with_faults(plan)
-}
+/// The printed table: two axis columns, then the outcome's.
+const COLUMNS: [(&str, usize); 8] = [
+    ("frac", 6),
+    ("t_kill", 10),
+    ("makespan", 10),
+    ("overhead", 10),
+    ("recovery", 10),
+    ("try", 4),
+    ("recomp", 7),
+    ("lost", 10),
+];
 
 /// The window worth killing in: from the first recorded phase (i.e. after
 /// the engine's startup floor) to the end of the job.
@@ -77,25 +58,6 @@ fn execution_window(clean: &SimReport) -> (f64, f64) {
         .fold(f64::INFINITY, f64::min);
     let start = if start.is_finite() { start } else { 0.0 };
     (start, clean.makespan_s)
-}
-
-fn point(frac: f64, t_kill_s: f64, clean: f64, got: Result<&SimReport, String>) -> Point {
-    let outcome = match got {
-        Ok(rep) => Outcome::Recovered {
-            makespan_s: rep.makespan_s,
-            overhead_s: rep.makespan_s - clean,
-            recovery_s: rep.phase_total("recovery").unwrap_or(0.0),
-            retries: rep.retries,
-            recomputed_partitions: rep.recomputed_partitions,
-            lost_time_s: rep.lost_time_s,
-        },
-        Err(e) => Outcome::Failed(e),
-    };
-    Point {
-        death_frac: frac,
-        t_kill_s,
-        outcome,
-    }
 }
 
 /// The envelope of all `"shuffle"` phases: where map outputs are at risk
@@ -114,55 +76,50 @@ fn shuffle_window(clean: &SimReport) -> (f64, f64) {
 }
 
 /// Sweep one engine: `run(plan)` returns the report of a faulty run.
-/// Deaths land at `DEATH_FRACS` fractions of `window`. Sweep points are
+/// Node 1 dies at `DEATH_FRACS` fractions of `window`. Sweep points are
 /// independent, so they fan out across host threads (`--threads`).
-fn sweep<F>(
-    engine: &'static str,
-    variant: &'static str,
+fn sweep(
+    engine: &str,
+    variant: &str,
     clean: &SimReport,
-    window: (f64, f64),
-    run: F,
-) -> Series
-where
-    F: Fn(FaultPlan) -> Result<SimReport, String> + Sync,
-{
-    let (win_start, win_end) = window;
+    (win_start, win_end): (f64, f64),
+    run: impl Fn(FaultPlan) -> Result<SimReport, String> + Sync,
+) -> Series {
     let points = netsim::parallel::run_indexed(DEATH_FRACS.len(), |i| {
-        let frac = DEATH_FRACS[i];
-        let t_kill = win_start + frac * (win_end - win_start);
-        let rep = run(FaultPlan::none().kill_node(1, t_kill));
-        point(
-            frac,
-            t_kill,
-            clean.makespan_s,
-            rep.as_ref().map_err(Clone::clone),
-        )
+        let t_kill = win_start + DEATH_FRACS[i] * (win_end - win_start);
+        let outcome = run(FaultPlan::none().kill_node(1, t_kill)).map(|rep| {
+            Row(vec![
+                ("makespan_s", Cell::Secs(rep.makespan_s)),
+                ("overhead_s", Cell::Secs(rep.makespan_s - clean.makespan_s)),
+                (
+                    "recovery_s",
+                    Cell::Secs(rep.phase_total("recovery").unwrap_or(0.0)),
+                ),
+                ("retries", Cell::Int(rep.retries as u64)),
+                (
+                    "recomputed_partitions",
+                    Cell::Int(rep.recomputed_partitions as u64),
+                ),
+                ("lost_time_s", Cell::Secs(rep.lost_time_s)),
+            ])
+        });
+        Point {
+            axis: Row(vec![
+                ("death_frac", Cell::Fixed(DEATH_FRACS[i], 2)),
+                ("t_kill_s", Cell::Secs(t_kill)),
+            ]),
+            outcome,
+        }
     });
     Series {
-        engine,
-        variant,
-        clean_makespan_s: clean.makespan_s,
+        title: format!("{engine} / {variant} (clean {} s)", secs(clean.makespan_s)),
+        header: Row(vec![
+            ("engine", Cell::Str(engine.into())),
+            ("variant", Cell::Str(variant.into())),
+            ("clean_makespan_s", Cell::Secs(clean.makespan_s)),
+        ]),
         points,
     }
-}
-
-fn lf_workload() -> (Arc<Vec<linalg::Vec3>>, LfConfig) {
-    let b = mdsim::bilayer::generate(
-        &BilayerSpec {
-            n_atoms: 1000,
-            ..Default::default()
-        },
-        17,
-    );
-    (
-        Arc::new(b.positions),
-        LfConfig {
-            cutoff: b.suggested_cutoff,
-            partitions: 32,
-            paper_atoms: 1000,
-            charge_io: true,
-        },
-    )
 }
 
 /// One engine's recovery series. MPI gets a checkpointing axis
@@ -174,7 +131,7 @@ fn engine_series(
     from_barrier: bool,
 ) -> Series {
     let run = |plan: FaultPlan| {
-        let mut rc = RunConfig::new(cluster(plan), engine)
+        let mut rc = RunConfig::new(Cluster::new(laptop(), 2).with_faults(plan), engine)
             .approach(LfApproach::Broadcast1D)
             .mpi_world(MPI_WORLD)
             .checkpoint_restart(from_barrier);
@@ -209,7 +166,7 @@ fn engine_series(
 fn spark_checkpoint_series(checkpointed: bool) -> Series {
     let data: Vec<(u32, Vec<u32>)> = (0..64).map(|i| (i % 16, vec![i; 4096])).collect();
     let run = |plan: FaultPlan| {
-        let sc = SparkContext::new(cluster(plan));
+        let sc = SparkContext::new(Cluster::new(laptop(), 2).with_faults(plan));
         let mid = sc
             .parallelize(data.clone(), 16)
             .group_by_key(16)
@@ -232,92 +189,6 @@ fn spark_checkpoint_series(checkpointed: bool) -> Series {
     sweep("spark-rdd", variant, &clean, window, run)
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-fn to_json(series: &[Series]) -> String {
-    let mut out = String::from("{\n  \"experiment\": \"recovery-overhead sweep\",\n");
-    out.push_str("  \"machine\": \"laptop x2 nodes\",\n  \"series\": [\n");
-    for (i, s) in series.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"engine\": \"{}\", \"variant\": \"{}\", \
-             \"clean_makespan_s\": {:.6}, \"points\": [\n",
-            s.engine, s.variant, s.clean_makespan_s
-        ));
-        for (j, p) in s.points.iter().enumerate() {
-            let body = match &p.outcome {
-                Outcome::Recovered {
-                    makespan_s,
-                    overhead_s,
-                    recovery_s,
-                    retries,
-                    recomputed_partitions,
-                    lost_time_s,
-                } => format!(
-                    "\"makespan_s\": {makespan_s:.6}, \"overhead_s\": {overhead_s:.6}, \
-                     \"recovery_s\": {recovery_s:.6}, \"retries\": {retries}, \
-                     \"recomputed_partitions\": {recomputed_partitions}, \
-                     \"lost_time_s\": {lost_time_s:.6}"
-                ),
-                Outcome::Failed(e) => format!("\"error\": \"{}\"", json_escape(e)),
-            };
-            out.push_str(&format!(
-                "      {{\"death_frac\": {:.2}, \"t_kill_s\": {:.6}, {body}}}{}\n",
-                p.death_frac,
-                p.t_kill_s,
-                if j + 1 < s.points.len() { "," } else { "" }
-            ));
-        }
-        out.push_str(&format!(
-            "    ]}}{}\n",
-            if i + 1 < series.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-fn print_series(s: &Series) {
-    println!(
-        "\n--- {} / {} (clean {} s) ---",
-        s.engine,
-        s.variant,
-        secs(s.clean_makespan_s)
-    );
-    println!(
-        "{:>6} {:>10} | {:>10} {:>10} {:>10} {:>4} {:>7} {:>10}",
-        "frac", "t_kill", "makespan", "overhead", "recovery", "try", "recomp", "lost"
-    );
-    for p in &s.points {
-        match &p.outcome {
-            Outcome::Recovered {
-                makespan_s,
-                overhead_s,
-                recovery_s,
-                retries,
-                recomputed_partitions,
-                lost_time_s,
-            } => println!(
-                "{:>6.2} {:>10} | {:>10} {:>10} {:>10} {:>4} {:>7} {:>10}",
-                p.death_frac,
-                secs(p.t_kill_s),
-                secs(*makespan_s),
-                secs(*overhead_s),
-                secs(*recovery_s),
-                retries,
-                recomputed_partitions,
-                secs(*lost_time_s)
-            ),
-            Outcome::Failed(e) => println!(
-                "{:>6.2} {:>10} | failed: {e}",
-                p.death_frac,
-                secs(p.t_kill_s)
-            ),
-        }
-    }
-}
-
 fn main() {
     let args = bench::cli::Cli::new()
         .value(
@@ -332,7 +203,7 @@ fn main() {
         "Recovery sweep: node 1 killed at {DEATH_FRACS:?} of each engine's \
          clean execution window (LF Broadcast1D, 1000 atoms, 2 laptop nodes)"
     );
-    let (positions, cfg) = lf_workload();
+    let (positions, cfg) = lf_system(1000, 17, 32, true);
     let mut series = Vec::new();
     for engine in args.engines() {
         series.push(engine_series(engine, &positions, &cfg, true));
@@ -346,15 +217,7 @@ fn main() {
         series.push(spark_checkpoint_series(true));
     }
     for s in &series {
-        print_series(s);
+        print!("{}", s.table(&COLUMNS));
     }
-
-    let json = to_json(&series);
-    if let Some(dir) = std::path::Path::new(&out_path).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).expect("create results dir");
-        }
-    }
-    std::fs::write(&out_path, &json).expect("write recovery.json");
-    eprintln!("wrote {out_path}");
+    write_artifact(&out_path, &series_json("recovery-overhead sweep", &series));
 }

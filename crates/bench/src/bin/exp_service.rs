@@ -26,8 +26,7 @@
 
 use mdtask_core::run::Workload;
 use mdtaskd::{JobRequest, Service, ServiceReport, TenantSpec};
-use netsim::parallel::with_degree;
-use netsim::{Cluster, FaultPlan, RetryPolicy, Threads};
+use netsim::{Cluster, FaultPlan, RetryPolicy};
 use taskframe::{Engine, EngineError};
 
 const MIB: u64 = 1 << 20;
@@ -103,8 +102,9 @@ fn overload_leg() -> ServiceReport {
     service.run(&tenants, &jobs).expect("valid batch")
 }
 
-/// Leg 3: a fault-heavy scenario under 1 / 2 / 8 host threads.
-fn thread_leg() -> (ServiceReport, ServiceReport, ServiceReport) {
+/// Leg 3: a fault-heavy scenario under 1 / 2 / 8 host threads: the
+/// serial report, and whether all three were identical.
+fn thread_leg() -> (ServiceReport, bool) {
     // Workload makespans are ~0.2s of virtual time: the burst below keeps
     // jobs resident through the death (0.1s) and the shrink (0.08s); the
     // scripted grow at 5.0s lets the stalled big jobs finish.
@@ -131,12 +131,9 @@ fn thread_leg() -> (ServiceReport, ServiceReport, ServiceReport) {
                 .policy(RetryPolicy::new(4).with_detection_delay(0.5))
         })
         .collect();
-    let run = |t: Threads| with_degree(t, || service.run(&tenants, &jobs).expect("valid batch"));
-    (
-        run(Threads::Serial),
-        run(Threads::Fixed(2)),
-        run(Threads::Fixed(8)),
-    )
+    bench::thread_invariant("reports", || {
+        service.run(&tenants, &jobs).expect("valid batch")
+    })
 }
 
 fn main() {
@@ -203,16 +200,7 @@ fn main() {
         failed = true;
     }
 
-    let (t1, t2, t8) = thread_leg();
-    let identical = t1 == t2 && t2 == t8;
-    println!(
-        "  threads: reports at 1/2/8 host threads {}",
-        if identical {
-            "bit-identical"
-        } else {
-            "DIVERGED"
-        }
-    );
+    let (t1, identical) = thread_leg();
     if !identical {
         eprintln!("FAILED: service reports must not depend on host threads");
         failed = true;
@@ -233,13 +221,7 @@ fn main() {
         scale.throughput_jobs_per_s(),
         scale.makespan_s,
     );
-    if let Some(dir) = std::path::Path::new(&out_path).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).expect("create results dir");
-        }
-    }
-    std::fs::write(&out_path, &json).expect("write service.json");
-    eprintln!("wrote {out_path}");
+    bench::write_artifact(&out_path, &json);
     if failed {
         std::process::exit(1);
     }

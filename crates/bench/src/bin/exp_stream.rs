@@ -30,11 +30,13 @@
 //! cargo run -p bench --release --bin exp_stream -- --plans 200
 //! ```
 
+use bench::report::{json_lines, Cell, Row};
+use bench::{write_artifact, ChaosLeg};
 use mdtask_core::run::{run_lf_stream, RunConfig};
 use mdtask_core::LfConfig;
-use netsim::chaos::{plan_for_seed, shrink, ChaosConfig};
+use netsim::chaos::{plan_for_seed, ChaosConfig};
 use netsim::stream::{check_stream_invariants, DispatchMode, StreamJob, StreamRun, WindowSpec};
-use netsim::{laptop, Cluster, FaultPlan, RetryPolicy, Threads};
+use netsim::{laptop, Cluster, FaultPlan, RetryPolicy};
 use std::sync::Arc;
 use taskframe::{Engine, EngineError};
 
@@ -138,6 +140,37 @@ struct FrontierPoint {
     backpressure_pauses: usize,
 }
 
+impl FrontierPoint {
+    fn row(&self) -> Row {
+        Row(vec![
+            ("engine", Cell::Str(format!("{:?}", self.engine))),
+            ("interval_s", Cell::Num(self.interval_s)),
+            ("offered_fps", Cell::Fixed(self.offered_fps, 4)),
+            ("achieved_fps", Cell::Fixed(self.achieved_fps, 4)),
+            ("staleness_mean_s", Cell::Secs(self.staleness_mean_s)),
+            ("staleness_max_s", Cell::Secs(self.staleness_max_s)),
+            (
+                "backpressure_pauses",
+                Cell::Int(self.backpressure_pauses as u64),
+            ),
+        ])
+    }
+}
+
+/// The errors a faulty stream may legitimately end in.
+fn is_typed(e: &EngineError) -> bool {
+    matches!(
+        e,
+        EngineError::StreamStalled { .. }
+            | EngineError::DeadlineExceeded { .. }
+            | EngineError::MemoryExhausted { .. }
+            | EngineError::OutOfMemory { .. }
+            | EngineError::WorkerLost { .. }
+            | EngineError::NoSurvivingWorkers { .. }
+            | EngineError::RetriesExhausted { .. }
+    )
+}
+
 fn frontier_leg() -> Vec<FrontierPoint> {
     let mut points = Vec::new();
     for engine in Engine::ALL {
@@ -215,55 +248,18 @@ fn main() {
     chaos_cfg.mem_shrink_window_s = (0.0, 20.0);
     chaos_cfg.mem_per_node = 16 << 30;
     let chaos_interval = 0.25;
-    let mut completed = 0usize;
-    let mut typed = 0usize;
-    let mut violations = 0usize;
+    let mut leg = ChaosLeg::new("stream", viol_dir, is_typed);
     for seed in 0..n_plans as u64 {
         let plan = plan_for_seed(&chaos_cfg, seed);
         for engine in Engine::ALL {
-            match run_one(engine, FRAMES, chaos_interval, plan.clone()) {
-                Ok(r) => {
-                    if let Some(msg) = oracle_message(engine, FRAMES, chaos_interval, &plan, &r) {
-                        eprintln!("VIOLATION seed {seed} {engine:?}: {msg}");
-                        // Shrink to a minimal plan that still trips the
-                        // oracle (or fails), and persist it for CI.
-                        let shrunk = shrink(&plan, |cand| {
-                            match run_one(engine, FRAMES, chaos_interval, cand.clone()) {
-                                Ok(r) => oracle_message(engine, FRAMES, chaos_interval, cand, &r)
-                                    .is_some(),
-                                Err(_) => false,
-                            }
-                        });
-                        let path = format!(
-                            "{viol_dir}/stream_violation_{seed}_{}.json",
-                            format!("{engine:?}").to_lowercase()
-                        );
-                        std::fs::create_dir_all(&viol_dir).ok();
-                        std::fs::write(&path, shrunk.to_json()).expect("write violating plan");
-                        eprintln!("  shrunk plan written to {path}");
-                        violations += 1;
-                        failed = true;
-                    } else {
-                        completed += 1;
-                    }
-                }
-                Err(
-                    EngineError::StreamStalled { .. }
-                    | EngineError::DeadlineExceeded { .. }
-                    | EngineError::MemoryExhausted { .. }
-                    | EngineError::OutOfMemory { .. }
-                    | EngineError::WorkerLost { .. }
-                    | EngineError::NoSurvivingWorkers { .. }
-                    | EngineError::RetriesExhausted { .. },
-                ) => typed += 1,
-                Err(other) => {
-                    eprintln!("VIOLATION seed {seed} {engine:?}: untyped failure {other:?}");
-                    violations += 1;
-                    failed = true;
-                }
-            }
+            leg.judge(engine, seed, &plan, |cand| {
+                let r = run_one(engine, FRAMES, chaos_interval, cand.clone())?;
+                Ok(oracle_message(engine, FRAMES, chaos_interval, cand, &r))
+            });
         }
     }
+    failed |= leg.violations > 0;
+    let (completed, typed, violations) = (leg.completed, leg.typed_failures, leg.violations);
     println!(
         "  chaos: {completed} completed, {typed} typed failures, \
          {violations} violations over {} runs",
@@ -279,67 +275,27 @@ fn main() {
         .kill_node(0, 3.1)
         .stall_producer(6.0, 2.0)
         .duplicate_frames(0.1);
-    let at = |threads: Threads| {
-        netsim::parallel::with_degree(threads, || {
-            run_one(Engine::Dask, FRAMES, chaos_interval, heavy.clone())
-                .map_err(|e| format!("{e:?}"))
-        })
-    };
-    let (t1, t2, t8) = (
-        at(Threads::Serial),
-        at(Threads::Fixed(2)),
-        at(Threads::Fixed(8)),
-    );
-    let identical = match (&t1, &t2, &t8) {
-        (Ok(a), Ok(b), Ok(c)) => a.output == b.output && a.report == b.report && b == c,
-        (a, b, c) => a == b && b == c,
-    };
-    println!(
-        "  threads: stream reports at 1/2/8 host threads {}",
-        if identical {
-            "bit-identical"
-        } else {
-            "DIVERGED"
-        }
-    );
+    let (_, identical) = bench::thread_invariant("stream reports", || {
+        run_one(Engine::Dask, FRAMES, chaos_interval, heavy.clone()).map_err(|e| format!("{e:?}"))
+    });
     if !identical {
         eprintln!("FAILED: stream reports must not depend on host threads");
         failed = true;
     }
 
-    let mut rows = String::new();
-    for (i, p) in points.iter().enumerate() {
-        rows.push_str(&format!(
-            "    {{\"engine\": \"{:?}\", \"interval_s\": {}, \"offered_fps\": {:.4}, \
-             \"achieved_fps\": {:.4}, \"staleness_mean_s\": {:.6}, \
-             \"staleness_max_s\": {:.6}, \"backpressure_pauses\": {}}}{}\n",
-            p.engine,
-            p.interval_s,
-            p.offered_fps,
-            p.achieved_fps,
-            p.staleness_mean_s,
-            p.staleness_max_s,
-            p.backpressure_pauses,
-            if i + 1 == points.len() { "" } else { "," }
-        ));
-    }
+    let rows: Vec<Row> = points.iter().map(FrontierPoint::row).collect();
     let json = format!(
         "{{\n  \"span_s\": {SPAN_S},\n  \"chaos_frames\": {FRAMES},\n  \
-         \"frontier\": [\n{rows}  ],\n  \
+         \"frontier\": [\n{}\n  ],\n  \
          \"chaos_plans\": {n_plans},\n  \"chaos_runs\": {},\n  \
          \"chaos_completed\": {completed},\n  \"chaos_typed_failures\": {typed},\n  \
          \"chaos_violations\": {violations},\n  \
          \"reports_identical_at_threads\": [1, 2, 8],\n  \
          \"thread_invariance_held\": {identical}\n}}\n",
+        json_lines(&rows),
         n_plans * 4,
     );
-    if let Some(dir) = std::path::Path::new(&out_path).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).expect("create results dir");
-        }
-    }
-    std::fs::write(&out_path, &json).expect("write stream.json");
-    eprintln!("wrote {out_path}");
+    write_artifact(&out_path, &json);
     if failed {
         std::process::exit(1);
     }

@@ -6,9 +6,9 @@
 //! cargo run -p bench --release --bin exp_tab2
 //! ```
 
-use bench::Opts;
-use mdsim::{lf_dataset, LfDatasetId};
-use mdtask_core::leaflet::{LfApproach, LfConfig};
+use bench::{lf_paper_system, Opts};
+use mdsim::LfDatasetId;
+use mdtask_core::leaflet::LfApproach;
 use mdtask_core::run::{run_lf, RunConfig};
 use netsim::Cluster;
 use std::sync::Arc;
@@ -16,14 +16,7 @@ use taskframe::Engine;
 
 fn main() {
     let opts = Opts::parse(32);
-    let system = lf_dataset(LfDatasetId::Atoms131k, opts.scale, 7);
-    let positions = Arc::new(system.positions);
-    let cfg = LfConfig {
-        cutoff: system.suggested_cutoff,
-        partitions: 1024,
-        paper_atoms: LfDatasetId::Atoms131k.paper_atoms(),
-        charge_io: true,
-    };
+    let (positions, cfg) = lf_paper_system(LfDatasetId::Atoms131k, opts.scale);
 
     println!("Table 2: MapReduce operations per Leaflet Finder approach");
     println!(

@@ -170,10 +170,6 @@ impl Args {
         self.parsed_or(flag, default)
     }
 
-    pub fn f64_or(&self, flag: &str, default: f64) -> f64 {
-        self.parsed_or(flag, default)
-    }
-
     pub fn str_or(&self, flag: &str, default: &str) -> String {
         self.get(flag).unwrap_or(default).to_string()
     }

@@ -3,7 +3,10 @@
 //! Every binary regenerates one figure or table from the paper's
 //! evaluation section, printing the same rows/series the paper reports.
 //! Times are **virtual** (simulated cluster seconds — see `netsim`);
-//! computation is real.
+//! computation is real. How fast the host produces them is the other
+//! clock and is measured in `benchmark/`, not here. Rows, tables and
+//! `results/*.json` artifacts go through [`report`] and
+//! [`write_artifact`].
 //!
 //! Common flags:
 //! * `--scale N` — divide dataset sizes by `N` (default 32 for Leaflet
@@ -17,9 +20,14 @@
 //! * `--metrics-out PATH` — write the run's metrics summary JSON to
 //!   `PATH`.
 
-use netsim::{comet, wrangler, MachineProfile, Metrics, SimReport};
+use mdtask_core::LfConfig;
+use netsim::chaos::shrink;
+use netsim::{comet, wrangler, FaultPlan, MachineProfile, Metrics, SimReport, Threads};
+use std::sync::Arc;
+use taskframe::{Engine, EngineError};
 
 pub mod cli;
+pub mod report;
 
 /// Parsed command-line options.
 #[derive(Clone, Debug)]
@@ -28,10 +36,6 @@ pub struct Opts {
     pub machine: MachineProfile,
     pub trace_out: Option<String>,
     pub metrics_out: Option<String>,
-    /// `--engine` filter: `None` means every engine the binary covers.
-    pub engine: Option<taskframe::Engine>,
-    /// `--threads` as given (already installed as the process default).
-    pub threads: Option<netsim::Threads>,
 }
 
 impl Opts {
@@ -59,8 +63,6 @@ impl Opts {
             machine,
             trace_out: args.trace_out.clone(),
             metrics_out: args.metrics_out.clone(),
-            engine: args.engine,
-            threads: args.threads,
         }
     }
 
@@ -85,7 +87,9 @@ pub fn write_observability(opts: &Opts, report: &SimReport, n_cores: usize) {
     }
 }
 
-fn write_artifact(path: &str, contents: &str) {
+/// Write `contents` to `path`, creating its directory: the one place the
+/// experiment binaries touch the file system, and it fails loudly.
+pub fn write_artifact(path: &str, contents: &str) {
     if let Some(dir) = std::path::Path::new(path).parent() {
         if !dir.as_os_str().is_empty() {
             std::fs::create_dir_all(dir).expect("create artifact directory");
@@ -121,6 +125,141 @@ pub fn zero_tasks(n: usize) -> Vec<taskframe::BagTask> {
     (0..n)
         .map(|i| Box::new(move |_: &taskframe::TaskCtx| i as u64) as taskframe::BagTask)
         .collect()
+}
+
+/// What `run_lf` takes: shared positions and the run's configuration.
+pub type LfInput = (Arc<Vec<linalg::Vec3>>, LfConfig);
+
+fn lf_input(s: mdsim::Bilayer, paper_atoms: usize, partitions: usize, charge_io: bool) -> LfInput {
+    let cfg = LfConfig {
+        cutoff: s.suggested_cutoff,
+        partitions,
+        paper_atoms,
+        charge_io,
+    };
+    (Arc::new(s.positions), cfg)
+}
+
+/// A generated bilayer and the Leaflet Finder configuration the fault
+/// sweeps run on it.
+pub fn lf_system(atoms: usize, seed: u64, partitions: usize, charge_io: bool) -> LfInput {
+    let spec = mdsim::BilayerSpec {
+        n_atoms: atoms,
+        ..Default::default()
+    };
+    let system = mdsim::bilayer::generate(&spec, seed);
+    lf_input(system, atoms, partitions, charge_io)
+}
+
+/// One of the paper's Leaflet Finder systems, atoms divided by `scale`,
+/// in the paper's 1024 partitions; the memory model reasons at paper
+/// scale.
+pub fn lf_paper_system(id: mdsim::LfDatasetId, scale: usize) -> LfInput {
+    let system = mdsim::lf_dataset(id, scale, 7);
+    lf_input(system, id.paper_atoms(), 1024, true)
+}
+
+/// Deaths must land inside the engine's live window (startup + job).
+pub fn death_window(engine: Engine) -> (f64, f64) {
+    match engine {
+        Engine::Spark | Engine::Dask => (0.0, 3.0),
+        Engine::Pilot => (0.0, 40.0),
+        Engine::Mpi => (0.0, 1.5),
+    }
+}
+
+/// The memory ledger's high-water mark over all nodes.
+pub fn high_water(report: &SimReport) -> u64 {
+    report.mem_high_water.iter().copied().max().unwrap_or(0)
+}
+
+/// Peak resident footprint of a fault-free run, the scale memory caps
+/// are set against. MPI keeps no resident ledger, so its proxy is the
+/// bytes its collectives move (what the fixed per-rank buffers hold).
+pub fn fault_free_footprint(clean: &SimReport) -> u64 {
+    match high_water(clean) {
+        0 => (clean.bytes_broadcast + clean.bytes_shuffled).max(64 * 1024),
+        peak => peak,
+    }
+}
+
+/// Run `f` at 1, 2 and 8 host threads and print the `threads:` line:
+/// virtual time owes nothing to host scheduling, so the three results
+/// must be identical. Returns the serial result and whether they were.
+pub fn thread_invariant<T: PartialEq>(what: &str, f: impl Fn() -> T) -> (T, bool) {
+    let [t1, t2, t8] = [Threads::Serial, Threads::Fixed(2), Threads::Fixed(8)]
+        .map(|threads| netsim::parallel::with_degree(threads, &f));
+    let identical = t1 == t2 && t2 == t8;
+    let verdict = if identical {
+        "bit-identical"
+    } else {
+        "DIVERGED"
+    };
+    println!("  threads: {what} at 1/2/8 host threads {verdict}");
+    (t1, identical)
+}
+
+/// One seeded-plan chaos leg: every plan either completes with its
+/// oracles intact or fails with an error `typed` accepts.
+pub struct ChaosLeg {
+    /// Violating plans land in `<dir>/<stem>_violation_<seed>_<engine>.json`.
+    pub stem: &'static str,
+    pub dir: String,
+    /// The errors a faulty run may legitimately end in.
+    pub typed: fn(&EngineError) -> bool,
+    pub completed: usize,
+    pub typed_failures: usize,
+    pub violations: usize,
+}
+
+impl ChaosLeg {
+    pub fn new(stem: &'static str, dir: String, typed: fn(&EngineError) -> bool) -> ChaosLeg {
+        ChaosLeg {
+            stem,
+            dir,
+            typed,
+            completed: 0,
+            typed_failures: 0,
+            violations: 0,
+        }
+    }
+
+    /// Judge `plan` on `engine`. `verdict` runs a plan and names the
+    /// oracle it broke, if any. A broken oracle is shrunk to a minimal
+    /// plan that still breaks one and written out for CI to upload.
+    /// Returns whether the plan completed with every oracle intact.
+    pub fn judge(
+        &mut self,
+        engine: Engine,
+        seed: u64,
+        plan: &FaultPlan,
+        verdict: impl Fn(&FaultPlan) -> Result<Option<String>, EngineError>,
+    ) -> bool {
+        match verdict(plan) {
+            Ok(None) => {
+                self.completed += 1;
+                return true;
+            }
+            Ok(Some(msg)) => {
+                eprintln!("VIOLATION seed {seed} {engine:?}: {msg}");
+                let shrunk = shrink(plan, |cand| matches!(verdict(cand), Ok(Some(_))));
+                let path = format!(
+                    "{}/{}_violation_{seed}_{}.json",
+                    self.dir,
+                    self.stem,
+                    engine.label()
+                );
+                write_artifact(&path, &shrunk.to_json());
+                self.violations += 1;
+            }
+            Err(e) if (self.typed)(&e) => self.typed_failures += 1,
+            Err(other) => {
+                eprintln!("VIOLATION seed {seed} {engine:?}: untyped failure {other:?}");
+                self.violations += 1;
+            }
+        }
+        false
+    }
 }
 
 #[cfg(test)]

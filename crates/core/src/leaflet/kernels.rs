@@ -137,6 +137,29 @@ mod tests {
         }
     }
 
+    /// The blocks above hold some thirty atoms each; this is the full
+    /// diagonal block of a paper-size system (deep trees, 48 161 edges).
+    #[test]
+    fn tree_block_matches_brute_block_at_8k_atoms() {
+        let b = bilayer::generate(
+            &BilayerSpec {
+                n_atoms: 8192,
+                ..Default::default()
+            },
+            17,
+        );
+        let n = b.positions.len() as u32;
+        let block = Block {
+            row: (0, n),
+            col: (0, n),
+        };
+        let tree = block_edges_tree(&b.positions, block, b.suggested_cutoff);
+        let mut brute = block_edges(&b.positions, block, b.suggested_cutoff);
+        brute.sort_unstable();
+        assert_eq!(tree.len(), 48_161);
+        assert_eq!(tree, brute);
+    }
+
     #[test]
     fn every_index_strategy_matches_brute() {
         use neighbors::SearchStrategy::*;

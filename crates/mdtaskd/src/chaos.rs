@@ -125,17 +125,7 @@ impl ServiceFuzzReport {
             if i > 0 {
                 out.push(',');
             }
-            let msg: String = v
-                .message
-                .chars()
-                .map(|c| match c {
-                    '"' => "\\\"".to_string(),
-                    '\\' => "\\\\".to_string(),
-                    '\n' => "\\n".to_string(),
-                    c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32),
-                    c => c.to_string(),
-                })
-                .collect();
+            let msg = netsim::escape_json(&v.message);
             out.push_str(&format!("{{\"seed\":{},\"message\":\"{msg}\"}}", v.seed));
         }
         out.push_str("]}");

@@ -1642,8 +1642,8 @@ mod tests {
         assert_eq!(e.pick(0.0, None, false), None);
     }
 
-    /// `sim_throughput`'s saturated backlog (every task released at 0,
-    /// 0.5–1.5 s each) under a node death, two stragglers and node 0's
+    /// A saturated backlog (every task released at 0, 0.5–1.5 s each —
+    /// the regime the benchmark's `tasks_zero` workload times) under a node death, two stragglers and node 0's
     /// admission halved, on a shallow and a deep tree: before each
     /// placement the index must choose what the scan chooses — for the
     /// task, and for the retry a death at 40 s on that core would ask for.

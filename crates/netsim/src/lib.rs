@@ -36,7 +36,7 @@ pub use cluster::{comet, laptop, wrangler, Cluster, ClusterBuilder, MachineProfi
 pub use critical::{CpSegment, CriticalPath};
 pub use executor::{RecoveryLog, Redispatch, SimExecutor, TaskOpts, TaskPlacement};
 pub use fault::{FaultPlan, FaultPlanError, MemSet, MemShrink, NodeDeath, Straggler};
-pub use metrics::{Histogram, Metrics, NodeMemory, NodeTraffic, PhaseShare};
+pub use metrics::{escape_json, Histogram, Metrics, NodeMemory, NodeTraffic, PhaseShare};
 pub use parallel::Threads;
 pub use policy::{PolicyError, RetryPolicy, BACKOFF_SATURATION_S};
 pub use report::{Phase, SimReport};

@@ -472,14 +472,14 @@ pub(crate) fn json_num(x: f64) -> String {
 }
 
 /// Escape a string for a JSON literal.
-pub(crate) fn escape_json(s: &str) -> String {
+pub fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     push_json_escaped(&mut out, s);
     out
 }
 
 /// Append `s` to `out`, escaped for a JSON literal.
-pub(crate) fn push_json_escaped(out: &mut String, s: &str) {
+pub fn push_json_escaped(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
