@@ -5,7 +5,7 @@
 //! * [`balltree`] — BallTree radius queries, O(n log n) build, O(log n)
 //!   query (Approach 4, "Tree-Search", modelled on scikit-learn's BallTree
 //!   \[Omohundro 1989\]);
-//! * [`celllist`] — uniform-grid cell list, the classic MD short-range
+//! * [`celllist`] — sorted cell list, the classic MD short-range
 //!   method, included as the "reduce the compute footprint" future-work
 //!   item from §6 and as an ablation baseline.
 //!
@@ -35,7 +35,7 @@ pub enum SearchStrategy {
     BruteForce,
     /// BallTree radius queries.
     BallTree,
-    /// Uniform-grid cell list.
+    /// Sorted cell list.
     CellList,
     /// KD-tree radius queries.
     KdTree,
