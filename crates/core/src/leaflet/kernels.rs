@@ -2,7 +2,7 @@
 
 use crate::partition::{Block, Range};
 use linalg::Vec3;
-use neighbors::{BallTree, KdTree, SearchStrategy};
+use neighbors::{BallTree, CellList, SearchStrategy};
 
 /// Edges of one 2-D block via brute-force pairwise distances (`cdist`),
 /// returned with **global** atom indices, `i < j` guaranteed.
@@ -28,9 +28,9 @@ pub fn block_edges_tree(positions: &[Vec3], b: Block, cutoff: f32) -> Vec<(u32, 
     block_edges_indexed(positions, b, cutoff, SearchStrategy::BallTree)
 }
 
-/// Approach 4 with a configurable spatial index (BallTree by default;
-/// KD-tree and cell lists as ablation alternatives). Brute force falls
-/// back to [`block_edges`].
+/// Approach 4 with a configurable spatial index (BallTree by default; the
+/// cell list as the ablation alternative). Brute force falls back to
+/// [`block_edges`].
 pub fn block_edges_indexed(
     positions: &[Vec3],
     b: Block,
@@ -39,35 +39,32 @@ pub fn block_edges_indexed(
 ) -> Vec<(u32, u32)> {
     let rows = &positions[b.row.0 as usize..b.row.1 as usize];
     let cols = &positions[b.col.0 as usize..b.col.1 as usize];
-    let query_all = |query: &dyn Fn(Vec3) -> Vec<u32>| {
-        let mut edges = Vec::new();
-        for (i, &p) in rows.iter().enumerate() {
-            let gi = b.row.0 + i as u32;
-            for j in query(p) {
-                let gj = b.col.0 + j;
-                if gi < gj {
-                    edges.push((gi, gj));
+    let mut edges = Vec::new();
+    let mut keep = |gi: u32, j: u32| {
+        let gj = b.col.0 + j;
+        if gi < gj {
+            edges.push((gi, gj));
+        }
+    };
+    match strategy {
+        SearchStrategy::BruteForce => return block_edges(positions, b, cutoff),
+        SearchStrategy::BallTree => {
+            let tree = BallTree::build(cols, 16);
+            for (gi, &p) in (b.row.0..).zip(rows) {
+                tree.for_each_within(p, cutoff, |j| keep(gi, j));
+            }
+        }
+        SearchStrategy::CellList => {
+            let grid = CellList::build(cols, cutoff);
+            for (gi, &p) in (b.row.0..).zip(rows) {
+                for j in grid.query_radius(cols, p, cutoff) {
+                    keep(gi, j);
                 }
             }
         }
-        edges.sort_unstable();
-        edges
-    };
-    match strategy {
-        SearchStrategy::BruteForce => block_edges(positions, b, cutoff),
-        SearchStrategy::BallTree => {
-            let tree = BallTree::build(cols, 16);
-            query_all(&|p| tree.query_radius(p, cutoff))
-        }
-        SearchStrategy::KdTree => {
-            let tree = KdTree::build(cols, 16);
-            query_all(&|p| tree.query_radius(p, cutoff))
-        }
-        SearchStrategy::CellList => {
-            let grid = neighbors::CellList::build(cols, cutoff);
-            query_all(&|p| grid.query_radius(cols, p, cutoff))
-        }
     }
+    edges.sort_unstable();
+    edges
 }
 
 /// Edges of one 1-D row strip against the **whole** system (Approach 1:
@@ -167,12 +164,38 @@ mod tests {
         for b in plan_2d_grid(pos.len(), 3) {
             let mut brute = block_edges(&pos, b, cutoff);
             brute.sort_unstable();
-            for strategy in [BruteForce, BallTree, KdTree, CellList] {
+            for strategy in [BruteForce, BallTree, CellList] {
                 assert_eq!(
                     super::block_edges_indexed(&pos, b, cutoff, strategy),
                     brute,
                     "block {b:?} via {strategy:?}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn tree_blocks_match_brute_blocks_with_non_finite_atoms() {
+        // A NaN, ±inf or far coordinate (an XYZ file can carry them) used
+        // to panic the BallTree's median split; such atoms pair with
+        // nothing, on every strategy.
+        let (clean, cutoff) = system();
+        let poisons = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 3.0e38, -1.0e30];
+        for (k, &bad) in poisons.iter().enumerate() {
+            let mut pos = clean.clone();
+            for (n, i) in (k..pos.len()).step_by(7).enumerate() {
+                match n % 3 {
+                    0 => pos[i].x = bad,
+                    1 => pos[i].y = bad,
+                    _ => pos[i].z = bad,
+                }
+            }
+            for b in plan_2d_grid(pos.len(), 4) {
+                let mut brute = block_edges(&pos, b, cutoff);
+                brute.sort_unstable();
+                assert_eq!(block_edges_tree(&pos, b, cutoff), brute, "{bad} in {b:?}");
+                let cells = block_edges_indexed(&pos, b, cutoff, SearchStrategy::CellList);
+                assert_eq!(cells, brute, "{bad} in {b:?} via the cell list");
             }
         }
     }

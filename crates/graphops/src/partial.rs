@@ -32,46 +32,28 @@ impl PartialComponents {
     }
 }
 
+/// Sentinel for "no group yet" in [`group_in_order`].
+const NONE: u32 = u32::MAX;
+
 /// Compute partial components from a local edge list. Node ids are global;
 /// only nodes incident to a local edge appear in the result, so no
 /// component is ever empty.
 pub fn partial_components(edges: &[(u32, u32)]) -> PartialComponents {
-    // Compress the sparse global ids into a dense local space, run
-    // union–find there, then expand back.
-    let mut local_of: std::collections::HashMap<u32, u32> = std::collections::HashMap::new();
-    let mut global_of: Vec<u32> = Vec::new();
-    let mut dense = Vec::with_capacity(edges.len());
+    // Relabel the sparse global ids densely by rank among the sorted,
+    // deduplicated endpoints, so dense order is id order.
+    let mut ids: Vec<u32> = edges.iter().flat_map(|&(a, b)| [a, b]).collect();
+    ids.sort_unstable();
+    ids.dedup();
+    let rank = |id: u32| ids.binary_search(&id).expect("endpoint is in ids") as u32;
+    let mut uf = crate::UnionFind::new(ids.len());
     for &(a, b) in edges {
-        let la = *local_of.entry(a).or_insert_with(|| {
-            global_of.push(a);
-            (global_of.len() - 1) as u32
-        });
-        let lb = *local_of.entry(b).or_insert_with(|| {
-            global_of.push(b);
-            (global_of.len() - 1) as u32
-        });
-        dense.push((la, lb));
+        uf.union(rank(a), rank(b));
     }
-    let mut uf = crate::UnionFind::new(global_of.len());
-    for (a, b) in dense {
-        uf.union(a, b);
+    let n = ids.len();
+    let labelled = (0..n).map(|l| (uf.find(l as u32), ids[l]));
+    PartialComponents {
+        components: group_in_order(labelled, n),
     }
-    let mut groups: std::collections::HashMap<u32, Vec<u32>> = std::collections::HashMap::new();
-    for l in 0..global_of.len() as u32 {
-        groups
-            .entry(uf.find(l))
-            .or_default()
-            .push(global_of[l as usize]);
-    }
-    let mut components: Vec<Vec<u32>> = groups
-        .into_values()
-        .map(|mut g| {
-            g.sort_unstable();
-            g
-        })
-        .collect();
-    components.sort_by_key(|g| g[0]);
-    PartialComponents { components }
 }
 
 /// Merge partial components: any two partials sharing a node are joined.
@@ -81,45 +63,51 @@ pub fn partial_components(edges: &[(u32, u32)]) -> PartialComponents {
 /// tree shape. Empty components — `components` is a public field — carry
 /// no node and are dropped.
 pub fn merge_partials(parts: &[PartialComponents]) -> PartialComponents {
-    // Union-find over component indices, keyed by first-seen node.
-    let total: usize = parts.iter().map(|p| p.components.len()).sum();
-    let mut uf = crate::UnionFind::new(total);
-    let mut owner_of_node: std::collections::HashMap<u32, u32> = std::collections::HashMap::new();
-    let mut flat: Vec<&Vec<u32>> = Vec::with_capacity(total);
-    for p in parts {
-        for comp in p.components.iter().filter(|c| !c.is_empty()) {
-            let idx = flat.len() as u32;
-            flat.push(comp);
-            for &node in comp {
-                match owner_of_node.entry(node) {
-                    std::collections::hash_map::Entry::Occupied(e) => {
-                        uf.union(*e.get(), idx);
-                    }
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        e.insert(idx);
-                    }
-                }
-            }
+    let comps: Vec<&[u32]> = parts
+        .iter()
+        .flat_map(|p| &p.components)
+        .map(Vec::as_slice)
+        .collect();
+    // Every node entry keyed `id << 32 | component`, sorted: a node's
+    // holders are one run, and runs come in id order.
+    let mut keyed: Vec<u64> = (0u64..)
+        .zip(&comps)
+        .flat_map(|(idx, comp)| comp.iter().map(move |&id| u64::from(id) << 32 | idx))
+        .collect();
+    keyed.sort_unstable();
+    let mut uf = crate::UnionFind::new(comps.len());
+    for w in keyed.windows(2) {
+        if w[0] >> 32 == w[1] >> 32 {
+            uf.union(w[0] as u32, w[1] as u32);
         }
     }
-    let mut merged: std::collections::HashMap<u32, Vec<u32>> = std::collections::HashMap::new();
-    for (idx, comp) in flat.iter().enumerate() {
-        merged
-            .entry(uf.find(idx as u32))
-            .or_default()
-            .extend_from_slice(comp);
+    keyed.dedup_by_key(|k| *k >> 32);
+    let labelled = keyed.iter().map(|&k| (uf.find(k as u32), (k >> 32) as u32));
+    PartialComponents {
+        components: group_in_order(labelled, comps.len()),
     }
-    let mut components: Vec<Vec<u32>> = merged
-        .into_values()
-        .map(|mut g| {
-            g.sort_unstable();
-            g.dedup();
-            g
-        })
-        .collect();
-    components.sort_by_key(|g| g[0]);
-    PartialComponents { components }
 }
+
+/// Group `(root, id)` pairs, given in ascending id order with every root
+/// below `n_roots`, by root in one pass: a group opens at its first id, so
+/// groups come out ordered by first node and ids ascend within each — the
+/// canonical form, with no sort.
+fn group_in_order(labelled: impl Iterator<Item = (u32, u32)>, n_roots: usize) -> Vec<Vec<u32>> {
+    let mut group_of_root = vec![NONE; n_roots];
+    let mut groups: Vec<Vec<u32>> = Vec::new();
+    for (root, id) in labelled {
+        let g = &mut group_of_root[root as usize];
+        if *g == NONE {
+            *g = groups.len() as u32;
+            groups.push(Vec::new());
+        }
+        groups[*g as usize].push(id);
+    }
+    groups
+}
+
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {
@@ -225,9 +213,13 @@ mod tests {
     }
 
     /// The reduce shapes an engine may run over the same partials — left
-    /// fold, right fold, balanced tree, one n-ary call — must agree.
+    /// fold, right fold, balanced tree, one n-ary call — must agree, and
+    /// equal the hash-map oracle's n-ary merge.
     fn all_bracketings_agree(parts: &[PartialComponents]) -> bool {
         let nary = merge_partials(parts);
+        if nary != oracle::merge_partials(parts) {
+            return false;
+        }
         let left = parts.iter().cloned().reduce(merge_pair).unwrap_or_default();
         let right = parts
             .iter()
@@ -303,43 +295,117 @@ mod tests {
         }
 
         /// Merging is associative: however k ≤ 8 partials are bracketed,
-        /// the canonical result is the same.
+        /// the canonical result is the same, and it is the oracle's. Ids lie
+        /// in three bands up to `u32::MAX`, and empty components — which
+        /// the public field allows — are inserted among the partials'.
         #[test]
         fn merge_is_associative(
-            n in 2usize..40,
-            raw in prop::collection::vec((0u32..40, 0u32..40), 1..120),
+            n in 2u32..40,
+            raw in prop::collection::vec((0u8..3, 0u32..40, 0u8..3, 0u32..40), 1..120),
+            spread in any::<bool>(),
             k in 1usize..9,
+            empties in prop::collection::vec((0usize..64, 0usize..64), 0..4),
         ) {
-            let edges: Vec<(u32, u32)> = raw.into_iter()
-                .map(|(a, b)| (a % n as u32, b % n as u32))
-                .filter(|(a, b)| a != b)
-                .collect();
-            prop_assume!(!edges.is_empty());
-            let parts: Vec<PartialComponents> = edges
+            let edges = edges_of(&raw, n, spread);
+            let mut parts: Vec<PartialComponents> = edges
                 .chunks(edges.len().div_ceil(k))
                 .map(partial_components)
                 .collect();
+            // A lone partial is returned unmerged by every fold shape.
+            if parts.len() >= 2 {
+                insert_empties(&mut parts, &empties);
+            }
             prop_assert!(all_bracketings_agree(&parts));
         }
 
         /// Merging is order-insensitive: shuffling the partials yields the
-        /// same canonical result.
+        /// same canonical result, the oracle's.
         #[test]
         fn merge_is_order_insensitive(
-            n in 2usize..30,
-            raw in prop::collection::vec((0u32..30, 0u32..30), 1..60),
+            n in 2u32..30,
+            raw in prop::collection::vec((0u8..3, 0u32..30, 0u8..3, 0u32..30), 2..60),
+            spread in any::<bool>(),
+            empties in prop::collection::vec((0usize..64, 0usize..64), 0..4),
         ) {
-            let edges: Vec<(u32, u32)> = raw.into_iter()
-                .map(|(a, b)| (a % n as u32, b % n as u32))
-                .filter(|(a, b)| a != b)
-                .collect();
-            prop_assume!(edges.len() >= 2);
+            let edges = edges_of(&raw, n, spread);
             let mid = edges.len() / 2;
-            let p1 = partial_components(&edges[..mid]);
-            let p2 = partial_components(&edges[mid..]);
-            let ab = merge_partials(&[p1.clone(), p2.clone()]);
-            let ba = merge_partials(&[p2, p1]);
-            prop_assert_eq!(ab, ba);
+            let mut parts = vec![
+                partial_components(&edges[..mid]),
+                partial_components(&edges[mid..]),
+            ];
+            insert_empties(&mut parts, &empties);
+            let ab = merge_partials(&parts);
+            let ba = merge_partials(&[parts[1].clone(), parts[0].clone()]);
+            prop_assert_eq!(&ab, &ba);
+            prop_assert_eq!(ab, oracle::merge_partials(&parts));
+        }
+    }
+
+    /// Node `k` of a test graph in one of three id bands — near 0, near
+    /// 2³¹, at the top of the `u32` range — so the merge sees ids far
+    /// apart as well as ids that fill their range.
+    fn banded(band: u8, k: u32) -> u32 {
+        match band {
+            0 => k,
+            1 => (1 << 31) + k,
+            _ => u32::MAX - k,
+        }
+    }
+
+    type RawEdge = (u8, u32, u8, u32);
+
+    /// Edges over nodes `0..n`, placed in their bands when `spread`; self
+    /// loops are kept (a lone node is a component of its own).
+    fn edges_of(raw: &[RawEdge], n: u32, spread: bool) -> Vec<(u32, u32)> {
+        let node = |band, k: u32| if spread { banded(band, k % n) } else { k % n };
+        raw.iter()
+            .map(|&(ba, a, bb, b)| (node(ba, a), node(bb, b)))
+            .collect()
+    }
+
+    /// Insert an empty component into partial `p % len` at `at % (size + 1)`
+    /// for each `(p, at)`.
+    fn insert_empties(parts: &mut [PartialComponents], empties: &[(usize, usize)]) {
+        for &(p, at) in empties {
+            let comps = &mut parts[p % parts.len()].components;
+            comps.insert(at % (comps.len() + 1), Vec::new());
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Dense relabelling gives the hash-map version's partials, self
+        /// loops and ids near `u32::MAX` included.
+        #[test]
+        fn partial_components_equals_the_hash_map_oracle(
+            raw in prop::collection::vec((0u8..3, 0u32..40, 0u8..3, 0u32..40), 0..80),
+            spread in any::<bool>(),
+        ) {
+            let edges = edges_of(&raw, 40, spread);
+            prop_assert_eq!(partial_components(&edges), oracle::partial_components(&edges));
+        }
+
+        /// Components the public field allows but `partial_components`
+        /// never makes — unsorted, with repeats, overlapping inside one
+        /// partial — merge as the oracle merges them.
+        #[test]
+        fn merge_of_raw_components_equals_the_oracle(
+            raw in prop::collection::vec(
+                prop::collection::vec((0u8..3, 0u32..30), 0..6), 0..12),
+            spread in any::<bool>(),
+            split in 0usize..12,
+        ) {
+            let comps: Vec<Vec<u32>> = raw
+                .iter()
+                .map(|c| c.iter().map(|&(b, k)| if spread { banded(b, k) } else { k }).collect())
+                .collect();
+            let (a, b) = comps.split_at(split.min(comps.len()));
+            let parts = [
+                PartialComponents { components: a.to_vec() },
+                PartialComponents { components: b.to_vec() },
+            ];
+            prop_assert_eq!(merge_partials(&parts), oracle::merge_partials(&parts));
         }
     }
 }

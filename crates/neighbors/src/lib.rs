@@ -13,11 +13,9 @@
 
 pub mod balltree;
 pub mod celllist;
-pub mod kdtree;
 
 pub use balltree::BallTree;
 pub use celllist::CellList;
-pub use kdtree::KdTree;
 
 use linalg::Vec3;
 
@@ -37,8 +35,6 @@ pub enum SearchStrategy {
     BallTree,
     /// Sorted cell list.
     CellList,
-    /// KD-tree radius queries.
-    KdTree,
 }
 
 /// Find all pairs `(i, j)`, `i < j`, within `cutoff` inside one point set,
@@ -50,12 +46,12 @@ pub fn neighbor_pairs(points: &[Vec3], cutoff: f32, strategy: SearchStrategy) ->
         SearchStrategy::BallTree => {
             let tree = BallTree::build(points, 16);
             let mut edges = Vec::new();
-            for (i, &p) in points.iter().enumerate() {
-                for j in tree.query_radius(p, cutoff) {
-                    if (i as u32) < j {
-                        edges.push((i as u32, j));
+            for (i, &p) in (0u32..).zip(points) {
+                tree.for_each_within(p, cutoff, |j| {
+                    if i < j {
+                        edges.push((i, j));
                     }
-                }
+                });
             }
             edges.sort_unstable();
             edges
@@ -63,19 +59,6 @@ pub fn neighbor_pairs(points: &[Vec3], cutoff: f32, strategy: SearchStrategy) ->
         SearchStrategy::CellList => {
             let grid = CellList::build(points, cutoff);
             let mut edges = grid.neighbor_pairs(points, cutoff);
-            edges.sort_unstable();
-            edges
-        }
-        SearchStrategy::KdTree => {
-            let tree = KdTree::build(points, 16);
-            let mut edges = Vec::new();
-            for (i, &p) in points.iter().enumerate() {
-                for j in tree.query_radius(p, cutoff) {
-                    if (i as u32) < j {
-                        edges.push((i as u32, j));
-                    }
-                }
-            }
             edges.sort_unstable();
             edges
         }
@@ -109,11 +92,9 @@ mod tests {
         let brute = neighbor_pairs(&pts, cutoff, SearchStrategy::BruteForce);
         let tree = neighbor_pairs(&pts, cutoff, SearchStrategy::BallTree);
         let cells = neighbor_pairs(&pts, cutoff, SearchStrategy::CellList);
-        let kd = neighbor_pairs(&pts, cutoff, SearchStrategy::KdTree);
         assert!(!brute.is_empty(), "fixture should produce edges");
         assert_eq!(brute, tree);
         assert_eq!(brute, cells);
-        assert_eq!(brute, kd);
     }
 
     #[test]
@@ -122,14 +103,48 @@ mod tests {
             SearchStrategy::BruteForce,
             SearchStrategy::BallTree,
             SearchStrategy::CellList,
-            SearchStrategy::KdTree,
         ] {
             assert!(neighbor_pairs(&[], 1.0, s).is_empty());
             assert!(neighbor_pairs(&[Vec3::ZERO], 1.0, s).is_empty());
         }
     }
 
+    #[test]
+    fn a_nan_point_pairs_with_nothing_on_every_strategy() {
+        // 39 neighbours along a unit-spaced line; the NaN point takes its
+        // two. The BallTree used to panic here.
+        let mut pts: Vec<Vec3> = (0..40).map(|i| Vec3::new(i as f32, 0.0, 0.0)).collect();
+        pts[20].x = f32::NAN;
+        let brute = neighbor_pairs(&pts, 1.0, SearchStrategy::BruteForce);
+        assert_eq!(brute.len(), 37);
+        for s in [SearchStrategy::BallTree, SearchStrategy::CellList] {
+            assert_eq!(neighbor_pairs(&pts, 1.0, s), brute, "{s:?}");
+        }
+    }
+
     proptest! {
+        /// Clouds with NaN, ±inf and far points: every strategy returns
+        /// brute force's pairs.
+        #[test]
+        fn all_strategies_equal_with_non_finite_points(
+            raw in prop::collection::vec(((0u8..12, -10.0f32..10.0), (0u8..12, -10.0f32..10.0), (0u8..12, -10.0f32..10.0)), 0..80),
+            cutoff in 0.5f32..4.0,
+        ) {
+            let coord = |(kind, v): (u8, f32)| match kind {
+                8 => 3.0e38,
+                9 => f32::NAN,
+                10 => f32::INFINITY,
+                11 => f32::NEG_INFINITY,
+                _ => v,
+            };
+            let pts: Vec<Vec3> = raw.iter()
+                .map(|&(x, y, z)| Vec3::new(coord(x), coord(y), coord(z)))
+                .collect();
+            let brute = neighbor_pairs(&pts, cutoff, SearchStrategy::BruteForce);
+            prop_assert_eq!(&neighbor_pairs(&pts, cutoff, SearchStrategy::BallTree), &brute);
+            prop_assert_eq!(&neighbor_pairs(&pts, cutoff, SearchStrategy::CellList), &brute);
+        }
+
         #[test]
         fn all_strategies_equal(
             coords in prop::collection::vec(
@@ -140,10 +155,8 @@ mod tests {
             let brute = neighbor_pairs(&pts, cutoff, SearchStrategy::BruteForce);
             let tree = neighbor_pairs(&pts, cutoff, SearchStrategy::BallTree);
             let cells = neighbor_pairs(&pts, cutoff, SearchStrategy::CellList);
-            let kd = neighbor_pairs(&pts, cutoff, SearchStrategy::KdTree);
             prop_assert_eq!(&brute, &tree);
             prop_assert_eq!(&brute, &cells);
-            prop_assert_eq!(&brute, &kd);
         }
     }
 }
