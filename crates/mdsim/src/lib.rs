@@ -20,7 +20,6 @@
 pub mod bilayer;
 pub mod chain;
 pub mod datasets;
-pub mod lj;
 
 pub use bilayer::{Bilayer, BilayerSpec};
 pub use chain::{ChainSpec, Trajectory};
@@ -28,4 +27,3 @@ pub use datasets::{
     lf_dataset, psa_ensemble, LfDatasetId, PsaSize, LF_PAPER_ATOMS, PSA_PAPER_ATOMS,
     PSA_PAPER_FRAMES,
 };
-pub use lj::{LjSpec, LjSystem};

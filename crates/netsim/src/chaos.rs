@@ -27,9 +27,9 @@
 //! * **termination** — the run returns (bounded [`RetryPolicy`]s make
 //!   this structural) with a finite makespan.
 //!
-//! On a violation the plan is *shrunk* — deaths and stragglers are
-//! greedily dropped and the fetch-loss probability zeroed while the
-//! violation still reproduces — to a minimal counterexample, and the whole
+//! On a violation the plan is *shrunk* — scripted faults are greedily
+//! dropped and probabilities zeroed or halved while the violation still
+//! reproduces — to a minimal counterexample, and the whole
 //! [`FuzzReport`] serializes to JSON so CI can attach it as an artifact
 //! and a developer can replay it with
 //! `Cluster::with_faults(FaultPlan::from_json(..))`.
@@ -264,80 +264,74 @@ pub fn plan_for_seed(cfg: &ChaosConfig, seed: u64) -> FaultPlan {
     } else {
         rng.f64() * cfg.lost_fetch_prob_max
     };
-    let plan = FaultPlan::from_parts(deaths, stragglers, mem_shrinks, lost_fetch_prob, mix(seed));
-    if cfg.stream_frames == 0 && cfg.max_partitions == 0 {
-        // Batch config: no stream or partition draws at all, so plans
-        // stay byte-identical to what pre-streaming harnesses produced
-        // for the same (cfg, seed).
-        return plan;
-    }
-    let plan = if cfg.stream_frames > 0 {
-        stream_draws(cfg, &mut rng, plan)
-    } else {
-        plan
+    let mut plan = FaultPlan {
+        deaths,
+        stragglers,
+        mem_shrinks,
+        lost_fetch_prob,
+        seed: mix(seed),
+        ..FaultPlan::none()
     };
-    if cfg.max_partitions == 0 {
-        return plan;
+    // A batch config makes no stream or partition draws at all, so its
+    // plans stay byte-identical to what pre-streaming harnesses produced
+    // for the same (cfg, seed).
+    if cfg.stream_frames > 0 {
+        stream_draws(cfg, &mut rng, &mut plan);
     }
-    partition_draws(cfg, &mut rng, plan)
+    if cfg.max_partitions > 0 {
+        partition_draws(cfg, &mut rng, &mut plan);
+    }
+    plan
 }
 
 /// Stream-fault draws for [`plan_for_seed`]. Split out so the draw order
 /// stays a stable prefix: enabling partitions never changes what a
 /// stream-only config would have drawn.
-fn stream_draws(cfg: &ChaosConfig, rng: &mut SeedStream, plan: FaultPlan) -> FaultPlan {
-    let mut producer_stalls = Vec::new();
+fn stream_draws(cfg: &ChaosConfig, rng: &mut SeedStream, plan: &mut FaultPlan) {
     let n_stalls = rng.below(cfg.max_producer_stalls + 1);
     let (slo, shi) = cfg.producer_stall_window_s;
     let (llo, lhi) = cfg.producer_stall_len_s;
     for _ in 0..n_stalls {
-        producer_stalls.push(ProducerStall {
+        plan.producer_stalls.push(ProducerStall {
             at_s: slo + rng.f64() * (shi - slo).max(0.0),
             for_s: (llo + rng.f64() * (lhi - llo).max(0.0)).max(1e-3),
         });
     }
     if rng.f64() < cfg.producer_crash_prob {
-        producer_stalls.push(ProducerStall {
+        plan.producer_stalls.push(ProducerStall {
             at_s: slo + rng.f64() * (shi - slo).max(0.0),
             for_s: f64::INFINITY,
         });
     }
     let n_drops = rng.below(cfg.max_frame_drops + 1);
-    let frame_drops = (0..n_drops)
+    plan.frame_drops = (0..n_drops)
         .map(|_| FrameDrop {
             frame: rng.below(cfg.stream_frames),
         })
         .collect();
     let n_delays = rng.below(cfg.max_frame_delays + 1);
-    let frame_delays = (0..n_delays)
+    plan.frame_delays = (0..n_delays)
         .map(|_| FrameDelay {
             frame: rng.below(cfg.stream_frames),
             by_s: rng.f64() * cfg.frame_delay_max_s,
         })
         .collect();
-    let frame_drop_prob = if rng.f64() < 0.5 {
+    plan.frame_drop_prob = if rng.f64() < 0.5 {
         0.0
     } else {
         rng.f64() * cfg.frame_drop_prob_max
     };
-    let frame_dup_prob = if rng.f64() < 0.5 {
+    plan.frame_dup_prob = if rng.f64() < 0.5 {
         0.0
     } else {
         rng.f64() * cfg.frame_dup_prob_max
     };
-    plan.with_stream_parts(
-        producer_stalls,
-        frame_drops,
-        frame_delays,
-        frame_drop_prob,
-        frame_dup_prob,
-    )
 }
 
 /// Partition and link-degradation draws for [`plan_for_seed`]. Cut
 /// windows are laid out left-to-right from a moving cursor, so no two
 /// partitions ever overlap in time and every generated plan validates.
-fn partition_draws(cfg: &ChaosConfig, rng: &mut SeedStream, plan: FaultPlan) -> FaultPlan {
+fn partition_draws(cfg: &ChaosConfig, rng: &mut SeedStream, plan: &mut FaultPlan) {
     let n_parts = if cfg.nodes >= 2 {
         rng.below(cfg.max_partitions + 1)
     } else {
@@ -345,7 +339,6 @@ fn partition_draws(cfg: &ChaosConfig, rng: &mut SeedStream, plan: FaultPlan) -> 
     };
     let (plo, phi) = cfg.partition_window_s;
     let (llo, lhi) = cfg.partition_len_s;
-    let mut partitions = Vec::with_capacity(n_parts);
     let mut cursor = plo;
     for _ in 0..n_parts {
         let from_s = cursor + rng.f64() * (phi - cursor).max(0.0);
@@ -362,7 +355,7 @@ fn partition_draws(cfg: &ChaosConfig, rng: &mut SeedStream, plan: FaultPlan) -> 
             cut.push(workers[i]);
         }
         cut.sort_unstable();
-        partitions.push(Partition {
+        plan.partitions.push(Partition {
             groups: vec![cut],
             from_s,
             to_s,
@@ -374,7 +367,6 @@ fn partition_draws(cfg: &ChaosConfig, rng: &mut SeedStream, plan: FaultPlan) -> 
     } else {
         0
     };
-    let mut link_degrades = Vec::with_capacity(n_links);
     for _ in 0..n_links {
         let a = rng.below(cfg.nodes);
         let b = (a + 1 + rng.below(cfg.nodes - 1)) % cfg.nodes;
@@ -386,7 +378,7 @@ fn partition_draws(cfg: &ChaosConfig, rng: &mut SeedStream, plan: FaultPlan) -> 
         };
         let from_s = plo + rng.f64() * (phi - plo).max(0.0);
         let len = (llo + rng.f64() * (lhi - llo).max(0.0)).max(1e-3);
-        link_degrades.push(LinkDegrade {
+        plan.link_degrades.push(LinkDegrade {
             a,
             b,
             latency_factor,
@@ -395,7 +387,6 @@ fn partition_draws(cfg: &ChaosConfig, rng: &mut SeedStream, plan: FaultPlan) -> 
             to_s: from_s + len,
         });
     }
-    plan.with_partition_parts(partitions, link_degrades)
 }
 
 /// What one workload run under one plan produced: a fingerprint of the
@@ -678,61 +669,6 @@ pub fn check_invariants(
     None
 }
 
-/// A [`FaultPlan`] decomposed into its independently shrinkable parts.
-/// The shrinker mutates one field of a clone and rebuilds a candidate.
-#[derive(Clone)]
-struct PlanParts {
-    deaths: Vec<NodeDeath>,
-    stragglers: Vec<Straggler>,
-    mem_shrinks: Vec<MemShrink>,
-    producer_stalls: Vec<ProducerStall>,
-    frame_drops: Vec<FrameDrop>,
-    frame_delays: Vec<FrameDelay>,
-    partitions: Vec<Partition>,
-    link_degrades: Vec<LinkDegrade>,
-    lost_fetch_prob: f64,
-    frame_drop_prob: f64,
-    frame_dup_prob: f64,
-    seed: u64,
-}
-
-impl PlanParts {
-    fn decompose(plan: &FaultPlan) -> Self {
-        PlanParts {
-            deaths: plan.deaths().to_vec(),
-            stragglers: plan.stragglers().to_vec(),
-            mem_shrinks: plan.mem_shrinks().to_vec(),
-            producer_stalls: plan.producer_stalls().to_vec(),
-            frame_drops: plan.frame_drops().to_vec(),
-            frame_delays: plan.frame_delays().to_vec(),
-            partitions: plan.partitions().to_vec(),
-            link_degrades: plan.link_degrades().to_vec(),
-            lost_fetch_prob: plan.lost_fetch_prob(),
-            frame_drop_prob: plan.frame_drop_prob(),
-            frame_dup_prob: plan.frame_dup_prob(),
-            seed: plan.seed(),
-        }
-    }
-
-    fn build(&self) -> FaultPlan {
-        FaultPlan::from_parts(
-            self.deaths.clone(),
-            self.stragglers.clone(),
-            self.mem_shrinks.clone(),
-            self.lost_fetch_prob,
-            self.seed,
-        )
-        .with_stream_parts(
-            self.producer_stalls.clone(),
-            self.frame_drops.clone(),
-            self.frame_delays.clone(),
-            self.frame_drop_prob,
-            self.frame_dup_prob,
-        )
-        .with_partition_parts(self.partitions.clone(), self.link_degrades.clone())
-    }
-}
-
 /// Below this a probability is snapped to zero rather than halved again —
 /// halving forever would never terminate, and no workload distinguishes
 /// 1e-18 from 0.
@@ -740,8 +676,9 @@ const PROB_FLOOR: f64 = 1e-18;
 
 /// Greedily shrink `plan` to a minimal set of faults for which
 /// `still_fails` holds: drop one scripted fault at a time from each list
-/// (deaths, stragglers, memory shrinks, producer stalls, frame drops,
-/// frame delays), then attack the probabilities — first try zero, then
+/// (deaths, stragglers, memory shrinks, memory sets, producer stalls,
+/// frame drops, frame delays, partitions, link degradations), halve
+/// partition cut-to-heal times, then attack the probabilities — first try zero, then
 /// repeatedly *halve* toward zero — to a fixpoint. Halving finds the
 /// smallest rate at which the failure still reproduces, which tells the
 /// investigator whether the bug needs sustained loss or a single unlucky
@@ -749,17 +686,17 @@ const PROB_FLOOR: f64 = 1e-18;
 /// the floor, so shrinking a plan with `n` scripted faults re-runs the
 /// workload `O(n^2 + log(1/PROB_FLOOR))` times.
 pub fn shrink(plan: &FaultPlan, mut still_fails: impl FnMut(&FaultPlan) -> bool) -> FaultPlan {
-    let mut cur = PlanParts::decompose(plan);
+    let mut cur = plan.clone();
     // One removal pass over a fault list; returns true if it shrank.
     fn remove_pass<T: Clone>(
-        cur: &mut PlanParts,
-        get: impl Fn(&mut PlanParts) -> &mut Vec<T>,
+        cur: &mut FaultPlan,
+        get: impl Fn(&mut FaultPlan) -> &mut Vec<T>,
         still_fails: &mut impl FnMut(&FaultPlan) -> bool,
     ) -> bool {
         for i in 0..get(cur).len() {
             let mut cand = cur.clone();
             get(&mut cand).remove(i);
-            if still_fails(&cand.build()) {
+            if still_fails(&cand) {
                 *cur = cand;
                 return true;
             }
@@ -768,15 +705,15 @@ pub fn shrink(plan: &FaultPlan, mut still_fails: impl FnMut(&FaultPlan) -> bool)
     }
     // Zero-then-halve a probability; returns true if it shrank at all.
     fn prob_pass(
-        cur: &mut PlanParts,
-        get: impl Fn(&mut PlanParts) -> &mut f64,
+        cur: &mut FaultPlan,
+        get: impl Fn(&mut FaultPlan) -> &mut f64,
         still_fails: &mut impl FnMut(&FaultPlan) -> bool,
     ) -> bool {
         let mut shrunk = false;
         if *get(cur) > 0.0 {
             let mut cand = cur.clone();
             *get(&mut cand) = 0.0;
-            if still_fails(&cand.build()) {
+            if still_fails(&cand) {
                 *cur = cand;
                 return true;
             }
@@ -784,7 +721,7 @@ pub fn shrink(plan: &FaultPlan, mut still_fails: impl FnMut(&FaultPlan) -> bool)
         while *get(cur) > PROB_FLOOR {
             let mut cand = cur.clone();
             *get(&mut cand) /= 2.0;
-            if !still_fails(&cand.build()) {
+            if !still_fails(&cand) {
                 break;
             }
             *cur = cand;
@@ -796,7 +733,7 @@ pub fn shrink(plan: &FaultPlan, mut still_fails: impl FnMut(&FaultPlan) -> bool)
     // finds the shortest cut that still reproduces, which tells the
     // investigator whether the bug needs a sustained split or a blip.
     // Floored at 1 ms so the pass terminates.
-    fn heal_pass(cur: &mut PlanParts, still_fails: &mut impl FnMut(&FaultPlan) -> bool) -> bool {
+    fn heal_pass(cur: &mut FaultPlan, still_fails: &mut impl FnMut(&FaultPlan) -> bool) -> bool {
         for i in 0..cur.partitions.len() {
             let dur = cur.partitions[i].to_s - cur.partitions[i].from_s;
             if dur <= 1e-3 {
@@ -804,7 +741,7 @@ pub fn shrink(plan: &FaultPlan, mut still_fails: impl FnMut(&FaultPlan) -> bool)
             }
             let mut cand = cur.clone();
             cand.partitions[i].to_s = cand.partitions[i].from_s + dur / 2.0;
-            if still_fails(&cand.build()) {
+            if still_fails(&cand) {
                 *cur = cand;
                 return true;
             }
@@ -815,6 +752,7 @@ pub fn shrink(plan: &FaultPlan, mut still_fails: impl FnMut(&FaultPlan) -> bool)
         if remove_pass(&mut cur, |p| &mut p.deaths, &mut still_fails)
             || remove_pass(&mut cur, |p| &mut p.stragglers, &mut still_fails)
             || remove_pass(&mut cur, |p| &mut p.mem_shrinks, &mut still_fails)
+            || remove_pass(&mut cur, |p| &mut p.mem_sets, &mut still_fails)
             || remove_pass(&mut cur, |p| &mut p.producer_stalls, &mut still_fails)
             || remove_pass(&mut cur, |p| &mut p.frame_drops, &mut still_fails)
             || remove_pass(&mut cur, |p| &mut p.frame_delays, &mut still_fails)
@@ -827,7 +765,7 @@ pub fn shrink(plan: &FaultPlan, mut still_fails: impl FnMut(&FaultPlan) -> bool)
         {
             continue;
         }
-        return cur.build();
+        return cur;
     }
 }
 
@@ -1023,27 +961,13 @@ mod tests {
             // reproduction (a straggler may legitimately survive shrinking
             // when it is what stretches a task into the death window).
             for i in 0..v.shrunk.deaths().len() {
-                let mut deaths = v.shrunk.deaths().to_vec();
-                deaths.remove(i);
-                let cand = FaultPlan::from_parts(
-                    deaths,
-                    v.shrunk.stragglers().to_vec(),
-                    v.shrunk.mem_shrinks().to_vec(),
-                    v.shrunk.lost_fetch_prob(),
-                    v.shrunk.seed(),
-                );
+                let mut cand = v.shrunk.clone();
+                cand.deaths.remove(i);
                 assert!(!fails(&cand), "death {i} is redundant in the shrunk plan");
             }
             for i in 0..v.shrunk.stragglers().len() {
-                let mut stragglers = v.shrunk.stragglers().to_vec();
-                stragglers.remove(i);
-                let cand = FaultPlan::from_parts(
-                    v.shrunk.deaths().to_vec(),
-                    stragglers,
-                    v.shrunk.mem_shrinks().to_vec(),
-                    v.shrunk.lost_fetch_prob(),
-                    v.shrunk.seed(),
-                );
+                let mut cand = v.shrunk.clone();
+                cand.stragglers.remove(i);
                 assert!(
                     !fails(&cand),
                     "straggler {i} is redundant in the shrunk plan"
@@ -1198,23 +1122,13 @@ mod tests {
     fn shrink_reaches_a_fixpoint_without_oracle_calls_blowing_up() {
         // A violation that only needs one specific death: shrink must strip
         // everything else and keep exactly that death.
-        let plan = FaultPlan::from_parts(
-            vec![
-                NodeDeath { node: 0, at_s: 1.0 },
-                NodeDeath { node: 1, at_s: 2.0 },
-            ],
-            vec![Straggler {
-                core: 3,
-                factor: 5.0,
-            }],
-            vec![MemShrink {
-                node: 2,
-                at_s: 3.0,
-                to_bytes: 1 << 30,
-            }],
-            0.25,
-            9,
-        );
+        let plan = FaultPlan::none()
+            .kill_node(0, 1.0)
+            .kill_node(1, 2.0)
+            .slow_core(3, 5.0)
+            .shrink_memory(2, 3.0, 1 << 30)
+            .set_memory(2, 4.0, 1 << 29)
+            .lose_fetches(0.25, 9);
         let mut calls = 0;
         let shrunk = shrink(&plan, |cand| {
             calls += 1;
@@ -1224,8 +1138,21 @@ mod tests {
         assert_eq!(shrunk.deaths()[0].node, 1);
         assert!(shrunk.stragglers().is_empty());
         assert!(shrunk.mem_shrinks().is_empty());
+        assert!(shrunk.mem_sets().is_empty());
         assert_eq!(shrunk.lost_fetch_prob(), 0.0);
         assert!(calls < 25, "greedy shrink stays quadratic, ran {calls}");
+    }
+
+    #[test]
+    fn shrink_keeps_the_mem_set_a_failure_needs() {
+        let plan = FaultPlan::none()
+            .set_memory(0, 1.0, 1 << 20)
+            .kill_node(1, 2.0);
+        let fails = |p: &FaultPlan| !p.mem_sets().is_empty();
+        let shrunk = shrink(&plan, fails);
+        assert!(fails(&shrunk), "the shrunk plan still fails");
+        assert_eq!(shrunk.mem_sets(), plan.mem_sets());
+        assert!(shrunk.deaths().is_empty(), "the death is irrelevant");
     }
 
     #[test]
@@ -1351,35 +1278,12 @@ mod tests {
         // be stripped, and the surviving cut's heal halved to within a
         // factor of two of the 1 s boundary — a strictly smaller
         // counterexample on both axes.
-        let plan = FaultPlan::from_parts(
-            vec![NodeDeath { node: 2, at_s: 2.0 }],
-            vec![],
-            vec![],
-            0.0,
-            13,
-        )
-        .with_partition_parts(
-            vec![
-                Partition {
-                    groups: vec![vec![1]],
-                    from_s: 1.0,
-                    to_s: 9.0,
-                },
-                Partition {
-                    groups: vec![vec![2]],
-                    from_s: 10.0,
-                    to_s: 11.0,
-                },
-            ],
-            vec![LinkDegrade {
-                a: 0,
-                b: 2,
-                latency_factor: 3.0,
-                loss_prob: 0.1,
-                from_s: 0.5,
-                to_s: 4.0,
-            }],
-        );
+        let plan = FaultPlan::none()
+            .kill_node(2, 2.0)
+            .seeded(13)
+            .partition(vec![vec![1]], 1.0, 9.0)
+            .partition(vec![vec![2]], 10.0, 11.0)
+            .degrade_link(0, 2, 3.0, 0.1, 0.5, 4.0);
         let fails = |cand: &FaultPlan| {
             cand.partitions()
                 .iter()
@@ -1414,16 +1318,10 @@ mod tests {
         // *halve* 0.8 down until one more halving would cross the
         // threshold. The shrunk plan is strictly smaller than the original
         // and still within a factor of two of the true boundary.
-        let plan = FaultPlan::from_parts(vec![], vec![], vec![], 0.0, 3).with_stream_parts(
-            vec![ProducerStall {
-                at_s: 1.0,
-                for_s: 2.0,
-            }],
-            vec![],
-            vec![],
-            0.8,
-            0.0,
-        );
+        let plan = FaultPlan::none()
+            .seeded(3)
+            .stall_producer(1.0, 2.0)
+            .drop_frames(0.8);
         let shrunk = shrink(&plan, |cand| cand.frame_drop_prob() >= 0.05);
         assert!(shrunk.producer_stalls().is_empty(), "stall is irrelevant");
         assert!(
@@ -1437,7 +1335,7 @@ mod tests {
         );
         // Same machinery on the batch-side probability: lost_fetch_prob
         // halves from 0.6 to just above a 0.1 threshold.
-        let plan = FaultPlan::from_parts(vec![], vec![], vec![], 0.6, 3);
+        let plan = FaultPlan::none().lose_fetches(0.6, 3);
         let shrunk = shrink(&plan, |cand| cand.lost_fetch_prob() >= 0.1);
         assert!((0.1..0.2).contains(&shrunk.lost_fetch_prob()));
     }
@@ -1446,32 +1344,16 @@ mod tests {
     fn shrink_strips_irrelevant_stream_faults() {
         // Only the producer crash matters; every scripted and seeded
         // stream fault around it must be stripped.
-        let plan = FaultPlan::from_parts(
-            vec![NodeDeath { node: 0, at_s: 4.0 }],
-            vec![],
-            vec![],
-            0.2,
-            11,
-        )
-        .with_stream_parts(
-            vec![
-                ProducerStall {
-                    at_s: 1.0,
-                    for_s: 2.0,
-                },
-                ProducerStall {
-                    at_s: 5.0,
-                    for_s: f64::INFINITY,
-                },
-            ],
-            vec![FrameDrop { frame: 3 }, FrameDrop { frame: 9 }],
-            vec![FrameDelay {
-                frame: 4,
-                by_s: 1.5,
-            }],
-            0.05,
-            0.07,
-        );
+        let plan = FaultPlan::none()
+            .kill_node(0, 4.0)
+            .lose_fetches(0.2, 11)
+            .stall_producer(1.0, 2.0)
+            .crash_producer(5.0)
+            .drop_frame(3)
+            .drop_frame(9)
+            .delay_frame(4, 1.5)
+            .drop_frames(0.05)
+            .duplicate_frames(0.07);
         let shrunk = shrink(&plan, |cand| {
             cand.producer_stalls().iter().any(|s| s.is_crash())
         });

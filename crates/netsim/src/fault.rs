@@ -13,6 +13,8 @@
 //! lost fetches are decided by a seeded hash of `(map, reduce, attempt)`,
 //! so two runs with the same plan observe identical failures.
 
+use std::fmt::{self, Write};
+
 /// A node that disappears at a virtual time: every core it hosts kills its
 /// running task at `at_s` and accepts no further placements.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -241,35 +243,23 @@ impl std::fmt::Display for FaultPlanError {
 
 impl std::error::Error for FaultPlanError {}
 
-/// Scanner-level grammar failures surface as [`FaultPlanError::Parse`].
-impl From<String> for FaultPlanError {
-    fn from(msg: String) -> Self {
-        FaultPlanError::Parse(msg)
-    }
-}
-
-impl From<&str> for FaultPlanError {
-    fn from(msg: &str) -> Self {
-        FaultPlanError::Parse(msg.to_string())
-    }
-}
-
-/// A scripted set of failures for one simulated run.
+/// A scripted set of failures for one simulated run. The chaos generator
+/// and shrinker build and edit plans through the fields directly.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct FaultPlan {
-    deaths: Vec<NodeDeath>,
-    stragglers: Vec<Straggler>,
-    mem_shrinks: Vec<MemShrink>,
-    mem_sets: Vec<MemSet>,
-    producer_stalls: Vec<ProducerStall>,
-    frame_drops: Vec<FrameDrop>,
-    frame_delays: Vec<FrameDelay>,
-    partitions: Vec<Partition>,
-    link_degrades: Vec<LinkDegrade>,
-    lost_fetch_prob: f64,
-    frame_drop_prob: f64,
-    frame_dup_prob: f64,
-    seed: u64,
+    pub(crate) deaths: Vec<NodeDeath>,
+    pub(crate) stragglers: Vec<Straggler>,
+    pub(crate) mem_shrinks: Vec<MemShrink>,
+    pub(crate) mem_sets: Vec<MemSet>,
+    pub(crate) producer_stalls: Vec<ProducerStall>,
+    pub(crate) frame_drops: Vec<FrameDrop>,
+    pub(crate) frame_delays: Vec<FrameDelay>,
+    pub(crate) partitions: Vec<Partition>,
+    pub(crate) link_degrades: Vec<LinkDegrade>,
+    pub(crate) lost_fetch_prob: f64,
+    pub(crate) frame_drop_prob: f64,
+    pub(crate) frame_dup_prob: f64,
+    pub(crate) seed: u64,
 }
 
 impl FaultPlan {
@@ -681,110 +671,6 @@ impl FaultPlan {
         self.seed
     }
 
-    /// Assemble a plan from explicit parts — the chaos harness uses this
-    /// to rebuild shrunken candidate plans. Memory *sets* are not part of
-    /// the chaos generator's vocabulary, so the assembled plan carries
-    /// none; add them with [`Self::set_memory`] if needed.
-    pub fn from_parts(
-        deaths: Vec<NodeDeath>,
-        stragglers: Vec<Straggler>,
-        mem_shrinks: Vec<MemShrink>,
-        lost_fetch_prob: f64,
-        seed: u64,
-    ) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&lost_fetch_prob),
-            "probability must be in [0, 1]"
-        );
-        assert!(
-            deaths.iter().all(|d| d.at_s >= 0.0),
-            "death time must be non-negative"
-        );
-        assert!(
-            stragglers.iter().all(|s| s.factor >= 1.0),
-            "straggler factor must be >= 1"
-        );
-        assert!(
-            mem_shrinks.iter().all(|m| m.at_s >= 0.0),
-            "shrink time must be non-negative"
-        );
-        FaultPlan {
-            deaths,
-            stragglers,
-            mem_shrinks,
-            mem_sets: Vec::new(),
-            producer_stalls: Vec::new(),
-            frame_drops: Vec::new(),
-            frame_delays: Vec::new(),
-            partitions: Vec::new(),
-            link_degrades: Vec::new(),
-            lost_fetch_prob,
-            frame_drop_prob: 0.0,
-            frame_dup_prob: 0.0,
-            seed,
-        }
-    }
-
-    /// Replace the partition half of the plan wholesale — the chaos
-    /// shrinker pairs this with [`Self::from_parts`] /
-    /// [`Self::with_stream_parts`] to rebuild shrunken candidates that
-    /// carry partitions and link degradations.
-    pub fn with_partition_parts(
-        mut self,
-        partitions: Vec<Partition>,
-        link_degrades: Vec<LinkDegrade>,
-    ) -> Self {
-        assert!(
-            partitions
-                .iter()
-                .all(|p| p.from_s >= 0.0 && p.to_s > p.from_s),
-            "partition windows must be non-negative and heal after the cut"
-        );
-        assert!(
-            link_degrades.iter().all(|d| d.from_s >= 0.0
-                && d.to_s > d.from_s
-                && d.latency_factor >= 1.0
-                && (0.0..=1.0).contains(&d.loss_prob)),
-            "link degradations must have valid windows, factors and probabilities"
-        );
-        self.partitions = partitions;
-        self.link_degrades = link_degrades;
-        self
-    }
-
-    /// Replace the stream-fault half of the plan wholesale — the chaos
-    /// shrinker pairs this with [`Self::from_parts`] to rebuild shrunken
-    /// candidates that carry stream faults.
-    pub fn with_stream_parts(
-        mut self,
-        producer_stalls: Vec<ProducerStall>,
-        frame_drops: Vec<FrameDrop>,
-        frame_delays: Vec<FrameDelay>,
-        frame_drop_prob: f64,
-        frame_dup_prob: f64,
-    ) -> Self {
-        assert!(
-            producer_stalls
-                .iter()
-                .all(|s| s.at_s >= 0.0 && s.for_s > 0.0),
-            "stall times must be non-negative and lengths positive"
-        );
-        assert!(
-            frame_delays.iter().all(|d| d.by_s >= 0.0),
-            "frame delays must be non-negative"
-        );
-        assert!(
-            (0.0..=1.0).contains(&frame_drop_prob) && (0.0..=1.0).contains(&frame_dup_prob),
-            "probability must be in [0, 1]"
-        );
-        self.producer_stalls = producer_stalls;
-        self.frame_drops = frame_drops;
-        self.frame_delays = frame_delays;
-        self.frame_drop_prob = frame_drop_prob;
-        self.frame_dup_prob = frame_dup_prob;
-        self
-    }
-
     /// Check every node/core id against an actual cluster shape. Parsing
     /// ([`Self::from_json`]) cannot do this — the JSON carries no cluster
     /// size — so callers replaying external plans should validate before
@@ -851,115 +737,98 @@ impl FaultPlan {
     /// serde dependency (it is built offline), so this is hand-rolled —
     /// floats use Rust's shortest round-trip formatting.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"deaths\":[");
-        for (i, d) in self.deaths.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("{{\"node\":{},\"at_s\":{:?}}}", d.node, d.at_s));
-        }
-        out.push_str("],\"stragglers\":[");
-        for (i, s) in self.stragglers.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"core\":{},\"factor\":{:?}}}",
-                s.core, s.factor
-            ));
-        }
-        out.push_str("],\"mem_shrinks\":[");
-        for (i, m) in self.mem_shrinks.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"node\":{},\"at_s\":{:?},\"to_bytes\":{}}}",
-                m.node, m.at_s, m.to_bytes
-            ));
-        }
-        out.push_str("],\"mem_sets\":[");
-        for (i, m) in self.mem_sets.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"node\":{},\"at_s\":{:?},\"to_bytes\":{}}}",
-                m.node, m.at_s, m.to_bytes
-            ));
-        }
-        out.push_str("],\"producer_stalls\":[");
-        for (i, s) in self.producer_stalls.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            // JSON has no Infinity literal; a crash (infinite stall) is
-            // encoded as the sentinel -1.0 and decoded back on parse.
-            let for_s = if s.is_crash() { -1.0 } else { s.for_s };
-            out.push_str(&format!("{{\"at_s\":{:?},\"for_s\":{:?}}}", s.at_s, for_s));
-        }
-        out.push_str("],\"frame_drops\":[");
-        for (i, d) in self.frame_drops.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("{}", d.frame));
-        }
-        out.push_str("],\"frame_delays\":[");
-        for (i, d) in self.frame_delays.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("{{\"frame\":{},\"by_s\":{:?}}}", d.frame, d.by_s));
-        }
-        out.push_str("],\"partitions\":[");
-        for (i, p) in self.partitions.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"groups\":[");
-            for (gi, g) in p.groups.iter().enumerate() {
-                if gi > 0 {
-                    out.push(',');
-                }
-                out.push('[');
-                for (ni, n) in g.iter().enumerate() {
-                    if ni > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&format!("{n}"));
-                }
-                out.push(']');
-            }
-            out.push_str(&format!(
-                "],\"from_s\":{:?},\"to_s\":{:?}}}",
-                p.from_s, p.to_s
-            ));
-        }
-        out.push_str("],\"links\":[");
-        for (i, d) in self.link_degrades.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"a\":{},\"b\":{},\"latency_factor\":{:?},\"loss_prob\":{:?},\"from_s\":{:?},\"to_s\":{:?}}}",
-                d.a, d.b, d.latency_factor, d.loss_prob, d.from_s, d.to_s
-            ));
-        }
-        out.push_str(&format!(
-            "],\"lost_fetch_prob\":{:?},\"frame_drop_prob\":{:?},\"frame_dup_prob\":{:?},\"seed\":{}}}",
-            self.lost_fetch_prob, self.frame_drop_prob, self.frame_dup_prob, self.seed
-        ));
+        let mut out = String::with_capacity(256);
+        self.write_json(&mut out)
+            .expect("writing to a String cannot fail");
         out
     }
 
+    fn write_json(&self, out: &mut String) -> fmt::Result {
+        /// `head` then `[item,item,…]`, each item written straight into
+        /// `out`.
+        fn list<T>(
+            out: &mut String,
+            head: &str,
+            items: &[T],
+            mut item: impl FnMut(&mut String, &T) -> fmt::Result,
+        ) -> fmt::Result {
+            out.push_str(head);
+            out.push('[');
+            for (i, x) in items.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                item(out, x)?;
+            }
+            out.push(']');
+            Ok(())
+        }
+        list(out, "{\"deaths\":", &self.deaths, |o, d| {
+            write!(o, "{{\"node\":{},\"at_s\":{:?}}}", d.node, d.at_s)
+        })?;
+        list(out, ",\"stragglers\":", &self.stragglers, |o, s| {
+            write!(o, "{{\"core\":{},\"factor\":{:?}}}", s.core, s.factor)
+        })?;
+        list(out, ",\"mem_shrinks\":", &self.mem_shrinks, |o, m| {
+            write!(
+                o,
+                "{{\"node\":{},\"at_s\":{:?},\"to_bytes\":{}}}",
+                m.node, m.at_s, m.to_bytes
+            )
+        })?;
+        list(out, ",\"mem_sets\":", &self.mem_sets, |o, m| {
+            write!(
+                o,
+                "{{\"node\":{},\"at_s\":{:?},\"to_bytes\":{}}}",
+                m.node, m.at_s, m.to_bytes
+            )
+        })?;
+        list(
+            out,
+            ",\"producer_stalls\":",
+            &self.producer_stalls,
+            |o, s| {
+                // JSON has no Infinity literal: a crash (an endless stall) is
+                // written as the sentinel -1.0.
+                let for_s = if s.is_crash() { -1.0 } else { s.for_s };
+                write!(o, "{{\"at_s\":{:?},\"for_s\":{for_s:?}}}", s.at_s)
+            },
+        )?;
+        list(out, ",\"frame_drops\":", &self.frame_drops, |o, d| {
+            write!(o, "{}", d.frame)
+        })?;
+        list(out, ",\"frame_delays\":", &self.frame_delays, |o, d| {
+            write!(o, "{{\"frame\":{},\"by_s\":{:?}}}", d.frame, d.by_s)
+        })?;
+        list(out, ",\"partitions\":", &self.partitions, |o, p| {
+            list(o, "{\"groups\":", &p.groups, |o, g| {
+                list(o, "", g, |o, n| write!(o, "{n}"))
+            })?;
+            write!(o, ",\"from_s\":{:?},\"to_s\":{:?}}}", p.from_s, p.to_s)
+        })?;
+        list(out, ",\"links\":", &self.link_degrades, |o, d| {
+            write!(
+                o,
+                "{{\"a\":{},\"b\":{},\"latency_factor\":{:?},\"loss_prob\":{:?},\"from_s\":{:?},\"to_s\":{:?}}}",
+                d.a, d.b, d.latency_factor, d.loss_prob, d.from_s, d.to_s
+            )
+        })?;
+        write!(
+            out,
+            ",\"lost_fetch_prob\":{:?},\"frame_drop_prob\":{:?},\"frame_dup_prob\":{:?},\"seed\":{}}}",
+            self.lost_fetch_prob, self.frame_drop_prob, self.frame_dup_prob, self.seed
+        )
+    }
+
     /// Parse a plan previously written by [`Self::to_json`] (whitespace
-    /// and key order are flexible; unknown keys are rejected). Beyond the
-    /// grammar, the plan itself is validated: negative times, sub-unit
-    /// straggler factors, out-of-range probabilities and duplicate node
-    /// deaths are rejected with a typed [`FaultPlanError`] instead of being
-    /// silently accepted. Node/core *range* checks need a cluster shape —
-    /// use [`Self::validate`] for those.
+    /// and key order are flexible; unknown and repeated keys are rejected,
+    /// ids and byte counts must be exact unsigned integers and every other
+    /// number finite). Beyond the grammar, the plan itself is validated:
+    /// negative times, sub-unit straggler factors, out-of-range
+    /// probabilities and duplicate node deaths are rejected with a typed
+    /// [`FaultPlanError`] instead of being silently accepted. Node/core
+    /// *range* checks need a cluster shape — use [`Self::validate`] for
+    /// those.
     pub fn from_json(json: &str) -> Result<FaultPlan, FaultPlanError> {
         let plan = Self::from_json_grammar(json)?;
         for prob in [
@@ -1083,265 +952,104 @@ impl FaultPlan {
         Ok(plan)
     }
 
-    /// The grammar half of [`Self::from_json`]: structure only, no
-    /// semantic validation. Unknown keys — at the plan level or inside any
-    /// nested record — surface as [`FaultPlanError::UnknownField`] so newer
-    /// plans fail loudly in older readers.
+    /// The grammar half of [`Self::from_json`]: one walk over the parsed
+    /// document, record by record, with no semantic validation. Unknown
+    /// keys — at the plan level or inside any nested record — surface as
+    /// [`FaultPlanError::UnknownField`] so newer plans fail loudly in older
+    /// readers.
     fn from_json_grammar(json: &str) -> Result<FaultPlan, FaultPlanError> {
-        fn unknown(context: &'static str, key: &str) -> FaultPlanError {
-            FaultPlanError::UnknownField {
-                context,
-                key: key.to_string(),
-            }
-        }
-        let mut p = JsonScanner::new(json);
-        let mut deaths = Vec::new();
-        let mut stragglers = Vec::new();
-        let mut mem_shrinks = Vec::new();
-        let mut mem_sets = Vec::new();
-        let mut producer_stalls = Vec::new();
-        let mut frame_drops = Vec::new();
-        let mut frame_delays = Vec::new();
-        let mut partitions = Vec::new();
-        let mut link_degrades = Vec::new();
-        let mut lost_fetch_prob = 0.0;
-        let mut frame_drop_prob = 0.0;
-        let mut frame_dup_prob = 0.0;
-        let mut seed = 0u64;
-        p.expect('{')?;
-        if !p.peek_is('}') {
-            loop {
-                let key = p.string()?;
-                p.expect(':')?;
-                match key.as_str() {
-                    "deaths" => {
-                        p.array(|p| -> Result<(), FaultPlanError> {
-                            let (mut node, mut at_s) = (None, None);
-                            p.object(|k, v| -> Result<(), FaultPlanError> {
-                                match k {
-                                    "node" => node = Some(v as usize),
-                                    "at_s" => at_s = Some(v),
-                                    other => return Err(unknown("death", other)),
-                                }
-                                Ok(())
-                            })?;
-                            deaths.push(NodeDeath {
-                                node: node.ok_or("death missing \"node\"")?,
-                                at_s: at_s.ok_or("death missing \"at_s\"")?,
-                            });
-                            Ok(())
-                        })?;
-                    }
-                    "stragglers" => {
-                        p.array(|p| -> Result<(), FaultPlanError> {
-                            let (mut core, mut factor) = (None, None);
-                            p.object(|k, v| -> Result<(), FaultPlanError> {
-                                match k {
-                                    "core" => core = Some(v as usize),
-                                    "factor" => factor = Some(v),
-                                    other => return Err(unknown("straggler", other)),
-                                }
-                                Ok(())
-                            })?;
-                            stragglers.push(Straggler {
-                                core: core.ok_or("straggler missing \"core\"")?,
-                                factor: factor.ok_or("straggler missing \"factor\"")?,
-                            });
-                            Ok(())
-                        })?;
-                    }
-                    "mem_shrinks" => {
-                        p.array(|p| -> Result<(), FaultPlanError> {
-                            let (mut node, mut at_s, mut to_bytes) = (None, None, None);
-                            p.object(|k, v| -> Result<(), FaultPlanError> {
-                                match k {
-                                    "node" => node = Some(v as usize),
-                                    "at_s" => at_s = Some(v),
-                                    // Budgets are well below 2^53 bytes, so
-                                    // the f64 path is exact.
-                                    "to_bytes" => to_bytes = Some(v as u64),
-                                    other => return Err(unknown("mem_shrink", other)),
-                                }
-                                Ok(())
-                            })?;
-                            mem_shrinks.push(MemShrink {
-                                node: node.ok_or("mem_shrink missing \"node\"")?,
-                                at_s: at_s.ok_or("mem_shrink missing \"at_s\"")?,
-                                to_bytes: to_bytes.ok_or("mem_shrink missing \"to_bytes\"")?,
-                            });
-                            Ok(())
-                        })?;
-                    }
-                    "mem_sets" => {
-                        p.array(|p| -> Result<(), FaultPlanError> {
-                            let (mut node, mut at_s, mut to_bytes) = (None, None, None);
-                            p.object(|k, v| -> Result<(), FaultPlanError> {
-                                match k {
-                                    "node" => node = Some(v as usize),
-                                    "at_s" => at_s = Some(v),
-                                    "to_bytes" => to_bytes = Some(v as u64),
-                                    other => return Err(unknown("mem_set", other)),
-                                }
-                                Ok(())
-                            })?;
-                            mem_sets.push(MemSet {
-                                node: node.ok_or("mem_set missing \"node\"")?,
-                                at_s: at_s.ok_or("mem_set missing \"at_s\"")?,
-                                to_bytes: to_bytes.ok_or("mem_set missing \"to_bytes\"")?,
-                            });
-                            Ok(())
-                        })?;
-                    }
-                    "producer_stalls" => {
-                        p.array(|p| -> Result<(), FaultPlanError> {
-                            let (mut at_s, mut for_s) = (None, None);
-                            p.object(|k, v| -> Result<(), FaultPlanError> {
-                                match k {
-                                    "at_s" => at_s = Some(v),
-                                    // -1.0 is the serialized sentinel for an
-                                    // infinite stall (a producer crash).
-                                    "for_s" => {
-                                        for_s = Some(if v < 0.0 { f64::INFINITY } else { v })
-                                    }
-                                    other => return Err(unknown("producer_stall", other)),
-                                }
-                                Ok(())
-                            })?;
-                            producer_stalls.push(ProducerStall {
-                                at_s: at_s.ok_or("producer_stall missing \"at_s\"")?,
-                                for_s: for_s.ok_or("producer_stall missing \"for_s\"")?,
-                            });
-                            Ok(())
-                        })?;
-                    }
-                    "frame_drops" => {
-                        p.array(|p| -> Result<(), FaultPlanError> {
-                            frame_drops.push(FrameDrop {
-                                frame: p.integer()? as usize,
-                            });
-                            Ok(())
-                        })?;
-                    }
-                    "frame_delays" => {
-                        p.array(|p| -> Result<(), FaultPlanError> {
-                            let (mut frame, mut by_s) = (None, None);
-                            p.object(|k, v| -> Result<(), FaultPlanError> {
-                                match k {
-                                    "frame" => frame = Some(v as usize),
-                                    "by_s" => by_s = Some(v),
-                                    other => return Err(unknown("frame_delay", other)),
-                                }
-                                Ok(())
-                            })?;
-                            frame_delays.push(FrameDelay {
-                                frame: frame.ok_or("frame_delay missing \"frame\"")?,
-                                by_s: by_s.ok_or("frame_delay missing \"by_s\"")?,
-                            });
-                            Ok(())
-                        })?;
-                    }
-                    // Partition records nest an array-of-arrays under
-                    // "groups", which the flat-number `object()` helper
-                    // cannot express — parsed by hand.
-                    "partitions" => {
-                        p.array(|p| -> Result<(), FaultPlanError> {
-                            let mut groups: Option<Vec<Vec<usize>>> = None;
-                            let (mut from_s, mut to_s) = (None, None);
-                            p.expect('{')?;
-                            if p.peek_is('}') {
-                                p.expect('}')?;
-                            } else {
-                                loop {
-                                    let key = p.string()?;
-                                    p.expect(':')?;
-                                    match key.as_str() {
-                                        "groups" => {
-                                            let mut gs: Vec<Vec<usize>> = Vec::new();
-                                            p.array(|p| -> Result<(), FaultPlanError> {
-                                                let mut g = Vec::new();
-                                                p.array(|p| -> Result<(), FaultPlanError> {
-                                                    g.push(p.integer()? as usize);
-                                                    Ok(())
-                                                })?;
-                                                gs.push(g);
-                                                Ok(())
-                                            })?;
-                                            groups = Some(gs);
-                                        }
-                                        "from_s" => from_s = Some(p.number()?),
-                                        "to_s" => to_s = Some(p.number()?),
-                                        other => return Err(unknown("partition", other)),
-                                    }
-                                    if !p.comma_or_close('}')? {
-                                        break;
-                                    }
-                                }
-                            }
-                            partitions.push(Partition {
-                                groups: groups.ok_or("partition missing \"groups\"")?,
-                                from_s: from_s.ok_or("partition missing \"from_s\"")?,
-                                to_s: to_s.ok_or("partition missing \"to_s\"")?,
-                            });
-                            Ok(())
-                        })?;
-                    }
-                    "links" => {
-                        p.array(|p| -> Result<(), FaultPlanError> {
-                            let (mut a, mut b) = (None, None);
-                            let (mut latency_factor, mut loss_prob) = (None, None);
-                            let (mut from_s, mut to_s) = (None, None);
-                            p.object(|k, v| -> Result<(), FaultPlanError> {
-                                match k {
-                                    "a" => a = Some(v as usize),
-                                    "b" => b = Some(v as usize),
-                                    "latency_factor" => latency_factor = Some(v),
-                                    "loss_prob" => loss_prob = Some(v),
-                                    "from_s" => from_s = Some(v),
-                                    "to_s" => to_s = Some(v),
-                                    other => return Err(unknown("link", other)),
-                                }
-                                Ok(())
-                            })?;
-                            link_degrades.push(LinkDegrade {
-                                a: a.ok_or("link missing \"a\"")?,
-                                b: b.ok_or("link missing \"b\"")?,
-                                latency_factor: latency_factor
-                                    .ok_or("link missing \"latency_factor\"")?,
-                                loss_prob: loss_prob.ok_or("link missing \"loss_prob\"")?,
-                                from_s: from_s.ok_or("link missing \"from_s\"")?,
-                                to_s: to_s.ok_or("link missing \"to_s\"")?,
-                            });
-                            Ok(())
-                        })?;
-                    }
-                    "lost_fetch_prob" => lost_fetch_prob = p.number()?,
-                    "frame_drop_prob" => frame_drop_prob = p.number()?,
-                    "frame_dup_prob" => frame_dup_prob = p.number()?,
-                    "seed" => seed = p.integer()?,
-                    other => return Err(unknown("plan", other)),
-                }
-                if !p.comma_or_close('}')? {
-                    break;
-                }
-            }
-        } else {
-            p.expect('}')?;
-        }
-        p.end()?;
+        let doc = Value::parse(json)?;
+        let keys = [
+            "deaths",
+            "stragglers",
+            "mem_shrinks",
+            "mem_sets",
+            "producer_stalls",
+            "frame_drops",
+            "frame_delays",
+            "partitions",
+            "links",
+            "lost_fetch_prob",
+            "frame_drop_prob",
+            "frame_dup_prob",
+            "seed",
+        ];
+        let plan = Record::new(&doc, "plan", &keys)?;
+        let prob = |key| plan.opt(key).map_or(Ok(0.0), Value::num);
         Ok(FaultPlan {
-            deaths,
-            stragglers,
-            mem_shrinks,
-            mem_sets,
-            producer_stalls,
-            frame_drops,
-            frame_delays,
-            partitions,
-            link_degrades,
-            lost_fetch_prob,
-            frame_drop_prob,
-            frame_dup_prob,
-            seed,
+            deaths: plan.list("deaths", |v| {
+                let r = Record::new(v, "death", &["node", "at_s"])?;
+                Ok(NodeDeath {
+                    node: r.get("node")?.int()?,
+                    at_s: r.get("at_s")?.num()?,
+                })
+            })?,
+            stragglers: plan.list("stragglers", |v| {
+                let r = Record::new(v, "straggler", &["core", "factor"])?;
+                Ok(Straggler {
+                    core: r.get("core")?.int()?,
+                    factor: r.get("factor")?.num()?,
+                })
+            })?,
+            mem_shrinks: plan.list("mem_shrinks", |v| {
+                let r = Record::new(v, "mem_shrink", &["node", "at_s", "to_bytes"])?;
+                Ok(MemShrink {
+                    node: r.get("node")?.int()?,
+                    at_s: r.get("at_s")?.num()?,
+                    to_bytes: r.get("to_bytes")?.int()?,
+                })
+            })?,
+            mem_sets: plan.list("mem_sets", |v| {
+                let r = Record::new(v, "mem_set", &["node", "at_s", "to_bytes"])?;
+                Ok(MemSet {
+                    node: r.get("node")?.int()?,
+                    at_s: r.get("at_s")?.num()?,
+                    to_bytes: r.get("to_bytes")?.int()?,
+                })
+            })?,
+            producer_stalls: plan.list("producer_stalls", |v| {
+                let r = Record::new(v, "producer_stall", &["at_s", "for_s"])?;
+                // Exactly -1.0 is the written form of a crash's endless
+                // stall; any other negative length is rejected by
+                // `from_json`.
+                let for_s = r.get("for_s")?.num()?;
+                Ok(ProducerStall {
+                    at_s: r.get("at_s")?.num()?,
+                    for_s: if for_s == -1.0 { f64::INFINITY } else { for_s },
+                })
+            })?,
+            frame_drops: plan.list("frame_drops", |v| Ok(FrameDrop { frame: v.int()? }))?,
+            frame_delays: plan.list("frame_delays", |v| {
+                let r = Record::new(v, "frame_delay", &["frame", "by_s"])?;
+                Ok(FrameDelay {
+                    frame: r.get("frame")?.int()?,
+                    by_s: r.get("by_s")?.num()?,
+                })
+            })?,
+            partitions: plan.list("partitions", |v| {
+                let r = Record::new(v, "partition", &["groups", "from_s", "to_s"])?;
+                Ok(Partition {
+                    groups: r.get("groups")?.list(|g| g.list(Value::int))?,
+                    from_s: r.get("from_s")?.num()?,
+                    to_s: r.get("to_s")?.num()?,
+                })
+            })?,
+            link_degrades: plan.list("links", |v| {
+                let keys = ["a", "b", "latency_factor", "loss_prob", "from_s", "to_s"];
+                let r = Record::new(v, "link", &keys)?;
+                Ok(LinkDegrade {
+                    a: r.get("a")?.int()?,
+                    b: r.get("b")?.int()?,
+                    latency_factor: r.get("latency_factor")?.num()?,
+                    loss_prob: r.get("loss_prob")?.num()?,
+                    from_s: r.get("from_s")?.num()?,
+                    to_s: r.get("to_s")?.num()?,
+                })
+            })?,
+            lost_fetch_prob: prob("lost_fetch_prob")?,
+            frame_drop_prob: prob("frame_drop_prob")?,
+            frame_dup_prob: prob("frame_dup_prob")?,
+            seed: plan.opt("seed").map_or(Ok(0), Value::int)?,
         })
     }
 
@@ -1393,160 +1101,218 @@ impl FaultPlan {
     }
 }
 
-/// Minimal JSON scanner for the fixed [`FaultPlan`] schema: objects of
-/// string keys, arrays, flat number-valued objects, and numbers. Enough to
-/// replay a plan; not a general JSON parser.
-struct JsonScanner<'a> {
-    bytes: &'a [u8],
+fn parse_error(msg: impl Into<String>) -> FaultPlanError {
+    FaultPlanError::Parse(msg.into())
+}
+
+/// Containers nest at most this deep in a plan: plan → partitions →
+/// partition → groups → group.
+const MAX_DEPTH: usize = 5;
+
+/// One JSON value of the plan grammar, borrowing the text it was read
+/// from. Numbers stay text until the schema says whether a field is an
+/// exact integer or a float.
+enum Value<'a> {
+    Num(&'a str),
+    Arr(Vec<Value<'a>>),
+    Obj(Vec<(&'a str, Value<'a>)>),
+}
+
+impl<'a> Value<'a> {
+    /// Parse a whole document: one value and nothing after it. The grammar
+    /// is what the plan schema needs — objects with escape-free string
+    /// keys, arrays and numbers — and no more.
+    fn parse(text: &'a str) -> Result<Self, FaultPlanError> {
+        let mut p = Parser { text, pos: 0 };
+        let value = p.value(0)?;
+        match p.peek() {
+            None => Ok(value),
+            Some(_) => Err(parse_error(format!("trailing input at byte {}", p.pos))),
+        }
+    }
+
+    fn list<T>(
+        &self,
+        item: impl FnMut(&Value<'a>) -> Result<T, FaultPlanError>,
+    ) -> Result<Vec<T>, FaultPlanError> {
+        match self {
+            Value::Arr(items) => items.iter().map(item).collect(),
+            _ => Err(parse_error("expected an array")),
+        }
+    }
+
+    fn text(&self) -> Result<&'a str, FaultPlanError> {
+        match self {
+            Value::Num(text) => Ok(text),
+            _ => Err(parse_error("expected a number")),
+        }
+    }
+
+    /// A time, factor or probability: any finite float.
+    fn num(&self) -> Result<f64, FaultPlanError> {
+        let text = self.text()?;
+        text.parse()
+            .ok()
+            .filter(|v: &f64| v.is_finite())
+            .ok_or_else(|| parse_error(format!("{text:?} is not a finite number")))
+    }
+
+    /// An id, byte count or seed: an exact unsigned integer (u64 seeds
+    /// exceed f64's 53-bit mantissa, so none of these pass through a float).
+    fn int<T: std::str::FromStr>(&self) -> Result<T, FaultPlanError> {
+        let text = self.text()?;
+        text.parse()
+            .ok()
+            .ok_or_else(|| parse_error(format!("{text:?} is not an unsigned integer")))
+    }
+}
+
+struct Parser<'a> {
+    text: &'a str,
     pos: usize,
 }
 
-impl<'a> JsonScanner<'a> {
-    fn new(s: &'a str) -> Self {
-        JsonScanner {
-            bytes: s.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
+impl<'a> Parser<'a> {
+    /// The next byte after any whitespace, not consumed.
+    fn peek(&mut self) -> Option<u8> {
+        let bytes = self.text.as_bytes();
+        while bytes.get(self.pos).is_some_and(u8::is_ascii_whitespace) {
             self.pos += 1;
         }
+        bytes.get(self.pos).copied()
     }
 
-    fn expect(&mut self, c: char) -> Result<(), String> {
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&(c as u8)) {
-            self.pos += 1;
+    fn eat(&mut self, c: u8) -> bool {
+        let hit = self.peek() == Some(c);
+        self.pos += usize::from(hit);
+        hit
+    }
+
+    fn expect(&mut self, c: u8) -> Result<(), FaultPlanError> {
+        if self.eat(c) {
             Ok(())
         } else {
-            Err(format!("expected {c:?} at byte {}", self.pos))
+            Err(parse_error(format!(
+                "expected {:?} at byte {}",
+                c as char, self.pos
+            )))
         }
     }
 
-    fn peek_is(&mut self, c: char) -> bool {
-        self.skip_ws();
-        self.bytes.get(self.pos) == Some(&(c as u8))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect('"')?;
-        let start = self.pos;
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b'\\' {
-                return Err("escape sequences are not supported".into());
-            }
-            if b == b'"' {
-                let s = std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|e| e.to_string())?
-                    .to_string();
-                self.pos += 1;
-                return Ok(s);
-            }
-            self.pos += 1;
+    /// One value inside `depth` enclosing containers.
+    fn value(&mut self, depth: usize) -> Result<Value<'a>, FaultPlanError> {
+        let close = match self.peek() {
+            Some(b'[') => b']',
+            Some(b'{') => b'}',
+            _ => return self.number(),
+        };
+        if depth == MAX_DEPTH {
+            return Err(parse_error(format!(
+                "nested deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            )));
         }
-        Err("unterminated string".into())
-    }
-
-    fn number(&mut self) -> Result<f64, String> {
-        self.skip_ws();
-        let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| matches!(b, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| format!("bad number at byte {start}"))
-    }
-
-    /// Parse a non-negative integer exactly (u64 seeds exceed f64's 53-bit
-    /// mantissa, so they must not round-trip through a float).
-    fn integer(&mut self) -> Result<u64, String> {
-        self.skip_ws();
-        let start = self.pos;
-        while self.bytes.get(self.pos).is_some_and(u8::is_ascii_digit) {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| format!("bad integer at byte {start}"))
-    }
-
-    /// `true` if a comma was consumed (more elements follow); `false` if
-    /// the closing delimiter was.
-    fn comma_or_close(&mut self, close: char) -> Result<bool, String> {
-        self.skip_ws();
-        match self.bytes.get(self.pos) {
-            Some(&b',') => {
-                self.pos += 1;
-                Ok(true)
-            }
-            Some(&b) if b == close as u8 => {
-                self.pos += 1;
-                Ok(false)
-            }
-            _ => Err(format!("expected ',' or {close:?} at byte {}", self.pos)),
-        }
-    }
-
-    /// Error type is generic so element callbacks can surface typed
-    /// [`FaultPlanError`]s (e.g. unknown keys) while the scanner's own
-    /// grammar failures convert in via `From<String>`.
-    fn array<E: From<String>>(
-        &mut self,
-        mut elem: impl FnMut(&mut Self) -> Result<(), E>,
-    ) -> Result<(), E> {
-        self.expect('[').map_err(E::from)?;
-        if self.peek_is(']') {
-            return self.expect(']').map_err(E::from);
-        }
-        loop {
-            elem(self)?;
-            if !self.comma_or_close(']').map_err(E::from)? {
-                return Ok(());
+        self.pos += 1;
+        let (mut items, mut fields) = (Vec::new(), Vec::new());
+        if !self.eat(close) {
+            loop {
+                if close == b'}' {
+                    let key = self.key()?;
+                    self.expect(b':')?;
+                    fields.push((key, self.value(depth + 1)?));
+                } else {
+                    items.push(self.value(depth + 1)?);
+                }
+                if self.eat(close) {
+                    break;
+                }
+                self.expect(b',')?;
             }
         }
-    }
-
-    /// Parse a flat object whose values are all numbers, feeding each
-    /// `(key, value)` pair to `field`.
-    fn object<E: From<String>>(
-        &mut self,
-        mut field: impl FnMut(&str, f64) -> Result<(), E>,
-    ) -> Result<(), E> {
-        self.expect('{').map_err(E::from)?;
-        if self.peek_is('}') {
-            return self.expect('}').map_err(E::from);
-        }
-        loop {
-            let key = self.string().map_err(E::from)?;
-            self.expect(':').map_err(E::from)?;
-            let value = self.number().map_err(E::from)?;
-            field(&key, value)?;
-            if !self.comma_or_close('}').map_err(E::from)? {
-                return Ok(());
-            }
-        }
-    }
-
-    fn end(&mut self) -> Result<(), String> {
-        self.skip_ws();
-        if self.pos == self.bytes.len() {
-            Ok(())
+        Ok(if close == b'}' {
+            Value::Obj(fields)
         } else {
-            Err(format!("trailing input at byte {}", self.pos))
+            Value::Arr(items)
+        })
+    }
+
+    /// An object key: a string without escapes (the schema needs none).
+    fn key(&mut self) -> Result<&'a str, FaultPlanError> {
+        self.expect(b'"')?;
+        let rest = &self.text[self.pos..];
+        match rest.find(['"', '\\']) {
+            Some(end) if rest.as_bytes()[end] == b'"' => {
+                self.pos += end + 1;
+                Ok(&rest[..end])
+            }
+            _ => Err(parse_error(format!(
+                "unterminated or escaped key at byte {}",
+                self.pos
+            ))),
         }
+    }
+
+    fn number(&mut self) -> Result<Value<'a>, FaultPlanError> {
+        let start = self.pos;
+        let len = self.text.as_bytes()[start..]
+            .iter()
+            .take_while(|b| matches!(b, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'))
+            .count();
+        if len == 0 {
+            return Err(parse_error(format!("expected a value at byte {start}")));
+        }
+        self.pos += len;
+        Ok(Value::Num(&self.text[start..self.pos]))
+    }
+}
+
+/// One object of the plan schema with its keys checked: each is a key the
+/// schema knows for `context`, and none is repeated.
+struct Record<'v, 'a> {
+    context: &'static str,
+    fields: &'v [(&'a str, Value<'a>)],
+}
+
+impl<'v, 'a> Record<'v, 'a> {
+    fn new(
+        value: &'v Value<'a>,
+        context: &'static str,
+        keys: &[&str],
+    ) -> Result<Self, FaultPlanError> {
+        let Value::Obj(fields) = value else {
+            return Err(parse_error(format!("{context} is not an object")));
+        };
+        for (i, (key, _)) in fields.iter().enumerate() {
+            if !keys.contains(key) {
+                return Err(FaultPlanError::UnknownField {
+                    context,
+                    key: key.to_string(),
+                });
+            }
+            if fields[..i].iter().any(|(k, _)| k == key) {
+                return Err(parse_error(format!("repeated {context} key {key:?}")));
+            }
+        }
+        Ok(Record { context, fields })
+    }
+
+    fn opt(&self, key: &str) -> Option<&'v Value<'a>> {
+        self.fields.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
+    }
+
+    fn get(&self, key: &str) -> Result<&'v Value<'a>, FaultPlanError> {
+        self.opt(key)
+            .ok_or_else(|| parse_error(format!("{} missing {key:?}", self.context)))
+    }
+
+    /// A list field. An absent list reads as empty, so plans written before
+    /// the field existed still parse.
+    fn list<T>(
+        &self,
+        key: &str,
+        item: impl FnMut(&Value<'a>) -> Result<T, FaultPlanError>,
+    ) -> Result<Vec<T>, FaultPlanError> {
+        self.opt(key).map_or(Ok(Vec::new()), |v| v.list(item))
     }
 }
 
@@ -1672,22 +1438,32 @@ mod tests {
             FaultPlan::from_json("{\"seed\":1}{").is_err(),
             "trailing input"
         );
-    }
-
-    #[test]
-    fn from_parts_matches_builders() {
-        let built = FaultPlan::none().kill_node(1, 2.0).slow_core(0, 3.0);
-        let parts = FaultPlan::from_parts(
-            vec![NodeDeath { node: 1, at_s: 2.0 }],
-            vec![Straggler {
-                core: 0,
-                factor: 3.0,
-            }],
-            Vec::new(),
-            0.0,
-            0,
-        );
-        assert_eq!(built, parts);
+        // Ids and byte counts are exact unsigned integers and every other
+        // number is finite — never cast or saturated — and no key repeats;
+        // only exactly -1.0 is a crash.
+        for bad in [
+            "{\"deaths\":[{\"node\":-3,\"at_s\":1.0}]}",
+            "{\"deaths\":[{\"node\":1.7,\"at_s\":1.0}]}",
+            "{\"deaths\":[{\"node\":1e300,\"at_s\":1.0}]}",
+            "{\"stragglers\":[{\"core\":-3,\"factor\":2.0}]}",
+            "{\"stragglers\":[{\"core\":1.7,\"factor\":2.0}]}",
+            "{\"frame_delays\":[{\"frame\":-3,\"by_s\":1.0}]}",
+            "{\"links\":[{\"a\":0,\"b\":1.7,\"latency_factor\":1.0,\"loss_prob\":0.0,\
+             \"from_s\":0.0,\"to_s\":1.0}]}",
+            "{\"mem_shrinks\":[{\"node\":0,\"at_s\":1.0,\"to_bytes\":-5}]}",
+            "{\"stragglers\":[{\"core\":0,\"factor\":1e999}]}",
+            "{\"deaths\":[{\"node\":0,\"at_s\":1e999}]}",
+            "{\"seed\":1,\"seed\":2}",
+            "{\"deaths\":[],\"deaths\":[{\"node\":0,\"at_s\":1.0}]}",
+            "{\"deaths\":[{\"node\":0,\"node\":1,\"at_s\":1.0}]}",
+            "{\"producer_stalls\":[{\"at_s\":1.0,\"for_s\":-0.5}]}",
+        ] {
+            assert!(FaultPlan::from_json(bad).is_err(), "{bad} must be rejected");
+        }
+        // Nesting is bounded, so hostile depth is an error, not a stack
+        // overflow.
+        let deep = format!("{{\"partitions\":{}", "[".repeat(1 << 16));
+        assert!(FaultPlan::from_json(&deep).is_err());
     }
 
     // ---- memory shrinks ----
@@ -1825,6 +1601,41 @@ mod tests {
                 assert_eq!(key, "bogus")
             }
             other => panic!("expected UnknownField, got {other:?}"),
+        }
+        for (bad, what) in [
+            ("{\"deaths\":[{\"node\":-3,\"at_s\":1.0}]}", "\"-3\""),
+            (
+                "{\"mem_sets\":[{\"node\":0,\"at_s\":1.0,\"to_bytes\":-5}]}",
+                "\"-5\"",
+            ),
+            (
+                "{\"links\":[{\"a\":1e300,\"b\":1,\"latency_factor\":1.0,\"loss_prob\":0.0,\
+              \"from_s\":0.0,\"to_s\":1.0}]}",
+                "\"1e300\"",
+            ),
+            (
+                "{\"stragglers\":[{\"core\":0,\"factor\":1e999}]}",
+                "\"1e999\"",
+            ),
+            (
+                "{\"partitions\":[{\"groups\":[],\"from_s\":0.0,\"to_s\":1e999}]}",
+                "\"1e999\"",
+            ),
+            ("{\"seed\":1,\"seed\":2}", "repeated plan key"),
+            (
+                "{\"frame_delays\":[{\"frame\":0,\"by_s\":1.0,\"by_s\":2.0}]}",
+                "repeated frame_delay key",
+            ),
+        ] {
+            match FaultPlan::from_json(bad) {
+                Err(FaultPlanError::Parse(msg)) => assert!(msg.contains(what), "{msg}"),
+                other => panic!("expected Parse for {bad}, got {other:?}"),
+            }
+        }
+        // Only exactly -1.0 is a crash; any other negative length is typed.
+        match FaultPlan::from_json("{\"producer_stalls\":[{\"at_s\":1.0,\"for_s\":-0.5}]}") {
+            Err(FaultPlanError::NegativeTime { at_s, .. }) => assert_eq!(at_s, -0.5),
+            other => panic!("expected NegativeTime, got {other:?}"),
         }
         // Errors render through Display/Error.
         let e = FaultPlanError::DuplicateDeath { node: 7 };
@@ -2168,5 +1979,70 @@ mod tests {
                 nodes: 4
             })
         );
+    }
+
+    // ---- hostile plan text ----
+
+    fn every_fault_kind() -> FaultPlan {
+        FaultPlan::none()
+            .kill_node(3, 0.1 + 0.2)
+            .slow_core(5, 2.5)
+            .shrink_memory(1, 1.25, 17_179_869_184)
+            .set_memory(1, 4.5, 1 << 33)
+            .lose_fetches(0.125, u64::MAX)
+            .stall_producer(1e-7, 2.25)
+            .crash_producer(1e16)
+            .drop_frame(4)
+            .delay_frame(6, 1.75)
+            .drop_frames(0.125)
+            .duplicate_frames(0.0625)
+            .partition(vec![vec![0, 1], vec![2]], 1.5, 7.25)
+            .degrade_link(0, 3, 2.5, 0.125, 0.5, 9.0)
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// Truncated, byte-flipped and self-spliced plan text, optionally
+        /// with a non-ASCII key inserted into some record first, is either
+        /// read or rejected with a typed error — never a panic — and a plan
+        /// that is read writes back to text that reads back to it.
+        #[test]
+        fn mangled_plan_text_is_read_or_rejected_never_a_panic(
+            key in prop::sample::select(vec!["", "nœud", "ключ", "🦀", "at_s", "seed"]),
+            brace in 0usize..64,
+            op in 0u8..4,
+            at in 0usize..4096,
+            from in 0usize..4096,
+            len in 0usize..48,
+            byte in any::<u8>(),
+        ) {
+            let mut text = every_fault_kind().to_json();
+            if !key.is_empty() {
+                let braces: Vec<usize> = text.match_indices('{').map(|(i, _)| i + 1).collect();
+                let pos = braces[brace % braces.len()];
+                text.insert_str(pos, &format!("\"{key}\":{len},"));
+            }
+            let mut bytes = text.into_bytes();
+            let n = bytes.len();
+            let (at, from) = (at % n, from % n);
+            match op {
+                0 => bytes.truncate(at),
+                1 => bytes[at] = byte,
+                2 => {
+                    let piece = bytes[from..(from + len).min(n)].to_vec();
+                    bytes.splice(at..at, piece);
+                }
+                _ => {
+                    bytes.splice(at..at, std::iter::repeat_n(b'[', len));
+                }
+            }
+            let mangled = String::from_utf8_lossy(&bytes);
+            if let Ok(plan) = FaultPlan::from_json(&mangled) {
+                prop_assert_eq!(FaultPlan::from_json(&plan.to_json()), Ok(plan));
+            }
+        }
     }
 }

@@ -25,6 +25,9 @@
 //! The last table is what is left of the hand-written per-engine LF and
 //! PSA drivers that `run_lf`/`run_psa` replaced: their outputs and reports,
 //! recorded on the last commit that had them.
+//!
+//! `FAULT_PLANS` freezes the bytes a fault plan serializes to — the form a
+//! shrunk chaos counterexample is replayed from.
 
 use mdtask::analysis::partition::plan_1d;
 use mdtask::analysis::DriverCtx;
@@ -1012,4 +1015,64 @@ fn legacy_driver_scenarios_match_the_frozen_hashes() {
             .trace(true),
     ));
     assert_frozen("LEGACY_DRIVERS", &got, &LEGACY_DRIVERS);
+}
+
+const FAULT_PLANS: [u64; 5] = [
+    0x96cc_8551_3e1f_f6db,
+    0xf8e8_6a8d_db22_1ab1,
+    0xf36c_36ab_ee21_2b58,
+    0xd06e_4550_f1db_06f3,
+    0xa127_11d6_d31c_59e3,
+];
+
+/// The exact bytes `FaultPlan::to_json` writes, frozen on the commit before
+/// the plan's reader, writer and shrinker were rewritten around the plan
+/// itself: `plan_for_seed` over seeds 0–2999 for a batch, a streamed, a
+/// partitioned and a streamed-and-partitioned config (the documents joined
+/// by newlines), then one hand-built plan with every fault kind. Every plan
+/// must also read back to itself.
+#[test]
+fn fault_plan_json_matches_the_frozen_hashes() {
+    use mdtask::cluster::chaos::{plan_for_seed, ChaosConfig};
+    let round_trip = |plan: &FaultPlan| -> String {
+        let json = plan.to_json();
+        assert_eq!(FaultPlan::from_json(&json).as_ref(), Ok(plan), "{json}");
+        json
+    };
+    let batch = ChaosConfig::new(4, 2);
+    let configs = [
+        batch.clone(),
+        batch.clone().with_stream(64),
+        batch.clone().with_partitions(2),
+        batch.with_stream(64).with_partitions(2),
+    ];
+    let mut got: Vec<u64> = configs
+        .iter()
+        .map(|cfg| {
+            let docs: Vec<String> = (0..3000)
+                .map(|seed| round_trip(&plan_for_seed(cfg, seed)))
+                .collect();
+            fnv1a(&docs.join("\n"))
+        })
+        .collect();
+    let every_kind = FaultPlan::none()
+        .kill_node(3, 0.1 + 0.2)
+        .kill_node(0, 7.0)
+        .slow_core(5, 2.5)
+        .slow_core(5, 1.0 / 3.0 + 1.0)
+        .shrink_memory(1, 1.25, 17_179_869_184)
+        .set_memory(1, 4.5, 1 << 33)
+        .lose_fetches(0.12345678901234567, u64::MAX)
+        .stall_producer(1e-7, 2.25)
+        .crash_producer(1e16)
+        .drop_frame(4)
+        .drop_frame(19)
+        .delay_frame(6, 1.75)
+        .drop_frames(0.125)
+        .duplicate_frames(0.0625)
+        .partition(vec![vec![0, 1], vec![2], vec![]], 1.5, 7.25)
+        .partition(vec![vec![3]], 8.0, 9.0)
+        .degrade_link(0, 3, 2.5, 0.125, 0.5, 9.0);
+    got.push(fnv1a(&round_trip(&every_kind)));
+    assert_frozen("FAULT_PLANS", &got, &FAULT_PLANS);
 }
