@@ -19,8 +19,8 @@ pub mod vec3;
 pub use cdist::{cdist, cdist_into, edges_within_cutoff, DistanceMatrix};
 pub use frame::Frame;
 pub use hausdorff::{
-    hausdorff_early_break, hausdorff_naive, hausdorff_rmsd, hausdorff_rmsd_flavored,
-    hausdorff_rmsd_pruned, hausdorff_rmsd_pruned_evals, FrameMetric,
+    hausdorff_early_break, hausdorff_naive, hausdorff_rmsd, hausdorff_rmsd_pruned,
+    hausdorff_rmsd_pruned_evals, FrameMetric,
 };
 pub use kernels::{drms, frame_rmsd, frame_rmsd_blocked, frame_rmsd_flavored, KernelFlavor};
 pub use rmsd2d::{hausdorff_from_rmsd2d, rmsd2d, rmsd2d_blocked, rmsd2d_blocked_with, rmsd2d_with};
