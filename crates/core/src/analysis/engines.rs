@@ -1,9 +1,10 @@
 //! The four engine executors behind
 //! [`RunConfig::run_analysis`](crate::run::RunConfig::run_analysis).
 //!
-//! This is the only place an engine's driver posture is written: the
-//! phase-label ordering, I/O charges, broadcast sequencing and reduce
-//! shape each framework's Leaflet-Finder/PSA deployment had in the paper.
+//! This is the only place an engine's driver posture is written: each
+//! runner reads the analysis's [`Plan`] into the phase-label ordering, I/O
+//! charges, broadcast sequencing and reduce shape each framework's
+//! Leaflet-Finder/PSA deployment had in the paper.
 //! `tests/golden_collectives.rs` freezes the reports, those of the
 //! hand-written per-engine drivers these runners replaced included.
 //!
@@ -13,7 +14,10 @@
 //! of the shared input, a tree reduce is a balanced pairwise fold, and the
 //! MPI gather moves the rank outputs to the driver.
 
-use super::{DriverCtx, Gathered, MpiClocks, ParallelAnalysis, ReduceShape};
+use super::{
+    DriverCtx, Gathered, MpiClocks, ParallelAnalysis, Plan, Reduce, Staging,
+    STAGING_WORKING_SET_FACTOR,
+};
 use crate::Engine;
 use dasklet::{DaskClient, Delayed};
 use netsim::{Cluster, NetworkModel};
@@ -22,21 +26,29 @@ use sparklet::{Rdd, SparkContext};
 use std::sync::Arc;
 use taskframe::{fold_pairwise, EngineError, TaskCtx};
 
-/// What a task pays before it maps slice `s`: the read of its input from
-/// storage, then the analysis's declared cost.
-fn charge_slice<A: ParallelAnalysis>(a: &A, s: A::Slice, net: NetworkModel, ctx: &TaskCtx) {
-    if let Some(bytes) = a.io_bytes(s) {
-        ctx.charge(net.transfer_time(bytes, false));
+impl<A: ParallelAnalysis> Plan<A> {
+    /// What a task pays before it maps slice `s`: the read of its input
+    /// from storage over `net` (`None` for a Compute-Unit, whose input is
+    /// staged, not read), then the declared cost.
+    fn charge(&self, a: &A, s: A::Slice, net: Option<NetworkModel>, ctx: &TaskCtx) {
+        if let (Some(bytes), Some(net)) = (self.read_bytes, net) {
+            ctx.charge(net.transfer_time(bytes(a, s), false));
+        }
+        if let Some(cost) = self.cost_s {
+            let cost = cost(a, s);
+            if cost > 0.0 {
+                ctx.charge(cost);
+            }
+        }
     }
-    charge_cost(a, s, ctx);
-}
 
-/// The declared cost alone, for a Compute-Unit (its input is staged, not
-/// read).
-fn charge_cost<A: ParallelAnalysis>(a: &A, s: A::Slice, ctx: &TaskCtx) {
-    let cost = a.slice_cost_s(s);
-    if cost > 0.0 {
-        ctx.charge(cost);
+    /// The items one task returns for slice `s`: the gather map's, or the
+    /// tree leaf alone.
+    fn map(&self, a: &A, shared: &A::Shared, s: A::Slice) -> Vec<A::Item> {
+        match self.reduce {
+            Reduce::Gather(map) => map(a, shared, s),
+            Reduce::Tree(leaf, _) => vec![leaf(a, shared, s)],
+        }
     }
 }
 
@@ -47,56 +59,39 @@ pub(crate) fn run_spark<A: ParallelAnalysis + 'static>(
     sc: &SparkContext,
     a: &Arc<A>,
 ) -> Result<A::Output, EngineError> {
-    a.check(Engine::Spark, sc.cluster())?;
-    let slices = a.slices(Engine::Spark, sc.cluster());
-    let n_tasks = slices.len();
-    let phase = a.map_phase(Engine::Spark);
-    let net = sc.cluster().profile.network;
-    let one = a.reduce_shape() == ReduceShape::Tree;
+    let plan = Arc::new(a.plan(Engine::Spark, sc.cluster())?);
+    let n_tasks = plan.slices.len();
+    let net = Some(sc.cluster().profile.network);
 
     // Map closures are 'static (Spark serializes them to executors), so
-    // the analysis and its shared input travel as Arc clones — the input
-    // out of the broadcast variable when the analysis asks for one.
-    let shared = if a.broadcast() {
+    // the analysis, its plan and its shared input travel as Arc clones —
+    // the input out of the broadcast variable when the plan asks for one.
+    let shared = if plan.broadcast {
         sc.set_phase("broadcast");
         Arc::clone(sc.broadcast(a.shared())?.value())
     } else {
         a.shared()
     };
-    let task = Arc::clone(a);
-    let rdd: Rdd<A::Item> = Rdd::from_partitions(sc.clone(), n_tasks, move |p, ctx: &TaskCtx| {
-        let s = slices[p];
-        charge_slice(&*task, s, net, ctx);
-        if one {
-            vec![task.map_one(&shared, s)]
-        } else {
-            task.map(&shared, s)
-        }
+    let (task, p) = (Arc::clone(a), Arc::clone(&plan));
+    let rdd: Rdd<A::Item> = Rdd::from_partitions(sc.clone(), n_tasks, move |i, ctx: &TaskCtx| {
+        let s = p.slices[i];
+        p.charge(&task, s, net, ctx);
+        p.map(&task, &shared, s)
     });
 
-    match a.reduce_shape() {
-        ReduceShape::Gather => {
-            sc.set_phase(phase);
-            let items = if a.bracket_map_phase() {
-                let t0 = sc.now();
-                let items = rdd.try_collect()?;
-                let t1 = sc.now();
-                sc.note_phase(phase, t0, t1);
-                items
-            } else {
-                rdd.try_collect()?
-            };
-            a.finalize(Gathered::Items(items), DriverCtx::spark(sc, n_tasks))
+    sc.set_phase(plan.phase);
+    let t0 = sc.now();
+    let (items, bracket) = match plan.reduce {
+        Reduce::Gather(_) => (rdd.try_collect()?, plan.bracket),
+        Reduce::Tree(_, combine) => {
+            let merged = rdd.try_reduce(|x, y| combine(a, x, y))?;
+            (merged.into_iter().collect(), true)
         }
-        ReduceShape::Tree => {
-            sc.set_phase(phase);
-            let t0 = sc.now();
-            let merged = rdd.try_reduce(|x, y| a.combine(x, y))?;
-            let t1 = sc.now();
-            sc.note_phase(phase, t0, t1);
-            a.finalize(Gathered::Merged(merged), DriverCtx::spark(sc, n_tasks))
-        }
+    };
+    if bracket {
+        sc.note_phase(plan.phase, t0, sc.now());
     }
+    a.finalize(Gathered::Items(items), DriverCtx::spark(sc, n_tasks))
 }
 
 /// Dask posture: one delayed task per slice; `Gather` gathers them,
@@ -105,149 +100,138 @@ pub(crate) fn run_dask<A: ParallelAnalysis + 'static>(
     client: &DaskClient,
     a: &Arc<A>,
 ) -> Result<A::Output, EngineError> {
-    a.check(Engine::Dask, client.cluster())?;
-    let slices = a.slices(Engine::Dask, client.cluster());
-    let n_tasks = slices.len();
-    let phase = a.map_phase(Engine::Dask);
-    let net = client.cluster().profile.network;
+    let plan = Arc::new(a.plan(Engine::Dask, client.cluster())?);
+    let n_tasks = plan.slices.len();
+    let net = Some(client.cluster().profile.network);
+    // Per slice: the analysis, its plan and the slice, for a 'static task.
+    let per_slice = || {
+        plan.slices
+            .iter()
+            .map(|&s| (Arc::clone(a), Arc::clone(&plan), s))
+    };
 
-    match a.reduce_shape() {
-        ReduceShape::Gather => {
-            let tasks: Vec<Delayed<Vec<A::Item>>> = if a.broadcast() {
+    let items = match plan.reduce {
+        Reduce::Gather(map) => {
+            let tasks: Vec<Delayed<Vec<A::Item>>> = if plan.broadcast {
                 client.set_phase("broadcast");
                 let bc = client.broadcast(a.shared())?;
-                client.set_phase(phase);
-                let fs: Vec<_> = slices
-                    .iter()
-                    .map(|&s| {
-                        let task = Arc::clone(a);
+                client.set_phase(plan.phase);
+                let fs: Vec<_> = per_slice()
+                    .map(|(task, p, s)| {
                         move |shared: &Arc<A::Shared>, ctx: &TaskCtx| {
-                            charge_slice(&*task, s, net, ctx);
-                            task.map(shared, s)
+                            p.charge(&task, s, net, ctx);
+                            map(&task, shared, s)
                         }
                     })
                     .collect();
                 client.delayed_after_many(&bc, fs)
             } else {
-                client.set_phase(phase);
-                let fs: Vec<_> = slices
-                    .iter()
-                    .map(|&s| {
-                        let task = Arc::clone(a);
+                client.set_phase(plan.phase);
+                let fs: Vec<_> = per_slice()
+                    .map(|(task, p, s)| {
                         let shared = a.shared();
                         move |ctx: &TaskCtx| {
-                            charge_slice(&*task, s, net, ctx);
-                            task.map(&shared, s)
+                            p.charge(&task, s, net, ctx);
+                            map(&task, &shared, s)
                         }
                     })
                     .collect();
                 client.delayed_many(fs)
             };
-            let parts = if a.bracket_map_phase() {
-                let t0 = client.now();
-                let (parts, t1) = client.try_gather(&tasks)?;
-                client.note_phase(phase, t0, t1);
-                parts
-            } else {
-                let (parts, _t) = client.try_gather(&tasks)?;
-                parts
-            };
-            let items: Vec<A::Item> = parts.into_iter().flatten().collect();
-            a.finalize(Gathered::Items(items), DriverCtx::dask(client, n_tasks))
-        }
-        ReduceShape::Tree => {
-            client.set_phase(phase);
             let t0 = client.now();
-            let fs: Vec<_> = slices
-                .iter()
-                .map(|&s| {
-                    let task = Arc::clone(a);
+            let (parts, t1) = client.try_gather(&tasks)?;
+            if plan.bracket {
+                client.note_phase(plan.phase, t0, t1);
+            }
+            parts.into_iter().flatten().collect()
+        }
+        Reduce::Tree(leaf, combine) => {
+            client.set_phase(plan.phase);
+            let t0 = client.now();
+            let fs: Vec<_> = per_slice()
+                .map(|(task, p, s)| {
                     let shared = a.shared();
                     move |ctx: &TaskCtx| {
-                        charge_slice(&*task, s, net, ctx);
-                        task.map_one(&shared, s)
+                        p.charge(&task, s, net, ctx);
+                        leaf(&task, &shared, s)
                     }
                 })
                 .collect();
             let leaves: Vec<Delayed<A::Item>> = client.delayed_many(fs);
             let root = fold_pairwise(leaves, |x, y| {
-                client.combine_pair(x, y, |x, y, _| a.combine(x, y))
+                client.combine_pair(x, y, |x, y, _| combine(a, x, y))
             });
-            let merged = match root {
+            match root {
                 Some(d) => {
                     let (vals, t1) = client.try_gather(std::slice::from_ref(&d))?;
-                    client.note_phase(phase, t0, t1);
-                    vals.into_iter().next()
+                    client.note_phase(plan.phase, t0, t1);
+                    vals
                 }
-                None => None,
-            };
-            a.finalize(Gathered::Merged(merged), DriverCtx::dask(client, n_tasks))
+                None => Vec::new(),
+            }
         }
-    }
+    };
+    a.finalize(Gathered::Items(items), DriverCtx::dask(client, n_tasks))
 }
 
-/// RADICAL-Pilot posture: one Compute-Unit per slice. Analyses that
-/// implement [`ParallelAnalysis::stage`] get their inputs genuinely
-/// serialized through the staging filesystem; the rest run compute-only
-/// units over the in-memory shared input.
+/// RADICAL-Pilot posture: one Compute-Unit per slice. A plan with a
+/// [`Staging`] codec gets its inputs genuinely serialized through the
+/// staging filesystem; the rest run compute-only units over the in-memory
+/// shared input.
 pub(crate) fn run_pilot<A: ParallelAnalysis + 'static>(
     session: &Session,
     a: &Arc<A>,
 ) -> Result<A::Output, EngineError> {
-    a.check(Engine::Pilot, session.cluster())?;
-    let slices = a.slices(Engine::Pilot, session.cluster());
-    let n_tasks = slices.len();
+    let plan = Arc::new(a.plan(Engine::Pilot, session.cluster())?);
+    let n_tasks = plan.slices.len();
     let shared = a.shared();
-    let factor = a.cost().staging_working_set_factor;
-    let one = a.reduce_shape() == ReduceShape::Tree;
 
-    let units: Vec<UnitDescription<Vec<A::Item>>> = slices
+    let units: Vec<UnitDescription<Vec<A::Item>>> = plan
+        .slices
         .iter()
-        .map(|&s| match a.stage(&shared, s) {
-            Some((input, token)) => {
-                // Declared peak footprint: the staged bytes times the
-                // analysis's declared expansion (staged copy, decoded
-                // copy, working buffers). Admission control schedules
-                // against it.
-                let working_set = input.len() as u64 * factor;
-                let task = Arc::clone(a);
-                UnitDescription::new(input, move |ctx: &TaskCtx, staged: &[u8]| {
-                    charge_cost(&*task, s, ctx);
-                    task.map_staged(s, token, staged)
-                })
-                .with_working_set(working_set)
-            }
-            None => {
-                let task = Arc::clone(a);
-                let sh = Arc::clone(&shared);
-                UnitDescription::compute_only(move |ctx: &TaskCtx, _staged: &[u8]| {
-                    charge_cost(&*task, s, ctx);
-                    if one {
-                        vec![task.map_one(&sh, s)]
-                    } else {
-                        task.map(&sh, s)
-                    }
-                })
+        .map(|&s| {
+            let (task, p) = (Arc::clone(a), Arc::clone(&plan));
+            match plan.staging {
+                Some(Staging { encode, map }) => {
+                    let (input, token) = encode(a, &shared, s);
+                    // Declared peak footprint: the staged bytes times the
+                    // declared expansion (staged copy, decoded copy,
+                    // working buffers). Admission control schedules
+                    // against it.
+                    let working_set = input.len() as u64 * STAGING_WORKING_SET_FACTOR;
+                    UnitDescription::new(input, move |ctx: &TaskCtx, staged: &[u8]| {
+                        p.charge(&task, s, None, ctx);
+                        map(&task, s, token, staged)
+                    })
+                    .with_working_set(working_set)
+                }
+                None => {
+                    let sh = Arc::clone(&shared);
+                    UnitDescription::compute_only(move |ctx: &TaskCtx, _staged: &[u8]| {
+                        p.charge(&task, s, None, ctx);
+                        p.map(&task, &sh, s)
+                    })
+                }
             }
         })
         .collect();
     let out = session.submit_and_wait(units)?;
     let items: Vec<A::Item> = out.results.into_iter().flatten().collect();
+    // The pilot has no engine-side reduce; a tree reduce folds at the
+    // client, in the same pairwise shape as the engines' tree reduce.
+    let items = match plan.reduce {
+        Reduce::Gather(_) => items,
+        Reduce::Tree(_, combine) => fold_pairwise(items, |x, y| combine(a, x, y))
+            .into_iter()
+            .collect(),
+    };
     let ctx = DriverCtx::owned(
         Engine::Pilot,
         n_tasks,
-        None,
         out.report,
         session.cluster().clone(),
     );
-    // The pilot has no engine-side reduce; tree-shaped analyses fold at
-    // the client, in the same pairwise shape as the engines' tree reduce.
-    if one {
-        let merged = fold_pairwise(items, |x, y| a.combine(x, y));
-        a.finalize(Gathered::Merged(merged), ctx)
-    } else {
-        a.finalize(Gathered::Items(items), ctx)
-    }
+    a.finalize(Gathered::Items(items), ctx)
 }
 
 /// MPI posture: slices round-robin over ranks, per-rank
@@ -260,13 +244,10 @@ pub(crate) fn run_mpi<A: ParallelAnalysis + 'static>(
     restart_from_barrier: bool,
     a: &Arc<A>,
 ) -> Result<A::Output, EngineError> {
-    a.check(Engine::Mpi, cluster)?;
-    let slices = a.slices(Engine::Mpi, cluster);
-    let n_tasks = slices.len();
-    let phase = a.map_phase(Engine::Mpi);
+    let plan = a.plan(Engine::Mpi, cluster)?;
+    let n_tasks = plan.slices.len();
     let net = cluster.profile.network;
     let shared = a.shared();
-    let broadcast = a.broadcast();
 
     let out = mpilike::try_run_with_policy(
         cluster.clone(),
@@ -276,7 +257,7 @@ pub(crate) fn run_mpi<A: ParallelAnalysis + 'static>(
         |comm| {
             let t_start = comm.clock();
             let received;
-            let local: &A::Shared = if broadcast {
+            let local: &A::Shared = if plan.broadcast {
                 comm.set_phase("broadcast");
                 let v = (comm.rank() == 0).then(|| Arc::clone(&shared));
                 // A replica too big for the fixed per-rank buffers
@@ -288,19 +269,23 @@ pub(crate) fn run_mpi<A: ParallelAnalysis + 'static>(
                 &shared // pre-partitioned: ranks read their slices as I/O
             };
             let t_bcast = comm.clock();
-            comm.set_phase(phase);
-            let mine: Vec<A::Slice> = slices
+            comm.set_phase(plan.phase);
+            let mine: Vec<A::Slice> = plan
+                .slices
                 .iter()
                 .copied()
                 .skip(comm.rank())
                 .step_by(comm.world())
                 .collect();
-            if let Some(bytes) = a.rank_io_bytes(&mine) {
-                comm.charge(net.transfer_time(bytes, false));
+            if let Some(bytes) = plan.read_bytes {
+                let total = mine.iter().map(|&s| bytes(a, s)).sum();
+                comm.charge(net.transfer_time(total, false));
             }
-            let cost: f64 = mine.iter().map(|&s| a.slice_cost_s(s)).sum();
-            if cost > 0.0 {
-                comm.charge(cost);
+            if let Some(cost) = plan.cost_s {
+                let total: f64 = mine.iter().map(|&s| cost(a, s)).sum();
+                if total > 0.0 {
+                    comm.charge(total);
+                }
             }
             let wire = comm.compute(|| a.rank_map(local, &mine));
             let t_map = comm.clock();
@@ -314,29 +299,20 @@ pub(crate) fn run_mpi<A: ParallelAnalysis + 'static>(
     // deterministic. Memory exhaustion inside a collective poisons every
     // rank with the same typed error; surface the first one.
     let mut wires: Vec<A::Wire> = Vec::new();
-    let mut start_min = f64::INFINITY;
-    let mut bcast_max = 0.0f64;
-    let mut map_max = 0.0f64;
+    let mut clocks = MpiClocks {
+        start_min: f64::INFINITY,
+        bcast_max: 0.0,
+        map_max: 0.0,
+    };
     for rank_result in out.results {
         let (gathered, t_start, t_bcast, t_map) = rank_result?;
-        start_min = start_min.min(t_start);
-        bcast_max = bcast_max.max(t_bcast);
-        map_max = map_max.max(t_map);
+        clocks.start_min = clocks.start_min.min(t_start);
+        clocks.bcast_max = clocks.bcast_max.max(t_bcast);
+        clocks.map_max = clocks.map_max.max(t_map);
         if let Some(rank_outs) = gathered {
             wires.extend(rank_outs);
         }
     }
-    let clocks = MpiClocks {
-        start_min,
-        bcast_max,
-        map_max,
-    };
-    let ctx = DriverCtx::owned(
-        Engine::Mpi,
-        n_tasks,
-        Some(clocks),
-        out.report,
-        cluster.clone(),
-    );
-    a.finalize(Gathered::Ranks(wires), ctx)
+    let ctx = DriverCtx::owned(Engine::Mpi, n_tasks, out.report, cluster.clone());
+    a.finalize(Gathered::Ranks(wires, clocks), ctx)
 }

@@ -7,7 +7,7 @@
 //! the per-frame series in trajectory order regardless of which engine
 //! (and which rank/task interleaving) executed it.
 
-use super::{Gathered, ParallelAnalysis};
+use super::{Gathered, ParallelAnalysis, Plan, Reduce};
 use crate::partition::plan_1d;
 use crate::Engine;
 use linalg::{rmsd_superposed, Frame, Vec3};
@@ -56,7 +56,6 @@ pub struct FrameSeries<T> {
 /// frame, on whichever engine [`crate::run::RunConfig`] selects, and the
 /// results come back as a [`FrameSeries`] in frame order.
 pub struct AnalysisFromFunction<T, F> {
-    name: &'static str,
     traj: Arc<Trajectory>,
     select: AtomSelection,
     slices: usize,
@@ -71,9 +70,10 @@ where
     F: Fn(&Frame, &AtomSelection) -> T + Send + Sync + 'static,
 {
     /// Build the analysis: `slices` frame ranges over `traj`, each frame
-    /// reduced by `f` under `select`.
+    /// reduced by `f` under `select`. `name` labels the analysis at the
+    /// call site; the engines do not read it.
     pub fn new(
-        name: &'static str,
+        _name: &'static str,
         traj: Arc<Trajectory>,
         select: AtomSelection,
         slices: usize,
@@ -84,7 +84,6 @@ where
             "cannot analyse an empty trajectory"
         );
         AnalysisFromFunction {
-            name,
             traj,
             select,
             slices: slices.max(1),
@@ -94,11 +93,17 @@ where
         }
     }
 
-    /// Override the declared cost model (per-frame virtual cost, staging
-    /// expansion) for this analysis.
+    /// Override the declared cost model (per-frame virtual cost) for this
+    /// analysis.
     pub fn with_cost(mut self, cost: super::AnalysisCost) -> Self {
         self.cost = cost;
         self
+    }
+
+    fn map_frames(&self, shared: &Trajectory, slice: (u32, u32)) -> Vec<(u32, T)> {
+        (slice.0..slice.1)
+            .map(|i| (i, (self.f)(&shared.frames[i as usize], &self.select)))
+            .collect()
     }
 }
 
@@ -113,47 +118,32 @@ where
     type Wire = Vec<(u32, T)>;
     type Output = FrameSeries<T>;
 
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
     fn shared(&self) -> Arc<Trajectory> {
         Arc::clone(&self.traj)
     }
 
-    fn slices(&self, _engine: Engine, _cluster: &Cluster) -> Vec<(u32, u32)> {
-        plan_1d(self.traj.n_frames(), self.slices)
-    }
-
-    fn broadcast(&self) -> bool {
-        // pmda's posture: the universe ships to the workers once.
-        true
-    }
-
-    fn map_phase(&self, _engine: Engine) -> &'static str {
-        "frame-map"
-    }
-
-    fn cost(&self) -> super::AnalysisCost {
-        self.cost
-    }
-
-    fn slice_cost_s(&self, slice: (u32, u32)) -> f64 {
-        // The declared per-frame cost model: frame analyses occupy
-        // virtual time proportional to the frames they touch, so fault
-        // plans and schedulers see realistic task durations even when
-        // the host closure is trivially cheap.
-        (slice.1 - slice.0) as f64 * self.cost().stream_frame_cost_s
-    }
-
-    fn map(&self, shared: &Trajectory, slice: (u32, u32)) -> Vec<(u32, T)> {
-        (slice.0..slice.1)
-            .map(|i| (i, (self.f)(&shared.frames[i as usize], &self.select)))
-            .collect()
+    fn plan(&self, _engine: Engine, _cluster: &Cluster) -> Result<Plan<Self>, EngineError> {
+        let slices = plan_1d(self.traj.n_frames(), self.slices);
+        Ok(Plan {
+            // pmda's posture: the universe ships to the workers once.
+            broadcast: true,
+            phase: "frame-map",
+            // The declared per-frame cost model: frame analyses occupy
+            // virtual time proportional to the frames they touch, so
+            // fault plans and schedulers see realistic task durations
+            // even when the host closure is trivially cheap.
+            cost_s: Some(|a, s| (s.1 - s.0) as f64 * a.cost.stream_frame_cost_s),
+            ..Plan::new(
+                slices,
+                Reduce::Gather(|a, shared, s| a.map_frames(shared, s)),
+            )
+        })
     }
 
     fn rank_map(&self, shared: &Trajectory, mine: &[(u32, u32)]) -> Vec<(u32, T)> {
-        mine.iter().flat_map(|&s| self.map(shared, s)).collect()
+        mine.iter()
+            .flat_map(|&s| self.map_frames(shared, s))
+            .collect()
     }
 
     fn finalize(
@@ -163,8 +153,7 @@ where
     ) -> Result<FrameSeries<T>, EngineError> {
         let mut pairs = match gathered {
             Gathered::Items(items) => items,
-            Gathered::Ranks(wires) => wires.into_iter().flatten().collect(),
-            Gathered::Merged(_) => unreachable!("frame analyses are gather-shaped"),
+            Gathered::Ranks(wires, _) => wires.into_iter().flatten().collect(),
         };
         // MPI's round-robin rank order interleaves slices; restore frame
         // order before handing the series back.

@@ -8,7 +8,7 @@
 //! the hand-written per-engine drivers they replaced exactly —
 //! `tests/golden_collectives.rs` holds those drivers' reports.
 
-use super::{DriverCtx, Gathered, MpiClocks, ParallelAnalysis, ReduceShape};
+use super::{DriverCtx, Gathered, MpiClocks, ParallelAnalysis, Plan, Reduce, Staging};
 use crate::codec;
 use crate::leaflet::{
     block_edges, block_edges_tree, block_input_bytes, check_feasible, driver_components,
@@ -64,113 +64,26 @@ impl LfEdges {
     }
 }
 
-impl ParallelAnalysis for LfEdges {
-    type Shared = Vec<Vec3>;
-    type Slice = LfSlice;
-    type Item = (u32, u32);
-    type Wire = RankOut;
-    type Output = LfOutput;
-
-    fn name(&self) -> &'static str {
-        "leaflet-finder"
-    }
-
-    fn check(&self, engine: Engine, cluster: &Cluster) -> Result<(), EngineError> {
-        check_feasible(engine, self.approach, &self.cfg, cluster)
-    }
-
-    fn shared(&self) -> Arc<Vec<Vec3>> {
-        Arc::clone(&self.positions)
-    }
-
-    fn slices(&self, _engine: Engine, _cluster: &Cluster) -> Vec<LfSlice> {
-        let n = self.positions.len();
-        match self.approach {
-            LfApproach::Broadcast1D => plan_1d(n, self.cfg.partitions)
-                .into_iter()
-                .map(LfSlice::Strip)
-                .collect(),
-            _ => plan_2d_grid(n, grid_for_tasks(self.cfg.partitions))
-                .into_iter()
-                .map(LfSlice::Block)
-                .collect(),
-        }
-    }
-
-    fn broadcast(&self) -> bool {
-        self.approach == LfApproach::Broadcast1D
-    }
-
-    fn map_phase(&self, _engine: Engine) -> &'static str {
-        "edge-discovery"
-    }
-
-    fn bracket_map_phase(&self) -> bool {
-        true
-    }
-
-    fn io_bytes(&self, slice: LfSlice) -> Option<u64> {
+impl LfEdges {
+    fn edges(&self, shared: &[Vec3], slice: LfSlice) -> Vec<(u32, u32)> {
         match slice {
-            LfSlice::Strip(_) => None, // approach 1 ships data by broadcast
-            LfSlice::Block(b) => self.cfg.charge_io.then(|| block_input_bytes(b)),
-        }
-    }
-
-    fn map(&self, shared: &Vec<Vec3>, slice: LfSlice) -> Vec<(u32, u32)> {
-        match slice {
-            LfSlice::Strip(s) => {
-                let edges = strip_edges(shared, s, self.cfg.cutoff);
-                self.edge_count
-                    .fetch_add(edges.len() as u64, Ordering::Relaxed);
-                edges
-            }
+            LfSlice::Strip(s) => strip_edges(shared, s, self.cfg.cutoff),
             LfSlice::Block(b) => block_edges(shared, b, self.cfg.cutoff),
         }
     }
 
-    fn rank_map(&self, shared: &Vec<Vec3>, mine: &[LfSlice]) -> RankOut {
-        let edges: Vec<(u32, u32)> = mine
-            .iter()
-            .flat_map(|&s| match s {
-                LfSlice::Strip(s) => strip_edges(shared, s, self.cfg.cutoff),
-                LfSlice::Block(b) => block_edges(shared, b, self.cfg.cutoff),
-            })
-            .collect();
-        let found = edges.len() as u64;
-        (edges, Vec::new(), found)
+    /// Pilot posture: a block's coordinate slices really encoded and
+    /// staged through the filesystem (RP's only data path).
+    fn stage(shared: &[Vec3], slice: LfSlice) -> (Vec<u8>, u64) {
+        let LfSlice::Block(b) = slice else {
+            unreachable!("only block slices are staged")
+        };
+        let rows = &shared[b.row.0 as usize..b.row.1 as usize];
+        let cols = &shared[b.col.0 as usize..b.col.1 as usize];
+        (codec::encode_point_pair(rows, cols), 0)
     }
 
-    fn rank_io_bytes(&self, mine: &[LfSlice]) -> Option<u64> {
-        // Approach 2's MPI posture charges the read unconditionally when
-        // I/O accounting is on — even a rank with no blocks pays the
-        // (zero-byte) request.
-        match self.approach {
-            LfApproach::Broadcast1D => None,
-            _ => self.cfg.charge_io.then(|| {
-                mine.iter()
-                    .map(|&s| match s {
-                        LfSlice::Strip(_) => 0,
-                        LfSlice::Block(b) => block_input_bytes(b),
-                    })
-                    .sum()
-            }),
-        }
-    }
-
-    fn stage(&self, shared: &Vec<Vec3>, slice: LfSlice) -> Option<(Vec<u8>, u64)> {
-        // Pilot posture: block coordinate slices really encoded and staged
-        // through the filesystem (RP's only data path).
-        match slice {
-            LfSlice::Strip(_) => None,
-            LfSlice::Block(b) => {
-                let rows = &shared[b.row.0 as usize..b.row.1 as usize];
-                let cols = &shared[b.col.0 as usize..b.col.1 as usize];
-                Some((codec::encode_point_pair(rows, cols), 0))
-            }
-        }
-    }
-
-    fn map_staged(&self, slice: LfSlice, _token: u64, staged: &[u8]) -> Vec<(u32, u32)> {
+    fn edges_staged(&self, slice: LfSlice, _token: u64, staged: &[u8]) -> Vec<(u32, u32)> {
         let LfSlice::Block(b) = slice else {
             unreachable!("only block slices are staged")
         };
@@ -207,6 +120,65 @@ impl ParallelAnalysis for LfEdges {
             })
             .collect()
     }
+}
+
+impl ParallelAnalysis for LfEdges {
+    type Shared = Vec<Vec3>;
+    type Slice = LfSlice;
+    type Item = (u32, u32);
+    type Wire = RankOut;
+    type Output = LfOutput;
+
+    fn shared(&self) -> Arc<Vec<Vec3>> {
+        Arc::clone(&self.positions)
+    }
+
+    fn plan(&self, engine: Engine, cluster: &Cluster) -> Result<Plan<Self>, EngineError> {
+        check_feasible(engine, self.approach, &self.cfg, cluster)?;
+        let n = self.positions.len();
+        // Approach 1 ships its data by broadcast; approach 2 reads (or,
+        // on the pilot, stages) its blocks.
+        let broadcast = self.approach == LfApproach::Broadcast1D;
+        let slices = if broadcast {
+            plan_1d(n, self.cfg.partitions)
+                .into_iter()
+                .map(LfSlice::Strip)
+                .collect()
+        } else {
+            plan_2d_grid(n, grid_for_tasks(self.cfg.partitions))
+                .into_iter()
+                .map(LfSlice::Block)
+                .collect()
+        };
+        let map = |a: &Self, shared: &Vec<Vec3>, slice| {
+            let edges = a.edges(shared, slice);
+            if let LfSlice::Strip(_) = slice {
+                a.edge_count
+                    .fetch_add(edges.len() as u64, Ordering::Relaxed);
+            }
+            edges
+        };
+        Ok(Plan {
+            broadcast,
+            phase: "edge-discovery",
+            bracket: true,
+            read_bytes: (!broadcast && self.cfg.charge_io).then_some(|_, slice| match slice {
+                LfSlice::Strip(_) => 0,
+                LfSlice::Block(b) => block_input_bytes(b),
+            }),
+            staging: (!broadcast).then_some(Staging {
+                encode: |_, shared, slice| Self::stage(shared, slice),
+                map: Self::edges_staged,
+            }),
+            ..Plan::new(slices, Reduce::Gather(map))
+        })
+    }
+
+    fn rank_map(&self, shared: &Vec<Vec3>, mine: &[LfSlice]) -> RankOut {
+        let edges: Vec<(u32, u32)> = mine.iter().flat_map(|&s| self.edges(shared, s)).collect();
+        let found = edges.len() as u64;
+        (edges, Vec::new(), found)
+    }
 
     fn finalize(
         &self,
@@ -236,8 +208,9 @@ impl ParallelAnalysis for LfEdges {
                     report: ctx.finish(),
                 })
             }
-            Gathered::Ranks(wires) => Ok(finalize_mpi(n, self.approach, wires, ctx)),
-            Gathered::Merged(_) => unreachable!("LfEdges is gather-shaped"),
+            Gathered::Ranks(wires, clocks) => {
+                Ok(finalize_mpi(n, self.approach, wires, clocks, ctx))
+            }
         }
     }
 }
@@ -284,21 +257,14 @@ impl ParallelAnalysis for LfPartials {
     type Wire = RankOut;
     type Output = LfOutput;
 
-    fn name(&self) -> &'static str {
-        "leaflet-finder"
-    }
-
-    fn check(&self, engine: Engine, cluster: &Cluster) -> Result<(), EngineError> {
-        check_feasible(engine, self.approach, &self.cfg, cluster)
-    }
-
     fn shared(&self) -> Arc<Vec<Vec3>> {
         Arc::clone(&self.positions)
     }
 
-    fn slices(&self, _engine: Engine, cluster: &Cluster) -> Vec<Block> {
+    fn plan(&self, engine: Engine, cluster: &Cluster) -> Result<Plan<Self>, EngineError> {
+        check_feasible(engine, self.approach, &self.cfg, cluster)?;
         let n = self.positions.len();
-        match self.approach {
+        let slices = match self.approach {
             LfApproach::ParallelCC => plan_2d_mem(
                 n,
                 self.cfg.paper_atoms,
@@ -306,47 +272,34 @@ impl ParallelAnalysis for LfPartials {
                 task_mem_budget(cluster),
             ),
             _ => plan_2d_grid(n, grid_for_tasks(self.cfg.partitions)),
-        }
-    }
-
-    fn map_phase(&self, engine: Engine) -> &'static str {
-        // The SPMD engine folds the partial-CC into its edge loop; the
-        // task engines label the fused map+reduce stage explicitly.
-        if engine == Engine::Mpi {
-            "edge-discovery"
-        } else {
-            "edge-discovery+partial-cc"
-        }
-    }
-
-    fn io_bytes(&self, b: Block) -> Option<u64> {
-        self.cfg.charge_io.then(|| block_input_bytes(b))
-    }
-
-    fn map(&self, shared: &Vec<Vec3>, b: Block) -> Vec<Vec<Vec<u32>>> {
-        vec![self.map_one(shared, b)]
-    }
-
-    fn map_one(&self, shared: &Vec<Vec3>, b: Block) -> Vec<Vec<u32>> {
-        let edges = self.edges_of(shared, b);
-        self.edge_count
-            .fetch_add(edges.len() as u64, Ordering::Relaxed);
-        let partial = partial_components(&edges);
-        self.shuffle_bytes
-            .fetch_add(partial.wire_bytes(), Ordering::Relaxed);
-        partial.components
-    }
-
-    fn reduce_shape(&self) -> ReduceShape {
-        ReduceShape::Tree
-    }
-
-    fn combine(&self, a: Vec<Vec<u32>>, b: Vec<Vec<u32>>) -> Vec<Vec<u32>> {
-        merge_partials(&[
-            PartialComponents { components: a },
-            PartialComponents { components: b },
-        ])
-        .components
+        };
+        let leaf = |a: &Self, shared: &Vec<Vec3>, b| {
+            let edges = a.edges_of(shared, b);
+            a.edge_count
+                .fetch_add(edges.len() as u64, Ordering::Relaxed);
+            let partial = partial_components(&edges);
+            a.shuffle_bytes
+                .fetch_add(partial.wire_bytes(), Ordering::Relaxed);
+            partial.components
+        };
+        let combine = |_: &Self, x, y| {
+            merge_partials(&[
+                PartialComponents { components: x },
+                PartialComponents { components: y },
+            ])
+            .components
+        };
+        Ok(Plan {
+            // The SPMD engine folds the partial-CC into its edge loop; the
+            // task engines label the fused map+reduce stage explicitly.
+            phase: if engine == Engine::Mpi {
+                "edge-discovery"
+            } else {
+                "edge-discovery+partial-cc"
+            },
+            read_bytes: self.cfg.charge_io.then_some(|_, b| block_input_bytes(b)),
+            ..Plan::new(slices, Reduce::Tree(leaf, combine))
+        })
     }
 
     fn rank_map(&self, shared: &Vec<Vec3>, mine: &[Block]) -> RankOut {
@@ -362,12 +315,6 @@ impl ParallelAnalysis for LfPartials {
         (Vec::new(), merge_partials(&parts).components, found)
     }
 
-    fn rank_io_bytes(&self, mine: &[Block]) -> Option<u64> {
-        self.cfg
-            .charge_io
-            .then(|| mine.iter().map(|&b| block_input_bytes(b)).sum())
-    }
-
     fn finalize(
         &self,
         gathered: Gathered<Vec<Vec<u32>>, RankOut>,
@@ -375,9 +322,9 @@ impl ParallelAnalysis for LfPartials {
     ) -> Result<LfOutput, EngineError> {
         let n = self.positions.len();
         match gathered {
-            Gathered::Merged(merged) => {
+            Gathered::Items(mut merged) => {
                 // Engine-side reduce already ran: no driver CC charge.
-                let (sizes, count) = sizes_of_groups(merged.unwrap_or_default());
+                let (sizes, count) = sizes_of_groups(merged.pop().unwrap_or_default());
                 Ok(LfOutput {
                     leaflet_sizes: sizes,
                     n_components: count,
@@ -387,8 +334,9 @@ impl ParallelAnalysis for LfPartials {
                     report: ctx.finish(),
                 })
             }
-            Gathered::Ranks(wires) => Ok(finalize_mpi(n, self.approach, wires, ctx)),
-            Gathered::Items(_) => unreachable!("LfPartials is tree-shaped"),
+            Gathered::Ranks(wires, clocks) => {
+                Ok(finalize_mpi(n, self.approach, wires, clocks, ctx))
+            }
         }
     }
 }
@@ -400,6 +348,7 @@ fn finalize_mpi(
     n: usize,
     approach: LfApproach,
     wires: Vec<RankOut>,
+    clocks: MpiClocks,
     mut ctx: DriverCtx<'_>,
 ) -> LfOutput {
     let mut all_edges: Vec<(u32, u32)> = Vec::new();
@@ -417,7 +366,7 @@ fn finalize_mpi(
         start_min,
         bcast_max,
         map_max,
-    } = ctx.mpi_clocks().expect("MPI finalize requires rank clocks");
+    } = clocks;
     if approach == LfApproach::Broadcast1D {
         ctx.push_span("broadcast", start_min, bcast_max);
     }

@@ -1,18 +1,20 @@
 //! The generic analysis API: one analysis definition, four engines.
 //!
 //! This is the Rust analogue of pmda's `ParallelAnalysisBase` /
-//! `AnalysisFromFunction` (MDAnalysis ecosystem): an analysis declares how
-//! to split its input into slices, how to `map` one slice to items, how to
-//! reduce, and how to finalize —
-//! [`RunConfig::run_analysis`](crate::run::RunConfig::run_analysis)
+//! `AnalysisFromFunction` (MDAnalysis ecosystem): prepare → map → reduce
+//! → finalize, with the deployment given as data. An analysis hands out
+//! its shared input, a [`Plan`] per engine (the slices, the posture, and
+//! the map and its [`Reduce`] as values), the body of one MPI rank, and a
+//! finalize; [`RunConfig::run_analysis`](crate::run::RunConfig::run_analysis)
 //! executes it with each engine's native posture:
 //!
-//! * **Spark** (`sparklet`) — one RDD partition per slice; `Gather`
-//!   analyses `collect`, `Tree` analyses `treeReduce` via [`ParallelAnalysis::combine`];
+//! * **Spark** (`sparklet`) — one RDD partition per slice;
+//!   [`Reduce::Gather`] collects, [`Reduce::Tree`] runs `treeReduce`
+//!   with its combine;
 //! * **Dask** (`dasklet`) — one delayed task per slice, gathered, or a
-//!   binary combine tree for `Tree` analyses;
-//! * **RADICAL-Pilot** (`pilot`) — one Compute-Unit per slice, with
-//!   [`ParallelAnalysis::stage`]d inputs really framed through the staging
+//!   binary combine tree;
+//! * **RADICAL-Pilot** (`pilot`) — one Compute-Unit per slice, with a
+//!   [`Staging`] codec's inputs really framed through the staging
 //!   filesystem;
 //! * **MPI** (`mpilike`) — slices round-robin over ranks, one
 //!   [`ParallelAnalysis::rank_map`] per rank inside a measured compute
@@ -40,15 +42,12 @@ use netsim::{Cluster, SimReport};
 use std::sync::Arc;
 use taskframe::{EngineError, Payload};
 
-/// Declared cost model of an analysis: the constants the engines used to
-/// duplicate inline (pilot working-set factors, streaming defaults) now
-/// live in one place so the four postures cannot drift apart.
+/// Declared streaming cost model: the defaults the streaming postures
+/// used to duplicate inline live in one place so they cannot drift
+/// apart, and [`AnalysisFromFunction::with_cost`] declares a per-frame
+/// virtual cost with it.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct AnalysisCost {
-    /// Pilot admission control: declared peak working set as a multiple of
-    /// the staged input bytes (staged copy + decoded copy + joined
-    /// buffer).
-    pub staging_working_set_factor: u64,
     /// Declared virtual cost per streamed frame (see
     /// [`crate::run::StreamTuning::frame_cost_s`]).
     pub stream_frame_cost_s: f64,
@@ -62,7 +61,6 @@ pub struct AnalysisCost {
 
 impl AnalysisCost {
     pub const DEFAULT: AnalysisCost = AnalysisCost {
-        staging_working_set_factor: 3,
         stream_frame_cost_s: 0.01,
         stream_state_bytes_per_frame: 1 << 20,
         stream_micro_batch: 4,
@@ -76,30 +74,99 @@ impl Default for AnalysisCost {
     }
 }
 
-/// How an analysis's mapped items come back to the driver.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ReduceShape {
+/// Pilot admission control: a staged unit's declared peak working set as
+/// a multiple of its staged bytes (staged copy + decoded copy + joined
+/// buffer).
+pub const STAGING_WORKING_SET_FACTOR: u64 = 3;
+
+/// Pilot posture: a slice's input serialized for filesystem staging, and
+/// the map from the staged bytes. Encode and decode come together, so a
+/// staged unit cannot lack its decoder.
+#[allow(clippy::type_complexity)]
+pub struct Staging<A: ParallelAnalysis + ?Sized> {
+    /// The slice's staged bytes plus an opaque token handed back to
+    /// [`map`](Self::map) (e.g. a split offset).
+    pub encode: fn(&A, &A::Shared, A::Slice) -> (Vec<u8>, u64),
+    /// Map the slice from its staged bytes inside a Compute-Unit.
+    pub map: fn(&A, A::Slice, u64, &[u8]) -> Vec<A::Item>,
+}
+
+/// The map of one slice, and how its items come back to the driver.
+#[allow(clippy::type_complexity)]
+pub enum Reduce<A: ParallelAnalysis + ?Sized> {
     /// Every item crosses the wire; the driver sees all of them
     /// (`collect` / `gather`). The paper's O(E)-shuffle posture.
-    Gather,
-    /// Items are pairwise [`ParallelAnalysis::combine`]d engine-side
-    /// (Spark `treeReduce`, Dask combine tree); the driver sees one. The
-    /// paper's partial-connected-components posture.
-    Tree,
+    Gather(fn(&A, &A::Shared, A::Slice) -> Vec<A::Item>),
+    /// Each slice maps to one leaf item, and leaves are pairwise combined
+    /// engine-side (Spark `treeReduce`, Dask combine tree, the pilot's
+    /// client fold); the driver sees at most one. Engines keep slice
+    /// order and choose the bracketing, so the combine must be
+    /// associative but need not be commutative. The paper's
+    /// partial-connected-components posture.
+    Tree(
+        fn(&A, &A::Shared, A::Slice) -> A::Item,
+        fn(&A, A::Item, A::Item) -> A::Item,
+    ),
+}
+
+/// How an analysis is deployed on one engine:
+/// [`ParallelAnalysis::plan`]'s value, which the engine runners read.
+pub struct Plan<A: ParallelAnalysis + ?Sized> {
+    /// Work decomposition. Must be non-empty for Spark runs (an RDD needs
+    /// at least one partition).
+    pub slices: Vec<A::Slice>,
+    /// Ship [`ParallelAnalysis::shared`] through the engine's broadcast
+    /// primitive (charged per its cost model) instead of capturing it.
+    pub broadcast: bool,
+    /// Phase label of the map stage.
+    pub phase: &'static str,
+    /// Record an explicit phase span around a Spark/Dask gather (a tree
+    /// reduce always records one).
+    pub bracket: bool,
+    /// Bytes a map task reads for its slice, charged as a storage
+    /// transfer before the map. An MPI rank pays one read of its slices'
+    /// sum, so a rank with no slice still pays the zero-byte request.
+    /// `None` charges nothing.
+    pub read_bytes: Option<fn(&A, A::Slice) -> u64>,
+    /// Declared virtual compute cost of a slice, charged inside the task
+    /// on top of measured host time, so tasks occupy virtual time even
+    /// when the host closure is trivial. `None` leaves the cost to
+    /// measurement alone.
+    pub cost_s: Option<fn(&A, A::Slice) -> f64>,
+    /// Stage each slice's input through the pilot's filesystem. `None`
+    /// runs compute-only units that capture the shared input in memory.
+    pub staging: Option<Staging<A>>,
+    /// The map, and how its items are reduced.
+    pub reduce: Reduce<A>,
+}
+
+impl<A: ParallelAnalysis + ?Sized> Plan<A> {
+    /// `slices` mapped under the phase label `"map"`: the shared input
+    /// captured, nothing declared, nothing staged.
+    pub fn new(slices: Vec<A::Slice>, reduce: Reduce<A>) -> Self {
+        Plan {
+            slices,
+            broadcast: false,
+            phase: "map",
+            bracket: false,
+            read_bytes: None,
+            cost_s: None,
+            staging: None,
+            reduce,
+        }
+    }
 }
 
 /// What the engine hands to [`ParallelAnalysis::finalize`].
 #[derive(Debug)]
 pub enum Gathered<I, W> {
-    /// Gather-shaped result: every mapped item, in slice order (Spark,
-    /// Dask, Pilot).
+    /// Spark, Dask and Pilot: every mapped item in slice order under
+    /// [`Reduce::Gather`]; under [`Reduce::Tree`], the engine-side
+    /// combine of all of them (empty when there were no slices).
     Items(Vec<I>),
-    /// Tree-shaped result: the engine-side combine of all items (`None`
-    /// when there were no slices).
-    Merged(Option<I>),
-    /// MPI result: one [`ParallelAnalysis::Wire`] value per rank, in rank
-    /// order.
-    Ranks(Vec<W>),
+    /// MPI: one [`ParallelAnalysis::Wire`] value per rank, in rank order,
+    /// and the ranks' clock readings.
+    Ranks(Vec<W>, MpiClocks),
 }
 
 /// Per-rank virtual clock readings of an MPI run, for phase attribution
@@ -132,7 +199,6 @@ enum Sink<'a> {
 pub struct DriverCtx<'a> {
     engine: Engine,
     tasks: usize,
-    clocks: Option<MpiClocks>,
     sink: Sink<'a>,
 }
 
@@ -141,7 +207,6 @@ impl<'a> DriverCtx<'a> {
         DriverCtx {
             engine: Engine::Spark,
             tasks,
-            clocks: None,
             sink: Sink::Spark(sc),
         }
     }
@@ -150,22 +215,14 @@ impl<'a> DriverCtx<'a> {
         DriverCtx {
             engine: Engine::Dask,
             tasks,
-            clocks: None,
             sink: Sink::Dask(client),
         }
     }
 
-    pub(crate) fn owned(
-        engine: Engine,
-        tasks: usize,
-        clocks: Option<MpiClocks>,
-        report: SimReport,
-        cluster: Cluster,
-    ) -> Self {
+    pub(crate) fn owned(engine: Engine, tasks: usize, report: SimReport, cluster: Cluster) -> Self {
         DriverCtx {
             engine,
             tasks,
-            clocks,
             sink: Sink::Owned {
                 report: Box::new(report),
                 cluster: Box::new(cluster),
@@ -190,11 +247,6 @@ impl<'a> DriverCtx<'a> {
             Sink::Dask(client) => client.cluster(),
             Sink::Owned { cluster, .. } => cluster,
         }
-    }
-
-    /// Per-rank clock extrema (MPI runs only).
-    pub fn mpi_clocks(&self) -> Option<MpiClocks> {
-        self.clocks
     }
 
     /// Record a phase span `[start, end)` on the report.
@@ -239,19 +291,17 @@ impl<'a> DriverCtx<'a> {
 
 /// An analysis expressed once and executed by any engine.
 ///
-/// The life cycle mirrors pmda: [`prepare`](Self::prepare) →
-/// [`map`](Self::map) over every slice → an associative reduce
-/// ([`ReduceShape`]) → [`finalize`](Self::finalize). The remaining hooks
-/// describe engine-posture details (broadcast vs capture, staged bytes
-/// for the pilot, the whole-rank computation for MPI, phase labels and
-/// I/O charges) with defaults that fit simple frame-mapped analyses; the
-/// built-in Leaflet Finder and PSA instances override them to reproduce
-/// each framework's deployment in the paper.
+/// The life cycle mirrors pmda: [`plan`](Self::plan) (pmda's `_prepare`,
+/// plus the engine posture as one value) → the plan's map over every
+/// slice → its [`Reduce`] → [`finalize`](Self::finalize). MPI runs
+/// [`rank_map`](Self::rank_map) once per rank instead of the per-slice
+/// map. The built-in Leaflet Finder and PSA instances fill in the plan to
+/// reproduce each framework's deployment in the paper.
 pub trait ParallelAnalysis: Send + Sync {
     /// The input every map task reads (broadcast when
-    /// [`broadcast`](Self::broadcast) is true, captured otherwise). Not
-    /// `Clone`: every engine shares the one [`shared`](Self::shared)
-    /// `Arc`, none copies the input.
+    /// [`Plan::broadcast`] is set, captured otherwise). Not `Clone`:
+    /// every engine shares the one [`shared`](Self::shared) `Arc`, none
+    /// copies the input.
     type Shared: Payload + Send + Sync + 'static;
     /// One unit of work (an index range, a 2-D block, …). `Copy` so the
     /// planners can hand slices to closures freely.
@@ -263,115 +313,17 @@ pub trait ParallelAnalysis: Send + Sync {
     /// The finalized analysis result.
     type Output;
 
-    /// Short name (trace labels, diagnostics).
-    fn name(&self) -> &'static str;
-
-    /// One-time setup before any engine work (pmda's `_prepare`).
-    fn prepare(&self) -> Result<(), EngineError> {
-        Ok(())
-    }
-
-    /// Feasibility gate, checked before any engine work.
-    fn check(&self, _engine: Engine, _cluster: &Cluster) -> Result<(), EngineError> {
-        Ok(())
-    }
-
     /// The shared input.
     fn shared(&self) -> Arc<Self::Shared>;
 
-    /// Work decomposition for this engine on this cluster. Must be
-    /// non-empty for Spark runs (an RDD needs at least one partition).
-    fn slices(&self, engine: Engine, cluster: &Cluster) -> Vec<Self::Slice>;
-
-    /// Ship [`shared`](Self::shared) through the engine's broadcast
-    /// primitive (charged per its cost model) instead of capturing it.
-    fn broadcast(&self) -> bool {
-        false
-    }
-
-    /// Phase label of the map stage.
-    fn map_phase(&self, _engine: Engine) -> &'static str {
-        "map"
-    }
-
-    /// Record an explicit phase span around the Spark/Dask map gather.
-    fn bracket_map_phase(&self) -> bool {
-        false
-    }
-
-    /// Bytes a map task must read for `slice`; `None` charges nothing.
-    fn io_bytes(&self, _slice: Self::Slice) -> Option<u64> {
-        None
-    }
-
-    /// Declared virtual compute cost of one slice, charged inside the
-    /// engine task on top of measured host time. Zero (the default) for
-    /// analyses whose task cost comes purely from measurement; the
-    /// frame-mapped analyses declare their per-frame cost model here so
-    /// tasks occupy virtual time even when the host closure is trivial.
-    fn slice_cost_s(&self, _slice: Self::Slice) -> f64 {
-        0.0
-    }
-
-    /// Map one slice to its items (gather-shaped analyses).
-    fn map(&self, shared: &Self::Shared, slice: Self::Slice) -> Vec<Self::Item>;
-
-    /// Map one slice to a single combinable item (tree-shaped analyses).
-    fn map_one(&self, _shared: &Self::Shared, _slice: Self::Slice) -> Self::Item {
-        unimplemented!("map_one is required for ReduceShape::Tree analyses")
-    }
-
-    /// How mapped items come back to the driver.
-    fn reduce_shape(&self) -> ReduceShape {
-        ReduceShape::Gather
-    }
-
-    /// Associative pairwise combine (tree-shaped analyses). Engines keep
-    /// slice order and choose the bracketing, so it need not be
-    /// commutative.
-    fn combine(&self, _a: Self::Item, _b: Self::Item) -> Self::Item {
-        unimplemented!("combine is required for ReduceShape::Tree analyses")
-    }
-
-    /// Declared cost model (pilot admission, streaming defaults).
-    fn cost(&self) -> AnalysisCost {
-        AnalysisCost::DEFAULT
-    }
-
-    /// Pilot posture: serialize `slice`'s input for filesystem staging,
-    /// returning the staged bytes plus an opaque decode token handed back
-    /// to [`map_staged`](Self::map_staged) (e.g. a split offset). `None`
-    /// (the default) runs compute-only units that capture the shared
-    /// input in memory.
-    fn stage(&self, _shared: &Self::Shared, _slice: Self::Slice) -> Option<(Vec<u8>, u64)> {
-        None
-    }
-
-    /// Map from staged bytes inside a pilot Compute-Unit (required when
-    /// [`stage`](Self::stage) returns `Some`).
-    fn map_staged(&self, _slice: Self::Slice, _token: u64, _staged: &[u8]) -> Vec<Self::Item> {
-        unimplemented!("map_staged is required when stage() returns Some")
-    }
+    /// This analysis's deployment on `engine` over `cluster`. An `Err`
+    /// (an infeasible configuration) stops the run before any engine
+    /// work.
+    fn plan(&self, engine: Engine, cluster: &Cluster) -> Result<Plan<Self>, EngineError>;
 
     /// MPI posture: the whole per-rank computation over this rank's
     /// slices, executed inside one measured `compute` block.
     fn rank_map(&self, shared: &Self::Shared, mine: &[Self::Slice]) -> Self::Wire;
-
-    /// Bytes an MPI rank must read for its slices before mapping; `None`
-    /// charges nothing. Defaults to the sum of per-slice
-    /// [`io_bytes`](Self::io_bytes) (no charge when every slice declares
-    /// none).
-    fn rank_io_bytes(&self, mine: &[Self::Slice]) -> Option<u64> {
-        let mut total = 0u64;
-        let mut any = false;
-        for &s in mine {
-            if let Some(b) = self.io_bytes(s) {
-                total += b;
-                any = true;
-            }
-        }
-        any.then_some(total)
-    }
 
     /// Consume the reduced results and the driver context into the final
     /// output.

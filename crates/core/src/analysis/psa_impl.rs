@@ -8,7 +8,7 @@
 //! (and of the per-engine drivers this replaced, whose matrices
 //! `tests/golden_collectives.rs` holds).
 
-use super::{DriverCtx, Gathered, ParallelAnalysis};
+use super::{DriverCtx, Gathered, ParallelAnalysis, Plan, Reduce, Staging};
 use crate::codec;
 use crate::partition::{plan_psa_2d, Block};
 use crate::psa::{assemble, block_input_bytes, PsaConfig, PsaOutput};
@@ -44,6 +44,32 @@ fn block_distances(ensemble: &[Trajectory], b: Block) -> Vec<(u32, u32, f64)> {
     out
 }
 
+/// Pilot posture: the block's row and column trajectories genuinely
+/// serialized through the staging filesystem; the split offset travels as
+/// the decode token.
+fn stage(shared: &[Trajectory], b: Block) -> (Vec<u8>, u64) {
+    let rows: Vec<&Trajectory> = (b.row.0..b.row.1).map(|i| &shared[i as usize]).collect();
+    let cols: Vec<&Trajectory> = (b.col.0..b.col.1).map(|j| &shared[j as usize]).collect();
+    let mut input = codec::encode_trajectories(&rows);
+    let row_len = input.len() as u64;
+    input.extend_from_slice(&codec::encode_trajectories(&cols));
+    (input, row_len)
+}
+
+fn distances_staged(b: Block, row_len: u64, staged: &[u8]) -> Vec<(u32, u32, f64)> {
+    let row_len = row_len as usize;
+    let rows = codec::decode_trajectories(&staged[..row_len]);
+    let cols = codec::decode_trajectories(&staged[row_len..]);
+    let mut out = Vec::new();
+    for (di, ti) in rows.iter().enumerate() {
+        for (dj, tj) in cols.iter().enumerate() {
+            let h = hausdorff_rmsd_pruned(&ti.frames, &tj.frames);
+            out.push((b.row.0 + di as u32, b.col.0 + dj as u32, h));
+        }
+    }
+    out
+}
+
 impl ParallelAnalysis for PsaAnalysis {
     type Shared = Vec<Trajectory>;
     type Slice = Block;
@@ -51,73 +77,33 @@ impl ParallelAnalysis for PsaAnalysis {
     type Wire = Vec<(u32, u32, f64)>;
     type Output = PsaOutput;
 
-    fn name(&self) -> &'static str {
-        "psa"
-    }
-
     fn shared(&self) -> Arc<Vec<Trajectory>> {
         Arc::clone(&self.ensemble)
     }
 
-    fn slices(&self, _engine: Engine, _cluster: &Cluster) -> Vec<Block> {
-        plan_psa_2d(self.ensemble.len(), self.cfg.groups)
-    }
-
-    fn map_phase(&self, _engine: Engine) -> &'static str {
-        "psa-map"
-    }
-
-    fn io_bytes(&self, b: Block) -> Option<u64> {
-        self.cfg
-            .charge_io
-            .then(|| block_input_bytes(&self.ensemble, b))
-    }
-
-    fn map(&self, shared: &Vec<Trajectory>, b: Block) -> Vec<(u32, u32, f64)> {
-        block_distances(shared, b)
+    fn plan(&self, _engine: Engine, _cluster: &Cluster) -> Result<Plan<Self>, EngineError> {
+        let slices = plan_psa_2d(self.ensemble.len(), self.cfg.groups);
+        Ok(Plan {
+            phase: "psa-map",
+            read_bytes: self
+                .cfg
+                .charge_io
+                .then_some(|a, b| block_input_bytes(&a.ensemble, b)),
+            staging: Some(Staging {
+                encode: |_, shared, b| stage(shared, b),
+                map: |_, b, row_len, staged| distances_staged(b, row_len, staged),
+            }),
+            ..Plan::new(
+                slices,
+                Reduce::Gather(|_, shared: &Vec<Trajectory>, b| block_distances(shared, b)),
+            )
+        })
     }
 
     fn rank_map(&self, shared: &Vec<Trajectory>, mine: &[Block]) -> Vec<(u32, u32, f64)> {
         mine.iter()
             .flat_map(|&b| block_distances(shared, b))
             .collect()
-    }
-
-    fn rank_io_bytes(&self, mine: &[Block]) -> Option<u64> {
-        // The paper's file-per-task layout charges the read whenever I/O
-        // accounting is on — a rank with no blocks still pays the
-        // zero-byte request.
-        self.cfg.charge_io.then(|| {
-            mine.iter()
-                .map(|&b| block_input_bytes(&self.ensemble, b))
-                .sum()
-        })
-    }
-
-    fn stage(&self, shared: &Vec<Trajectory>, b: Block) -> Option<(Vec<u8>, u64)> {
-        // Pilot posture: the block's row and column trajectories genuinely
-        // serialized through the staging filesystem; the split offset
-        // travels as the decode token.
-        let rows: Vec<&Trajectory> = (b.row.0..b.row.1).map(|i| &shared[i as usize]).collect();
-        let cols: Vec<&Trajectory> = (b.col.0..b.col.1).map(|j| &shared[j as usize]).collect();
-        let mut input = codec::encode_trajectories(&rows);
-        let row_len = input.len() as u64;
-        input.extend_from_slice(&codec::encode_trajectories(&cols));
-        Some((input, row_len))
-    }
-
-    fn map_staged(&self, b: Block, token: u64, staged: &[u8]) -> Vec<(u32, u32, f64)> {
-        let row_len = token as usize;
-        let rows = codec::decode_trajectories(&staged[..row_len]);
-        let cols = codec::decode_trajectories(&staged[row_len..]);
-        let mut out = Vec::new();
-        for (di, ti) in rows.iter().enumerate() {
-            for (dj, tj) in cols.iter().enumerate() {
-                let h = hausdorff_rmsd_pruned(&ti.frames, &tj.frames);
-                out.push((b.row.0 + di as u32, b.col.0 + dj as u32, h));
-            }
-        }
-        out
     }
 
     fn finalize(
@@ -128,8 +114,7 @@ impl ParallelAnalysis for PsaAnalysis {
         let n = self.ensemble.len();
         let distances = match gathered {
             Gathered::Items(triples) => assemble(n, triples),
-            Gathered::Ranks(wires) => assemble(n, wires.into_iter().flatten()),
-            Gathered::Merged(_) => unreachable!("PSA is gather-shaped"),
+            Gathered::Ranks(wires, _) => assemble(n, wires.into_iter().flatten()),
         };
         Ok(PsaOutput {
             distances,

@@ -38,7 +38,7 @@ pub mod run;
 
 pub use analysis::{
     contacts_analysis, rmsd_analysis, AnalysisCost, AnalysisFromFunction, AtomSelection, DriverCtx,
-    FrameSeries, Gathered, MpiClocks, ParallelAnalysis, ReduceShape,
+    FrameSeries, Gathered, MpiClocks, ParallelAnalysis, Plan, Reduce, Staging,
 };
 pub use leaflet::{LfApproach, LfConfig, LfOutput};
 pub use psa::{PsaConfig, PsaOutput};

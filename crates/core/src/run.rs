@@ -251,20 +251,17 @@ impl RunConfig {
         analysis: A,
     ) -> Result<A::Output, EngineError> {
         let a = Arc::new(analysis);
-        self.scoped(|| {
-            a.prepare()?;
-            match self.engine {
-                Engine::Spark => engines::run_spark(&spark_handle(self), &a),
-                Engine::Dask => engines::run_dask(&dask_handle(self), &a),
-                Engine::Pilot => engines::run_pilot(&pilot_handle(self)?, &a),
-                Engine::Mpi => engines::run_mpi(
-                    &self.cluster,
-                    self.mpi_world,
-                    &mpi_policy(self),
-                    self.checkpoint_restart,
-                    &a,
-                ),
-            }
+        self.scoped(|| match self.engine {
+            Engine::Spark => engines::run_spark(&spark_handle(self), &a),
+            Engine::Dask => engines::run_dask(&dask_handle(self), &a),
+            Engine::Pilot => engines::run_pilot(&pilot_handle(self)?, &a),
+            Engine::Mpi => engines::run_mpi(
+                &self.cluster,
+                self.mpi_world,
+                &mpi_policy(self),
+                self.checkpoint_restart,
+                &a,
+            ),
         })
     }
 }

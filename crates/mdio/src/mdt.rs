@@ -31,6 +31,10 @@ pub fn encode_mdt(frames: &[Frame]) -> Result<Vec<u8>> {
             )));
         }
     }
+    // The decoder refuses what a flood of empty frames would look like.
+    if n_atoms == 0 && !frames.is_empty() {
+        return Err(IoError::Format("zero-atom frames".into()));
+    }
     let mut buf = Vec::with_capacity(12 + frames.len() * n_atoms * 12);
     buf.put_slice(MAGIC);
     buf.put_u32_le(n_atoms as u32);
@@ -57,6 +61,11 @@ pub fn decode_mdt(mut data: &[u8]) -> Result<Vec<Frame>> {
     }
     let n_atoms = data.get_u32_le() as usize;
     let n_frames = data.get_u32_le() as usize;
+    // Zero-atom frames would need no payload: 12 header bytes could ask
+    // for 2³² frames.
+    if n_atoms == 0 && n_frames > 0 {
+        return Err(IoError::Format(format!("{n_frames} frames of zero atoms")));
+    }
     let need = n_frames
         .checked_mul(n_atoms)
         .and_then(|x| x.checked_mul(12))

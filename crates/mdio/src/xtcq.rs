@@ -95,6 +95,10 @@ pub fn encode_xtcq(frames: &[Frame], inv_prec: f32) -> Result<Vec<u8>> {
             return Err(IoError::Format(format!("frame {k} atom count mismatch")));
         }
     }
+    // The decoder refuses what a flood of empty frames would look like.
+    if n_atoms == 0 && !frames.is_empty() {
+        return Err(IoError::Format("zero-atom frames".into()));
+    }
     let q = quantize(frames, inv_prec);
     let mut buf = Vec::with_capacity(16 + frames.len() * n_atoms * 4);
     buf.put_slice(MAGIC);
@@ -114,7 +118,10 @@ pub fn encode_xtcq(frames: &[Frame], inv_prec: f32) -> Result<Vec<u8>> {
                 q[k - 1][a]
             };
             for d in 0..3 {
-                put_varint(&mut buf, zigzag(atom[d] - reference[d]));
+                let delta = atom[d].checked_sub(reference[d]).ok_or_else(|| {
+                    IoError::Format(format!("frame {k} atom {a}: delta overflow"))
+                })?;
+                put_varint(&mut buf, zigzag(delta));
             }
             prev = *atom;
         }
@@ -140,6 +147,19 @@ pub fn decode_xtcq(mut data: &[u8]) -> Result<Vec<Frame>> {
     if inv_prec.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
         return Err(IoError::Format("non-positive precision".into()));
     }
+    // Every coordinate is at least a one-byte varint, so the header may
+    // not promise more atoms than the payload can hold, nor frames of
+    // zero atoms, which need no payload at all.
+    let fits = n_frames
+        .checked_mul(n_atoms)
+        .and_then(|x| x.checked_mul(3))
+        .is_some_and(|min| min <= data.remaining());
+    if !fits || (n_atoms == 0 && n_frames > 0) {
+        return Err(IoError::Format(format!(
+            "{n_frames} frames of {n_atoms} atoms cannot fit in {} bytes",
+            data.remaining()
+        )));
+    }
     let mut frames: Vec<Vec<[i64; 3]>> = Vec::with_capacity(n_frames);
     for _ in 0..n_frames {
         let mut frame = Vec::with_capacity(n_atoms);
@@ -148,7 +168,9 @@ pub fn decode_xtcq(mut data: &[u8]) -> Result<Vec<Frame>> {
             let reference = frames.last().map_or(prev, |pf| pf[a]);
             let mut atom = [0i64; 3];
             for (d, slot) in atom.iter_mut().enumerate() {
-                *slot = reference[d] + unzigzag(get_varint(&mut data)?);
+                *slot = reference[d]
+                    .checked_add(unzigzag(get_varint(&mut data)?))
+                    .ok_or_else(|| IoError::Format("coordinate overflow".into()))?;
             }
             prev = atom;
             frame.push(atom);

@@ -42,7 +42,9 @@ pub fn decode_xyz(text: &str) -> Result<Vec<Frame>> {
         let _comment = lines
             .next()
             .ok_or_else(|| IoError::Format("missing comment line".into()))?;
-        let mut pos = Vec::with_capacity(n);
+        // An atom line takes at least 8 bytes ("C 0 0 0\n"), so the text
+        // bounds what a lying count may reserve.
+        let mut pos = Vec::with_capacity(n.min(text.len() / 8));
         for _ in 0..n {
             let (lno, line) = lines
                 .next()

@@ -70,8 +70,8 @@ pub mod prelude {
     pub use crate::analysis::{
         contacts_analysis, lf_frame_value, rmsd_analysis, run_lf, run_lf_stream, run_psa,
         run_workload, AnalysisCost, AnalysisFromFunction, AtomSelection, Engine, FrameSeries,
-        Gathered, LfApproach, LfConfig, LfOutput, LfRun, ParallelAnalysis, PsaConfig, PsaOutput,
-        PsaRun, ReduceShape, RunConfig, StreamTuning, Workload, WorkloadRun,
+        Gathered, LfApproach, LfConfig, LfOutput, LfRun, ParallelAnalysis, Plan, PsaConfig,
+        PsaOutput, PsaRun, Reduce, RunConfig, StreamTuning, Workload, WorkloadRun,
     };
     pub use crate::cluster::{
         check_stream_invariants, comet, laptop, wrangler, ChaosConfig, Cluster, CriticalPath,

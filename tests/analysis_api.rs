@@ -7,7 +7,8 @@
 //! reference, on arbitrary generated point clouds.
 
 use mdtask::analysis::leaflet::{block_edges, block_edges_tree};
-use mdtask::analysis::partition::Block;
+use mdtask::analysis::partition::{plan_1d, Block};
+use mdtask::analysis::{DriverCtx, MpiClocks};
 use mdtask::math::rmsd_superposed;
 use mdtask::prelude::*;
 use proptest::prelude::*;
@@ -235,32 +236,21 @@ impl ParallelAnalysis for Squares {
     type Wire = Sealed;
     type Output = (Vec<u64>, SimReport);
 
-    fn name(&self) -> &'static str {
-        "squares"
-    }
-
     fn shared(&self) -> Arc<Sealed> {
         Arc::clone(&self.input)
     }
 
-    fn slices(&self, engine: Engine, _cluster: &Cluster) -> Vec<(u32, u32)> {
+    fn plan(&self, engine: Engine, _cluster: &Cluster) -> Result<Plan<Self>, EngineError> {
         self.seen.lock().unwrap().push(engine);
-        mdtask::analysis::partition::plan_1d(self.input.0.len(), 6)
-    }
-
-    fn broadcast(&self) -> bool {
-        self.broadcast
-    }
-
-    fn map_phase(&self, engine: Engine) -> &'static str {
-        self.seen.lock().unwrap().push(engine);
-        "map"
-    }
-
-    fn map(&self, shared: &Sealed, s: (u32, u32)) -> Vec<(u32, u64)> {
-        (s.0..s.1)
-            .map(|i| (i, (shared.0[i as usize] as u64).pow(2)))
-            .collect()
+        let square: Reduce<Self> = Reduce::Gather(|_, shared: &Sealed, s: (u32, u32)| {
+            (s.0..s.1)
+                .map(|i| (i, (shared.0[i as usize] as u64).pow(2)))
+                .collect()
+        });
+        Ok(Plan {
+            broadcast: self.broadcast,
+            ..Plan::new(plan_1d(self.input.0.len(), 6), square)
+        })
     }
 
     fn rank_map(&self, shared: &Sealed, mine: &[(u32, u32)]) -> Sealed {
@@ -275,17 +265,16 @@ impl ParallelAnalysis for Squares {
     fn finalize(
         &self,
         gathered: Gathered<(u32, u64), Sealed>,
-        ctx: mdtask::analysis::DriverCtx<'_>,
+        ctx: DriverCtx<'_>,
     ) -> Result<(Vec<u64>, SimReport), EngineError> {
         self.seen.lock().unwrap().push(ctx.engine());
         let mut values: Vec<u64> = match gathered {
             Gathered::Items(items) => items.into_iter().map(|(_, v)| v).collect(),
-            Gathered::Ranks(wires) => wires
+            Gathered::Ranks(wires, _) => wires
                 .into_iter()
                 .flat_map(|w| w.0)
                 .map(|x| (x as u64).pow(2))
                 .collect(),
-            Gathered::Merged(_) => unreachable!("squares is gather-shaped"),
         };
         values.sort_unstable(); // round-robin rank order interleaves slices
         Ok((values, ctx.finish()))
@@ -312,11 +301,9 @@ fn shared_input_need_not_be_clone_on_any_engine() {
             };
             let (values, report) = run();
             assert_eq!(values, reference, "{engine:?} broadcast={broadcast}");
-            // `slices`, `map_phase` (the pilot has no map phase to label)
-            // and `finalize` are all told the engine the run was
+            // `plan` and `finalize` are both told the engine the run was
             // configured with.
-            let hooks = if engine == Engine::Pilot { 2 } else { 3 };
-            assert_eq!(*seen.lock().unwrap(), vec![engine; hooks]);
+            assert_eq!(*seen.lock().unwrap(), vec![engine; 2]);
             assert_eq!(run().1, report, "{engine:?} broadcast={broadcast}: report");
             // The pilot has no broadcast primitive; the other three charge
             // the replica's bytes, seen through the `Arc`.
@@ -426,6 +413,75 @@ fn impossible_mpi_world_is_a_typed_error_not_a_panic() {
                 other => panic!("entry point {i}, world {world}: {other:?}"),
             }
         }
+    }
+}
+
+/// An MPI analysis that only reads: `slices` unit slices, each declaring
+/// 1 000 bytes of input when `read` is set. Its output is the rank clocks.
+struct Reads {
+    slices: u32,
+    read: bool,
+}
+
+impl ParallelAnalysis for Reads {
+    type Shared = Vec<u32>;
+    type Slice = u32;
+    type Item = u32;
+    type Wire = Vec<u32>;
+    type Output = MpiClocks;
+
+    fn shared(&self) -> Arc<Vec<u32>> {
+        Arc::new(Vec::new())
+    }
+
+    fn plan(&self, _engine: Engine, _cluster: &Cluster) -> Result<Plan<Self>, EngineError> {
+        let slices = (0..self.slices).collect();
+        Ok(Plan {
+            read_bytes: self.read.then_some(|_, _| 1000),
+            ..Plan::new(slices, Reduce::Gather(|_, _, s: u32| vec![s]))
+        })
+    }
+
+    fn rank_map(&self, _shared: &Vec<u32>, mine: &[u32]) -> Vec<u32> {
+        mine.to_vec()
+    }
+
+    fn finalize(
+        &self,
+        gathered: Gathered<u32, Vec<u32>>,
+        _ctx: DriverCtx<'_>,
+    ) -> Result<MpiClocks, EngineError> {
+        match gathered {
+            Gathered::Ranks(_, clocks) => Ok(clocks),
+            Gathered::Items(_) => Err(EngineError::Unsupported("an MPI-only probe".into())),
+        }
+    }
+}
+
+/// An MPI rank pays one read of its slices' declared bytes, and a rank
+/// with no slice still pays the zero-byte request; a plan that declares
+/// no read charges no rank anything.
+#[test]
+fn mpi_ranks_pay_one_read_each_even_without_a_slice() {
+    mdtask::cluster::set_deterministic_timing(true);
+    let net = laptop().network;
+    let rc = RunConfig::new(Cluster::new(laptop(), 2), Engine::Mpi).mpi_world(4);
+    // Over four ranks, no slice leaves every rank empty; six put two
+    // slices on ranks 0 and 1, who read 2 000 bytes in one request.
+    for (slices, read) in [(0, 0), (6, 2000)] {
+        let clocks = rc.run_analysis(Reads { slices, read: true }).unwrap();
+        assert_eq!(
+            clocks.map_max,
+            clocks.bcast_max + net.transfer_time(read, false),
+            "{slices} slices"
+        );
+        let clocks = rc
+            .run_analysis(Reads {
+                slices,
+                read: false,
+            })
+            .unwrap();
+        assert_eq!(clocks.map_max, clocks.bcast_max, "{slices} slices, no read");
     }
 }
 

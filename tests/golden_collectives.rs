@@ -211,42 +211,27 @@ impl ParallelAnalysis for Concat {
     type Wire = Vec<(u32, Vec<u32>)>;
     type Output = (Vec<u32>, SimReport);
 
-    fn name(&self) -> &'static str {
-        "concat"
-    }
-
     fn shared(&self) -> Arc<Vec<u32>> {
         Arc::clone(&self.data)
     }
 
-    fn slices(&self, _engine: Engine, _cluster: &Cluster) -> Vec<(u32, u32)> {
-        plan_1d(self.data.len(), self.slices)
-    }
-
-    fn slice_cost_s(&self, s: (u32, u32)) -> f64 {
-        0.02 * (s.1 - s.0) as f64
-    }
-
-    fn map(&self, shared: &Vec<u32>, s: (u32, u32)) -> Vec<Vec<u32>> {
-        vec![self.map_one(shared, s)]
-    }
-
-    fn map_one(&self, shared: &Vec<u32>, s: (u32, u32)) -> Vec<u32> {
-        shared[s.0 as usize..s.1 as usize].to_vec()
-    }
-
-    fn reduce_shape(&self) -> ReduceShape {
-        ReduceShape::Tree
-    }
-
-    fn combine(&self, mut a: Vec<u32>, b: Vec<u32>) -> Vec<u32> {
-        a.extend(b);
-        a
+    fn plan(&self, _engine: Engine, _cluster: &Cluster) -> Result<Plan<Self>, EngineError> {
+        let concat: Reduce<Self> = Reduce::Tree(
+            |_, shared: &Vec<u32>, s: (u32, u32)| shared[s.0 as usize..s.1 as usize].to_vec(),
+            |_, mut a: Vec<u32>, b| {
+                a.extend(b);
+                a
+            },
+        );
+        Ok(Plan {
+            cost_s: Some(|_, s| 0.02 * (s.1 - s.0) as f64),
+            ..Plan::new(plan_1d(self.data.len(), self.slices), concat)
+        })
     }
 
     fn rank_map(&self, shared: &Vec<u32>, mine: &[(u32, u32)]) -> Vec<(u32, Vec<u32>)> {
         mine.iter()
-            .map(|&s| (s.0, self.map_one(shared, s)))
+            .map(|&s| (s.0, shared[s.0 as usize..s.1 as usize].to_vec()))
             .collect()
     }
 
@@ -256,14 +241,13 @@ impl ParallelAnalysis for Concat {
         ctx: DriverCtx<'_>,
     ) -> Result<(Vec<u32>, SimReport), EngineError> {
         let values = match gathered {
-            Gathered::Merged(merged) => merged.unwrap_or_default(),
-            Gathered::Ranks(wires) => {
+            Gathered::Items(merged) => merged.into_iter().flatten().collect(),
+            Gathered::Ranks(wires, _) => {
                 // Round-robin rank order interleaves the slices.
                 let mut parts: Vec<(u32, Vec<u32>)> = wires.into_iter().flatten().collect();
                 parts.sort_by_key(|&(start, _)| start);
                 parts.into_iter().flat_map(|(_, v)| v).collect()
             }
-            Gathered::Items(_) => unreachable!("concat is tree-shaped"),
         };
         Ok((values, ctx.finish()))
     }
