@@ -28,7 +28,8 @@ pub enum AtomSelection {
     /// Every `k`-th atom (k ≥ 1).
     Stride(usize),
     /// An explicit index list (shared, so selections clone cheaply into
-    /// task closures).
+    /// task closures). An [`AnalysisFromFunction`] refuses an index past
+    /// the trajectory's atoms in its `plan`, typed, on every engine.
     Indices(Arc<Vec<u32>>),
 }
 
@@ -123,6 +124,16 @@ where
     }
 
     fn plan(&self, _engine: Engine, _cluster: &Cluster) -> Result<Plan<Self>, EngineError> {
+        // An index past the atoms would panic in every frame's `gather`:
+        // refuse the run once, typed, before any task is placed.
+        if let AtomSelection::Indices(idx) = &self.select {
+            let n_atoms = self.traj.n_atoms();
+            if let Some(&i) = idx.iter().max().filter(|&&i| i as usize >= n_atoms) {
+                return Err(EngineError::Unsupported(format!(
+                    "atom index {i} in a selection over {n_atoms} atoms (need 0..{n_atoms})"
+                )));
+            }
+        }
         let slices = plan_1d(self.traj.n_frames(), self.slices);
         Ok(Plan {
             // pmda's posture: the universe ships to the workers once.

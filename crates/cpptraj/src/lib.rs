@@ -20,7 +20,7 @@
 //! speed, and run under `mpilike`'s virtual-time SPMD communicator.
 
 use linalg::rmsd2d::hausdorff_from_rmsd2d;
-use linalg::{DistanceMatrix, Frame};
+use linalg::{DistanceMatrix, Frame, FrameMetric};
 use mdsim::Trajectory;
 use netsim::{Cluster, SimReport};
 use std::hint::black_box;
@@ -42,6 +42,14 @@ impl KernelBuild {
             KernelBuild::IntelO3 => "Intel -Wall -O3",
         }
     }
+
+    /// The frame kernel this build compiles [`linalg::rmsd2d`] with.
+    fn metric(self) -> FrameMetric {
+        match self {
+            KernelBuild::GnuNoOpt => frame_rmsd_noopt,
+            KernelBuild::IntelO3 => linalg::frame_rmsd_blocked,
+        }
+    }
 }
 
 /// Frame RMSD compiled "without optimization": every element access and
@@ -60,22 +68,6 @@ pub fn frame_rmsd_noopt(a: &Frame, b: &Frame) -> f64 {
         acc = black_box(acc + dx * dx + dy * dy + dz * dz);
     }
     (acc / pa.len() as f64).sqrt()
-}
-
-/// 2D-RMSD between two trajectories with the chosen kernel build.
-pub fn rmsd2d_build(a: &[Frame], b: &[Frame], build: KernelBuild) -> DistanceMatrix {
-    match build {
-        KernelBuild::GnuNoOpt => {
-            let mut out = DistanceMatrix::zeros(a.len(), b.len());
-            for (i, fa) in a.iter().enumerate() {
-                for (j, fb) in b.iter().enumerate() {
-                    out.set(i, j, frame_rmsd_noopt(fa, fb));
-                }
-            }
-            out
-        }
-        KernelBuild::IntelO3 => linalg::rmsd2d_with(a, b, linalg::KernelFlavor::IntelO3),
-    }
 }
 
 /// Result of a CPPTraj-style PSA run.
@@ -100,6 +92,7 @@ pub fn ensemble_psa(
     // Upper-triangle pairs (i <= j); diagonal is zero by construction but
     // cheap enough to include, matching CPPTraj's all-pairs mode.
     let pairs: Vec<(usize, usize)> = (0..n).flat_map(|i| (i..n).map(move |j| (i, j))).collect();
+    let metric = build.metric();
     let out = mpilike::try_run(cluster, world, |comm| {
         let mine: Vec<(usize, usize)> = pairs
             .iter()
@@ -110,7 +103,7 @@ pub fn ensemble_psa(
         let local: Vec<(u32, u32, f64)> = comm.compute(|| {
             mine.iter()
                 .map(|&(i, j)| {
-                    let d = rmsd2d_build(&ensemble[i].frames, &ensemble[j].frames, build);
+                    let d = linalg::rmsd2d(&ensemble[i].frames, &ensemble[j].frames, metric);
                     (i as u32, j as u32, hausdorff_from_rmsd2d(&d))
                 })
                 .collect()
@@ -165,6 +158,41 @@ mod tests {
                 // like real -O0 and -O3 binaries of the same source.
                 let tol = 1e-5 * (1.0 + fast.abs());
                 assert!((slow - fast).abs() < tol, "slow={slow} fast={fast}");
+            }
+        }
+    }
+
+    /// Both builds run the one `linalg::rmsd2d` loop: every cell, and
+    /// every Hausdorff distance reduced from them, is bit for bit what a
+    /// hand-written row-major sweep of the build's own kernel gives.
+    #[test]
+    fn each_build_is_a_row_major_sweep_of_its_kernel() {
+        let e = small_ensemble(3);
+        for (build, kernel) in [
+            (KernelBuild::GnuNoOpt, frame_rmsd_noopt as FrameMetric),
+            (KernelBuild::IntelO3, linalg::frame_rmsd_blocked),
+        ] {
+            let psa = ensemble_psa(cluster(), 2, build, &e).unwrap();
+            for i in 0..3 {
+                for j in i..3 {
+                    let (a, b) = (&e[i].frames, &e[j].frames);
+                    let mut sweep = DistanceMatrix::zeros(a.len(), b.len());
+                    for (r, fa) in a.iter().enumerate() {
+                        for (c, fb) in b.iter().enumerate() {
+                            sweep.set(r, c, kernel(fa, fb));
+                        }
+                    }
+                    let d = linalg::rmsd2d(a, b, build.metric());
+                    let bits = |m: &DistanceMatrix| -> Vec<u64> {
+                        m.as_slice().iter().map(|v| v.to_bits()).collect()
+                    };
+                    assert_eq!(bits(&d), bits(&sweep), "{build:?} ({i},{j})");
+                    assert_eq!(
+                        psa.distances.get(i, j).to_bits(),
+                        hausdorff_from_rmsd2d(&sweep).to_bits(),
+                        "{build:?} ({i},{j})"
+                    );
+                }
             }
         }
     }

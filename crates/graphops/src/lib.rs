@@ -9,10 +9,8 @@
 
 pub mod components;
 pub mod partial;
-pub mod sv;
 pub mod union_find;
 
 pub use components::{connected_components_bfs, connected_components_uf, Components};
 pub use partial::{merge_partials, partial_components, PartialComponents};
-pub use sv::{connected_components_sv, sv_rounds};
 pub use union_find::UnionFind;

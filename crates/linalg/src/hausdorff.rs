@@ -4,9 +4,10 @@
 //! under a frame metric `d` is `max_{a∈A} min_{b∈B} d(a, b)`; the symmetric
 //! Hausdorff distance is the max of the two directed distances. The paper
 //! uses the naive O(|A|·|B|) algorithm and cites Taha & Hanbury's
-//! early-break algorithm \[34\] as an (unparallelized) speedup — we
-//! implement both and property-test their equivalence (an ablation bench
-//! compares them).
+//! early-break algorithm \[34\] as an (unparallelized) speedup: the
+//! pruned kernel below breaks a row the same way, screens candidates by a
+//! centroid lower bound, and is property-tested bit for bit against the
+//! naive one.
 
 use crate::kernels::frame_rmsd;
 use crate::Frame;
@@ -42,43 +43,6 @@ fn directed_naive(a: &[Frame], b: &[Frame], metric: FrameMetric) -> f64 {
         }
     }
     worst
-}
-
-/// Early-break Hausdorff distance (Taha & Hanbury 2015): while scanning the
-/// inner minimum, abandon a row as soon as some `d(a, b) <= cmax` proves the
-/// row cannot raise the running maximum. Identical value to
-/// [`hausdorff_naive`], usually far fewer metric evaluations.
-pub fn hausdorff_early_break(a: &[Frame], b: &[Frame], metric: FrameMetric) -> f64 {
-    assert!(
-        !a.is_empty() && !b.is_empty(),
-        "hausdorff: empty trajectory"
-    );
-    let d_ab = directed_early_break(a, b, metric);
-    let d_ba = directed_early_break(b, a, metric);
-    d_ab.max(d_ba)
-}
-
-fn directed_early_break(a: &[Frame], b: &[Frame], metric: FrameMetric) -> f64 {
-    let mut cmax = 0.0f64;
-    for fa in a {
-        let mut cmin = f64::INFINITY;
-        let mut broke = false;
-        for fb in b {
-            let d = metric(fa, fb);
-            if d <= cmax {
-                // This row's minimum is <= cmax; it cannot change the max.
-                broke = true;
-                break;
-            }
-            if d < cmin {
-                cmin = d;
-            }
-        }
-        if !broke && cmin > cmax {
-            cmax = cmin;
-        }
-    }
-    cmax
 }
 
 /// Convenience: Hausdorff with the standard PSA metric (plain RMSD).
@@ -419,7 +383,6 @@ mod tests {
     fn identical_trajectories_have_zero_distance() {
         let t = traj(&[0.0, 1.0, 2.0]);
         assert_eq!(hausdorff_rmsd(&t, &t), 0.0);
-        assert_eq!(hausdorff_early_break(&t, &t, frame_rmsd), 0.0);
     }
 
     #[test]
@@ -823,20 +786,6 @@ mod tests {
             let naive = hausdorff_naive(a, b, frame_rmsd);
             let pruned = hausdorff_rmsd_pruned(a, b);
             prop_assert_eq!(naive.to_bits(), pruned.to_bits());
-        }
-
-        /// Early-break must compute exactly the same value as the naive
-        /// double loop, for arbitrary small trajectories.
-        #[test]
-        fn early_break_equals_naive(
-            xs in prop::collection::vec(-50.0f32..50.0, 1..20),
-            ys in prop::collection::vec(-50.0f32..50.0, 1..20),
-        ) {
-            let a = traj(&xs);
-            let b = traj(&ys);
-            let naive = hausdorff_naive(&a, &b, frame_rmsd);
-            let eb = hausdorff_early_break(&a, &b, frame_rmsd);
-            prop_assert!((naive - eb).abs() < 1e-12, "naive={naive} eb={eb}");
         }
 
         /// Metric axioms that Hausdorff inherits: non-negativity, symmetry,

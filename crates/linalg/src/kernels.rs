@@ -1,26 +1,12 @@
-//! Frame-to-frame comparison kernels: RMSD (the `dRMS` of Algorithm 1) in a
-//! straightforward and a blocked/optimized build, and the
-//! distance-matrix-based dRMS.
+//! Frame-to-frame RMSD (the `dRMS` of Algorithm 1) in a straightforward
+//! and a blocked/unrolled build.
 //!
-//! The two `KernelFlavor`s stand in for the paper's two CPPTraj builds
-//! (GNU, no optimization vs Intel `-O3`, Fig. 6): same arithmetic, different
-//! code generation quality. Both flavours must agree to within floating
-//! point tolerance — a property test enforces this.
+//! The two builds stand in for the paper's two CPPTraj builds (GNU, no
+//! optimization vs Intel `-O3`, Fig. 6): same arithmetic, different code
+//! generation quality. They must agree to within floating point
+//! tolerance — a property test enforces this.
 
 use crate::Frame;
-
-/// Which code-generation style to use for a kernel.
-///
-/// `Gnu` is the textbook loop; `IntelO3` is manually blocked and unrolled
-/// (modelling what an optimizing compiler + SIMD does to the same source).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum KernelFlavor {
-    /// Straightforward scalar loop (models the unoptimized GNU build).
-    Gnu,
-    /// Blocked, 4-way unrolled loop with fused accumulation (models the
-    /// Intel `-Wall -O3` build).
-    IntelO3,
-}
 
 /// Root-mean-square deviation between two frames **without** optimal
 /// superposition — the per-frame metric Algorithm 1 calls `dRMS`.
@@ -66,44 +52,6 @@ pub fn frame_rmsd_blocked(a: &Frame, b: &Frame) -> f64 {
     (((s0 + s1) + (s2 + s3) + tail) / n as f64).sqrt()
 }
 
-/// Dispatch [`frame_rmsd`] / [`frame_rmsd_blocked`] by flavour.
-pub fn frame_rmsd_flavored(a: &Frame, b: &Frame, flavor: KernelFlavor) -> f64 {
-    match flavor {
-        KernelFlavor::Gnu => frame_rmsd(a, b),
-        KernelFlavor::IntelO3 => frame_rmsd_blocked(a, b),
-    }
-}
-
-/// Distance-matrix RMS (`dRMS` proper): compares the *internal* pairwise
-/// distance matrices of two conformations, making the metric invariant to
-/// rigid-body motion without needing superposition.
-///
-/// `drms(A, B) = sqrt( 2/(N(N-1)) * Σ_{i<j} (|a_i-a_j| - |b_i-b_j|)² )`
-///
-/// O(N²) in the atom count — used only on small selections; the Hausdorff
-/// path-similarity pipeline uses [`frame_rmsd`], matching MDAnalysis' PSA.
-///
-/// # Panics
-/// Panics if the frames differ in atom count or have fewer than two atoms.
-pub fn drms(a: &Frame, b: &Frame) -> f64 {
-    let n = a.n_atoms();
-    assert_eq!(n, b.n_atoms(), "drms: atom count mismatch");
-    assert!(n >= 2, "drms: need at least two atoms");
-    let pa = a.positions();
-    let pb = b.positions();
-    let mut acc = 0.0f64;
-    for i in 0..n {
-        for j in i + 1..n {
-            let da = pa[i].dist(pa[j]) as f64;
-            let db = pb[i].dist(pb[j]) as f64;
-            let d = da - db;
-            acc += d * d;
-        }
-    }
-    let pairs = (n * (n - 1) / 2) as f64;
-    (acc / pairs).sqrt()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -147,22 +95,6 @@ mod tests {
     #[should_panic]
     fn rmsd_empty_panics() {
         frame_rmsd(&Frame::zeros(0), &Frame::zeros(0));
-    }
-
-    #[test]
-    fn drms_invariant_under_translation() {
-        let a = frame_of(&[(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 2.0, 0.0)]);
-        let mut b = a.clone();
-        b.translate(Vec3::new(10.0, -7.0, 3.0));
-        assert!(drms(&a, &b) < 1e-6);
-    }
-
-    #[test]
-    fn drms_detects_internal_change() {
-        let a = frame_of(&[(0.0, 0.0, 0.0), (1.0, 0.0, 0.0)]);
-        let b = frame_of(&[(0.0, 0.0, 0.0), (3.0, 0.0, 0.0)]);
-        // Only pair distance differs by 2 => drms = 2.
-        assert!((drms(&a, &b) - 2.0).abs() < 1e-6);
     }
 
     proptest! {

@@ -4,54 +4,17 @@
 //! distance is then reduced.
 
 use crate::cdist::DistanceMatrix;
-use crate::kernels::{frame_rmsd_flavored, KernelFlavor};
+use crate::hausdorff::FrameMetric;
 use crate::Frame;
 
-/// All-pairs frame RMSD matrix between trajectories `a` (rows) and `b`
-/// (columns), using the straightforward kernel.
-pub fn rmsd2d(a: &[Frame], b: &[Frame]) -> DistanceMatrix {
-    rmsd2d_with(a, b, KernelFlavor::Gnu)
-}
-
-/// [`rmsd2d`] with an explicit kernel flavour (GNU vs Intel-O3 builds).
-pub fn rmsd2d_with(a: &[Frame], b: &[Frame], flavor: KernelFlavor) -> DistanceMatrix {
+/// All-pairs frame matrix between trajectories `a` (rows) and `b`
+/// (columns) under `metric`, row-major; each CPPTraj build (Fig. 6)
+/// passes its own RMSD kernel.
+pub fn rmsd2d(a: &[Frame], b: &[Frame], metric: FrameMetric) -> DistanceMatrix {
     let mut out = DistanceMatrix::zeros(a.len(), b.len());
     for (i, fa) in a.iter().enumerate() {
         for (j, fb) in b.iter().enumerate() {
-            out.set(i, j, frame_rmsd_flavored(fa, fb, flavor));
-        }
-    }
-    out
-}
-
-/// Frames per tile of the blocked 2-D RMSD sweep. 32 × 32 row/column
-/// frames keep both working sets resident in L2 for the paper's frame
-/// sizes (≤ ~13k atoms ≈ 160 KiB/frame tiles at 1 frame, smaller systems
-/// fit many frames), which is where the CPPTraj-style kernel gets its
-/// locality win.
-const RMSD2D_TILE: usize = 32;
-
-/// Cache-blocked [`rmsd2d`]: identical cells in tile-major order, so each
-/// tile of `b` frames is streamed against a resident tile of `a` frames
-/// (CPPTraj's 2D-RMSD loop structure). Every cell is the same
-/// `frame_rmsd` evaluation as the naive sweep — the matrices are bitwise
-/// identical (proptested below); only the traversal order changes.
-pub fn rmsd2d_blocked(a: &[Frame], b: &[Frame]) -> DistanceMatrix {
-    rmsd2d_blocked_with(a, b, KernelFlavor::Gnu)
-}
-
-/// [`rmsd2d_blocked`] with an explicit kernel flavour.
-pub fn rmsd2d_blocked_with(a: &[Frame], b: &[Frame], flavor: KernelFlavor) -> DistanceMatrix {
-    let mut out = DistanceMatrix::zeros(a.len(), b.len());
-    for i0 in (0..a.len()).step_by(RMSD2D_TILE) {
-        let i1 = (i0 + RMSD2D_TILE).min(a.len());
-        for j0 in (0..b.len()).step_by(RMSD2D_TILE) {
-            let j1 = (j0 + RMSD2D_TILE).min(b.len());
-            for (i, fa) in a[i0..i1].iter().enumerate() {
-                for (j, fb) in b[j0..j1].iter().enumerate() {
-                    out.set(i0 + i, j0 + j, frame_rmsd_flavored(fa, fb, flavor));
-                }
-            }
+            out.set(i, j, metric(fa, fb));
         }
     }
     out
@@ -102,7 +65,7 @@ mod tests {
     fn matrix_shape_and_values() {
         let a = traj(&[0.0, 2.0]);
         let b = traj(&[0.0, 1.0, 3.0]);
-        let d = rmsd2d(&a, &b);
+        let d = rmsd2d(&a, &b, frame_rmsd);
         assert_eq!((d.rows(), d.cols()), (2, 3));
         assert_eq!(d.get(0, 0), 0.0);
         assert_eq!(d.get(0, 2), 3.0);
@@ -110,23 +73,10 @@ mod tests {
     }
 
     #[test]
-    fn flavors_agree() {
-        let a = traj(&[0.0, 1.5, -2.0, 4.0, 0.25]);
-        let b = traj(&[1.0, 1.25, 7.0]);
-        let g = rmsd2d_with(&a, &b, KernelFlavor::Gnu);
-        let o3 = rmsd2d_with(&a, &b, KernelFlavor::IntelO3);
-        for i in 0..g.rows() {
-            for j in 0..g.cols() {
-                assert!((g.get(i, j) - o3.get(i, j)).abs() < 1e-9);
-            }
-        }
-    }
-
-    #[test]
     fn hausdorff_reduction_matches_direct() {
         let a = traj(&[0.0, 1.0, 2.5, -3.0]);
         let b = traj(&[0.5, 4.0]);
-        let via_matrix = hausdorff_from_rmsd2d(&rmsd2d(&a, &b));
+        let via_matrix = hausdorff_from_rmsd2d(&rmsd2d(&a, &b, frame_rmsd));
         let direct = hausdorff_naive(&a, &b, frame_rmsd);
         assert!((via_matrix - direct).abs() < 1e-12);
     }
@@ -135,36 +85,5 @@ mod tests {
     #[should_panic]
     fn empty_matrix_panics() {
         hausdorff_from_rmsd2d(&DistanceMatrix::zeros(0, 0));
-    }
-
-    #[test]
-    fn blocked_handles_ragged_tiles() {
-        // Sizes straddling the tile boundary: every cell must be written.
-        let a = traj(&(0..37).map(|i| i as f32).collect::<Vec<_>>());
-        let b = traj(&(0..65).map(|i| 0.5 * i as f32).collect::<Vec<_>>());
-        let naive = rmsd2d(&a, &b);
-        let blocked = rmsd2d_blocked(&a, &b);
-        assert_eq!(naive.as_slice(), blocked.as_slice());
-    }
-
-    mod props {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            /// The blocked sweep is a pure reordering: bitwise-identical
-            /// matrices, any shape.
-            #[test]
-            fn blocked_equals_naive(
-                xs in prop::collection::vec(-50.0f32..50.0, 1..70),
-                ys in prop::collection::vec(-50.0f32..50.0, 1..70),
-            ) {
-                let a = traj(&xs);
-                let b = traj(&ys);
-                let naive = rmsd2d(&a, &b);
-                let blocked = rmsd2d_blocked(&a, &b);
-                prop_assert_eq!(naive.as_slice(), blocked.as_slice());
-            }
-        }
     }
 }

@@ -3,8 +3,7 @@
 //! RADICAL-Pilot has "no shuffle; filesystem-based communication"
 //! (Table 1): tasks communicate exclusively by writing output files that
 //! downstream tasks (or the client) read back. `StagingArea` provides that
-//! pattern: a directory of numbered binary blobs with byte accounting, so
-//! engines can charge realistic staging I/O to the simulated clock.
+//! pattern: a directory of numbered binary blobs.
 
 use crate::Result;
 use std::path::{Path, PathBuf};
@@ -14,8 +13,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 #[derive(Debug)]
 pub struct StagingArea {
     root: PathBuf,
-    bytes_written: AtomicU64,
-    bytes_read: AtomicU64,
 }
 
 impl StagingArea {
@@ -23,11 +20,7 @@ impl StagingArea {
     pub fn new(root: impl Into<PathBuf>) -> Result<Self> {
         let root = root.into();
         std::fs::create_dir_all(&root)?;
-        Ok(StagingArea {
-            root,
-            bytes_written: AtomicU64::new(0),
-            bytes_read: AtomicU64::new(0),
-        })
+        Ok(StagingArea { root })
     }
 
     /// A unique staging area under the system temp dir.
@@ -45,7 +38,7 @@ impl StagingArea {
     }
 
     /// Path for task `task_id`'s file named `name`.
-    pub fn task_path(&self, task_id: usize, name: &str) -> PathBuf {
+    fn task_path(&self, task_id: usize, name: &str) -> PathBuf {
         self.root.join(format!("task-{task_id:06}-{name}.bin"))
     }
 
@@ -53,27 +46,12 @@ impl StagingArea {
     pub fn stage_in(&self, task_id: usize, name: &str, data: &[u8]) -> Result<PathBuf> {
         let path = self.task_path(task_id, name);
         std::fs::write(&path, data)?;
-        self.bytes_written
-            .fetch_add(data.len() as u64, Ordering::Relaxed);
         Ok(path)
     }
 
     /// Read a task's staged blob back.
     pub fn stage_out(&self, task_id: usize, name: &str) -> Result<Vec<u8>> {
-        let data = std::fs::read(self.task_path(task_id, name))?;
-        self.bytes_read
-            .fetch_add(data.len() as u64, Ordering::Relaxed);
-        Ok(data)
-    }
-
-    /// Total bytes written through this area.
-    pub fn bytes_written(&self) -> u64 {
-        self.bytes_written.load(Ordering::Relaxed)
-    }
-
-    /// Total bytes read through this area.
-    pub fn bytes_read(&self) -> u64 {
-        self.bytes_read.load(Ordering::Relaxed)
+        Ok(std::fs::read(self.task_path(task_id, name))?)
     }
 
     /// Remove the staging directory and its contents.
@@ -88,14 +66,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn stage_roundtrip_and_accounting() {
+    fn stage_roundtrip() {
         let area = StagingArea::temp("roundtrip").unwrap();
         area.stage_in(0, "input", b"hello").unwrap();
         area.stage_in(1, "input", b"world!").unwrap();
         assert_eq!(area.stage_out(0, "input").unwrap(), b"hello");
         assert_eq!(area.stage_out(1, "input").unwrap(), b"world!");
-        assert_eq!(area.bytes_written(), 11);
-        assert_eq!(area.bytes_read(), 11);
         area.cleanup().unwrap();
     }
 

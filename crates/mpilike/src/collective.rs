@@ -5,10 +5,15 @@
 //! rank to arrive runs the `finish` function, which sees every rank's
 //! arrival clock and contribution and decides per-rank results and
 //! completion clocks.
+//!
+//! A rank that unwinds can never arrive, so it [aborts](Rendezvous::abort)
+//! the rendezvous: every rank waiting in (or later entering) a collective
+//! unwinds with [`Aborted`] instead of waiting forever.
 
 use parking_lot::{Condvar, Mutex};
 use std::any::Any;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 type Slot = Option<Box<dyn Any + Send>>;
 
@@ -36,11 +41,17 @@ impl Round {
     }
 }
 
+/// The panic payload of a rank unwound by [`Rendezvous::abort`]: it was
+/// waiting on a rank that panicked, so the run re-raises that rank's
+/// payload, not this one.
+pub struct Aborted;
+
 /// Coordination point shared by all ranks of one world.
 pub struct Rendezvous {
     world: usize,
     state: Mutex<HashMap<u64, Round>>,
     cv: Condvar,
+    aborted: AtomicBool,
     /// Communication seconds charged across all collectives (completion
     /// minus latest arrival, i.e. cost excluding load imbalance).
     comm_s: Mutex<f64>,
@@ -53,13 +64,18 @@ impl Rendezvous {
             world,
             state: Mutex::new(HashMap::new()),
             cv: Condvar::new(),
+            aborted: AtomicBool::new(false),
             comm_s: Mutex::new(0.0),
         }
     }
 
-    #[allow(dead_code)]
-    pub fn world(&self) -> usize {
-        self.world
+    /// Give up on every collective: wake the waiting ranks, which unwind
+    /// with [`Aborted`], as does any rank entering a collective later.
+    pub fn abort(&self) {
+        self.aborted.store(true, Ordering::SeqCst);
+        // Taking the lock orders the flag before any waiter's next check.
+        let _g = self.state.lock();
+        self.cv.notify_all();
     }
 
     /// Total virtual communication time charged so far.
@@ -75,7 +91,8 @@ impl Rendezvous {
     ///
     /// # Panics
     /// Panics if ranks disagree on the payload type for the same `seq`
-    /// (an SPMD programming error).
+    /// (an SPMD programming error), and unwinds with [`Aborted`] once the
+    /// rendezvous is [aborted](Self::abort) before the round completes.
     pub fn exchange<T, R, F>(
         &self,
         seq: u64,
@@ -137,6 +154,10 @@ impl Rendezvous {
             self.cv.notify_all();
         } else {
             while !g.get(&seq).is_some_and(|r| r.done) {
+                if self.aborted.load(Ordering::SeqCst) {
+                    drop(g);
+                    std::panic::resume_unwind(Box::new(Aborted));
+                }
                 self.cv.wait(&mut g);
             }
         }

@@ -1,9 +1,10 @@
 //! The SPMD communicator and runner.
 
-use crate::collective::Rendezvous;
+use crate::collective::{Aborted, Rendezvous};
 use netsim::{Cluster, EventKind, RetryPolicy, SimReport, Trace, TraceEvent};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use taskframe::{mpi_profile, EngineError, Payload};
 
@@ -151,6 +152,10 @@ where
 ///
 /// MPI runs at most one rank per core: a `world` outside `1..=cores` is
 /// [`EngineError::Unsupported`], answered before any rank is spawned.
+///
+/// A panic in a rank's closure aborts the communicator: the ranks blocked
+/// in a collective unwind too, and the first panicking rank's payload is
+/// re-raised to the caller — a panic, never a hang.
 pub fn try_run_with_policy<T, F>(
     cluster: Cluster,
     world: usize,
@@ -182,38 +187,41 @@ where
         collective_ends: Mutex::new(BTreeMap::new()),
     };
 
-    let mut results: Vec<Option<T>> = Vec::with_capacity(world);
-    let mut final_clocks = vec![0.0f64; world];
-    {
-        let shared = &shared;
-        let f = &f;
-        let slots: Vec<(Option<T>, f64)> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..world)
-                .map(|rank| {
-                    s.spawn(move || {
-                        let mut comm = Comm {
-                            rank,
-                            world,
-                            clock: profile.startup_s,
-                            seq: 0,
-                            phase: String::new(),
-                            shared,
-                        };
-                        let out = f(&mut comm);
-                        (Some(out), comm.clock)
-                    })
+    let joined: Vec<std::thread::Result<(T, f64)>> = std::thread::scope(|s| {
+        let (shared, f) = (&shared, &f);
+        let handles: Vec<_> = (0..world)
+            .map(|rank| {
+                s.spawn(move || {
+                    let mut comm = Comm {
+                        rank,
+                        world,
+                        clock: profile.startup_s,
+                        seq: 0,
+                        phase: String::new(),
+                        shared,
+                    };
+                    match panic::catch_unwind(AssertUnwindSafe(|| f(&mut comm))) {
+                        Ok(out) => (out, comm.clock),
+                        Err(payload) => {
+                            // The other ranks would wait for this one
+                            // forever: release them, then keep unwinding.
+                            shared.rendezvous.abort();
+                            panic::resume_unwind(payload)
+                        }
+                    }
                 })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("rank panicked"))
-                .collect()
-        });
-        for (i, (out, clock)) in slots.into_iter().enumerate() {
-            results.push(out);
-            final_clocks[i] = clock;
-        }
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join()).collect()
+    });
+    // `mpirun` tears the job down when a rank dies: re-raise the first
+    // rank's own panic, not the `Aborted` of a rank it released.
+    if joined.iter().any(Result::is_err) {
+        let mut panics: Vec<_> = joined.into_iter().filter_map(Result::err).collect();
+        let first = panics.iter().position(|p| !p.is::<Aborted>()).unwrap_or(0);
+        panic::resume_unwind(panics.swap_remove(first));
     }
+    let (results, final_clocks): (Vec<T>, Vec<f64>) = joined.into_iter().flatten().unzip();
 
     let job_end = final_clocks
         .iter()
@@ -430,13 +438,7 @@ where
     for (start_s, end_s) in recovery_windows {
         report.push_phase("recovery", start_s, end_s);
     }
-    Ok(MpiRunOutput {
-        results: results
-            .into_iter()
-            .map(|o| o.expect("rank result"))
-            .collect(),
-        report,
-    })
+    Ok(MpiRunOutput { results, report })
 }
 
 impl<'a> Comm<'a> {
@@ -614,8 +616,7 @@ impl<'a> Comm<'a> {
     /// Scatter `parts[i]` to rank `i` from `root`. Sequential sends, like
     /// [`Self::bcast`].
     ///
-    /// Panics if a part exceeds its destination rank's fixed buffer (use
-    /// [`Self::try_scatter`] under memory pressure).
+    /// Panics if a part exceeds its destination rank's fixed buffer.
     pub fn scatter<T>(&mut self, root: usize, parts: Option<Vec<T>>) -> T
     where
         T: Payload + Send + 'static,
@@ -624,10 +625,10 @@ impl<'a> Comm<'a> {
             .expect("scatter part exceeded a fixed per-rank buffer")
     }
 
-    /// Fallible [`Self::scatter`]: oversized parts chunk; a part that
+    /// [`Self::scatter`]'s collective: oversized parts chunk; a part that
     /// cannot fit its destination's fixed buffer fails the collective for
     /// every rank with a typed error.
-    pub fn try_scatter<T>(&mut self, root: usize, parts: Option<Vec<T>>) -> Result<T, EngineError>
+    fn try_scatter<T>(&mut self, root: usize, parts: Option<Vec<T>>) -> Result<T, EngineError>
     where
         T: Payload + Send + 'static,
     {

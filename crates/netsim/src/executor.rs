@@ -1059,20 +1059,10 @@ impl SimExecutor {
         }
     }
 
-    /// The admission-control core cap currently set for `node`.
-    pub fn node_core_limit(&self, node: usize) -> usize {
-        self.node_core_limit[node]
-    }
-
     /// Virtual time when every core is idle again (O(1): maintained
     /// incrementally by [`Self::set_core_free`]).
     pub fn all_idle_at(&self) -> f64 {
         self.max_free
-    }
-
-    /// Virtual time when core `c` is next free.
-    pub fn core_free_at(&self, c: usize) -> f64 {
-        self.core_free[c]
     }
 
     /// Advance the simulation's observed makespan to at least `t` (used for
@@ -1263,7 +1253,7 @@ mod tests {
         e.record_recovery("recompute", 1.0, 1.25);
         let t = e.trace().unwrap();
         assert_eq!(t.events.len(), 4);
-        assert_eq!(e.core_free_at(0), 1.0, "network events hold no core");
+        assert_eq!(e.core_free[0], 1.0, "network events hold no core");
         // The trace lives in the report, so clones keep it.
         assert!(e.report().trace.is_some());
     }
@@ -1347,8 +1337,8 @@ mod tests {
         assert_eq!(capped.report().retries, 1, "the backup attempt is a retry");
         // Both cores were genuinely occupied: the straggler until its kill,
         // the backup until it finished.
-        assert_eq!(capped.core_free_at(0), 3.0);
-        assert_eq!(capped.core_free_at(1), 3.0);
+        assert_eq!(capped.core_free[0], 3.0);
+        assert_eq!(capped.core_free[1], 3.0);
         assert_eq!(capped.report().lost_time_s, 3.0);
         let t = capped.trace().unwrap();
         assert_eq!(t.events.len(), 2, "both attempts appear in the trace");
@@ -1385,7 +1375,7 @@ mod tests {
         assert_eq!(p.core, 0);
         assert_eq!(p.end, 3.0);
         assert_eq!(e.report().retries, 0);
-        assert_eq!(e.core_free_at(1), 0.0, "no phantom backup occupancy");
+        assert_eq!(e.core_free[1], 0.0, "no phantom backup occupancy");
     }
 
     #[test]
@@ -1515,7 +1505,7 @@ mod tests {
             let cores = nodes * per_node;
             for _ in 0..cores * 2 {
                 let c = (mix(&mut rng) % cores as u64) as usize;
-                let bump = e.core_free_at(c) + unit(&mut rng) * 6.0;
+                let bump = e.core_free[c] + unit(&mut rng) * 6.0;
                 e.set_core_free(c, bump);
             }
             // Compare picks across a grid of release times and avoid sets.
@@ -1606,7 +1596,7 @@ mod tests {
             }
             for _ in 0..cores * 2 {
                 let c = (mix(&mut rng) % cores as u64) as usize;
-                let bump = e.core_free_at(c) + unit(&mut rng) * 5.0;
+                let bump = e.core_free[c] + unit(&mut rng) * 5.0;
                 e.set_core_free(c, bump);
             }
             for _ in 0..64 {
@@ -1621,7 +1611,7 @@ mod tests {
                 );
                 compared += 1;
                 if let Some((c, start)) = fast {
-                    pushed_by_a_cut += (start > e.core_free_at(c).max(ready)) as usize;
+                    pushed_by_a_cut += (start > e.core_free[c].max(ready)) as usize;
                 }
             }
         }
@@ -1681,7 +1671,7 @@ mod tests {
         assert_eq!(e.all_idle_at(), 0.0);
         for i in 0..10 {
             e.run_task(0.0, 0.5 + (i % 4) as f64 * 0.25);
-            let fold = (0..4).map(|c| e.core_free_at(c)).fold(0.0, f64::max);
+            let fold = (0..4).map(|c| e.core_free[c]).fold(0.0, f64::max);
             assert_eq!(e.all_idle_at(), fold);
         }
     }
@@ -1916,8 +1906,8 @@ mod tests {
         assert_eq!(p.end, 6.0, "backup pays its own straggler factor");
         assert_eq!(e.report().retries, 1);
         assert_eq!(e.report().lost_time_s, 6.0, "original occupied [0, 6)");
-        assert_eq!(e.core_free_at(0), 6.0);
-        assert_eq!(e.core_free_at(1), 6.0);
+        assert_eq!(e.core_free[0], 6.0);
+        assert_eq!(e.core_free[1], 6.0);
     }
 
     #[test]
@@ -1934,7 +1924,7 @@ mod tests {
         assert_eq!(p.end, 10.0);
         assert_eq!(e.report().retries, 0, "no retry for an unlaunched backup");
         assert_eq!(e.report().lost_time_s, 0.0);
-        assert_eq!(e.core_free_at(1), 0.0, "dying node never occupied");
+        assert_eq!(e.core_free[1], 0.0, "dying node never occupied");
     }
 
     #[test]
@@ -1951,7 +1941,7 @@ mod tests {
         assert_eq!(p.end, 3.0);
         assert_eq!(e.report().retries, 1);
         assert_eq!(e.report().lost_time_s, 3.0);
-        assert_eq!(e.core_free_at(0), 3.0, "straggler core freed at the kill");
+        assert_eq!(e.core_free[0], 3.0, "straggler core freed at the kill");
     }
 
     #[test]
@@ -1965,7 +1955,7 @@ mod tests {
         assert_eq!((p.core, p.end), (1, 3.0));
         assert_eq!(e.report().retries, 1);
         assert_eq!(e.report().lost_time_s, 2.5);
-        assert_eq!(e.core_free_at(0), 2.5);
+        assert_eq!(e.core_free[0], 2.5);
     }
 
     // ---- one attempt, one loop ----
@@ -2072,7 +2062,7 @@ mod tests {
                 cause: Cause::Watchdog { timeout_s: 4.0 }
             })
         );
-        assert_eq!(doomed.core_free_at(1), 0.0, "no phantom backup occupancy");
+        assert_eq!(doomed.core_free[1], 0.0, "no phantom backup occupancy");
     }
 
     #[test]
@@ -2097,7 +2087,7 @@ mod tests {
         let mut e = faulty(1, 2, plan);
         let p = e.run_task_policied(0.0, 1.0, &RetryPolicy::new(3)).unwrap();
         assert_eq!((p.start, p.end), (0.0, 3.0));
-        assert_eq!(e.core_free_at(1), 1.0, "the core frees at compute end");
+        assert_eq!(e.core_free[1], 1.0, "the core frees at compute end");
     }
 
     // ---- per-node memory model ----
@@ -2179,9 +2169,9 @@ mod tests {
             let p = e.run_task(0.0, 1.0);
             assert!(p.core == 0 || p.core >= 4, "cores 1-3 are closed");
         }
-        assert_eq!(e.core_free_at(1), 0.0);
-        assert_eq!(e.node_core_limit(0), 1);
-        assert_eq!(e.node_core_limit(1), 4);
+        assert_eq!(e.core_free[1], 0.0);
+        assert_eq!(e.node_core_limit[0], 1);
+        assert_eq!(e.node_core_limit[1], 4);
         // nth_free_core sees only admitted survivors.
         assert_eq!(e.nth_free_core(10.0, 1), 4);
     }

@@ -112,13 +112,13 @@ pub struct Partition {
 impl Partition {
     /// Which side of this partition `node` is on: `Some(i)` for an
     /// explicitly listed group, `None` for the implicit remainder group.
-    pub fn group_of(&self, node: usize) -> Option<usize> {
+    fn group_of(&self, node: usize) -> Option<usize> {
         self.groups.iter().position(|g| g.contains(&node))
     }
 
     /// True while this partition is in effect at `at_s` (half-open
     /// window: cut at `from_s`, healed at `to_s`).
-    pub fn active_at(&self, at_s: f64) -> bool {
+    fn active_at(&self, at_s: f64) -> bool {
         self.from_s <= at_s && at_s < self.to_s
     }
 
@@ -128,7 +128,7 @@ impl Partition {
     }
 
     /// Every node this partition explicitly lists.
-    pub fn listed_nodes(&self) -> impl Iterator<Item = usize> + '_ {
+    fn listed_nodes(&self) -> impl Iterator<Item = usize> + '_ {
         self.groups.iter().flatten().copied()
     }
 }
@@ -150,7 +150,7 @@ pub struct LinkDegrade {
 
 impl LinkDegrade {
     /// True while this degradation is in effect at `at_s`.
-    pub fn active_at(&self, at_s: f64) -> bool {
+    fn active_at(&self, at_s: f64) -> bool {
         self.from_s <= at_s && at_s < self.to_s
     }
 
@@ -590,15 +590,6 @@ impl FaultPlan {
             ^ mix((attempt as u64) << 40);
         let u = (mix(key) >> 11) as f64 / (1u64 << 53) as f64;
         u < prob
-    }
-
-    /// Earliest producer-crash time, if the plan crashes the producer.
-    pub fn producer_crash(&self) -> Option<f64> {
-        self.producer_stalls
-            .iter()
-            .filter(|s| s.is_crash())
-            .map(|s| s.at_s)
-            .fold(None, |acc, t| Some(acc.map_or(t, |a: f64| a.min(t))))
     }
 
     /// Total scripted delivery delay for `frame` (0 if none).
@@ -1655,11 +1646,11 @@ mod tests {
         assert!(!p.is_empty());
         assert_eq!(p.producer_stalls().len(), 2);
         assert!(p.producer_stalls()[1].is_crash());
-        assert_eq!(p.producer_crash(), Some(10.0));
+        assert_eq!(p.producer_stalls()[1].at_s, 10.0);
         assert_eq!(p.frame_drops(), &[FrameDrop { frame: 7 }]);
         assert_eq!(p.frame_delay(3), 0.75, "delays accumulate");
         assert_eq!(p.frame_delay(4), 0.0);
-        assert_eq!(FaultPlan::none().producer_crash(), None);
+        assert!(FaultPlan::none().producer_stalls().is_empty());
     }
 
     #[test]

@@ -72,18 +72,18 @@ impl WindowSpec {
         }
     }
 
-    pub fn start_of(&self, id: usize) -> f64 {
+    fn start_of(&self, id: usize) -> f64 {
         id as f64 * self.slide_s
     }
 
-    pub fn end_of(&self, id: usize) -> f64 {
+    fn end_of(&self, id: usize) -> f64 {
         self.start_of(id) + self.window_s
     }
 
     /// Inclusive id range of the windows covering an event stamp. The
     /// epsilon absorbs float noise when stamps land exactly on window
     /// boundaries (starts are inclusive, ends exclusive).
-    pub fn ids_for(&self, event_s: f64) -> (usize, usize) {
+    fn ids_for(&self, event_s: f64) -> (usize, usize) {
         const EPS: f64 = 1e-9;
         let hi = ((event_s + EPS) / self.slide_s).floor().max(0.0) as usize;
         let lo = ((event_s - self.window_s) / self.slide_s + EPS).floor() + 1.0;
@@ -244,7 +244,7 @@ impl SourceLog {
 
     /// Newest event stamp among deliveries that arrived by `t` — the
     /// source-side watermark an ideal consumer could have reached.
-    pub fn max_event_arrived_by(&self, t: f64) -> f64 {
+    fn max_event_arrived_by(&self, t: f64) -> f64 {
         self.events
             .iter()
             .filter(|e| e.arrive_s <= t)

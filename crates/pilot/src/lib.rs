@@ -444,11 +444,6 @@ impl Session {
     pub fn report(&self) -> SimReport {
         self.state.lock().exec.report().clone()
     }
-
-    /// Number of database operations performed so far.
-    pub fn db_ops(&self) -> u64 {
-        self.state.lock().db.ops()
-    }
 }
 
 #[cfg(test)]
@@ -491,7 +486,7 @@ mod tests {
             .map(|i| UnitDescription::compute_only(move |_, _| i))
             .collect();
         let out = s.submit_and_wait(units).unwrap();
-        assert_eq!(s.db_ops(), n * DB_TRANSITIONS as u64);
+        assert_eq!(s.state.lock().db.ops(), n * DB_TRANSITIONS as u64);
         // Even with zero-work tasks, the DB floor bounds the makespan:
         // n tasks × 4 trips × 3 ms each (beyond the 35 s bootstrap).
         let floor = 35.0 + n as f64 * 0.012;

@@ -125,7 +125,7 @@ impl SparkContext {
         Self::with_profile(cluster, spark_profile())
     }
 
-    /// Override the framework profile (used by ablation benches).
+    /// A context with `profile` in place of the Spark framework profile.
     pub fn with_profile(cluster: Cluster, profile: FrameworkProfile) -> Self {
         let mut exec = SimExecutor::new(cluster.clone());
         exec.report_mut().overhead_s += profile.startup_s;

@@ -515,7 +515,7 @@ where
     }
 
     /// Materialize and count elements, surfacing job failure.
-    pub fn try_count(&self) -> Result<usize, EngineError> {
+    fn try_count(&self) -> Result<usize, EngineError> {
         let mut st = self.ctx.inner.state.lock();
         let parts = self.run_stage(&mut st)?;
         st.frontier += self.ctx.inner.cluster.profile.network.latency_s;

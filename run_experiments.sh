@@ -5,7 +5,7 @@
 set -e
 cd "$(dirname "$0")"
 mkdir -p results
-for exp in fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 tab1 tab2 tab3 ablations; do
+for exp in fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 tab1 tab2 tab3; do
     if [ -s "results/exp_$exp.txt" ] && [ -f "results/.exp_$exp.ok" ]; then
         echo "=== exp_$exp === (cached)"
         continue

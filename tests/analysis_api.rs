@@ -416,6 +416,34 @@ fn impossible_mpi_world_is_a_typed_error_not_a_panic() {
     }
 }
 
+/// A selection index past the trajectory's atoms is refused typed, once
+/// per run, by every engine's `plan` — not a panic in some task's
+/// `gather`, and no MPI world left waiting on a rank that died.
+#[test]
+fn out_of_range_atom_index_is_a_typed_error_on_every_engine() {
+    let spec = ChainSpec {
+        n_atoms: 10,
+        n_frames: 6,
+        stride: 1,
+        ..ChainSpec::default()
+    };
+    let traj = Arc::new(mdtask::sim::chain::generate(&spec, 5));
+    let select = AtomSelection::Indices(Arc::new(vec![0, 99]));
+    for engine in ENGINES {
+        let rc = RunConfig::new(Cluster::new(laptop(), 2), engine).mpi_world(4);
+        let first_x = |frame: &Frame, sel: &AtomSelection| sel.gather(frame)[0].x as f64;
+        let analysis =
+            AnalysisFromFunction::new("first-x", Arc::clone(&traj), select.clone(), 3, first_x);
+        match rc.run_analysis(analysis).err() {
+            Some(EngineError::Unsupported(m)) => assert_eq!(
+                m, "atom index 99 in a selection over 10 atoms (need 0..10)",
+                "{engine:?}"
+            ),
+            other => panic!("{engine:?}: {other:?}"),
+        }
+    }
+}
+
 /// An MPI analysis that only reads: `slices` unit slices, each declaring
 /// 1 000 bytes of input when `read` is set. Its output is the rank clocks.
 struct Reads {

@@ -261,3 +261,31 @@ fn lost_fetches_are_resent_not_recounted() {
     assert!(lossy.retries > 0, "re-sent fetches are retries");
     assert!(lossy.comm_s > clean.comm_s, "re-sending costs wire time");
 }
+
+/// A rank that panics aborts its communicator, as `mpirun` would: the
+/// ranks waiting on it in a collective unwind too, and the caller gets
+/// the panicking rank's own payload back — promptly, never a hang.
+#[test]
+fn a_panicking_rank_aborts_the_mpi_world_instead_of_hanging() {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let helper = std::thread::spawn(move || {
+        let run = std::panic::catch_unwind(|| {
+            mdtask::mpi::run(cluster(), 4, |comm| {
+                if comm.rank() == 2 {
+                    panic!("rank 2 failed");
+                }
+                comm.barrier();
+                comm.rank()
+            })
+        });
+        let payload = run
+            .err()
+            .map(|p| p.downcast_ref::<&str>().map(|s| s.to_string()));
+        let _ = tx.send(payload);
+    });
+    let payload = rx
+        .recv_timeout(std::time::Duration::from_secs(20))
+        .expect("a panicking rank left the other ranks blocked in the barrier");
+    assert_eq!(payload, Some(Some("rank 2 failed".to_string())));
+    helper.join().expect("the helper caught the run's panic");
+}
