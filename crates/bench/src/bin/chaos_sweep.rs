@@ -132,7 +132,7 @@ fn report_violations(engine: Engine, report: &FuzzReport, path: &str) {
     println!(
         "  {:<6} {} plans, {} VIOLATIONS",
         engine.label(),
-        report.plans_run,
+        report.runs,
         report.violations.len()
     );
     for v in &report.violations {
@@ -191,7 +191,7 @@ fn main() {
             println!(
                 "  {:<6} {} plans, all oracles held",
                 engine.label(),
-                report.plans_run
+                report.runs
             );
         } else {
             failed = true;
@@ -259,7 +259,7 @@ fn main() {
                     "  {:<6} {} plans, all oracles held \
                      (spilled {} B, evicted {} B, {} recomputes, {} OOM, {} typed errors)",
                     engine.label(),
-                    report.plans_run,
+                    report.runs,
                     agg.bytes_spilled,
                     agg.bytes_evicted,
                     agg.recomputed_partitions,

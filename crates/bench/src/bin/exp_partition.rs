@@ -27,11 +27,12 @@
 //! ```
 
 use bench::report::{json_lines, Cell, Row};
-use bench::{death_window, lf_system, write_artifact, ChaosLeg};
+use bench::{death_window, lf_system, write_artifact, write_violations};
 use mdtask_core::run::{run_lf, RunConfig};
 use mdtask_core::{LfApproach, LfOutput};
-use netsim::chaos::{plan_for_seed, ChaosConfig};
+use netsim::chaos::{fuzz_with, plan_for_seed, shrink, ChaosConfig, Verdict};
 use netsim::{laptop, Cluster, FaultPlan, RetryPolicy, SimReport};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use taskframe::{Engine, EngineError};
 
@@ -235,10 +236,10 @@ fn main() {
     }
 
     // Chaos leg: generated cuts + link degradation stacked on the usual
-    // deaths/stragglers, on every engine.
-    let mut leg = ChaosLeg::new("partition", viol_dir, is_typed);
-    let mut chaos_zombies = 0usize;
-    let mut chaos_fences = 0usize;
+    // deaths/stragglers, on every engine. Zombies and fences are counted
+    // over the runs that held, as they were judged (not while shrinking).
+    let (mut completed, mut typed, mut violations) = (0, 0, 0);
+    let (zombies, fences) = (AtomicUsize::new(0), AtomicUsize::new(0));
     for engine in Engine::ALL {
         let clean = run_lf(
             &rc(engine, FaultPlan::none(), 0.5),
@@ -256,32 +257,44 @@ fn main() {
             c.partition_len_s = (0.5, 3.0);
             c
         };
-        let run_plan =
-            |plan: FaultPlan| run_lf(&rc(engine, plan, 0.5), Arc::clone(&positions), &cfg);
-        let verdict = |plan: &FaultPlan| -> Result<Option<String>, EngineError> {
-            let out = run_plan(plan.clone())?;
+        let shrinking = AtomicBool::new(false);
+        let oracle = |out: LfOutput| {
+            let r = &out.report;
             if !matches(&clean, &out) {
-                return Ok(Some("results diverged from the fault-free run".into()));
+                return Some("results diverged from the fault-free run".into());
             }
-            if out.report.zombie_attempts > 0 && out.report.fenced_results == 0 {
-                return Ok(Some("zombie results were not fenced".into()));
+            if r.zombie_attempts > 0 && r.fenced_results == 0 {
+                return Some("zombie results were not fenced".into());
             }
-            if !out.report.makespan_s.is_finite() {
-                return Ok(Some("non-finite makespan".into()));
+            if !r.makespan_s.is_finite() {
+                return Some("non-finite makespan".into());
             }
-            Ok(None)
+            if !shrinking.load(Ordering::Relaxed) {
+                zombies.fetch_add(r.zombie_attempts, Ordering::Relaxed);
+                fences.fetch_add(r.fenced_results, Ordering::Relaxed);
+            }
+            None
         };
-        for seed in 0..n_plans as u64 {
-            let plan = plan_for_seed(&chaos_cfg, seed);
-            if leg.judge(engine, seed, &plan, verdict) {
-                let r = run_plan(plan).expect("just ran").report;
-                chaos_zombies += r.zombie_attempts;
-                chaos_fences += r.fenced_results;
-            }
-        }
+        let report = fuzz_with(
+            0..n_plans as u64,
+            |seed| plan_for_seed(&chaos_cfg, seed),
+            |plan| match run_lf(&rc(engine, plan.clone(), 0.5), Arc::clone(&positions), &cfg) {
+                Ok(out) => oracle(out).map_or(Verdict::Held, Verdict::Broke),
+                Err(e) if is_typed(&e) => Verdict::Typed,
+                Err(e) => Verdict::Broke(format!("untyped failure {e:?}")),
+            },
+            |plan, still_fails| {
+                shrinking.store(true, Ordering::Relaxed);
+                shrink(plan, still_fails)
+            },
+        );
+        write_violations(&report, engine, &viol_dir, "partition");
+        completed += report.completed;
+        typed += report.typed;
+        violations += report.violations.len();
     }
-    failed |= leg.violations > 0;
-    let (completed, typed, violations) = (leg.completed, leg.typed_failures, leg.violations);
+    failed |= violations > 0;
+    let (chaos_zombies, chaos_fences) = (zombies.into_inner(), fences.into_inner());
     println!(
         "  chaos: {completed} completed, {typed} typed failures, {violations} violations, \
          {chaos_zombies} zombies all fenced ({chaos_fences} fences) over {} runs",

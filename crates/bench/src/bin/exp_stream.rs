@@ -31,10 +31,10 @@
 //! ```
 
 use bench::report::{json_lines, Cell, Row};
-use bench::{write_artifact, ChaosLeg};
+use bench::{write_artifact, write_violations};
 use mdtask_core::run::{run_lf_stream, RunConfig};
 use mdtask_core::LfConfig;
-use netsim::chaos::{plan_for_seed, ChaosConfig};
+use netsim::chaos::{fuzz_with, plan_for_seed, shrink, ChaosConfig, Verdict};
 use netsim::stream::{check_stream_invariants, DispatchMode, StreamJob, StreamRun, WindowSpec};
 use netsim::{laptop, Cluster, FaultPlan, RetryPolicy};
 use std::sync::Arc;
@@ -248,18 +248,25 @@ fn main() {
     chaos_cfg.mem_shrink_window_s = (0.0, 20.0);
     chaos_cfg.mem_per_node = 16 << 30;
     let chaos_interval = 0.25;
-    let mut leg = ChaosLeg::new("stream", viol_dir, is_typed);
-    for seed in 0..n_plans as u64 {
-        let plan = plan_for_seed(&chaos_cfg, seed);
-        for engine in Engine::ALL {
-            leg.judge(engine, seed, &plan, |cand| {
-                let r = run_one(engine, FRAMES, chaos_interval, cand.clone())?;
-                Ok(oracle_message(engine, FRAMES, chaos_interval, cand, &r))
-            });
-        }
+    let (mut completed, mut typed, mut violations) = (0, 0, 0);
+    for engine in Engine::ALL {
+        let report = fuzz_with(
+            0..n_plans as u64,
+            |seed| plan_for_seed(&chaos_cfg, seed),
+            |plan| match run_one(engine, FRAMES, chaos_interval, plan.clone()) {
+                Ok(r) => oracle_message(engine, FRAMES, chaos_interval, plan, &r)
+                    .map_or(Verdict::Held, Verdict::Broke),
+                Err(e) if is_typed(&e) => Verdict::Typed,
+                Err(e) => Verdict::Broke(format!("untyped failure {e:?}")),
+            },
+            |plan, still_fails| shrink(plan, still_fails),
+        );
+        write_violations(&report, engine, &viol_dir, "stream");
+        completed += report.completed;
+        typed += report.typed;
+        violations += report.violations.len();
     }
-    failed |= leg.violations > 0;
-    let (completed, typed, violations) = (leg.completed, leg.typed_failures, leg.violations);
+    failed |= violations > 0;
     println!(
         "  chaos: {completed} completed, {typed} typed failures, \
          {violations} violations over {} runs",

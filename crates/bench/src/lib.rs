@@ -21,10 +21,9 @@
 //!   `PATH`.
 
 use mdtask_core::LfConfig;
-use netsim::chaos::shrink;
-use netsim::{comet, wrangler, FaultPlan, MachineProfile, Metrics, SimReport, Threads};
+use netsim::{comet, wrangler, FuzzReport, MachineProfile, Metrics, SimReport, Threads};
 use std::sync::Arc;
-use taskframe::{Engine, EngineError};
+use taskframe::Engine;
 
 pub mod cli;
 pub mod report;
@@ -199,66 +198,13 @@ pub fn thread_invariant<T: PartialEq>(what: &str, f: impl Fn() -> T) -> (T, bool
     (t1, identical)
 }
 
-/// One seeded-plan chaos leg: every plan either completes with its
-/// oracles intact or fails with an error `typed` accepts.
-pub struct ChaosLeg {
-    /// Violating plans land in `<dir>/<stem>_violation_<seed>_<engine>.json`.
-    pub stem: &'static str,
-    pub dir: String,
-    /// The errors a faulty run may legitimately end in.
-    pub typed: fn(&EngineError) -> bool,
-    pub completed: usize,
-    pub typed_failures: usize,
-    pub violations: usize,
-}
-
-impl ChaosLeg {
-    pub fn new(stem: &'static str, dir: String, typed: fn(&EngineError) -> bool) -> ChaosLeg {
-        ChaosLeg {
-            stem,
-            dir,
-            typed,
-            completed: 0,
-            typed_failures: 0,
-            violations: 0,
-        }
-    }
-
-    /// Judge `plan` on `engine`. `verdict` runs a plan and names the
-    /// oracle it broke, if any. A broken oracle is shrunk to a minimal
-    /// plan that still breaks one and written out for CI to upload.
-    /// Returns whether the plan completed with every oracle intact.
-    pub fn judge(
-        &mut self,
-        engine: Engine,
-        seed: u64,
-        plan: &FaultPlan,
-        verdict: impl Fn(&FaultPlan) -> Result<Option<String>, EngineError>,
-    ) -> bool {
-        match verdict(plan) {
-            Ok(None) => {
-                self.completed += 1;
-                return true;
-            }
-            Ok(Some(msg)) => {
-                eprintln!("VIOLATION seed {seed} {engine:?}: {msg}");
-                let shrunk = shrink(plan, |cand| matches!(verdict(cand), Ok(Some(_))));
-                let path = format!(
-                    "{}/{}_violation_{seed}_{}.json",
-                    self.dir,
-                    self.stem,
-                    engine.label()
-                );
-                write_artifact(&path, &shrunk.to_json());
-                self.violations += 1;
-            }
-            Err(e) if (self.typed)(&e) => self.typed_failures += 1,
-            Err(other) => {
-                eprintln!("VIOLATION seed {seed} {engine:?}: untyped failure {other:?}");
-                self.violations += 1;
-            }
-        }
-        false
+/// Print a chaos leg's violations on `engine` and write each shrunk plan
+/// to `<dir>/<stem>_violation_<seed>_<engine>.json` for CI to upload.
+pub fn write_violations(report: &FuzzReport, engine: Engine, dir: &str, stem: &str) {
+    for v in &report.violations {
+        eprintln!("VIOLATION seed {} {engine:?}: {}", v.seed, v.message);
+        let path = format!("{dir}/{stem}_violation_{}_{}.json", v.seed, engine.label());
+        write_artifact(&path, &v.shrunk.to_json());
     }
 }
 

@@ -15,7 +15,7 @@ use mdsim::Trajectory;
 use neighbors::{neighbor_pairs, SearchStrategy};
 use netsim::{Cluster, SimReport};
 use std::marker::PhantomData;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use taskframe::{EngineError, Payload};
 
 /// Which atoms of each frame an analysis reads (MDAnalysis'
@@ -61,6 +61,8 @@ pub struct AnalysisFromFunction<T, F> {
     select: AtomSelection,
     slices: usize,
     cost: super::AnalysisCost,
+    /// A frame every map reads besides its own (RMSD's reference).
+    reference: Option<usize>,
     f: F,
     _result: PhantomData<fn() -> T>,
 }
@@ -89,6 +91,7 @@ where
             select,
             slices: slices.max(1),
             cost: super::AnalysisCost::DEFAULT,
+            reference: None,
             f,
             _result: PhantomData,
         }
@@ -124,8 +127,15 @@ where
     }
 
     fn plan(&self, _engine: Engine, _cluster: &Cluster) -> Result<Plan<Self>, EngineError> {
-        // An index past the atoms would panic in every frame's `gather`:
-        // refuse the run once, typed, before any task is placed.
+        // An index past the atoms, or a reference past the frames, would
+        // panic in a map: refuse the run once, typed, before any task is
+        // placed.
+        let n_frames = self.traj.n_frames();
+        if let Some(r) = self.reference.filter(|&r| r >= n_frames) {
+            return Err(EngineError::Unsupported(format!(
+                "reference frame {r} of a trajectory with {n_frames} frames (need 0..{n_frames})"
+            )));
+        }
         if let AtomSelection::Indices(idx) = &self.select {
             let n_atoms = self.traj.n_atoms();
             if let Some(&i) = idx.iter().max().filter(|&&i| i as usize >= n_atoms) {
@@ -134,7 +144,7 @@ where
                 )));
             }
         }
-        let slices = plan_1d(self.traj.n_frames(), self.slices);
+        let slices = plan_1d(n_frames, self.slices);
         Ok(Plan {
             // pmda's posture: the universe ships to the workers once.
             broadcast: true,
@@ -177,17 +187,23 @@ where
 }
 
 /// Per-frame RMSD to a reference frame after optimal superposition
-/// (MDAnalysis `rms.RMSD` / pmda's `RMSD`), over the selected atoms.
+/// (MDAnalysis `rms.RMSD` / pmda's `RMSD`), over the selected atoms. The
+/// reference is gathered by the first map, after `plan` has checked it
+/// and the selection.
 pub fn rmsd_analysis(
     traj: Arc<Trajectory>,
     select: AtomSelection,
     reference: usize,
     slices: usize,
 ) -> AnalysisFromFunction<f64, impl Fn(&Frame, &AtomSelection) -> f64 + Send + Sync + 'static> {
-    let ref_frame = Frame::new(select.gather(&traj.frames[reference]));
-    AnalysisFromFunction::new("rmsd", traj, select, slices, move |frame, sel| {
-        rmsd_superposed(&Frame::new(sel.gather(frame)), &ref_frame)
-    })
+    let (frames, ref_frame) = (Arc::clone(&traj), OnceLock::new());
+    let mut analysis =
+        AnalysisFromFunction::new("rmsd", traj, select, slices, move |frame, sel| {
+            let r = ref_frame.get_or_init(|| Frame::new(sel.gather(&frames.frames[reference])));
+            rmsd_superposed(&Frame::new(sel.gather(frame)), r)
+        });
+    analysis.reference = Some(reference);
+    analysis
 }
 
 /// Per-frame contact count: pairs of selected atoms within `cutoff`,

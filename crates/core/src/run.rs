@@ -41,6 +41,7 @@ use dasklet::DaskClient;
 use linalg::Vec3;
 use mdio::StreamSource;
 use mdsim::Trajectory;
+use netsim::fault::mix;
 use netsim::stream::{LateDisposition, StreamJob, StreamRun, WindowSpec};
 use netsim::{parallel, Cluster, RetryPolicy, Threads};
 use pilot::Session;
@@ -306,12 +307,6 @@ pub fn run_psa(
 /// streamed frame; its *virtual* cost is declared by
 /// [`StreamTuning::frame_cost_s`].
 pub fn lf_frame_value(frame: &linalg::Frame, cutoff: f32) -> u64 {
-    fn mix(mut z: u64) -> u64 {
-        z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
     let pos = frame.positions();
     let stride = pos.len().div_ceil(128).max(1);
     let sampled: Vec<Vec3> = pos.iter().copied().step_by(stride).collect();

@@ -16,45 +16,15 @@
 //! * **termination** — the virtual makespan is finite and every outcome
 //!   time is ordered (`submit ≤ admit ≤ end`).
 //!
-//! Everything is deterministic in `(config, seed)`: a failing seed
-//! reproduces exactly.
+//! The sweep is an instance of `netsim::chaos::fuzz_with`; a violating
+//! scenario shrinks to fewer jobs and faults. Everything is deterministic in
+//! `(config, seed)`: a failing seed reproduces exactly.
 
 use crate::{JobRequest, Service, ServiceReport, TenantSpec};
 use mdtask_core::run::Workload;
+use netsim::chaos::{fuzz_with, shrink, FuzzReport, SeedStream, Verdict};
 use netsim::{parallel, Cluster, FaultPlan, RetryPolicy, Threads};
 use taskframe::{Engine, EngineError};
-
-/// SplitMix64 — the same tiny deterministic generator the netsim chaos
-/// harness uses, re-derived here so scenario streams are independent.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-pub(crate) struct SeedStream(u64);
-
-impl SeedStream {
-    pub(crate) fn new(seed: u64) -> Self {
-        SeedStream(mix(seed))
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        mix(self.0)
-    }
-
-    /// Uniform in `[lo, hi]`.
-    pub(crate) fn range(&mut self, lo: usize, hi: usize) -> usize {
-        lo + (self.next_u64() % (hi - lo + 1) as u64) as usize
-    }
-
-    /// Uniform in `[0, 1)`.
-    pub(crate) fn f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-}
 
 /// Knobs of the service fuzz sweep.
 #[derive(Clone, Debug)]
@@ -95,45 +65,8 @@ impl Default for ServiceChaosConfig {
     }
 }
 
-/// One oracle violation: the seed reproduces it exactly.
-#[derive(Clone, Debug)]
-pub struct ServiceViolation {
-    pub seed: u64,
-    pub message: String,
-}
-
-/// Outcome of a service fuzz sweep.
-#[derive(Clone, Debug, Default)]
-pub struct ServiceFuzzReport {
-    pub scenarios_run: usize,
-    pub violations: Vec<ServiceViolation>,
-}
-
-impl ServiceFuzzReport {
-    pub fn passed(&self) -> bool {
-        self.violations.is_empty()
-    }
-
-    /// JSON artifact for CI.
-    pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\"scenarios_run\":{},\"passed\":{},\"violations\":[",
-            self.scenarios_run,
-            self.passed()
-        );
-        for (i, v) in self.violations.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let msg = netsim::escape_json(&v.message);
-            out.push_str(&format!("{{\"seed\":{},\"message\":\"{msg}\"}}", v.seed));
-        }
-        out.push_str("]}");
-        out
-    }
-}
-
 /// One generated scenario: service + tenants + submissions.
+#[derive(Clone, Debug)]
 pub struct Scenario {
     pub service: Service,
     pub tenants: Vec<TenantSpec>,
@@ -299,55 +232,77 @@ pub fn check_invariants(s: &Scenario, report: &ServiceReport) -> Option<String> 
     None
 }
 
-/// Run the sweep: every scenario is executed twice (determinism oracle),
-/// optionally once more under a different host-thread count, and every
-/// oracle in [`check_invariants`] is applied.
-pub fn fuzz_service(cfg: &ServiceChaosConfig) -> ServiceFuzzReport {
-    let mut violations = Vec::new();
-    for i in 0..cfg.scenarios {
-        let seed = cfg.base_seed + i as u64;
-        let s = scenario_for_seed(cfg, seed);
-        let first = match s.service.run(&s.tenants, &s.jobs) {
-            Ok(r) => r,
-            Err(e) => {
-                violations.push(ServiceViolation {
-                    seed,
-                    message: format!("generated scenario was refused: {e}"),
-                });
-                continue;
-            }
-        };
-        if let Some(message) = check_invariants(&s, &first) {
-            violations.push(ServiceViolation { seed, message });
-            continue;
-        }
-        let second = s.service.run(&s.tenants, &s.jobs);
-        if second.as_ref() != Ok(&first) {
-            violations.push(ServiceViolation {
-                seed,
-                message: "same scenario, different report (non-determinism)".into(),
-            });
-            continue;
-        }
-        if cfg.check_threads > 1 {
-            let threaded = parallel::with_degree(Threads::Fixed(cfg.check_threads), || {
-                s.service.run(&s.tenants, &s.jobs)
-            });
-            if threaded.as_ref() != Ok(&first) {
-                violations.push(ServiceViolation {
-                    seed,
-                    message: format!(
-                        "report changed when measured over {} host threads",
-                        cfg.check_threads
-                    ),
-                });
-            }
-        }
+/// Judge one scenario: run it twice (determinism oracle), optionally once
+/// more under a different host-thread count, and apply every oracle in
+/// [`check_invariants`].
+fn judge(cfg: &ServiceChaosConfig, s: &Scenario) -> Verdict {
+    let run = || s.service.run(&s.tenants, &s.jobs);
+    let first = match run() {
+        Ok(r) => r,
+        Err(e) => return Verdict::Broke(format!("generated scenario was refused: {e}")),
+    };
+    if let Some(message) = check_invariants(s, &first) {
+        return Verdict::Broke(message);
     }
-    ServiceFuzzReport {
-        scenarios_run: cfg.scenarios,
-        violations,
+    if run().as_ref() != Ok(&first) {
+        return Verdict::Broke("same scenario, different report (non-determinism)".into());
     }
+    let threads = Threads::Fixed(cfg.check_threads);
+    if cfg.check_threads > 1 && parallel::with_degree(threads, run).as_ref() != Ok(&first) {
+        return Verdict::Broke(format!(
+            "report changed when measured over {} host threads",
+            cfg.check_threads
+        ));
+    }
+    Verdict::Held
+}
+
+/// Shrink a scenario for which `still_fails` holds: drop one job at a
+/// time, then shrink the cluster's fault plan with
+/// [`netsim::chaos::shrink`], until neither step removes anything. The
+/// result is a fixpoint: shrinking it again returns it unchanged.
+pub(crate) fn shrink_scenario(s: &Scenario, still_fails: impl Fn(&Scenario) -> bool) -> Scenario {
+    let with_plan = |s: &Scenario, plan: &FaultPlan| {
+        let mut cand = s.clone();
+        let cluster = &mut cand.service.clusters[0];
+        *cluster = cluster.clone().with_faults(plan.clone());
+        cand
+    };
+    let mut cur = s.clone();
+    loop {
+        let mut dropped = false;
+        let mut i = 0;
+        while i < cur.jobs.len() {
+            let mut cand = cur.clone();
+            cand.jobs.remove(i);
+            if still_fails(&cand) {
+                (cur, dropped) = (cand, true);
+            } else {
+                i += 1;
+            }
+        }
+        let plan = cur.service.clusters[0].faults().clone();
+        let shrunk = shrink(&plan, |p| still_fails(&with_plan(&cur, p)));
+        if !dropped && shrunk == plan {
+            return cur;
+        }
+        cur = with_plan(&cur, &shrunk);
+    }
+}
+
+/// Run the sweep: `cfg.scenarios` seeded scenarios, each judged by every
+/// oracle and shrunk when it breaks one. Detection runs serially: the
+/// thread-count oracle needs a pool of its own, and a pool worker runs a
+/// nested fan-out inline.
+pub fn fuzz_service(cfg: &ServiceChaosConfig) -> FuzzReport<Scenario> {
+    parallel::with_degree(Threads::Serial, || {
+        fuzz_with(
+            cfg.base_seed..cfg.base_seed + cfg.scenarios as u64,
+            |seed| scenario_for_seed(cfg, seed),
+            |s| judge(cfg, s),
+            |s, still_fails| shrink_scenario(s, still_fails),
+        )
+    })
 }
 
 #[cfg(test)]
@@ -384,6 +339,57 @@ mod tests {
             a.violations.first()
         );
         let b = fuzz_service(&cfg);
-        assert_eq!(a.to_json(), b.to_json(), "byte-identical fuzz reports");
+        assert_eq!(format!("{a:?}"), format!("{b:?}"), "identical fuzz reports");
+    }
+
+    #[test]
+    fn a_planted_failure_shrinks_to_a_smaller_scenario_that_still_fails() {
+        // A planted oracle that breaks whenever more than two jobs
+        // complete: every generated scenario breaks it, and the service
+        // shrinker must cut each down to a strictly smaller scenario that
+        // still does — a fixpoint a second shrink leaves unchanged.
+        let cfg = ServiceChaosConfig::default();
+        let planted = |s: &Scenario| {
+            let report = s.service.run(&s.tenants, &s.jobs).expect("scenario runs");
+            let done = report.jobs.iter().filter(|o| o.result.is_ok()).count();
+            if done > 2 {
+                Verdict::Broke(format!("{done} jobs completed"))
+            } else {
+                Verdict::Held
+            }
+        };
+        let fails = |s: &Scenario| matches!(planted(s), Verdict::Broke(_));
+        let report = fuzz_with(
+            0..2,
+            |seed| scenario_for_seed(&cfg, seed),
+            planted,
+            |s, still_fails| shrink_scenario(s, still_fails),
+        );
+        assert_eq!(report.violations.len(), 2);
+        let faults = |s: &Scenario| s.service.clusters[0].faults().clone();
+        for v in &report.violations {
+            assert!(
+                fails(&v.shrunk),
+                "seed {}: the shrunk scenario still fails",
+                v.seed
+            );
+            assert_eq!(v.shrunk.jobs.len(), 3, "seed {}", v.seed);
+            assert!(v.shrunk.jobs.len() < v.input.jobs.len());
+            assert!(
+                faults(&v.shrunk).is_empty(),
+                "seed {}: no fault is needed",
+                v.seed
+            );
+            let again = shrink_scenario(&v.shrunk, fails);
+            assert_eq!(again.jobs, v.shrunk.jobs, "seed {}", v.seed);
+            assert_eq!(faults(&again), faults(&v.shrunk), "seed {}", v.seed);
+        }
+        assert!(
+            report
+                .violations
+                .iter()
+                .any(|v| !faults(&v.input).is_empty()),
+            "some input scripted a fault for the shrinker to drop"
+        );
     }
 }

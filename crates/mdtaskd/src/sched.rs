@@ -940,8 +940,8 @@ impl<'a> SchedState<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chaos::SeedStream;
     use mdtask_core::run::Workload;
+    use netsim::chaos::SeedStream;
     use netsim::RetryPolicy;
     use taskframe::Engine;
 

@@ -34,6 +34,9 @@
 //! and a developer can replay it with
 //! `Cluster::with_faults(FaultPlan::from_json(..))`.
 //!
+//! [`fuzz`] is one instance of [`fuzz_with`], the seed → generate →
+//! judge → shrink loop every chaos battery runs (`mdtaskd::chaos` too).
+//!
 //! Everything is deterministic: the same config and seed produce the same
 //! plans, the same violations, and the same shrunk counterexamples.
 
@@ -44,12 +47,14 @@ use crate::fault::{
 use crate::metrics::escape_json;
 use crate::report::SimReport;
 use crate::trace::EventKind;
+use std::ops::Range;
 
-/// SplitMix64 sequence: a tiny deterministic RNG for plan generation.
-struct SeedStream(u64);
+/// SplitMix64 sequence: the one deterministic generator every chaos
+/// battery draws its inputs from.
+pub struct SeedStream(u64);
 
 impl SeedStream {
-    fn new(seed: u64) -> Self {
+    pub fn new(seed: u64) -> Self {
         SeedStream(mix(seed))
     }
 
@@ -67,8 +72,13 @@ impl SeedStream {
         }
     }
 
+    /// Uniform in `[lo, hi]`.
+    pub fn range(&mut self, lo: usize, hi: usize) -> usize {
+        lo + self.below(hi - lo + 1)
+    }
+
     /// Uniform in `[0, 1)`.
-    fn f64(&mut self) -> f64 {
+    pub fn f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
 }
@@ -431,33 +441,51 @@ impl Fingerprint {
     }
 }
 
-/// One invariant violation, with the original and shrunk plans.
-#[derive(Clone, Debug)]
-pub struct Violation {
+/// How one input fared against a battery's oracles.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Verdict {
+    /// It ran to completion with every oracle intact.
+    Held,
+    /// It ended in a typed error the battery accepts (a bounded policy
+    /// may legitimately exhaust under a heavy plan).
+    Typed,
+    /// It broke an oracle; the message names which.
+    Broke(String),
+}
+
+/// One broken oracle: the seed that generated the input, the oracle's
+/// message, and the input before and after shrinking.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Violation<S = FaultPlan> {
     pub seed: u64,
     pub message: String,
-    pub plan: FaultPlan,
-    pub shrunk: FaultPlan,
+    pub input: S,
+    pub shrunk: S,
 }
 
-/// Outcome of a fuzz sweep.
-#[derive(Clone, Debug, Default)]
-pub struct FuzzReport {
-    pub plans_run: usize,
-    pub violations: Vec<Violation>,
+/// Outcome of a fuzz sweep: of `runs` inputs, `completed` held, `typed`
+/// ended in an accepted typed error, and the rest are `violations`.
+#[derive(Clone, Debug, PartialEq)]
+pub struct FuzzReport<S = FaultPlan> {
+    pub runs: usize,
+    pub completed: usize,
+    pub typed: usize,
+    pub violations: Vec<Violation<S>>,
 }
 
-impl FuzzReport {
+impl<S> FuzzReport<S> {
     pub fn passed(&self) -> bool {
         self.violations.is_empty()
     }
+}
 
+impl FuzzReport {
     /// JSON artifact for CI: every violation carries its seed, message,
     /// and both the original and minimal replayable plans.
     pub fn to_json(&self) -> String {
         let mut out = format!(
             "{{\"plans_run\":{},\"passed\":{},\"violations\":[",
-            self.plans_run,
+            self.runs,
             self.passed()
         );
         for (i, v) in self.violations.iter().enumerate() {
@@ -468,13 +496,62 @@ impl FuzzReport {
                 "{{\"seed\":{},\"message\":\"{}\",\"plan\":{},\"shrunk\":{}}}",
                 v.seed,
                 escape_json(&v.message),
-                v.plan.to_json(),
+                v.input.to_json(),
                 v.shrunk.to_json()
             ));
         }
         out.push_str("]}");
         out
     }
+}
+
+/// The loop every chaos battery runs. Each seed `generate`s one input,
+/// which `judge` runs against the battery's oracles; an input that broke
+/// one is `shrink`ed, given a `still_fails` re-judge, to a smaller input
+/// that still breaks one.
+///
+/// The seeds are independent of each other, so detection fans out across
+/// host threads (`parallel::current_degree()` of them); the pool returns
+/// per-seed verdicts in seed order, keeping the report identical to the
+/// serial sweep. Shrinking — an inherently sequential search — stays
+/// serial, and violations are rare.
+pub fn fuzz_with<S, G, J, R>(seeds: Range<u64>, generate: G, judge: J, shrink: R) -> FuzzReport<S>
+where
+    S: Send,
+    G: Fn(u64) -> S + Sync,
+    J: Fn(&S) -> Verdict + Sync,
+    R: Fn(&S, &dyn Fn(&S) -> bool) -> S,
+{
+    let runs = seeds.end.saturating_sub(seeds.start) as usize;
+    let judged = crate::parallel::run_indexed(runs, |i| {
+        let seed = seeds.start + i as u64;
+        let input = generate(seed);
+        let verdict = judge(&input);
+        (seed, input, verdict)
+    });
+    let still_fails = |cand: &S| matches!(judge(cand), Verdict::Broke(_));
+    let mut report = FuzzReport {
+        runs,
+        completed: 0,
+        typed: 0,
+        violations: Vec::new(),
+    };
+    for (seed, input, verdict) in judged {
+        match verdict {
+            Verdict::Held => report.completed += 1,
+            Verdict::Typed => report.typed += 1,
+            Verdict::Broke(message) => {
+                let shrunk = shrink(&input, &still_fails);
+                report.violations.push(Violation {
+                    seed,
+                    message,
+                    input,
+                    shrunk,
+                });
+            }
+        }
+    }
+    report
 }
 
 /// Check every oracle for one run. `Ok(outcome)` means the workload
@@ -770,9 +847,9 @@ pub fn shrink(plan: &FaultPlan, mut still_fails: impl FnMut(&FaultPlan) -> bool)
 }
 
 /// Run the full sweep: a fault-free baseline, then `cfg.plans` seeded
-/// plans, checking every oracle and shrinking each violation to a minimal
-/// counterexample. The workload closure runs the *same* job under the
-/// given plan and fingerprints its results.
+/// plans through [`fuzz_with`], checking every oracle and shrinking each
+/// violation to a minimal counterexample. The workload closure runs the
+/// *same* job under the given plan and fingerprints its results.
 pub fn fuzz<F>(cfg: &ChaosConfig, run: F) -> FuzzReport
 where
     F: Fn(&FaultPlan) -> Result<ChaosOutcome, String> + Sync,
@@ -780,44 +857,32 @@ where
     let baseline = match run(&FaultPlan::none()) {
         Ok(o) => o,
         Err(e) => {
-            let none = FaultPlan::none();
             return FuzzReport {
-                plans_run: 0,
+                runs: 0,
+                completed: 0,
+                typed: 0,
                 violations: vec![Violation {
                     seed: cfg.base_seed,
                     message: format!("fault-free baseline failed: {e}"),
-                    plan: none.clone(),
-                    shrunk: none,
+                    input: FaultPlan::none(),
+                    shrunk: FaultPlan::none(),
                 }],
             };
         }
     };
-    let violation_for =
-        |plan: &FaultPlan| -> Option<String> { check_invariants(cfg, &baseline, plan, &run(plan)) };
-    // The seeded plans are independent of each other, so detection fans
-    // out across host threads (`netsim::parallel::current_degree()` of
-    // them); the pool returns per-seed outcomes in seed order, keeping the
-    // report identical to the serial sweep. Shrinking — an inherently
-    // sequential search — stays serial, and violations are rare.
-    let flagged = crate::parallel::run_indexed(cfg.plans, |i| {
-        let seed = cfg.base_seed + i as u64;
-        let plan = plan_for_seed(cfg, seed);
-        violation_for(&plan).map(|message| (seed, plan, message))
-    });
-    let mut violations = Vec::new();
-    for (seed, plan, message) in flagged.into_iter().flatten() {
-        let shrunk = shrink(&plan, |cand| violation_for(cand).is_some());
-        violations.push(Violation {
-            seed,
-            message,
-            plan,
-            shrunk,
-        });
-    }
-    FuzzReport {
-        plans_run: cfg.plans,
-        violations,
-    }
+    fuzz_with(
+        cfg.base_seed..cfg.base_seed + cfg.plans as u64,
+        |seed| plan_for_seed(cfg, seed),
+        |plan| {
+            let result = run(plan);
+            match check_invariants(cfg, &baseline, plan, &result) {
+                Some(message) => Verdict::Broke(message),
+                None if result.is_err() => Verdict::Typed,
+                None => Verdict::Held,
+            }
+        },
+        |plan, still_fails| shrink(plan, still_fails),
+    )
 }
 
 #[cfg(test)]
@@ -939,7 +1004,7 @@ mod tests {
             "correct workload must satisfy every oracle: {:?}",
             report.violations.first().map(|v| &v.message)
         );
-        assert_eq!(report.plans_run, 40);
+        assert_eq!(report.runs, 40);
     }
 
     #[test]
@@ -1000,6 +1065,41 @@ mod tests {
         let run = |plan: &FaultPlan| workload(plan, false).unwrap().report;
         let p = plan_for_seed(&cfg(), 17);
         assert_eq!(run(&p), run(&p), "byte-identical SimReport per plan");
+    }
+
+    #[test]
+    fn the_loop_reports_identically_at_1_2_and_8_host_threads() {
+        // Detection fans out, shrinking is serial: the whole report —
+        // counts, violations and shrunk plans — must not depend on how
+        // many host threads judged the seeds.
+        let mut c = cfg();
+        c.max_deaths = 3;
+        let baseline = workload(&FaultPlan::none(), true).unwrap();
+        let sweep = || {
+            fuzz_with(
+                0..48,
+                |seed| plan_for_seed(&c, seed),
+                |plan| {
+                    let result = workload(plan, true);
+                    match check_invariants(&c, &baseline, plan, &result) {
+                        Some(message) => Verdict::Broke(message),
+                        None if result.is_err() => Verdict::Typed,
+                        None => Verdict::Held,
+                    }
+                },
+                |plan, still_fails| shrink(plan, still_fails),
+            )
+        };
+        let serial = crate::parallel::with_degree(crate::Threads::Serial, sweep);
+        assert!(serial.completed > 0 && !serial.violations.is_empty());
+        assert_eq!(
+            serial.completed + serial.typed + serial.violations.len(),
+            serial.runs
+        );
+        for n in [2, 8] {
+            let got = crate::parallel::with_degree(crate::Threads::Fixed(n), sweep);
+            assert_eq!(got, serial, "{n} host threads");
+        }
     }
 
     #[test]

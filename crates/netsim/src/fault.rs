@@ -1308,7 +1308,7 @@ impl<'v, 'a> Record<'v, 'a> {
 }
 
 /// SplitMix64 finalizer: a cheap, well-distributed 64-bit mixer.
-pub(crate) fn mix(mut z: u64) -> u64 {
+pub fn mix(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);

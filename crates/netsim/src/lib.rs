@@ -30,7 +30,7 @@ pub mod stream;
 pub mod trace;
 
 pub use broadcast::{broadcast_time, BroadcastAlgo};
-pub use chaos::{ChaosConfig, ChaosOutcome, Fingerprint, FuzzReport, Violation};
+pub use chaos::{ChaosConfig, ChaosOutcome, Fingerprint, FuzzReport, Verdict, Violation};
 pub use clock::{deterministic_timing, measure, measure_scaled, set_deterministic_timing};
 pub use cluster::{comet, laptop, wrangler, Cluster, ClusterBuilder, MachineProfile, NetworkModel};
 pub use critical::{CpSegment, CriticalPath};

@@ -444,6 +444,35 @@ fn out_of_range_atom_index_is_a_typed_error_on_every_engine() {
     }
 }
 
+#[test]
+fn out_of_range_rmsd_reference_or_index_is_a_typed_error_on_every_engine() {
+    let spec = ChainSpec {
+        n_atoms: 10,
+        n_frames: 6,
+        stride: 1,
+        ..ChainSpec::default()
+    };
+    let traj = Arc::new(mdtask::sim::chain::generate(&spec, 5));
+    let indices = AtomSelection::Indices(Arc::new(vec![0, 99]));
+    for engine in ENGINES {
+        let rc = RunConfig::new(Cluster::new(laptop(), 2), engine).mpi_world(4);
+        let refused = |analysis| match rc.run_analysis(analysis).err() {
+            Some(EngineError::Unsupported(m)) => m,
+            other => panic!("{engine:?}: {other:?}"),
+        };
+        assert_eq!(
+            refused(rmsd_analysis(Arc::clone(&traj), indices.clone(), 0, 3)),
+            "atom index 99 in a selection over 10 atoms (need 0..10)",
+            "{engine:?}"
+        );
+        assert_eq!(
+            refused(rmsd_analysis(Arc::clone(&traj), AtomSelection::All, 6, 3)),
+            "reference frame 6 of a trajectory with 6 frames (need 0..6)",
+            "{engine:?}"
+        );
+    }
+}
+
 /// An MPI analysis that only reads: `slices` unit slices, each declaring
 /// 1 000 bytes of input when `read` is set. Its output is the rank clocks.
 struct Reads {

@@ -247,7 +247,7 @@ fn chaos_fuzz_verdicts_identical_across_thread_counts() {
     let serial = netsim::parallel::with_degree(Threads::Serial, run_fuzz);
     for degree in DEGREES {
         let got = netsim::parallel::with_degree(degree, run_fuzz);
-        assert_eq!(serial.plans_run, got.plans_run, "{degree}: plans run");
+        assert_eq!(serial.runs, got.runs, "{degree}: plans run");
         assert_eq!(
             serial.violations.len(),
             got.violations.len(),

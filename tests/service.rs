@@ -95,7 +95,7 @@ fn every_submission_resolves_typed_under_chaos() {
         "service chaos battery violation: {:?}",
         report.violations.first()
     );
-    assert_eq!(report.scenarios_run, 8);
+    assert_eq!(report.runs, 8);
 }
 
 #[test]
