@@ -37,7 +37,8 @@ use bench::{death_window, fault_free_footprint, high_water, lf_system, write_art
 use mdtask_core::leaflet::{LfApproach, LfConfig, LfOutput};
 use mdtask_core::run::{run_lf, RunConfig};
 use netsim::chaos::{fuzz, ChaosConfig, ChaosOutcome, Fingerprint, FuzzReport};
-use netsim::{laptop, Cluster, FaultPlan, RetryPolicy, SimReport};
+use netsim::{laptop, Cluster, FaultPlan, RetryPolicy};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use taskframe::Engine;
 
@@ -100,8 +101,12 @@ struct MemAgg {
 }
 
 impl MemAgg {
-    fn absorb(&mut self, report: &SimReport) {
+    fn absorb(&mut self, res: &Result<ChaosOutcome, String>) {
         self.runs += 1;
+        let Ok(ChaosOutcome { report, .. }) = res else {
+            self.typed_errors += 1;
+            return;
+        };
         self.bytes_spilled += report.bytes_spilled;
         self.bytes_evicted += report.bytes_evicted;
         self.recomputed_partitions += report.recomputed_partitions;
@@ -243,12 +248,14 @@ fn main() {
             ccfg.mem_shrink_frac = (0.25, 1.0);
             ccfg.check_empty_plan_determinism = false;
             let agg = Mutex::new(MemAgg::default());
+            // `fuzz` runs the fault-free baseline first, then each plan
+            // once, then more only while shrinking a violation: count the
+            // plans alone.
+            let calls = AtomicUsize::new(0);
             let report = fuzz(&ccfg, |plan| {
                 let res = run_engine(engine, plan, &positions, &cfg, false, true);
-                let mut a = agg.lock().unwrap();
-                match &res {
-                    Ok(outcome) => a.absorb(&outcome.report),
-                    Err(_) => a.typed_errors += 1,
+                if (1..=mem_plans).contains(&calls.fetch_add(1, Ordering::Relaxed)) {
+                    agg.lock().unwrap().absorb(&res);
                 }
                 res
             });

@@ -10,17 +10,18 @@
 //! cargo run -p bench --release --bin exp_fig2 -- --full  # up to 131k
 //! ```
 
-use bench::{secs, section, zero_tasks, Opts};
+use bench::{cli::Cli, secs, section, zero_tasks};
 use dasklet::DaskClient;
-use netsim::Cluster;
+use netsim::{wrangler, Cluster};
 use pilot::Session;
 use sparklet::SparkContext;
 use taskframe::BagEngine;
 
 fn main() {
-    let opts = Opts::parse(8); // default: stop at 131072/8 = 16384 tasks
-    let max_tasks = 131_072 / opts.scale;
-    let cluster = || Cluster::new(opts.machine.clone(), 1);
+    let args = Cli::new().scaled().parse();
+    let scale = args.scale(8); // default: stop at 131072/8 = 16384 tasks
+    let max_tasks = 131_072 / scale;
+    let cluster = || Cluster::new(wrangler(), 1);
 
     section("Fig. 2: zero-workload task throughput, single node");
     println!(
@@ -58,7 +59,7 @@ fn main() {
          failing beyond 16k tasks (it refuses 32k+ submissions outright)."
     );
 
-    if opts.wants_observability() {
+    if args.wants_observability() {
         // A traced zero-workload run for the requested artifacts.
         let mut sc = SparkContext::new(cluster());
         sc.enable_trace();
@@ -66,6 +67,6 @@ fn main() {
         let (_, report) = sc
             .run_bag(zero_tasks(256.min(max_tasks)))
             .expect("traced spark run");
-        bench::write_observability(&opts, &report, sc.cluster().total_cores());
+        bench::write_observability(&args, &report, sc.cluster().total_cores());
     }
 }

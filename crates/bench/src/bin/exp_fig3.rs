@@ -10,7 +10,7 @@
 //! cargo run -p bench --release --bin exp_fig3 -- --full   # 100k tasks
 //! ```
 
-use bench::{section, zero_tasks, Opts};
+use bench::{cli::Cli, section, zero_tasks};
 use dasklet::DaskClient;
 use netsim::{comet, wrangler, Cluster, MachineProfile};
 use pilot::Session;
@@ -54,8 +54,8 @@ fn run_machine(profile: MachineProfile, n_tasks: usize) {
 }
 
 fn main() {
-    let opts = Opts::parse(4); // default 25k tasks; --full = 100k
-    let n_tasks = 100_000 / opts.scale;
+    let scale = Cli::new().scaled().parse().scale(4); // default 25k tasks; --full = 100k
+    let n_tasks = 100_000 / scale;
     run_machine(comet(), n_tasks);
     run_machine(wrangler(), n_tasks);
     println!(

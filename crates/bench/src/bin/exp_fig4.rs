@@ -12,22 +12,23 @@
 //! cargo run -p bench --release --bin exp_fig4
 //! ```
 
-use bench::{cores_nodes_label, secs, Opts};
+use bench::{cli::Cli, cores_nodes_label, secs};
 use mdsim::{psa_ensemble, PsaSize};
 use mdtask_core::psa::PsaConfig;
 use mdtask_core::run::{run_psa, RunConfig};
-use netsim::Cluster;
+use netsim::{wrangler, Cluster};
 use std::sync::Arc;
 use taskframe::Engine;
 
 fn main() {
-    let opts = Opts::parse(16);
-    let traj_scale = if opts.scale == 1 { 1 } else { 8 };
+    let scale = Cli::new().scaled().parse().scale(16);
+    let machine = wrangler();
+    let traj_scale = if scale == 1 { 1 } else { 8 };
     let cores_axis = [16usize, 64, 256];
 
     println!(
         "Fig. 4: PSA/Hausdorff on {} (atoms ÷{}, trajectories ÷{traj_scale})",
-        opts.machine.name, opts.scale
+        machine.name, scale
     );
     println!(
         "\n{:<8} {:<7} {:>9} | {:>10} {:>10} {:>10} {:>10}",
@@ -37,13 +38,12 @@ fn main() {
     for &count in &[128usize, 256] {
         let count = count / traj_scale;
         for size in PsaSize::ALL {
-            let ensemble = Arc::new(psa_ensemble(size, count, opts.scale, 42));
+            let ensemble = Arc::new(psa_ensemble(size, count, scale, 42));
             for &cores in &cores_axis {
                 let cfg = PsaConfig::for_cores(cores);
                 let time = |engine| {
-                    let rc =
-                        RunConfig::new(Cluster::with_cores(opts.machine.clone(), cores), engine)
-                            .mpi_world(cores);
+                    let rc = RunConfig::new(Cluster::with_cores(machine.clone(), cores), engine)
+                        .mpi_world(cores);
                     run_psa(&rc, Arc::clone(&ensemble), &cfg).map(|o| o.report.makespan_s)
                 };
                 let mpi = time(Engine::Mpi).expect("fault-free");
@@ -55,7 +55,7 @@ fn main() {
                     "{:<8} {:<7} {:>9} | {:>10} {:>10} {:>10} {:>10}",
                     size.label(),
                     count,
-                    cores_nodes_label(cores, &opts.machine),
+                    cores_nodes_label(cores, &machine),
                     secs(mpi),
                     secs(spark),
                     secs(dask),

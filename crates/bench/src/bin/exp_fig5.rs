@@ -8,7 +8,7 @@
 //! cargo run -p bench --release --bin exp_fig5
 //! ```
 
-use bench::{cores_nodes_label, secs, Opts};
+use bench::{cli::Cli, cores_nodes_label, secs};
 use mdsim::{psa_ensemble, PsaSize};
 use mdtask_core::psa::PsaConfig;
 use mdtask_core::run::{run_psa, RunConfig};
@@ -60,14 +60,14 @@ fn run_machine(profile: MachineProfile, scale: usize, count: usize) {
 }
 
 fn main() {
-    let opts = Opts::parse(16);
-    let count = if opts.scale == 1 { 128 } else { 8 };
+    let scale = Cli::new().scaled().parse().scale(16);
+    let count = if scale == 1 { 128 } else { 8 };
     println!(
         "Fig. 5: PSA, {count} large trajectories (atoms ÷{}) — Comet vs Wrangler",
-        opts.scale
+        scale
     );
-    run_machine(comet(), opts.scale, count);
-    run_machine(wrangler(), opts.scale, count);
+    run_machine(comet(), scale, count);
+    run_machine(wrangler(), scale, count);
     println!(
         "\npaper shape: similar per-framework performance on both systems, but\n\
          Comet reaches higher speedups than Wrangler at equal core counts\n\

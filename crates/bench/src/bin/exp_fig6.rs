@@ -9,7 +9,7 @@
 //! cargo run -p bench --release --bin exp_fig6
 //! ```
 
-use bench::{secs, Opts};
+use bench::{cli::Cli, secs};
 use cpptraj::{ensemble_psa, KernelBuild};
 use mdsim::{psa_ensemble, PsaSize};
 use netsim::{Cluster, MachineProfile, NetworkModel};
@@ -27,12 +27,12 @@ fn haswell20() -> MachineProfile {
 }
 
 fn main() {
-    let opts = Opts::parse(4);
-    let count = if opts.scale == 1 { 128 } else { 32 };
-    let ensemble = psa_ensemble(PsaSize::Small, count, opts.scale, 42);
+    let scale = Cli::new().scaled().parse().scale(4);
+    let count = if scale == 1 { 128 } else { 32 };
+    let ensemble = psa_ensemble(PsaSize::Small, count, scale, 42);
     println!(
         "Fig. 6: CPPTraj 2D-RMSD/Hausdorff, {count} small trajectories (atoms ÷{})",
-        opts.scale
+        scale
     );
 
     let cores_axis = [1usize, 20, 60, 120, 240];

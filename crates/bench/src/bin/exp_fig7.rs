@@ -15,20 +15,21 @@
 //! cargo run -p bench --release --bin exp_fig7 -- --scale 64   # faster
 //! ```
 
-use bench::{cores_nodes_label, lf_paper_system, secs, Opts};
+use bench::{cli::Cli, cores_nodes_label, lf_paper_system, secs};
 use mdsim::LfDatasetId;
 use mdtask_core::leaflet::LfApproach;
 use mdtask_core::run::{run_lf, RunConfig};
-use netsim::Cluster;
+use netsim::{wrangler, Cluster};
 use std::sync::Arc;
 use taskframe::Engine;
 
 fn main() {
-    let opts = Opts::parse(32);
+    let scale = Cli::new().scaled().parse().scale(32);
+    let machine = wrangler();
     let cores_axis = [32usize, 64, 128, 256];
     println!(
         "Fig. 7: Leaflet Finder on {} (atoms ÷{})",
-        opts.machine.name, opts.scale
+        machine.name, scale
     );
 
     for approach in LfApproach::ALL {
@@ -38,13 +39,12 @@ fn main() {
             "atoms", "cores/nd", "spark (s)", "dask (s)", "mpi4py (s)"
         );
         for id in LfDatasetId::ALL {
-            let (positions, cfg) = lf_paper_system(id, opts.scale);
+            let (positions, cfg) = lf_paper_system(id, scale);
             for &cores in &cores_axis {
                 let time = |engine| {
-                    let rc =
-                        RunConfig::new(Cluster::with_cores(opts.machine.clone(), cores), engine)
-                            .approach(approach)
-                            .mpi_world(cores);
+                    let rc = RunConfig::new(Cluster::with_cores(machine.clone(), cores), engine)
+                        .approach(approach)
+                        .mpi_world(cores);
                     run_lf(&rc, Arc::clone(&positions), &cfg)
                         .map(|o| secs(o.report.makespan_s))
                         .unwrap_or_else(|_| "OOM".into())
@@ -56,7 +56,7 @@ fn main() {
                 println!(
                     "{:<6} {:>9} | {:>12} {:>12} {:>12}",
                     id.label(),
-                    cores_nodes_label(cores, &opts.machine),
+                    cores_nodes_label(cores, &machine),
                     spark,
                     dask,
                     mpi

@@ -10,24 +10,26 @@
 //! cargo run -p bench --release --bin exp_fig8
 //! ```
 
-use bench::{cores_nodes_label, lf_paper_system, secs, Opts};
+use bench::{cli::Cli, cores_nodes_label, lf_paper_system, secs};
 use mdsim::LfDatasetId;
 use mdtask_core::leaflet::LfApproach;
 use mdtask_core::run::{run_lf, RunConfig};
-use netsim::Cluster;
+use netsim::{wrangler, Cluster};
 use std::sync::Arc;
 use taskframe::Engine;
 
 fn main() {
-    let opts = Opts::parse(32);
+    let args = Cli::new().scaled().parse();
+    let scale = args.scale(32);
+    let machine = wrangler();
     let cores_axis = [32usize, 64, 128, 256];
     println!(
         "Fig. 8: Leaflet Finder approach 1 broadcast breakdown on {} (atoms ÷{})",
-        opts.machine.name, opts.scale
+        machine.name, scale
     );
 
     for id in [LfDatasetId::Atoms131k, LfDatasetId::Atoms262k] {
-        let (positions, cfg) = lf_paper_system(id, opts.scale);
+        let (positions, cfg) = lf_paper_system(id, scale);
         println!("\n--- {} atoms ---", id.label());
         println!(
             "{:>9} | {:>10} {:>10} {:>6} | {:>10} {:>10} {:>6} | {:>10} {:>10} {:>6}",
@@ -35,7 +37,7 @@ fn main() {
         );
         for &cores in &cores_axis {
             let groups = [Engine::Spark, Engine::Dask, Engine::Mpi].map(|engine| {
-                let rc = RunConfig::new(Cluster::with_cores(opts.machine.clone(), cores), engine)
+                let rc = RunConfig::new(Cluster::with_cores(machine.clone(), cores), engine)
                     .approach(LfApproach::Broadcast1D)
                     .mpi_world(cores);
                 let out =
@@ -44,7 +46,7 @@ fn main() {
             });
             println!(
                 "{:>9} | {}",
-                cores_nodes_label(cores, &opts.machine),
+                cores_nodes_label(cores, &machine),
                 groups.join(" | ")
             );
         }
@@ -55,22 +57,19 @@ fn main() {
          Dask (40–65% of edge-discovery time)."
     );
 
-    if opts.wants_observability() {
+    if args.wants_observability() {
         // Traced Dask run of the broadcast-heavy approach: the critical
         // path shows *why* broadcast dominates (Fig. 8's mechanism).
-        let (positions, cfg) = lf_paper_system(LfDatasetId::Atoms131k, opts.scale);
+        let (positions, cfg) = lf_paper_system(LfDatasetId::Atoms131k, scale);
         let cores = 64;
-        let rc = RunConfig::new(
-            Cluster::with_cores(opts.machine.clone(), cores),
-            Engine::Dask,
-        )
-        .approach(LfApproach::Broadcast1D)
-        .trace(true);
+        let rc = RunConfig::new(Cluster::with_cores(machine.clone(), cores), Engine::Dask)
+            .approach(LfApproach::Broadcast1D)
+            .trace(true);
         let d = run_lf(&rc, positions, &cfg).expect("traced dask run");
         let trace = d.report.trace.as_ref().expect("trace enabled");
         println!("\ncritical path (dask, approach 1, {cores} cores):");
         print!("{}", netsim::CriticalPath::from_trace(trace).render());
-        bench::write_observability(&opts, &d.report, cores);
+        bench::write_observability(&args, &d.report, cores);
     }
 }
 

@@ -10,19 +10,20 @@
 //! cargo run -p bench --release --bin exp_fig9
 //! ```
 
-use bench::{cores_nodes_label, lf_paper_system, secs, Opts};
+use bench::{cli::Cli, cores_nodes_label, lf_paper_system, secs};
 use mdsim::LfDatasetId;
 use mdtask_core::run::{run_lf, RunConfig};
-use netsim::Cluster;
+use netsim::{wrangler, Cluster};
 use std::sync::Arc;
 use taskframe::Engine;
 
 fn main() {
-    let opts = Opts::parse(32);
+    let scale = Cli::new().scaled().parse().scale(32);
+    let machine = wrangler();
     let cores_axis = [32usize, 64, 128, 256];
     println!(
         "Fig. 9: Leaflet Finder approach 2 on RADICAL-Pilot, {} (atoms ÷{})",
-        opts.machine.name, opts.scale
+        machine.name, scale
     );
     println!(
         "\n{:>9} | {:>12} {:>12} {:>12}",
@@ -34,20 +35,17 @@ fn main() {
         LfDatasetId::Atoms262k,
         LfDatasetId::Atoms524k,
     ]
-    .map(|id| lf_paper_system(id, opts.scale));
+    .map(|id| lf_paper_system(id, scale));
 
     for &cores in &cores_axis {
         let row = datasets.each_ref().map(|(positions, cfg)| {
-            let rc = RunConfig::new(
-                Cluster::with_cores(opts.machine.clone(), cores),
-                Engine::Pilot,
-            );
+            let rc = RunConfig::new(Cluster::with_cores(machine.clone(), cores), Engine::Pilot);
             let out = run_lf(&rc, Arc::clone(positions), cfg).expect("RP runs approach 2");
             format!("{:>12}", secs(out.report.makespan_s))
         });
         println!(
             "{:>9} | {}",
-            cores_nodes_label(cores, &opts.machine),
+            cores_nodes_label(cores, &machine),
             row.join(" ")
         );
     }

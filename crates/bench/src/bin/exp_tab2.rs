@@ -6,22 +6,22 @@
 //! cargo run -p bench --release --bin exp_tab2
 //! ```
 
-use bench::{lf_paper_system, Opts};
+use bench::{cli::Cli, lf_paper_system};
 use mdsim::LfDatasetId;
 use mdtask_core::leaflet::LfApproach;
 use mdtask_core::run::{run_lf, RunConfig};
-use netsim::Cluster;
+use netsim::{wrangler, Cluster};
 use std::sync::Arc;
 use taskframe::Engine;
 
 fn main() {
-    let opts = Opts::parse(32);
-    let (positions, cfg) = lf_paper_system(LfDatasetId::Atoms131k, opts.scale);
+    let scale = Cli::new().scaled().parse().scale(32);
+    let (positions, cfg) = lf_paper_system(LfDatasetId::Atoms131k, scale);
 
     println!("Table 2: MapReduce operations per Leaflet Finder approach");
     println!(
         "(measured on the 131k-class system ÷{}, Spark engine)\n",
-        opts.scale
+        scale
     );
     println!(
         "{:<34} {:<6} {:<38} {:>12} {:>9} | {:>14}",
@@ -54,8 +54,7 @@ fn main() {
         ),
     ];
     for (approach, part, map, reduce) in static_rows {
-        let rc =
-            RunConfig::new(Cluster::new(opts.machine.clone(), 4), Engine::Spark).approach(approach);
+        let rc = RunConfig::new(Cluster::new(wrangler(), 4), Engine::Spark).approach(approach);
         match run_lf(&rc, Arc::clone(&positions), &cfg) {
             Ok(out) => println!(
                 "{:<34} {:<6} {:<38} {:>12} {:>9} | {:>14}",

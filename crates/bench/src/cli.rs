@@ -55,6 +55,12 @@ impl Cli {
         self
     }
 
+    /// Declare `--scale N` and `--full`, read back by [`Args::scale`].
+    pub fn scaled(self) -> Cli {
+        self.value("--scale", "N", "divide dataset sizes by N")
+            .switch("--full", "paper-sized datasets (scale = 1)")
+    }
+
     /// Declare a binary-specific boolean switch.
     pub fn switch(mut self, flag: &'static str, help: &'static str) -> Cli {
         self.specs.push(Spec {
@@ -183,6 +189,22 @@ impl Args {
         }
     }
 
+    /// The dataset-size divisor of a [`Cli::scaled`] binary: 1 under
+    /// `--full`, else `--scale` or `default`.
+    pub fn scale(&self, default: usize) -> usize {
+        if self.has("--full") {
+            return 1;
+        }
+        let s = self.usize_or("--scale", default);
+        assert!(s >= 1, "--scale must be >= 1");
+        s
+    }
+
+    /// Did the user ask for any observability artifact?
+    pub fn wants_observability(&self) -> bool {
+        self.trace_out.is_some() || self.metrics_out.is_some()
+    }
+
     /// The engines a sweep should cover: the `--engine` filter, or all.
     pub fn engines(&self) -> Vec<Engine> {
         match self.engine {
@@ -239,6 +261,14 @@ mod tests {
     #[should_panic(expected = "unknown flag")]
     fn unknown_flag_panics() {
         Cli::new().parse_from(argv(&["--nope"]));
+    }
+
+    #[test]
+    fn scale_flags_parse() {
+        let scaled = |flags: &[&str]| Cli::new().scaled().parse_from(argv(flags)).scale(32);
+        assert_eq!(scaled(&[]), 32);
+        assert_eq!(scaled(&["--scale", "4"]), 4);
+        assert_eq!(scaled(&["--full"]), 1);
     }
 
     #[test]

@@ -8,80 +8,35 @@
 //! `results/*.json` artifacts go through [`report`] and
 //! [`write_artifact`].
 //!
-//! Common flags:
+//! Flags are parsed by [`cli`]. The figure and table binaries that size
+//! their datasets also take (via [`cli::Cli::scaled`]):
 //! * `--scale N` — divide dataset sizes by `N` (default 32 for Leaflet
 //!   Finder systems, 16 for PSA ensembles; frame counts and task layouts
 //!   are never scaled). The memory model always reasons at paper scale.
 //! * `--full` — paper-sized datasets (`scale = 1`). Expect hours.
-//! * `--machine comet|wrangler` — machine profile where the paper varies
-//!   it.
-//! * `--trace-out PATH` — write a Chrome-trace JSON (open in Perfetto) of
-//!   a traced run to `PATH`.
-//! * `--metrics-out PATH` — write the run's metrics summary JSON to
-//!   `PATH`.
+//!
+//! Each binary fixes its machine profile: Wrangler where the paper shows
+//! one machine.
 
 use mdtask_core::LfConfig;
-use netsim::{comet, wrangler, FuzzReport, MachineProfile, Metrics, SimReport, Threads};
+use netsim::{FuzzReport, MachineProfile, Metrics, SimReport, Threads};
 use std::sync::Arc;
 use taskframe::Engine;
 
 pub mod cli;
 pub mod report;
 
-/// Parsed command-line options.
-#[derive(Clone, Debug)]
-pub struct Opts {
-    pub scale: usize,
-    pub machine: MachineProfile,
-    pub trace_out: Option<String>,
-    pub metrics_out: Option<String>,
-}
-
-impl Opts {
-    /// Parse `std::env::args`, with a default scale divisor.
-    pub fn parse(default_scale: usize) -> Opts {
-        let args = cli::Cli::new()
-            .value("--scale", "N", "divide dataset sizes by N")
-            .switch("--full", "paper-sized datasets (scale = 1)")
-            .value("--machine", "comet|wrangler", "machine profile")
-            .parse();
-        let scale = if args.has("--full") {
-            1
-        } else {
-            let s = args.usize_or("--scale", default_scale);
-            assert!(s >= 1, "--scale must be >= 1");
-            s
-        };
-        let machine = match args.get("--machine") {
-            None | Some("wrangler") => wrangler(),
-            Some("comet") => comet(),
-            Some(other) => panic!("unknown machine {other:?}"),
-        };
-        Opts {
-            scale,
-            machine,
-            trace_out: args.trace_out.clone(),
-            metrics_out: args.metrics_out.clone(),
-        }
-    }
-
-    /// Did the user ask for any observability artifact?
-    pub fn wants_observability(&self) -> bool {
-        self.trace_out.is_some() || self.metrics_out.is_some()
-    }
-}
-
 /// Write the artifacts requested by `--trace-out` / `--metrics-out` from a
 /// traced run's report, creating parent directories as needed.
-pub fn write_observability(opts: &Opts, report: &SimReport, n_cores: usize) {
-    if let Some(path) = &opts.trace_out {
+pub fn write_observability(args: &cli::Args, report: &SimReport, n_cores: usize) {
+    if let Some(path) = &args.trace_out {
         let trace = report
             .trace
             .as_ref()
             .expect("--trace-out needs a traced run (enable_trace)");
         write_artifact(path, &trace.to_chrome_json());
     }
-    if let Some(path) = &opts.metrics_out {
+    if let Some(path) = &args.metrics_out {
         write_artifact(path, &Metrics::from_report(report, n_cores).to_json());
     }
 }
@@ -222,7 +177,7 @@ mod tests {
     #[test]
     fn cores_nodes() {
         // Matches the paper's Wrangler axis labels (32 HT slots per node).
-        let w = wrangler();
+        let w = netsim::wrangler();
         assert_eq!(cores_nodes_label(256, &w), "256/8");
         assert_eq!(cores_nodes_label(32, &w), "32/1");
         assert_eq!(cores_nodes_label(16, &w), "16/1");

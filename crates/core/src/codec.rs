@@ -2,19 +2,19 @@
 //! slices are *really* serialized, written to the staging filesystem, and
 //! decoded inside the Compute-Unit — RADICAL-Pilot's only data path.
 
-use bytes::{Buf, BufMut};
 use linalg::Vec3;
+use mdio::ByteReader;
 use mdsim::Trajectory;
 
 /// Encode a list of trajectories: `u32` count, then per trajectory an
 /// `u32` length prefix and its MDT bytes.
 pub fn encode_trajectories(trajs: &[&Trajectory]) -> Vec<u8> {
     let mut buf = Vec::new();
-    buf.put_u32_le(trajs.len() as u32);
+    buf.extend_from_slice(&(trajs.len() as u32).to_le_bytes());
     for t in trajs {
         let body = mdio::mdt::encode_mdt(&t.frames).expect("uniform trajectory encodes");
-        buf.put_u32_le(body.len() as u32);
-        buf.put_slice(&body);
+        buf.extend_from_slice(&(body.len() as u32).to_le_bytes());
+        buf.extend_from_slice(&body);
     }
     buf
 }
@@ -24,45 +24,45 @@ pub fn encode_trajectories(trajs: &[&Trajectory]) -> Vec<u8> {
 /// # Panics
 /// Panics on malformed input (staging is engine-internal; corruption is a
 /// bug, not an input error).
-pub fn decode_trajectories(mut data: &[u8]) -> Vec<Trajectory> {
-    let n = data.get_u32_le() as usize;
+pub fn decode_trajectories(data: &[u8]) -> Vec<Trajectory> {
+    let mut r = ByteReader::new(data);
+    let n = r.u32().expect("trajectory count") as usize;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
-        let len = data.get_u32_le() as usize;
-        let (body, rest) = data.split_at(len);
+        let len = r.u32().expect("trajectory length") as usize;
+        let body = r.take(len).expect("trajectory bytes");
         out.push(Trajectory {
             frames: mdio::mdt::decode_mdt(body).expect("valid MDT"),
         });
-        data = rest;
     }
-    assert!(data.is_empty(), "trailing bytes after trajectories");
+    assert!(r.rest().is_empty(), "trailing bytes after trajectories");
     out
 }
 
 /// Encode a coordinate slice: `u32` count then 12 bytes per point.
 pub fn encode_points(points: &[Vec3]) -> Vec<u8> {
     let mut buf = Vec::with_capacity(4 + points.len() * 12);
-    buf.put_u32_le(points.len() as u32);
+    buf.extend_from_slice(&(points.len() as u32).to_le_bytes());
     for p in points {
-        buf.put_f32_le(p.x);
-        buf.put_f32_le(p.y);
-        buf.put_f32_le(p.z);
+        buf.extend_from_slice(&p.x.to_le_bytes());
+        buf.extend_from_slice(&p.y.to_le_bytes());
+        buf.extend_from_slice(&p.z.to_le_bytes());
     }
     buf
 }
 
 /// Decode [`encode_points`] output, returning any remaining bytes.
+///
+/// # Panics
+/// Panics on malformed input, as [`decode_trajectories`] does.
 pub fn decode_points(data: &[u8]) -> (Vec<Vec3>, &[u8]) {
-    let mut cur = data;
-    let n = cur.get_u32_le() as usize;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        let x = cur.get_f32_le();
-        let y = cur.get_f32_le();
-        let z = cur.get_f32_le();
-        out.push(Vec3::new(x, y, z));
-    }
-    (out, cur)
+    let mut r = ByteReader::new(data);
+    let n = r.u32().expect("point count") as usize;
+    let mut coord = || r.f32().expect("point coordinate");
+    let out = (0..n)
+        .map(|_| Vec3::new(coord(), coord(), coord()))
+        .collect();
+    (out, r.rest())
 }
 
 /// Encode two coordinate slices back to back (a 2-D block's row and

@@ -1,8 +1,7 @@
 //! The distributed client, delayed tasks and the dynamic scheduler.
 
-use netsim::{broadcast_time, Cluster, RetryPolicy, SimExecutor, SimReport};
-use parking_lot::Mutex;
-use std::sync::Arc;
+use netsim::{broadcast_time, lock, Cluster, RetryPolicy, SimExecutor, SimReport};
+use std::sync::{Arc, Mutex};
 use taskframe::{dask_profile, EngineError, FrameworkProfile, Payload, TaskCtx};
 
 /// Dask's worker memory-manager thresholds (fractions of the node budget,
@@ -121,12 +120,12 @@ impl DaskClient {
     /// Override the recovery policy (defaults to
     /// [`FrameworkProfile::retry_policy`]).
     pub fn set_retry_policy(&self, policy: RetryPolicy) {
-        self.inner.state.lock().policy = policy;
+        lock(&self.inner.state).policy = policy;
     }
 
     /// The recovery policy currently in force.
     pub fn retry_policy(&self) -> RetryPolicy {
-        self.inner.state.lock().policy
+        lock(&self.inner.state).policy
     }
 
     pub fn cluster(&self) -> &Cluster {
@@ -150,7 +149,7 @@ impl DaskClient {
         use netsim::stream::{run_stream, DispatchMode, StreamRun};
         let overhead = self.inner.profile.central_dispatch_s + self.inner.profile.worker_overhead_s;
         let spec = job.spec(DispatchMode::PerFrame, overhead);
-        let mut st = self.inner.state.lock();
+        let mut st = lock(&self.inner.state);
         let policy = st.policy;
         st.exec.set_phase("stream");
         let output = run_stream(&mut st.exec, source, &spec, &policy, frame_value)
@@ -171,7 +170,7 @@ impl DaskClient {
         dep_error: Option<EngineError>,
         f: impl FnOnce(&TaskCtx) -> T,
     ) -> Delayed<T> {
-        let mut st = self.inner.state.lock();
+        let mut st = lock(&self.inner.state);
         let tctx = TaskCtx::new(st.next_task, st.next_task);
         st.next_task += 1;
         let (out, host_s) = netsim::measure(|| f(&tctx));
@@ -359,7 +358,7 @@ impl DaskClient {
         F: FnOnce(&TaskCtx) -> T + Send,
     {
         let (base, host_threads) = {
-            let mut st = self.inner.state.lock();
+            let mut st = lock(&self.inner.state);
             let base = st.next_task;
             st.next_task += fs.len();
             (base, st.exec.host_threads())
@@ -370,7 +369,7 @@ impl DaskClient {
             let charged = tctx.charged();
             (out, host_s, charged)
         });
-        let mut st = self.inner.state.lock();
+        let mut st = lock(&self.inner.state);
         measured
             .into_iter()
             .map(|(out, host_s, charged)| {
@@ -424,7 +423,7 @@ impl DaskClient {
         F: FnOnce(&T, &TaskCtx) -> U + Send,
     {
         let (base, host_threads) = {
-            let mut st = self.inner.state.lock();
+            let mut st = lock(&self.inner.state);
             let base = st.next_task;
             st.next_task += fs.len();
             (base, st.exec.host_threads())
@@ -436,7 +435,7 @@ impl DaskClient {
             let charged = tctx.charged();
             (out, host_s, charged)
         });
-        let mut st = self.inner.state.lock();
+        let mut st = lock(&self.inner.state);
         measured
             .into_iter()
             .map(|(out, host_s, charged)| {
@@ -476,7 +475,7 @@ impl DaskClient {
     }
 
     fn gather_unchecked<T: Payload + Clone>(&self, ds: &[Delayed<T>]) -> (Vec<T>, f64) {
-        let mut st = self.inner.state.lock();
+        let mut st = lock(&self.inner.state);
         let net = self.inner.cluster.profile.network;
         let profile = &self.inner.profile;
         let mut t = ds.iter().map(|d| d.ready).fold(st.sched_free, f64::max);
@@ -500,7 +499,7 @@ impl DaskClient {
     /// Distribute per-partition data to workers (`client.scatter(list)`).
     pub fn scatter<T: Payload>(&self, parts: Vec<T>) -> Result<Vec<Delayed<T>>, EngineError> {
         let mut out = Vec::with_capacity(parts.len());
-        let mut st = self.inner.state.lock();
+        let mut st = lock(&self.inner.state);
         let net = self.inner.cluster.profile.network;
         let profile = &self.inner.profile;
         let mut t = st.sched_free;
@@ -552,7 +551,7 @@ impl DaskClient {
                 what: format!("list-wise broadcast of {items} elements"),
             });
         }
-        let mut st = self.inner.state.lock();
+        let mut st = lock(&self.inner.state);
         let dests = self.inner.cluster.nodes.saturating_sub(1);
         let t = broadcast_time(
             &self.inner.cluster.profile.network,
@@ -598,7 +597,7 @@ impl DaskClient {
     /// results) to the virtual clock, recorded as a named phase.
     pub fn charge_driver(&self, phase: &str, secs: f64) {
         assert!(secs >= 0.0, "cannot charge negative time");
-        let mut st = self.inner.state.lock();
+        let mut st = lock(&self.inner.state);
         // Client work begins after everything finished so far (gathers
         // advance the makespan but not the scheduler timeline).
         let start = st.sched_free.max(st.exec.report().makespan_s);
@@ -610,38 +609,38 @@ impl DaskClient {
 
     /// Record a named phase without advancing the clock.
     pub fn note_phase(&self, phase: &str, start: f64, end: f64) {
-        let mut st = self.inner.state.lock();
+        let mut st = lock(&self.inner.state);
         st.exec.report_mut().push_phase(phase, start, end);
     }
 
     /// Start recording a typed event trace (carried in [`Self::report`]).
     pub fn enable_trace(&self) {
-        self.inner.state.lock().exec.enable_trace();
+        lock(&self.inner.state).exec.enable_trace();
     }
 
     /// Start recording a *sampled* trace: keep only every `stride`-th task
     /// attempt (network/memory events stay complete). See
     /// [`netsim::SimExecutor::enable_trace_sampled`].
     pub fn enable_trace_sampled(&self, stride: u32) {
-        self.inner.state.lock().exec.enable_trace_sampled(stride);
+        lock(&self.inner.state).exec.enable_trace_sampled(stride);
     }
 
     /// Name the phase (and default task label) stamped onto subsequently
     /// traced events.
     pub fn set_phase(&self, phase: &str) {
-        let mut st = self.inner.state.lock();
+        let mut st = lock(&self.inner.state);
         st.exec.set_phase(phase);
         st.exec.set_task_label(phase);
     }
 
     /// Current virtual frontier.
     pub fn now(&self) -> f64 {
-        self.inner.state.lock().sched_free
+        lock(&self.inner.state).sched_free
     }
 
     /// Snapshot the simulated execution report.
     pub fn report(&self) -> SimReport {
-        let st = self.inner.state.lock();
+        let st = lock(&self.inner.state);
         let mut r = st.exec.report().clone();
         r.makespan_s = r.makespan_s.max(st.sched_free);
         r

@@ -10,7 +10,11 @@
 //! * [`xyz`] — the ubiquitous text XYZ format, for interoperability and
 //!   debugging;
 //! * [`staging`] — numbered per-task partition files, used by the pilot
-//!   engine's stage-in/stage-out.
+//!   engine's stage-in/stage-out;
+//! * [`ByteReader`] — the bounds-checked little-endian cursor every
+//!   binary decoder reads through (here and in `core::codec`), so a short
+//!   input is an [`IoError::Format`] by construction, never a panic.
+//!   Writers append `to_le_bytes()` to a `Vec<u8>`.
 
 pub mod mdt;
 pub mod staging;
@@ -58,3 +62,88 @@ impl From<std::io::Error> for IoError {
 }
 
 pub type Result<T> = std::result::Result<T, IoError>;
+
+/// A little-endian cursor over a byte slice. Every read checks its
+/// bounds: one past the end is `Err(IoError::Format)` and consumes
+/// nothing.
+#[derive(Debug)]
+pub struct ByteReader<'a> {
+    rest: &'a [u8],
+}
+
+impl<'a> ByteReader<'a> {
+    pub fn new(data: &'a [u8]) -> Self {
+        ByteReader { rest: data }
+    }
+
+    /// The unread bytes.
+    pub fn rest(&self) -> &'a [u8] {
+        self.rest
+    }
+
+    /// The next `n` bytes.
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8]> {
+        if n > self.rest.len() {
+            return Err(IoError::Format(format!(
+                "truncated: {n} B wanted, {} B left",
+                self.rest.len()
+            )));
+        }
+        let (head, rest) = self.rest.split_at(n);
+        self.rest = rest;
+        Ok(head)
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N]> {
+        let mut out = [0; N];
+        out.copy_from_slice(self.take(N)?);
+        Ok(out)
+    }
+
+    pub fn u8(&mut self) -> Result<u8> {
+        Ok(self.take(1)?[0])
+    }
+
+    pub fn u32(&mut self) -> Result<u32> {
+        self.array().map(u32::from_le_bytes)
+    }
+
+    pub fn f32(&mut self) -> Result<f32> {
+        self.array().map(f32::from_le_bytes)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn roundtrip_all_widths() {
+        let mut buf = vec![7];
+        buf.extend_from_slice(&0xdead_beef_u32.to_le_bytes());
+        buf.extend_from_slice(&1.5f32.to_le_bytes());
+        buf.extend_from_slice(b"xyz");
+
+        let mut r = ByteReader::new(&buf);
+        assert_eq!(r.u8().unwrap(), 7);
+        assert_eq!(r.u32().unwrap(), 0xdead_beef);
+        assert_eq!(r.f32().unwrap(), 1.5);
+        assert_eq!(r.rest(), b"xyz");
+        assert_eq!(r.take(3).unwrap(), b"xyz");
+        assert!(r.rest().is_empty());
+        assert_eq!(r.take(0).unwrap(), b"");
+    }
+
+    #[test]
+    fn short_read_is_a_format_error() {
+        let mut r = ByteReader::new(&[1, 2]);
+        assert!(matches!(r.u32(), Err(IoError::Format(_))));
+        assert!(matches!(r.f32(), Err(IoError::Format(_))));
+        assert!(matches!(r.take(3), Err(IoError::Format(_))));
+        // A refused read consumes nothing.
+        assert_eq!(r.rest(), [1, 2]);
+        assert_eq!(r.u8().unwrap(), 1);
+        assert_eq!(r.u8().unwrap(), 2);
+        assert!(matches!(r.u8(), Err(IoError::Format(_))));
+    }
+}

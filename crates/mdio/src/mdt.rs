@@ -12,8 +12,7 @@
 //! stores, so file sizes — and therefore simulated read times — are
 //! realistic.
 
-use crate::{IoError, Result};
-use bytes::{Buf, BufMut};
+use crate::{ByteReader, IoError, Result};
 use linalg::{Frame, Vec3};
 use std::io::{Read, Write};
 use std::path::Path;
@@ -36,31 +35,28 @@ pub fn encode_mdt(frames: &[Frame]) -> Result<Vec<u8>> {
         return Err(IoError::Format("zero-atom frames".into()));
     }
     let mut buf = Vec::with_capacity(12 + frames.len() * n_atoms * 12);
-    buf.put_slice(MAGIC);
-    buf.put_u32_le(n_atoms as u32);
-    buf.put_u32_le(frames.len() as u32);
+    buf.extend_from_slice(MAGIC);
+    buf.extend_from_slice(&(n_atoms as u32).to_le_bytes());
+    buf.extend_from_slice(&(frames.len() as u32).to_le_bytes());
     for f in frames {
         for p in f.positions() {
-            buf.put_f32_le(p.x);
-            buf.put_f32_le(p.y);
-            buf.put_f32_le(p.z);
+            buf.extend_from_slice(&p.x.to_le_bytes());
+            buf.extend_from_slice(&p.y.to_le_bytes());
+            buf.extend_from_slice(&p.z.to_le_bytes());
         }
     }
     Ok(buf)
 }
 
 /// Parse MDT bytes into frames.
-pub fn decode_mdt(mut data: &[u8]) -> Result<Vec<Frame>> {
-    if data.len() < 12 {
-        return Err(IoError::Format("truncated header".into()));
-    }
-    let mut magic = [0u8; 4];
-    data.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
+pub fn decode_mdt(data: &[u8]) -> Result<Vec<Frame>> {
+    let mut r = ByteReader::new(data);
+    let magic = r.take(4)?;
+    if magic != MAGIC {
         return Err(IoError::Format(format!("bad magic {magic:?}")));
     }
-    let n_atoms = data.get_u32_le() as usize;
-    let n_frames = data.get_u32_le() as usize;
+    let n_atoms = r.u32()? as usize;
+    let n_frames = r.u32()? as usize;
     // Zero-atom frames would need no payload: 12 header bytes could ask
     // for 2³² frames.
     if n_atoms == 0 && n_frames > 0 {
@@ -70,20 +66,17 @@ pub fn decode_mdt(mut data: &[u8]) -> Result<Vec<Frame>> {
         .checked_mul(n_atoms)
         .and_then(|x| x.checked_mul(12))
         .ok_or_else(|| IoError::Format("size overflow".into()))?;
-    if data.remaining() != need {
+    if r.rest().len() != need {
         return Err(IoError::Format(format!(
             "payload is {} bytes, header implies {need}",
-            data.remaining()
+            r.rest().len()
         )));
     }
     let mut frames = Vec::with_capacity(n_frames);
     for _ in 0..n_frames {
         let mut pos = Vec::with_capacity(n_atoms);
         for _ in 0..n_atoms {
-            let x = data.get_f32_le();
-            let y = data.get_f32_le();
-            let z = data.get_f32_le();
-            pos.push(Vec3::new(x, y, z));
+            pos.push(Vec3::new(r.f32()?, r.f32()?, r.f32()?));
         }
         frames.push(Frame::new(pos));
     }

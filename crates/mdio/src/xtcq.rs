@@ -19,8 +19,7 @@
 //! frame k  varint stream    (delta from the same atom in frame k-1)
 //! ```
 
-use crate::{IoError, Result};
-use bytes::{Buf, BufMut};
+use crate::{ByteReader, IoError, Result};
 use linalg::{Frame, Vec3};
 use std::path::Path;
 
@@ -42,21 +41,18 @@ fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
         let byte = (v & 0x7F) as u8;
         v >>= 7;
         if v == 0 {
-            buf.put_u8(byte);
+            buf.push(byte);
             return;
         }
-        buf.put_u8(byte | 0x80);
+        buf.push(byte | 0x80);
     }
 }
 
-fn get_varint(data: &mut &[u8]) -> Result<u64> {
+fn get_varint(r: &mut ByteReader) -> Result<u64> {
     let mut out = 0u64;
     let mut shift = 0u32;
     loop {
-        if !data.has_remaining() {
-            return Err(IoError::Format("truncated varint".into()));
-        }
-        let byte = data.get_u8();
+        let byte = r.u8()?;
         out |= ((byte & 0x7F) as u64) << shift;
         if byte & 0x80 == 0 {
             return Ok(out);
@@ -101,10 +97,10 @@ pub fn encode_xtcq(frames: &[Frame], inv_prec: f32) -> Result<Vec<u8>> {
     }
     let q = quantize(frames, inv_prec);
     let mut buf = Vec::with_capacity(16 + frames.len() * n_atoms * 4);
-    buf.put_slice(MAGIC);
-    buf.put_u32_le(n_atoms as u32);
-    buf.put_u32_le(frames.len() as u32);
-    buf.put_f32_le(inv_prec);
+    buf.extend_from_slice(MAGIC);
+    buf.extend_from_slice(&(n_atoms as u32).to_le_bytes());
+    buf.extend_from_slice(&(frames.len() as u32).to_le_bytes());
+    buf.extend_from_slice(&inv_prec.to_le_bytes());
     for (k, frame) in q.iter().enumerate() {
         let mut prev = [0i64; 3];
         for (a, atom) in frame.iter().enumerate() {
@@ -132,18 +128,15 @@ pub fn encode_xtcq(frames: &[Frame], inv_prec: f32) -> Result<Vec<u8>> {
 /// Decode an XTCQ byte stream. Coordinates are exact multiples of the
 /// stored precision (lossy by at most `0.5 / inv_prec` per axis relative
 /// to the original).
-pub fn decode_xtcq(mut data: &[u8]) -> Result<Vec<Frame>> {
-    if data.remaining() < 16 {
-        return Err(IoError::Format("truncated header".into()));
-    }
-    let mut magic = [0u8; 4];
-    data.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
+pub fn decode_xtcq(data: &[u8]) -> Result<Vec<Frame>> {
+    let mut r = ByteReader::new(data);
+    let magic = r.take(4)?;
+    if magic != MAGIC {
         return Err(IoError::Format(format!("bad magic {magic:?}")));
     }
-    let n_atoms = data.get_u32_le() as usize;
-    let n_frames = data.get_u32_le() as usize;
-    let inv_prec = data.get_f32_le();
+    let n_atoms = r.u32()? as usize;
+    let n_frames = r.u32()? as usize;
+    let inv_prec = r.f32()?;
     if inv_prec.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
         return Err(IoError::Format("non-positive precision".into()));
     }
@@ -153,11 +146,11 @@ pub fn decode_xtcq(mut data: &[u8]) -> Result<Vec<Frame>> {
     let fits = n_frames
         .checked_mul(n_atoms)
         .and_then(|x| x.checked_mul(3))
-        .is_some_and(|min| min <= data.remaining());
+        .is_some_and(|min| min <= r.rest().len());
     if !fits || (n_atoms == 0 && n_frames > 0) {
         return Err(IoError::Format(format!(
             "{n_frames} frames of {n_atoms} atoms cannot fit in {} bytes",
-            data.remaining()
+            r.rest().len()
         )));
     }
     let mut frames: Vec<Vec<[i64; 3]>> = Vec::with_capacity(n_frames);
@@ -169,7 +162,7 @@ pub fn decode_xtcq(mut data: &[u8]) -> Result<Vec<Frame>> {
             let mut atom = [0i64; 3];
             for (d, slot) in atom.iter_mut().enumerate() {
                 *slot = reference[d]
-                    .checked_add(unzigzag(get_varint(&mut data)?))
+                    .checked_add(unzigzag(get_varint(&mut r)?))
                     .ok_or_else(|| IoError::Format("coordinate overflow".into()))?;
             }
             prev = atom;
@@ -177,7 +170,7 @@ pub fn decode_xtcq(mut data: &[u8]) -> Result<Vec<Frame>> {
         }
         frames.push(frame);
     }
-    if data.has_remaining() {
+    if !r.rest().is_empty() {
         return Err(IoError::Format("trailing bytes".into()));
     }
     let prec = 1.0 / inv_prec;
@@ -321,9 +314,9 @@ mod tests {
         fn varint_roundtrip(v in any::<i64>()) {
             let mut buf = Vec::new();
             put_varint(&mut buf, zigzag(v));
-            let mut slice = buf.as_slice();
-            prop_assert_eq!(unzigzag(get_varint(&mut slice).unwrap()), v);
-            prop_assert!(slice.is_empty());
+            let mut r = ByteReader::new(&buf);
+            prop_assert_eq!(unzigzag(get_varint(&mut r).unwrap()), v);
+            prop_assert!(r.rest().is_empty());
         }
     }
 }

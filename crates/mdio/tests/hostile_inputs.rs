@@ -156,6 +156,19 @@ fn trajectory(n_atoms: usize, n_frames: usize, seed: u32) -> Vec<Frame> {
         .collect()
 }
 
+#[test]
+fn every_strict_prefix_of_a_valid_file_is_refused() {
+    let frames = trajectory(3, 2, 7);
+    let mdt = encode_mdt(&frames).unwrap();
+    let xtcq = encode_xtcq(&frames, DEFAULT_PRECISION).unwrap();
+    for n in 0..mdt.len() {
+        refused(&mdt[..n], || decode_mdt(&mdt[..n]));
+    }
+    for n in 0..xtcq.len() {
+        refused(&xtcq[..n], || decode_xtcq(&xtcq[..n]));
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(1024))]
 

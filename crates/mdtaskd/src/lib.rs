@@ -322,7 +322,7 @@ impl Service {
         // measurement phases so concurrent `Service::run`s (tests, a
         // driver fanning out services) cannot flip it under each other.
         static MEASURE_LOCK: Mutex<()> = Mutex::new(());
-        let _guard = MEASURE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _guard = netsim::lock(&MEASURE_LOCK);
         let prev = netsim::deterministic_timing();
         netsim::set_deterministic_timing(self.deterministic);
         let outs: Vec<Result<(f64, u64), EngineError>> = parallel::run_indexed(pairs.len(), |i| {

@@ -10,10 +10,11 @@
 //! the rendezvous: every rank waiting in (or later entering) a collective
 //! unwinds with [`Aborted`] instead of waiting forever.
 
-use parking_lot::{Condvar, Mutex};
+use netsim::lock;
 use std::any::Any;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Condvar, Mutex, PoisonError};
 
 type Slot = Option<Box<dyn Any + Send>>;
 
@@ -74,13 +75,13 @@ impl Rendezvous {
     pub fn abort(&self) {
         self.aborted.store(true, Ordering::SeqCst);
         // Taking the lock orders the flag before any waiter's next check.
-        let _g = self.state.lock();
+        let _g = lock(&self.state);
         self.cv.notify_all();
     }
 
     /// Total virtual communication time charged so far.
     pub fn comm_seconds(&self) -> f64 {
-        *self.comm_s.lock()
+        *lock(&self.comm_s)
     }
 
     /// Enter collective `seq` as `rank` at virtual time `clock`,
@@ -106,7 +107,7 @@ impl Rendezvous {
         R: Send + 'static,
         F: FnOnce(&[f64], Vec<T>) -> (Vec<R>, Vec<f64>),
     {
-        let mut g = self.state.lock();
+        let mut g = lock(&self.state);
         {
             let round = g.entry(seq).or_insert_with(|| Round::new(self.world));
             assert!(
@@ -145,7 +146,7 @@ impl Rendezvous {
             );
             let max_arrival = clocks.iter().copied().fold(0.0, f64::max);
             let max_completion = completion.iter().copied().fold(0.0, f64::max);
-            *self.comm_s.lock() += (max_completion - max_arrival).max(0.0);
+            *lock(&self.comm_s) += (max_completion - max_arrival).max(0.0);
             for (slot, out) in round.outputs.iter_mut().zip(outs) {
                 *slot = Some(Box::new(out));
             }
@@ -158,7 +159,7 @@ impl Rendezvous {
                     drop(g);
                     std::panic::resume_unwind(Box::new(Aborted));
                 }
-                self.cv.wait(&mut g);
+                g = self.cv.wait(g).unwrap_or_else(PoisonError::into_inner);
             }
         }
         let round = g.get_mut(&seq).expect("round exists");

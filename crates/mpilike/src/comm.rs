@@ -1,11 +1,11 @@
 //! The SPMD communicator and runner.
 
 use crate::collective::{Aborted, Rendezvous};
-use netsim::{Cluster, EventKind, RetryPolicy, SimReport, Trace, TraceEvent};
-use parking_lot::Mutex;
+use netsim::{lock, Cluster, EventKind, RetryPolicy, SimReport, Trace, TraceEvent};
 use std::collections::BTreeMap;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 use taskframe::{mpi_profile, EngineError, Payload};
 
 /// Payloads larger than this fraction of a rank's fixed buffer move in
@@ -57,7 +57,7 @@ impl Shared {
     }
 
     fn record(&self, core: usize, start_s: f64, end_s: f64, phase: &str, kind: EventKind) {
-        let mut trace = self.trace.lock();
+        let mut trace = lock(&self.trace);
         let task = trace.next_id();
         let phase = trace.intern(phase);
         trace.record(TraceEvent {
@@ -76,7 +76,7 @@ impl Shared {
     /// trace lock, so ranks can record concurrently without allocating
     /// shared strings).
     fn record_task(&self, core: usize, start_s: f64, end_s: f64, phase: &str, label: &str) {
-        let mut trace = self.trace.lock();
+        let mut trace = lock(&self.trace);
         let task = trace.next_id();
         let phase = trace.intern(phase);
         let label = trace.intern(label);
@@ -234,7 +234,7 @@ where
     // hitting a node that hosts ranks before the (shifted) job end costs
     // one attempt and a restart from the last completed collective
     // barrier (or from scratch, without barrier checkpoints).
-    let barriers: Vec<f64> = shared.collective_ends.lock().values().copied().collect();
+    let barriers: Vec<f64> = lock(&shared.collective_ends).values().copied().collect();
     let rank_nodes: std::collections::BTreeSet<usize> = (0..world)
         .map(|rank| shared.cluster.node_of_core(rank))
         .collect();
@@ -386,7 +386,10 @@ where
     // virtual-time order and renumber so runs are reproducible. (Events
     // keep the original, unshifted timeline; restarts appear as recovery
     // events alongside it.)
-    let mut trace = shared.trace.into_inner();
+    let mut trace = shared
+        .trace
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner);
     for &(start_s, end_s) in &recovery_windows {
         let task = trace.next_id();
         let phase = trace.intern("recovery");
@@ -421,7 +424,7 @@ where
     let mut report = SimReport {
         makespan_s: end,
         tasks: world,
-        compute_s: *shared.compute_s.lock(),
+        compute_s: *lock(&shared.compute_s),
         overhead_s: profile.startup_s * (1 + restarts) as f64,
         comm_s: shared.rendezvous.comm_seconds(),
         bytes_broadcast: shared.bytes_broadcast.load(Ordering::Relaxed),
@@ -475,7 +478,7 @@ impl<'a> Comm<'a> {
             * self.shared.cluster.faults().slowdown(self.rank);
         let start = self.clock;
         self.clock += sim_s;
-        *self.shared.compute_s.lock() += sim_s;
+        *lock(&self.shared.compute_s) += sim_s;
         self.shared
             .record_task(self.rank, start, self.clock, &self.phase, "compute");
         out
@@ -501,7 +504,7 @@ impl<'a> Comm<'a> {
         self.clock = t;
         // The collective is globally complete once its slowest rank is
         // done — that instant is a consistent restart checkpoint.
-        let mut ends = self.shared.collective_ends.lock();
+        let mut ends = lock(&self.shared.collective_ends);
         let e = ends.entry(self.seq).or_insert(self.clock);
         if self.clock > *e {
             *e = self.clock;

@@ -849,7 +849,9 @@ pub fn shrink(plan: &FaultPlan, mut still_fails: impl FnMut(&FaultPlan) -> bool)
 /// Run the full sweep: a fault-free baseline, then `cfg.plans` seeded
 /// plans through [`fuzz_with`], checking every oracle and shrinking each
 /// violation to a minimal counterexample. The workload closure runs the
-/// *same* job under the given plan and fingerprints its results.
+/// *same* job under the given plan and fingerprints its results; it sees
+/// the baseline first, then each plan once, and after those only shrink
+/// candidates.
 pub fn fuzz<F>(cfg: &ChaosConfig, run: F) -> FuzzReport
 where
     F: Fn(&FaultPlan) -> Result<ChaosOutcome, String> + Sync,

@@ -46,3 +46,34 @@ pub use stream::{
     WindowSpec,
 };
 pub use trace::{EventKind, Interner, Sym, Trace, TraceEvent};
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Lock `m`, recovering the guard if a holder panicked and poisoned it.
+/// Every engine takes its state locks through here, so a panic inside one
+/// task closure surfaces once, where the run re-raises it, and not again
+/// at each later lock.
+pub fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn lock_and_mutate() {
+        let m = Mutex::new(1);
+        *lock(&m) += 1;
+        assert_eq!(*lock(&m), 2);
+        // A holder that panics poisons the mutex; the next lock still
+        // sees its data.
+        let poisoned = std::panic::catch_unwind(|| {
+            let mut g = lock(&m);
+            *g += 1;
+            panic!("holder panics");
+        });
+        assert!(poisoned.is_err() && m.is_poisoned());
+        assert_eq!(*lock(&m), 3);
+    }
+}

@@ -24,10 +24,11 @@
 //!    `MDTASK_THREADS` env var (`1`, `auto`, or a number). Unset → serial,
 //!    i.e. exactly the pre-pool behavior.
 
-use parking_lot::{Condvar, Mutex};
+use crate::lock;
 use std::cell::Cell;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, PoisonError};
 
 /// Requested host-parallelism degree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -218,7 +219,7 @@ where
     }
     let slots: Vec<Mutex<Option<I>>> = items.into_iter().map(|i| Mutex::new(Some(i))).collect();
     run_indexed_with(degree, slots.len(), |i| {
-        let item = slots[i].lock().take().expect("each item claimed once");
+        let item = lock(&slots[i]).take().expect("each item claimed once");
         f(i, item)
     })
 }
@@ -241,10 +242,10 @@ impl Semaphore {
 
     /// Block until a permit is free; the guard returns it on drop.
     pub fn acquire(&self) -> SemaphoreGuard<'_> {
-        let mut n = self.permits.lock();
-        while *n == 0 {
-            self.available.wait(&mut n);
-        }
+        let mut n = self
+            .available
+            .wait_while(lock(&self.permits), |n| *n == 0)
+            .unwrap_or_else(PoisonError::into_inner);
         *n -= 1;
         SemaphoreGuard { sem: self }
     }
@@ -257,7 +258,7 @@ pub struct SemaphoreGuard<'a> {
 
 impl Drop for SemaphoreGuard<'_> {
     fn drop(&mut self) {
-        *self.sem.permits.lock() += 1;
+        *lock(&self.sem.permits) += 1;
         self.sem.available.notify_one();
     }
 }

@@ -601,7 +601,7 @@ impl Trace {
                 other => return Err(format!("row {i}: unknown kind: {other}")),
             };
             let phase = t.intern(f[7]);
-            t.record(TraceEvent {
+            let e = TraceEvent {
                 task: idx(f[0], "task")?,
                 core: idx(f[1], "core")?,
                 start_s: num(f[2], "start_s")?,
@@ -610,7 +610,15 @@ impl Trace {
                 ready_s: num(f[8], "ready_s")?,
                 phase,
                 kind,
-            });
+            };
+            // `record`'s invariants, checked in every build; a NaN fails both.
+            if !(e.end_s >= e.start_s && e.ready_s <= e.start_s + 1e-12) {
+                return Err(format!(
+                    "row {i}: needs ready_s <= start_s <= end_s, got {} / {} / {}",
+                    e.ready_s, e.start_s, e.end_s
+                ));
+            }
+            t.record(e);
         }
         Ok(t)
     }
@@ -982,6 +990,13 @@ mod tests {
         assert!(Trace::from_csv("nope\n1,2,3").is_err());
         let bad_row = format!("{CSV_HEADER}\n1,2,3\n");
         assert!(Trace::from_csv(&bad_row).is_err());
+        // Rows that break `record`'s invariants: an end before the start,
+        // a ready time after it, and a NaN start.
+        for (start, end, ready) in [("2", "1", "0"), ("1", "2", "1.5"), ("NaN", "2", "0")] {
+            let row = format!("{CSV_HEADER}\n0,0,{start},{end},false,task,t,p,{ready},false,,,\n");
+            let err = Trace::from_csv(&row).expect_err(&row);
+            assert!(err.starts_with("row 0: needs ready_s"), "{err}");
+        }
     }
 
     #[test]

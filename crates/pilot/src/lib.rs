@@ -22,8 +22,8 @@
 //!   tasks" (§4.1).
 
 use mdio::StagingArea;
-use netsim::{Cluster, RetryPolicy, SimExecutor, SimReport};
-use parking_lot::Mutex;
+use netsim::{lock, Cluster, RetryPolicy, SimExecutor, SimReport};
+use std::sync::Mutex;
 use taskframe::{pilot_profile, EngineError, FrameworkProfile, Payload, TaskCtx};
 
 /// Compute-Unit states, in ladder order. Each transition is one DB
@@ -180,12 +180,12 @@ impl Session {
     /// Override the recovery policy (defaults to
     /// [`FrameworkProfile::retry_policy`]).
     pub fn set_retry_policy(&self, policy: RetryPolicy) {
-        self.state.lock().policy = policy;
+        lock(&self.state).policy = policy;
     }
 
     /// The recovery policy currently in force.
     pub fn retry_policy(&self) -> RetryPolicy {
-        self.state.lock().policy
+        lock(&self.state).policy
     }
 
     pub fn cluster(&self) -> &Cluster {
@@ -210,7 +210,7 @@ impl Session {
         use netsim::stream::{run_stream, DispatchMode, StreamRun};
         let overhead = self.profile.central_dispatch_s + self.profile.worker_overhead_s;
         let spec = job.spec(DispatchMode::UnitPerWindow, overhead);
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         let policy = st.policy;
         st.exec.set_phase("stream");
         let output = run_stream(&mut st.exec, source, &spec, &policy, frame_value)
@@ -231,7 +231,7 @@ impl Session {
                 units.len()
             )));
         }
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         let net = self.cluster.profile.network;
         let startup = self.profile.startup_s;
         let n = units.len();
@@ -430,19 +430,19 @@ impl Session {
     /// Start recording a typed event trace (carried inside the report of
     /// subsequent submissions).
     pub fn enable_trace(&self) {
-        self.state.lock().exec.enable_trace();
+        lock(&self.state).exec.enable_trace();
     }
 
     /// Start recording a *sampled* trace: keep only every `stride`-th task
     /// attempt (network/memory events stay complete). See
     /// [`netsim::SimExecutor::enable_trace_sampled`].
     pub fn enable_trace_sampled(&self, stride: u32) {
-        self.state.lock().exec.enable_trace_sampled(stride);
+        lock(&self.state).exec.enable_trace_sampled(stride);
     }
 
     /// Snapshot the report (after one or more submissions).
     pub fn report(&self) -> SimReport {
-        self.state.lock().exec.report().clone()
+        lock(&self.state).exec.report().clone()
     }
 }
 
@@ -486,7 +486,7 @@ mod tests {
             .map(|i| UnitDescription::compute_only(move |_, _| i))
             .collect();
         let out = s.submit_and_wait(units).unwrap();
-        assert_eq!(s.state.lock().db.ops(), n * DB_TRANSITIONS as u64);
+        assert_eq!(lock(&s.state).db.ops(), n * DB_TRANSITIONS as u64);
         // Even with zero-work tasks, the DB floor bounds the makespan:
         // n tasks × 4 trips × 3 ms each (beyond the 35 s bootstrap).
         let floor = 35.0 + n as f64 * 0.012;

@@ -1,8 +1,7 @@
 //! Driver context: cluster handle, virtual-time state, broadcast variables.
 
-use netsim::{broadcast_time, Cluster, RetryPolicy, SimExecutor, SimReport};
-use parking_lot::Mutex;
-use std::sync::Arc;
+use netsim::{broadcast_time, lock, Cluster, RetryPolicy, SimExecutor, SimReport};
+use std::sync::{Arc, Mutex};
 use taskframe::{spark_profile, EngineError, FrameworkProfile, Payload};
 
 /// One cached partition registered with the driver's block manager: where
@@ -156,12 +155,12 @@ impl SparkContext {
     /// [`FrameworkProfile::retry_policy`]). Applies to every task dispatched
     /// after the call.
     pub fn set_retry_policy(&self, policy: RetryPolicy) {
-        self.inner.state.lock().policy = policy;
+        lock(&self.inner.state).policy = policy;
     }
 
     /// The recovery policy currently in force.
     pub fn retry_policy(&self) -> RetryPolicy {
-        self.inner.state.lock().policy
+        lock(&self.inner.state).policy
     }
 
     pub fn cluster(&self) -> &Cluster {
@@ -194,7 +193,7 @@ impl SparkContext {
                 what: "broadcast replica".into(),
             });
         }
-        let mut st = self.inner.state.lock();
+        let mut st = lock(&self.inner.state);
         let dests = self.inner.cluster.nodes.saturating_sub(1);
         let t = broadcast_time(
             &self.inner.cluster.profile.network,
@@ -240,14 +239,14 @@ impl SparkContext {
     /// `spark.speculation`; the paper's §6 straggler-mitigation item).
     pub fn enable_speculation(&self, threshold: f64) {
         assert!(threshold > 1.0, "speculation threshold must exceed 1.0");
-        self.inner.state.lock().speculation = Some(threshold);
+        lock(&self.inner.state).speculation = Some(threshold);
     }
 
     /// Charge driver-side work (e.g. a final connected-components pass on
     /// collected results) to the virtual clock, recorded as a named phase.
     pub fn charge_driver(&self, phase: &str, secs: f64) {
         assert!(secs >= 0.0, "cannot charge negative time");
-        let mut st = self.inner.state.lock();
+        let mut st = lock(&self.inner.state);
         let start = st.frontier;
         st.frontier += secs;
         let end = st.frontier;
@@ -258,39 +257,39 @@ impl SparkContext {
     /// Record a named phase covering `[start, end]` in virtual time
     /// without advancing the clock (annotation only).
     pub fn note_phase(&self, phase: &str, start: f64, end: f64) {
-        let mut st = self.inner.state.lock();
+        let mut st = lock(&self.inner.state);
         st.exec.report_mut().push_phase(phase, start, end);
     }
 
     /// Start recording a typed event trace (see [`netsim::Trace`]); the
     /// trace is carried inside [`Self::report`].
     pub fn enable_trace(&self) {
-        self.inner.state.lock().exec.enable_trace();
+        lock(&self.inner.state).exec.enable_trace();
     }
 
     /// Start recording a *sampled* trace: keep only every `stride`-th task
     /// attempt (network/memory events stay complete). See
     /// [`netsim::SimExecutor::enable_trace_sampled`].
     pub fn enable_trace_sampled(&self, stride: u32) {
-        self.inner.state.lock().exec.enable_trace_sampled(stride);
+        lock(&self.inner.state).exec.enable_trace_sampled(stride);
     }
 
     /// Name the phase (and default task label) stamped onto subsequently
     /// traced events — drivers call this at algorithm-phase boundaries.
     pub fn set_phase(&self, phase: &str) {
-        let mut st = self.inner.state.lock();
+        let mut st = lock(&self.inner.state);
         st.exec.set_phase(phase);
         st.exec.set_task_label(phase);
     }
 
     /// Current virtual frontier (end of all completed work).
     pub fn now(&self) -> f64 {
-        self.inner.state.lock().frontier
+        lock(&self.inner.state).frontier
     }
 
     /// Snapshot of the simulated execution report so far.
     pub fn report(&self) -> SimReport {
-        let mut st = self.inner.state.lock();
+        let mut st = lock(&self.inner.state);
         let pending = self
             .inner
             .pending_recomputes

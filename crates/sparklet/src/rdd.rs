@@ -1,10 +1,9 @@
 //! Resilient Distributed Datasets: lazy lineage, stages, actions.
 
 use crate::context::{JobState, SparkContext};
-use netsim::measure;
-use parking_lot::Mutex;
+use netsim::{lock, measure};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use taskframe::{fold_pairwise, EngineError, Payload, TaskCtx};
 
 type Compute<T> = Arc<dyn Fn(usize, &TaskCtx) -> Vec<T> + Send + Sync>;
@@ -180,7 +179,7 @@ where
     /// closure, same input).
     fn partition_input(&self, p: usize, ctx: &TaskCtx) -> Vec<T> {
         if self.persisted {
-            let cached = self.cache.lock();
+            let cached = lock(&self.cache);
             match cached.get(p) {
                 Some(Some(part)) => return part.clone(),
                 Some(None) => {
@@ -202,7 +201,7 @@ where
     /// already fully cached.
     fn stage_ready(&self, state: &mut JobState) -> Result<Vec<f64>, EngineError> {
         if self.persisted {
-            let cached = self.cache.lock();
+            let cached = lock(&self.cache);
             if !cached.is_empty() && cached.iter().all(Option::is_some) {
                 return Ok(vec![state.frontier; self.n_partitions]);
             }
@@ -225,7 +224,7 @@ where
         let mut have: Vec<Option<Vec<T>>> = Vec::new();
         let mut materialized = false;
         if self.persisted {
-            let cached = self.cache.lock();
+            let cached = lock(&self.cache);
             materialized = !cached.is_empty();
             if materialized && cached.iter().all(Option::is_some) {
                 let parts: Vec<Vec<T>> = cached.iter().map(|p| p.clone().unwrap()).collect();
@@ -357,7 +356,7 @@ where
                 let node = cluster.node_of_core(cores[i]);
                 if state.reserve_or_evict(node, bytes) {
                     {
-                        let mut guard = self.cache.lock();
+                        let mut guard = lock(&self.cache);
                         if guard.len() != self.n_partitions {
                             guard.resize_with(self.n_partitions, || None);
                         }
@@ -369,7 +368,7 @@ where
                         node,
                         bytes,
                         Arc::new(move || {
-                            if let Some(slot) = evict_cache.lock().get_mut(p) {
+                            if let Some(slot) = lock(&evict_cache).get_mut(p) {
                                 *slot = None;
                             }
                         }),
@@ -482,7 +481,7 @@ where
     /// Materialize and pull all partitions to the driver, surfacing
     /// recovery-policy exhaustion as a typed error.
     pub fn try_collect(&self) -> Result<Vec<T>, EngineError> {
-        let mut st = self.ctx.inner.state.lock();
+        let mut st = lock(&self.ctx.inner.state);
         let parts = self.run_stage(&mut st)?;
         // Driver gather: results stream back over the network.
         let profile = &self.ctx.inner.profile;
@@ -516,7 +515,7 @@ where
 
     /// Materialize and count elements, surfacing job failure.
     fn try_count(&self) -> Result<usize, EngineError> {
-        let mut st = self.ctx.inner.state.lock();
+        let mut st = lock(&self.ctx.inner.state);
         let parts = self.run_stage(&mut st)?;
         st.frontier += self.ctx.inner.cluster.profile.network.latency_s;
         let f = st.frontier;
@@ -539,7 +538,7 @@ where
     /// value passes through more than ⌈log₂ partitions⌉ driver-side
     /// combines.
     pub fn try_reduce(&self, f: impl Fn(T, T) -> T) -> Result<Option<T>, EngineError> {
-        let mut st = self.ctx.inner.state.lock();
+        let mut st = lock(&self.ctx.inner.state);
         let parts = self.run_stage(&mut st)?;
         let net = self.ctx.inner.cluster.profile.network;
         let mut gather = 0.0;

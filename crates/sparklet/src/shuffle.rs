@@ -10,11 +10,11 @@
 
 use crate::context::JobState;
 use crate::rdd::Rdd;
-use parking_lot::Mutex;
+use netsim::lock;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use taskframe::{EngineError, Payload};
 
 /// Deterministic hash partitioner (SipHash with fixed keys, like Spark's
@@ -38,7 +38,7 @@ where
         let depth = self.depth() + 1;
         let (store, ctx, prepare) = self.shuffle_machinery(n_out, |part| part);
         Rdd::shuffled(ctx, n_out, depth, prepare, move |q, _tctx| {
-            let guard = store.lock();
+            let guard = lock(&store);
             let bucket = &guard.as_ref().expect("shuffle materialized")[q];
             // Group preserving first-appearance order (deterministic).
             let mut order: Vec<K> = Vec::new();
@@ -77,7 +77,7 @@ where
         let depth = self.depth() + 1;
         let (store, ctx, prepare) = self.shuffle_machinery(n_out, combine);
         Rdd::shuffled(ctx, n_out, depth, prepare, move |q, _tctx| {
-            let guard = store.lock();
+            let guard = lock(&store);
             let bucket = guard.as_ref().expect("shuffle materialized")[q].clone();
             combine_by_key(bucket, &f)
         })
@@ -100,7 +100,7 @@ where
         let profile = ctx.inner.profile.clone();
         let prepare = Arc::new(
             move |state: &mut JobState| -> Result<Vec<f64>, EngineError> {
-                let mut guard = prepare_store.lock();
+                let mut guard = lock(&prepare_store);
                 if guard.is_some() {
                     // Shuffle files already on disk: reducers are ready now.
                     return Ok(vec![state.frontier; n_out]);

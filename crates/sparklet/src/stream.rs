@@ -1,6 +1,7 @@
 //! Micro-batched streaming on the Spark driver — the Spark-Streaming
 //! posture: buffer incoming frames, dispatch each batch as one stage.
 
+use netsim::lock;
 use netsim::stream::{run_stream, DispatchMode, SourceLog, StreamJob, StreamRun};
 use taskframe::EngineError;
 
@@ -28,7 +29,7 @@ impl SparkContext {
     ) -> Result<StreamRun, EngineError> {
         let overhead = self.inner.profile.central_dispatch_s + self.inner.profile.worker_overhead_s;
         let spec = job.spec(DispatchMode::MicroBatch(batch.max(1)), overhead);
-        let mut st = self.inner.state.lock();
+        let mut st = lock(&self.inner.state);
         let policy = st.policy;
         st.exec.set_phase("stream");
         let output = run_stream(&mut st.exec, source, &spec, &policy, frame_value)
