@@ -249,70 +249,63 @@ pub(crate) fn run_mpi<A: ParallelAnalysis + 'static>(
     let net = cluster.profile.network;
     let shared = a.shared();
 
-    let out = mpilike::try_run_with_policy(
-        cluster.clone(),
-        world,
-        policy,
-        restart_from_barrier,
-        |comm| {
-            let t_start = comm.clock();
-            let received;
-            let local: &A::Shared = if plan.broadcast {
-                comm.set_phase("broadcast");
-                let v = (comm.rank() == 0).then(|| Arc::clone(&shared));
-                // A replica too big for the fixed per-rank buffers
-                // surfaces typed on every rank instead of tearing the
-                // job down.
-                received = comm.try_bcast(0, v)?;
-                &received
-            } else {
-                &shared // pre-partitioned: ranks read their slices as I/O
-            };
-            let t_bcast = comm.clock();
-            comm.set_phase(plan.phase);
-            let mine: Vec<A::Slice> = plan
-                .slices
-                .iter()
-                .copied()
-                .skip(comm.rank())
-                .step_by(comm.world())
-                .collect();
+    let mut mpi = mpilike::World::launch(cluster.clone(), world)?;
+    let start_min = mpi.clocks().iter().copied().fold(f64::INFINITY, f64::min);
+    let latest = |mpi: &mpilike::World| mpi.clocks().iter().copied().fold(0.0, f64::max);
+    // The supersteps stop at the first failed collective; the fault walk
+    // in `finish` still runs, and its error outranks the collective's.
+    let mut steps = || -> Result<_, EngineError> {
+        let replicas = if plan.broadcast {
+            mpi.set_phase("broadcast");
+            // A replica too big for the fixed per-rank buffers surfaces
+            // typed instead of tearing the job down.
+            Some(mpi.try_bcast(0, Arc::clone(&shared))?)
+        } else {
+            None // pre-partitioned: ranks read their slices as I/O
+        };
+        let bcast_max = latest(&mpi);
+        mpi.set_phase(plan.phase);
+        let ranks = mpi.size();
+        let mine: Vec<Vec<A::Slice>> = (0..ranks)
+            .map(|rank| {
+                plan.slices
+                    .iter()
+                    .copied()
+                    .skip(rank)
+                    .step_by(ranks)
+                    .collect()
+            })
+            .collect();
+        for (rank, mine) in mine.iter().enumerate() {
             if let Some(bytes) = plan.read_bytes {
                 let total = mine.iter().map(|&s| bytes(a, s)).sum();
-                comm.charge(net.transfer_time(total, false));
+                mpi.charge(rank, net.transfer_time(total, false));
             }
             if let Some(cost) = plan.cost_s {
                 let total: f64 = mine.iter().map(|&s| cost(a, s)).sum();
                 if total > 0.0 {
-                    comm.charge(total);
+                    mpi.charge(rank, total);
                 }
             }
-            let wire = comm.compute(|| a.rank_map(local, &mine));
-            let t_map = comm.clock();
-            comm.set_phase("gather");
-            let gathered = comm.try_gather(0, wire)?;
-            Ok::<_, EngineError>((gathered, t_start, t_bcast, t_map))
-        },
-    )?;
-
-    // Rank 0 reduces; rank order is stable so the result is
-    // deterministic. Memory exhaustion inside a collective poisons every
-    // rank with the same typed error; surface the first one.
-    let mut wires: Vec<A::Wire> = Vec::new();
-    let mut clocks = MpiClocks {
-        start_min: f64::INFINITY,
-        bcast_max: 0.0,
-        map_max: 0.0,
-    };
-    for rank_result in out.results {
-        let (gathered, t_start, t_bcast, t_map) = rank_result?;
-        clocks.start_min = clocks.start_min.min(t_start);
-        clocks.bcast_max = clocks.bcast_max.max(t_bcast);
-        clocks.map_max = clocks.map_max.max(t_map);
-        if let Some(rank_outs) = gathered {
-            wires.extend(rank_outs);
         }
-    }
-    let ctx = DriverCtx::owned(Engine::Mpi, n_tasks, out.report, cluster.clone());
+        let wires = mpi.compute(|rank| {
+            let local = replicas.as_ref().map_or(&shared, |r| &r[rank]);
+            a.rank_map(local, &mine[rank])
+        });
+        let map_max = latest(&mpi);
+        mpi.set_phase("gather");
+        // Rank order is stable, so rank 0's reduce is deterministic.
+        let wires = mpi.try_gather(0, wires)?;
+        let clocks = MpiClocks {
+            start_min,
+            bcast_max,
+            map_max,
+        };
+        Ok((wires, clocks))
+    };
+    let steps = steps();
+    let report = mpi.finish(policy, restart_from_barrier)?;
+    let (wires, clocks) = steps?;
+    let ctx = DriverCtx::owned(Engine::Mpi, n_tasks, report, cluster.clone());
     a.finalize(Gathered::Ranks(wires, clocks), ctx)
 }

@@ -22,7 +22,7 @@
 use linalg::rmsd2d::hausdorff_from_rmsd2d;
 use linalg::{DistanceMatrix, Frame, FrameMetric};
 use mdsim::Trajectory;
-use netsim::{Cluster, SimReport};
+use netsim::{Cluster, RetryPolicy, SimReport};
 use std::hint::black_box;
 use taskframe::EngineError;
 
@@ -93,34 +93,28 @@ pub fn ensemble_psa(
     // cheap enough to include, matching CPPTraj's all-pairs mode.
     let pairs: Vec<(usize, usize)> = (0..n).flat_map(|i| (i..n).map(move |j| (i, j))).collect();
     let metric = build.metric();
-    let out = mpilike::try_run(cluster, world, |comm| {
-        let mine: Vec<(usize, usize)> = pairs
+    let mut mpi = mpilike::World::launch(cluster, world)?;
+    let ranks = mpi.size();
+    let mine: Vec<Vec<(usize, usize)>> = (0..ranks)
+        .map(|rank| pairs.iter().copied().skip(rank).step_by(ranks).collect())
+        .collect();
+    let local: Vec<Vec<(u32, u32, f64)>> = mpi.compute(|rank| {
+        mine[rank]
             .iter()
-            .copied()
-            .skip(comm.rank())
-            .step_by(comm.world())
-            .collect();
-        let local: Vec<(u32, u32, f64)> = comm.compute(|| {
-            mine.iter()
-                .map(|&(i, j)| {
-                    let d = linalg::rmsd2d(&ensemble[i].frames, &ensemble[j].frames, metric);
-                    (i as u32, j as u32, hausdorff_from_rmsd2d(&d))
-                })
-                .collect()
-        });
-        comm.gather(0, local)
-    })?;
+            .map(|&(i, j)| {
+                let d = linalg::rmsd2d(&ensemble[i].frames, &ensemble[j].frames, metric);
+                (i as u32, j as u32, hausdorff_from_rmsd2d(&d))
+            })
+            .collect()
+    });
+    let gathered = mpi.try_gather(0, local);
+    let report = mpi.finish(&RetryPolicy::new(1), true)?;
     let mut distances = DistanceMatrix::zeros(n, n);
-    for rank_result in out.results.into_iter().flatten().flatten() {
-        for (i, j, h) in rank_result {
-            distances.set(i as usize, j as usize, h);
-            distances.set(j as usize, i as usize, h);
-        }
+    for (i, j, h) in gathered?.into_iter().flatten() {
+        distances.set(i as usize, j as usize, h);
+        distances.set(j as usize, i as usize, h);
     }
-    Ok(CppTrajOutput {
-        distances,
-        report: out.report,
-    })
+    Ok(CppTrajOutput { distances, report })
 }
 
 #[cfg(test)]

@@ -1,39 +1,39 @@
 //! An MPI-equivalent SPMD substrate with virtual-time accounting — the
 //! paper's MPI4py baseline.
 //!
-//! [`run`] spawns one OS thread per rank; every rank executes the same
-//! closure (SPMD) against a [`Comm`] providing the collectives the paper's
-//! implementations use (`barrier`, `bcast`, `scatter`, `gather`,
-//! `allreduce`). Each rank keeps its own *virtual clock*:
+//! The paper's MPI implementations have one shape: broadcast or
+//! partition, compute, gather to rank 0. [`World`] runs that shape as
+//! bulk-synchronous supersteps (Valiant's BSP model): one value holds a
+//! *virtual clock* per rank, and each step advances the whole vector.
+//! No OS thread is started per rank.
 //!
-//! * [`Comm::compute`] runs real work, measures it, scales it by the
-//!   machine profile and advances the rank's clock. Real execution is
-//!   bounded by a compute semaphore whose capacity is the host-parallelism
-//!   degree (`netsim::parallel`) at run entry. At the default degree 1
-//!   this is a global token: host-core contention never pollutes
-//!   measurements and concurrency exists only in virtual time. Higher
-//!   degrees let ranks really compute in parallel on the host.
-//! * Collectives synchronize clocks: the operation completes at
-//!   `max(arrival clocks) + communication cost`, with costs from the
-//!   cluster's [`netsim::NetworkModel`] (naive linear broadcast/gather,
-//!   matching the paper's observation that MPI broadcast time grows
-//!   linearly with process count).
-//!
-//! The returned [`netsim::SimReport`] carries the virtual makespan and the
-//! byte counters the experiment harness prints.
+//! * A local step, [`World::compute`], runs every rank's closure for real
+//!   through `netsim::parallel` (serially at the default host degree 1,
+//!   so host-core contention never pollutes measurements), measures each
+//!   one, scales it by the machine profile and advances that rank's
+//!   clock. [`World::charge`] adds modelled time.
+//! * A collective step ([`World::try_bcast`], [`World::try_gather`])
+//!   synchronizes the clocks: it starts at the latest arrival and
+//!   completes per rank after the communication cost from the cluster's
+//!   [`netsim::NetworkModel`] (naive linear broadcast/gather, matching the
+//!   paper's observation that MPI broadcast time grows linearly with
+//!   process count), through fixed per-rank buffers.
+//! * [`World::finish`] applies the fault plan to the finished timeline
+//!   (abort, or restart from the last collective) and returns the
+//!   [`netsim::SimReport`] with the virtual makespan and the byte counters
+//!   the experiment harness prints.
 
-mod collective;
-mod comm;
 mod stream;
+mod world;
 
-pub use comm::{run, try_run, try_run_with_policy, Comm, MpiRunOutput};
 pub use stream::run_stream_ring;
+pub use world::World;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim::Cluster;
-    use taskframe::Payload;
+    use netsim::{Cluster, RetryPolicy};
+    use taskframe::{EngineError, Payload};
 
     fn cluster(ranks: usize) -> Cluster {
         Cluster::builder()
@@ -42,117 +42,86 @@ mod tests {
             .build()
     }
 
+    fn launch(cluster: Cluster, world: usize) -> World {
+        World::launch(cluster, world).expect("the world fits the cluster")
+    }
+
+    /// The report of a plain (one-attempt) MPI job.
+    fn finish(world: World) -> netsim::SimReport {
+        world
+            .finish(&RetryPolicy::new(1), true)
+            .expect("no fault hits the job")
+    }
+
+    fn latest(world: &World) -> f64 {
+        world.clocks().iter().copied().fold(0.0, f64::max)
+    }
+
     #[test]
     fn spmd_ranks_see_their_ids() {
-        let out = run(cluster(4), 4, |comm| (comm.rank(), comm.world()));
-        let mut got = out.results;
-        got.sort_unstable();
+        let mut world = launch(cluster(4), 4);
+        let n = world.size();
+        let got = world.compute(|rank| (rank, n));
         assert_eq!(got, vec![(0, 4), (1, 4), (2, 4), (3, 4)]);
     }
 
     #[test]
     fn bcast_delivers_root_value() {
-        let out = run(cluster(6), 6, |comm| {
-            let v = if comm.rank() == 0 {
-                Some(vec![7u32, 8, 9])
-            } else {
-                None
-            };
-            comm.bcast(0, v)
-        });
-        for r in out.results {
+        let mut world = launch(cluster(6), 6);
+        let got = world.try_bcast(0, vec![7u32, 8, 9]).unwrap();
+        assert_eq!(got.len(), 6);
+        for r in got {
             assert_eq!(r, vec![7, 8, 9]);
         }
-        assert!(out.report.bytes_broadcast > 0);
+        assert!(finish(world).bytes_broadcast > 0);
     }
 
     #[test]
     fn gather_collects_in_rank_order() {
-        let out = run(cluster(4), 4, |comm| {
-            let rank = comm.rank() as u32;
-            comm.gather(0, rank * 10)
-        });
-        let roots: Vec<_> = out.results.into_iter().flatten().collect();
-        assert_eq!(roots.len(), 1);
-        assert_eq!(roots[0], vec![0, 10, 20, 30]);
+        let mut world = launch(cluster(4), 4);
+        let mine = world.compute(|rank| rank as u32 * 10);
+        assert_eq!(world.try_gather(0, mine).unwrap(), vec![0, 10, 20, 30]);
     }
 
-    #[test]
-    fn scatter_distributes_parts() {
-        let out = run(cluster(3), 3, |comm| {
-            let parts = if comm.rank() == 0 {
-                Some(vec![vec![1u32], vec![2, 2], vec![3, 3, 3]])
-            } else {
-                None
-            };
-            comm.scatter(0, parts)
-        });
-        let mut lens: Vec<usize> = out.results.iter().map(Vec::len).collect();
-        lens.sort_unstable();
-        assert_eq!(lens, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn allreduce_max() {
-        let out = run(cluster(5), 5, |comm| {
-            comm.allreduce_f64(comm.rank() as f64, f64::max)
-        });
-        for v in out.results {
-            assert_eq!(v, 4.0);
-        }
-    }
-
+    /// Each collective superstep ends in a barrier: no rank leaves it
+    /// before the slowest rank arrived.
     #[test]
     fn barrier_synchronizes_clocks() {
-        let out = run(cluster(2), 2, |comm| {
-            if comm.rank() == 0 {
-                comm.charge(1.0); // rank 0 is busy for 1 virtual second
-            }
-            comm.barrier();
-            comm.clock()
-        });
-        // After the barrier both clocks are (at least) the slowest arrival.
-        for c in out.results {
+        let mut world = launch(cluster(2), 2);
+        world.charge(0, 1.0); // rank 0 is busy for 1 virtual second
+        world.try_gather(0, vec![(); 2]).unwrap();
+        for &c in world.clocks() {
             assert!(c >= 1.0, "clock after barrier: {c}");
         }
     }
 
     #[test]
     fn compute_advances_clock_and_runs_really() {
-        let out = run(cluster(2), 2, |comm| {
-            let v = comm.compute(|| (0..1000u64).sum::<u64>());
-            (v, comm.clock())
-        });
-        for (v, clock) in out.results {
-            assert_eq!(v, 499_500);
+        let mut world = launch(cluster(2), 2);
+        let got = world.compute(|_| (0..1000u64).sum::<u64>());
+        assert_eq!(got, vec![499_500; 2]);
+        for &clock in world.clocks() {
             assert!(clock > 0.0);
         }
     }
 
     #[test]
     fn makespan_reflects_slowest_rank() {
-        let out = run(cluster(3), 3, |comm| {
-            comm.charge(comm.rank() as f64);
-        });
-        assert!(out.report.makespan_s >= 2.0);
+        let mut world = launch(cluster(3), 3);
+        for rank in 0..3 {
+            world.charge(rank, rank as f64);
+        }
+        assert!(finish(world).makespan_s >= 2.0);
     }
 
     #[test]
     fn broadcast_cost_grows_with_world_size() {
         let payload = vec![0u8; 1 << 20];
-        let t = |world: usize| {
-            let p = payload.clone();
-            let out = run(cluster(world), world, move |comm| {
-                let v = if comm.rank() == 0 {
-                    Some(p.clone())
-                } else {
-                    None
-                };
-                comm.bcast(0, v);
-                comm.clock()
-            });
+        let t = |n: usize| {
+            let mut world = launch(cluster(n), n);
+            world.try_bcast(0, payload.clone()).unwrap();
             // Subtract the fixed mpirun startup to isolate broadcast cost.
-            out.results.into_iter().fold(0.0, f64::max) - 0.5
+            latest(&world) - 0.5
         };
         let t4 = t(4);
         let t16 = t(16);
@@ -165,26 +134,18 @@ mod tests {
     #[test]
     fn oversized_bcast_fails_typed_on_every_rank() {
         // 1 MiB node budget over 8 ranks = 128 KiB fixed buffers; a
-        // 1 MiB replica cannot fit any of them, so every rank sees the
-        // same typed error — no panic, no hang, no mpirun teardown.
+        // 1 MiB replica cannot fit any of them, so the collective fails
+        // typed — no panic, no hang, no mpirun teardown.
         let cluster = Cluster::builder()
             .cores_per_node(8)
             .mem_budget(1 << 20)
             .build();
-        let out = try_run(cluster, 4, |comm| {
-            let v = if comm.rank() == 0 {
-                Some(vec![0u8; 1 << 20])
-            } else {
-                None
-            };
-            comm.try_bcast(0, v)
-        })
-        .unwrap();
-        for r in &out.results {
-            let err = r.as_ref().expect_err("replica cannot fit a 128 KiB buffer");
-            assert!(err.to_string().contains("out of memory"), "{err}");
-        }
-        assert!(out.report.oom_kills >= 1);
+        let mut world = launch(cluster, 4);
+        let err = world
+            .try_bcast(0, vec![0u8; 1 << 20])
+            .expect_err("replica cannot fit a 128 KiB buffer");
+        assert!(err.to_string().contains("out of memory"), "{err}");
+        assert!(finish(world).oom_kills >= 1);
     }
 
     #[test]
@@ -196,16 +157,9 @@ mod tests {
                 .cores_per_node(8)
                 .mem_budget(mem)
                 .build();
-            let out = run(cluster, 16, |comm| {
-                let v = if comm.rank() == 0 {
-                    Some(vec![0u8; 64 * 1024])
-                } else {
-                    None
-                };
-                comm.bcast(0, v);
-                comm.clock()
-            });
-            out.results.into_iter().fold(0.0, f64::max)
+            let mut world = launch(cluster, 16);
+            world.try_bcast(0, vec![0u8; 64 * 1024]).unwrap();
+            latest(&world)
         };
         let roomy = t(1 << 30);
         let tight = t(1 << 20); // 128 KiB buffers → 32 KiB chunks
@@ -224,17 +178,12 @@ mod tests {
             .cores_per_node(8)
             .mem_budget(1 << 20)
             .build();
-        let out = try_run(cluster, 16, |comm| {
-            comm.try_gather(0, vec![comm.rank() as u8; 64 * 1024])
-        })
-        .unwrap();
-        for r in &out.results {
-            let err = r.as_ref().expect_err("gathered 1 MiB cannot fit 128 KiB");
-            assert!(matches!(
-                err,
-                taskframe::EngineError::MemoryExhausted { .. }
-            ));
-        }
+        let mut world = launch(cluster, 16);
+        let mine = world.compute(|rank| vec![rank as u8; 64 * 1024]);
+        let err = world
+            .try_gather(0, mine)
+            .expect_err("gathered 1 MiB cannot fit 128 KiB");
+        assert!(matches!(err, EngineError::MemoryExhausted { .. }));
     }
 
     #[test]
@@ -248,38 +197,29 @@ mod tests {
             .mem_budget(4 << 20)
             .fault_plan(plan)
             .build();
-        let out = try_run(cluster, 4, |comm| {
-            let v = if comm.rank() == 0 {
-                Some(vec![0u8; 256 * 1024])
-            } else {
-                None
-            };
-            comm.try_bcast(0, v)
-        })
-        .unwrap();
-        for r in &out.results {
-            assert!(r.is_err(), "shrunken buffers must refuse the replica");
-        }
+        let mut world = launch(cluster, 4);
+        assert!(
+            world.try_bcast(0, vec![0u8; 256 * 1024]).is_err(),
+            "shrunken buffers must refuse the replica"
+        );
     }
 
     #[test]
     fn single_rank_world_works() {
-        let out = run(cluster(1), 1, |comm| {
-            let v = comm.bcast(0, Some(41u32)) + 1;
-            comm.gather(0, v).map(|g| g[0])
-        });
-        assert_eq!(out.results, vec![Some(42)]);
+        let mut world = launch(cluster(1), 1);
+        let v = world.try_bcast(0, 41u32).unwrap();
+        let mine = world.compute(|rank| v[rank] + 1);
+        assert_eq!(world.try_gather(0, mine).unwrap(), vec![42]);
     }
 
     #[test]
     fn payload_bytes_accounted_for_gather() {
-        let out = run(cluster(4), 4, |comm| {
-            let data = vec![comm.rank() as u32; 100];
-            assert_eq!(data.wire_bytes(), 404);
-            comm.gather(0, data);
-        });
+        let mut world = launch(cluster(4), 4);
+        let data = world.compute(|rank| vec![rank as u32; 100]);
+        assert_eq!(data[0].wire_bytes(), 404);
+        world.try_gather(0, data).unwrap();
         assert!(
-            out.report.bytes_shuffled >= 3 * 404,
+            finish(world).bytes_shuffled >= 3 * 404,
             "gather moves non-root payloads"
         );
     }

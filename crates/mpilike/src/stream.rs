@@ -17,8 +17,8 @@ use taskframe::{mpi_profile, EngineError};
 /// Window close, watermarks, late-frame disposition, backpressure, and
 /// per-window lineage replay follow [`netsim::stream::run_stream`]. Pass
 /// `RetryPolicy::new(1)` for the classic abort-on-failure posture, or a
-/// multi-attempt policy for the checkpoint/restart-style recovery the
-/// batch runner calls `try_run_with_policy`.
+/// multi-attempt policy for the checkpoint/restart-style recovery a batch
+/// job gets from `World::finish`.
 pub fn run_stream_ring(
     cluster: Cluster,
     ring: usize,

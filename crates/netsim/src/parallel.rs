@@ -28,7 +28,7 @@ use crate::lock;
 use std::cell::Cell;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, PoisonError};
+use std::sync::Mutex;
 
 /// Requested host-parallelism degree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -120,14 +120,29 @@ pub fn current_degree() -> usize {
     OVERRIDE.with(Cell::get).unwrap_or_else(default_degree)
 }
 
-/// Run `f` with the degree overridden on this thread (restored after).
-/// This is how a per-run `threads` knob scopes: engine handles constructed
-/// inside capture the override via [`current_degree`].
+/// Run `f` with the degree overridden on this thread (restored after,
+/// also when `f` unwinds). This is how a per-run `threads` knob scopes:
+/// engine handles constructed inside capture the override via
+/// [`current_degree`].
 pub fn with_degree<T>(threads: Threads, f: impl FnOnce() -> T) -> T {
-    let prev = OVERRIDE.with(|o| o.replace(Some(threads.resolve().max(1))));
-    let out = f();
-    OVERRIDE.with(|o| o.set(prev));
-    out
+    let _restore = Restore {
+        cell: &OVERRIDE,
+        prev: OVERRIDE.with(|o| o.replace(Some(threads.resolve().max(1)))),
+    };
+    f()
+}
+
+/// Puts a thread-local back to its previous value on drop, so a closure
+/// that unwinds cannot leave this thread's degree changed for good.
+struct Restore<T: Copy + 'static> {
+    cell: &'static std::thread::LocalKey<Cell<T>>,
+    prev: T,
+}
+
+impl<T: Copy + 'static> Drop for Restore<T> {
+    fn drop(&mut self) {
+        self.cell.with(|c| c.set(self.prev));
+    }
 }
 
 /// Evaluate `f(0..n)` across up to `degree` host threads and return the
@@ -136,7 +151,8 @@ pub fn with_degree<T>(threads: Threads, f: impl FnOnce() -> T) -> T {
 /// order deterministic. Degree ≤ 1 (or a nested call from inside a pool)
 /// runs serially on the caller with zero threading overhead.
 ///
-/// Panics in `f` propagate to the caller once all workers have stopped.
+/// A panic in `f` reaches the caller with its own payload once every
+/// worker has stopped.
 pub fn run_indexed_with<T, F>(degree: usize, n: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -147,39 +163,62 @@ where
     }
     let workers = degree.min(n);
     let next = AtomicUsize::new(0);
+    // Claim indices until none is left.
+    let work = |tx: &std::sync::mpsc::Sender<(usize, T)>| loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= n {
+            break;
+        }
+        let out = f(i);
+        // A send only fails if the receiver is gone, which means the
+        // caller is already unwinding.
+        if tx.send((i, out)).is_err() {
+            break;
+        }
+    };
     let (tx, rx) = std::sync::mpsc::channel::<(usize, T)>();
+    // No index starts before every worker thread has: a thread's start-up
+    // was seen to stall the closure running beside it by 1–4 ms on a
+    // loaded two-core host, and closures are measured. The caller holds
+    // `gate` until each worker has said it is up; dropping the guard, on
+    // unwind too, lets them claim.
+    let gate = std::sync::RwLock::new(());
+    let (up_tx, up_rx) = std::sync::mpsc::channel::<()>();
     std::thread::scope(|s| {
-        for _ in 0..workers - 1 {
-            let tx = tx.clone();
-            let next = &next;
-            let f = &f;
-            s.spawn(move || {
-                IN_POOL.with(|p| p.set(true));
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    // A send only fails if the receiver is gone, which
-                    // means the caller is already unwinding.
-                    if tx.send((i, f(i))).is_err() {
-                        break;
-                    }
-                }
-            });
+        let closed = gate.write();
+        let handles: Vec<_> = (0..workers - 1)
+            .map(|_| {
+                let (tx, up_tx) = (tx.clone(), up_tx.clone());
+                let (work, gate) = (&work, &gate);
+                s.spawn(move || {
+                    IN_POOL.with(|p| p.set(true));
+                    let _ = up_tx.send(());
+                    // A poisoned gate only means the caller unwound.
+                    drop(gate.read());
+                    work(&tx);
+                })
+            })
+            .collect();
+        for _ in 1..workers {
+            let _ = up_rx.recv();
         }
-        // The caller is the final worker; flag nested calls serial for the
-        // duration, then restore (the caller thread outlives this pool).
-        let was = IN_POOL.with(|p| p.replace(true));
-        loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= n {
-                break;
+        drop(closed);
+        {
+            // The caller is the final worker; flag nested calls serial
+            // for the duration (the caller thread outlives this pool).
+            let _restore = Restore {
+                cell: &IN_POOL,
+                prev: IN_POOL.with(|p| p.replace(true)),
+            };
+            work(&tx);
+        }
+        // Join by hand: the scope's own panic would replace a worker's
+        // payload with "a scoped thread panicked".
+        for h in handles {
+            if let Err(payload) = h.join() {
+                std::panic::resume_unwind(payload);
             }
-            let out = tx.send((i, f(i)));
-            debug_assert!(out.is_ok(), "caller holds the receiver");
         }
-        IN_POOL.with(|p| p.set(was));
     });
     drop(tx);
     let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
@@ -222,45 +261,6 @@ where
         let item = lock(&slots[i]).take().expect("each item claimed once");
         f(i, item)
     })
-}
-
-/// Counting semaphore bounding how many rank threads execute real compute
-/// concurrently (mpilike's generalization of its old global compute token:
-/// capacity 1 reproduces the strict serial order exactly).
-pub struct Semaphore {
-    permits: Mutex<usize>,
-    available: Condvar,
-}
-
-impl Semaphore {
-    pub fn new(permits: usize) -> Self {
-        Semaphore {
-            permits: Mutex::new(permits.max(1)),
-            available: Condvar::new(),
-        }
-    }
-
-    /// Block until a permit is free; the guard returns it on drop.
-    pub fn acquire(&self) -> SemaphoreGuard<'_> {
-        let mut n = self
-            .available
-            .wait_while(lock(&self.permits), |n| *n == 0)
-            .unwrap_or_else(PoisonError::into_inner);
-        *n -= 1;
-        SemaphoreGuard { sem: self }
-    }
-}
-
-/// RAII permit from [`Semaphore::acquire`].
-pub struct SemaphoreGuard<'a> {
-    sem: &'a Semaphore,
-}
-
-impl Drop for SemaphoreGuard<'_> {
-    fn drop(&mut self) {
-        *lock(&self.sem.permits) += 1;
-        self.sem.available.notify_one();
-    }
 }
 
 #[cfg(test)]
@@ -332,25 +332,42 @@ mod tests {
     }
 
     #[test]
-    fn semaphore_bounds_concurrency() {
-        let sem = Semaphore::new(2);
-        let peak = AtomicUsize::new(0);
-        let live = AtomicUsize::new(0);
-        run_indexed_with(8, 32, |_| {
-            let _g = sem.acquire();
-            let now = live.fetch_add(1, Ordering::SeqCst) + 1;
-            peak.fetch_max(now, Ordering::SeqCst);
-            std::thread::yield_now();
-            live.fetch_sub(1, Ordering::SeqCst);
+    fn with_degree_is_restored_when_its_closure_unwinds() {
+        with_degree(Threads::Fixed(3), || {
+            let r = std::panic::catch_unwind(|| with_degree(Threads::Fixed(5), || panic!("inner")));
+            assert!(r.is_err());
+            assert_eq!(current_degree(), 3);
         });
-        assert!(peak.load(Ordering::SeqCst) <= 2);
     }
 
-    // A panic on a spawned worker surfaces as the scope's own panic
-    // payload ("a scoped thread panicked"), so only propagation — not the
-    // message — is asserted.
+    /// The caller's own index panics inside a two-thread pool; afterwards
+    /// the caller is no longer flagged as a pool worker.
     #[test]
-    #[should_panic]
+    fn the_callers_pool_flag_is_restored_when_its_index_unwinds() {
+        let caller = std::thread::current().id();
+        let caller_claimed = std::sync::atomic::AtomicBool::new(false);
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_indexed_with(2, 8, |i| {
+                if std::thread::current().id() == caller {
+                    caller_claimed.store(true, Ordering::SeqCst);
+                    panic!("the caller's index {i}");
+                }
+                // Hold the worker on its first index until the caller
+                // has claimed one of its own.
+                while !caller_claimed.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
+                i
+            })
+        }));
+        assert!(r.is_err());
+        assert_eq!(with_degree(Threads::Fixed(2), current_degree), 2);
+    }
+
+    // Whichever thread runs index 7, the caller gets that panic's own
+    // payload, not the scope's "a scoped thread panicked".
+    #[test]
+    #[should_panic(expected = "boom")]
     fn worker_panic_propagates() {
         run_indexed_with(4, 16, |i| {
             if i == 7 {

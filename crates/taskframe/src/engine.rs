@@ -23,7 +23,7 @@ pub enum Engine {
     /// `pilot`: Compute-Units through a MongoDB-coordinated pilot agent
     /// (RADICAL-Pilot).
     Pilot,
-    /// `mpilike`: rank threads + collectives (mpi4py).
+    /// `mpilike`: per-rank clocks in bulk-synchronous supersteps (mpi4py).
     Mpi,
 }
 

@@ -83,7 +83,7 @@ pub mod prelude {
     pub use crate::frame::{BagEngine, EngineError, FrameworkProfile, Payload, TaskCtx};
     pub use crate::io::StreamSource;
     pub use crate::math::{DistanceMatrix, Frame, Vec3};
-    pub use crate::mpi::Comm;
+    pub use crate::mpi::World;
     pub use crate::rp::{Session, UnitDescription};
     pub use crate::service::{JobRequest, Service, ServiceReport, TenantSpec};
     pub use crate::sim::{BilayerSpec, ChainSpec, LfDatasetId, PsaSize, Trajectory};

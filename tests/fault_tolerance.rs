@@ -262,21 +262,21 @@ fn lost_fetches_are_resent_not_recounted() {
     assert!(lossy.comm_s > clean.comm_s, "re-sending costs wire time");
 }
 
-/// A rank that panics aborts its communicator, as `mpirun` would: the
-/// ranks waiting on it in a collective unwind too, and the caller gets
-/// the panicking rank's own payload back — promptly, never a hang.
+/// A rank that panics aborts its world, as `mpirun` would: the caller
+/// gets the panicking rank's own payload back — promptly, never a hang.
 #[test]
 fn a_panicking_rank_aborts_the_mpi_world_instead_of_hanging() {
     let (tx, rx) = std::sync::mpsc::channel();
     let helper = std::thread::spawn(move || {
         let run = std::panic::catch_unwind(|| {
-            mdtask::mpi::run(cluster(), 4, |comm| {
-                if comm.rank() == 2 {
+            let mut world = mdtask::mpi::World::launch(cluster(), 4).expect("4 ranks fit");
+            let ranks = world.compute(|rank| {
+                if rank == 2 {
                     panic!("rank 2 failed");
                 }
-                comm.barrier();
-                comm.rank()
-            })
+                rank
+            });
+            world.try_gather(0, ranks)
         });
         let payload = run
             .err()
@@ -285,7 +285,7 @@ fn a_panicking_rank_aborts_the_mpi_world_instead_of_hanging() {
     });
     let payload = rx
         .recv_timeout(std::time::Duration::from_secs(20))
-        .expect("a panicking rank left the other ranks blocked in the barrier");
+        .expect("a panicking rank left the world blocked");
     assert_eq!(payload, Some(Some("rank 2 failed".to_string())));
     helper.join().expect("the helper caught the run's panic");
 }
