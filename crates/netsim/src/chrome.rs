@@ -17,41 +17,91 @@
 //!   output is byte-stable across runs of the same schedule.
 //!
 //! JSON is hand-rolled (the workspace deliberately carries no serde) and
-//! written in one pass into one buffer: each event is formatted straight
-//! into the output, and each phase/label string is escaped once, by
+//! written in one pass into one buffer, byte by byte: no `core::fmt` runs
+//! per event. Integers go through [`push_uint`]; timestamps through
+//! [`push_us`], which gives exactly the bytes of `{:.3}`; each
+//! phase/label string is escaped once, by
 //! [`crate::metrics::push_json_escaped`], however many events carry it.
 //! The bytes are a contract — `tests/golden_collectives.rs` freezes their
 //! hash for every event kind.
 
 use crate::metrics::push_json_escaped;
 use crate::trace::{EventKind, Sym, Trace};
-use std::fmt::{self, Write};
 
 const PID_CORES: u32 = 0;
 const PID_NETWORK: u32 = 1;
 const PID_DRIVER: u32 = 2;
 
-/// Seconds as microseconds with three decimals.
-struct Us(f64);
-
-impl fmt::Display for Us {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:.3}", self.0 * 1e6)
+/// Append `n` in decimal: the bytes of `n.to_string()`.
+fn push_uint(out: &mut String, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
     }
+    out.extend(digits[at..].iter().map(|&d| char::from(d)));
 }
 
-/// A metadata (`"M"`) record naming a process or thread.
-fn meta(
-    out: &mut String,
-    pid: u32,
-    tid: usize,
-    which: &str,
-    name: fmt::Arguments<'_>,
-) -> fmt::Result {
-    write!(
-        out,
-        "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"name\":\"{which}\",\"args\":{{\"name\":\"{name}\"}}}}"
-    )
+/// Append `secs` as microseconds with three decimals: exactly the bytes
+/// of `format!("{:.3}", secs * 1e6)`.
+///
+/// A positive normal product below 2⁵³ is `m · 2^-k` with a 53-bit `m`,
+/// so its thousandths are `m · 1000 / 2^k`, rounded here in `u128` with
+/// ties to even as `{:.3}` rounds them (0.0625 prints `0.062`). Anything
+/// else — non-finite, negative (`-0.0` too), subnormal or ≥ 2⁵³ — is
+/// left to `{:.3}`; no export produces such a time.
+fn push_us(out: &mut String, secs: f64) {
+    let us = secs * 1e6;
+    let bits = us.to_bits();
+    let biased = (bits >> 52) as i32; // the sign bit set makes this > 0x7ff
+    let k = 1075 - biased;
+    let thousandths = if bits == 0 {
+        0
+    } else if (1..=0x7fe).contains(&biased) && k >= 0 {
+        let m = (bits & ((1 << 52) - 1) | 1 << 52) as u128 * 1000;
+        if k == 0 {
+            m as u64
+        } else if k > 64 {
+            0 // m · 1000 < 2^63 ≤ half of 2^k
+        } else {
+            let (q, r, half) = (m >> k, m & ((1 << k) - 1), 1u128 << (k - 1));
+            (q + u128::from(r > half || (r == half && q & 1 == 1))) as u64
+        }
+    } else {
+        out.push_str(&format!("{us:.3}"));
+        return;
+    };
+    push_uint(out, thousandths / 1000);
+    let frac = thousandths % 1000;
+    out.extend([
+        char::from(b'.'),
+        char::from(b'0' + (frac / 100) as u8),
+        char::from(b'0' + (frac / 10 % 10) as u8),
+        char::from(b'0' + (frac % 10) as u8),
+    ]);
+}
+
+fn push_bool(out: &mut String, b: bool) {
+    out.push_str(if b { "true" } else { "false" });
+}
+
+/// Start a metadata (`"M"`) record naming a process or thread, up to and
+/// including `name`; the caller may extend the name and closes both
+/// objects with `"}}`.
+fn open_meta(out: &mut String, pid: u32, tid: usize, which: &str, name: &str) {
+    out.push_str("{\"ph\":\"M\",\"pid\":");
+    push_uint(out, pid.into());
+    out.push_str(",\"tid\":");
+    push_uint(out, tid as u64);
+    out.push_str(",\"name\":\"");
+    out.push_str(which);
+    out.push_str("\",\"args\":{\"name\":\"");
+    out.push_str(name);
 }
 
 /// Start the next record of the event array: a complete (`"X"`) slice, up
@@ -66,19 +116,51 @@ fn open_slice(
     cat: &str,
     (start_s, end_s): (f64, f64),
     phase: &str,
-) -> fmt::Result {
-    write!(
-        out,
-        ",\n{{\"ph\":\"X\",\"pid\":{pid},\"tid\":{tid},\"name\":\"{name}\",\"cat\":\"{cat}\",\"ts\":{},\"dur\":{},\"args\":{{\"phase\":\"{phase}\"",
-        Us(start_s),
-        Us(end_s - start_s),
-    )
+) {
+    out.push_str(",\n{\"ph\":\"X\",\"pid\":");
+    push_uint(out, pid.into());
+    out.push_str(",\"tid\":");
+    push_uint(out, tid as u64);
+    out.push_str(",\"name\":\"");
+    out.push_str(name);
+    out.push_str("\",\"cat\":\"");
+    out.push_str(cat);
+    out.push_str("\",\"ts\":");
+    push_us(out, start_s);
+    out.push_str(",\"dur\":");
+    push_us(out, end_s - start_s);
+    out.push_str(",\"args\":{\"phase\":\"");
+    out.push_str(phase);
+    out.push('"');
 }
 
-fn sorted_set(mut ids: Vec<usize>) -> Vec<usize> {
-    ids.sort_unstable();
-    ids.dedup();
-    ids
+/// Append `,"key":n` for each pair, in order.
+fn push_args(out: &mut String, args: &[(&str, u64)]) {
+    for &(key, n) in args {
+        out.push_str(",\"");
+        out.push_str(key);
+        out.push_str("\":");
+        push_uint(out, n);
+    }
+}
+
+/// Every id in `ids` once, ascending, for the track metadata. A run's
+/// events reuse a few cores and nodes many times over, so ids below the
+/// event count are marked in a table of that length, not sorted once per
+/// event; any others are sorted apart. Nothing is sized by an id's value.
+fn distinct_ascending(ids: Vec<usize>) -> impl Iterator<Item = usize> {
+    let mut seen = vec![false; ids.len()];
+    let mut above = Vec::new();
+    for id in ids {
+        match seen.get_mut(id) {
+            Some(seen) => *seen = true,
+            None => above.push(id),
+        }
+    }
+    above.sort_unstable();
+    above.dedup();
+    let below = seen.into_iter().enumerate();
+    below.filter_map(|(id, s)| s.then_some(id)).chain(above)
 }
 
 impl Trace {
@@ -88,12 +170,7 @@ impl Trace {
     pub fn to_chrome_json(&self) -> String {
         // A task slice is ~170 bytes plus its label and phase.
         let mut out = String::with_capacity(1024 + 192 * self.events.len());
-        self.write_chrome_json(&mut out)
-            .expect("formatting into a String cannot fail");
-        out
-    }
 
-    fn write_chrome_json(&self, out: &mut String) -> fmt::Result {
         // Every interned string, escaped once, back to back: symbol `i`
         // is `escaped[bounds[i]..bounds[i + 1]]`.
         let mut escaped = String::new();
@@ -129,34 +206,39 @@ impl Trace {
         }
 
         out.push_str("{\"traceEvents\":[\n");
-        meta(out, PID_CORES, 0, "process_name", format_args!("cores"))?;
-        for (pid, name) in [(PID_NETWORK, "network"), (PID_DRIVER, "driver")] {
-            out.push_str(",\n");
-            meta(out, pid, 0, "process_name", format_args!("{name}"))?;
+        for (pid, name) in [
+            (PID_CORES, "cores"),
+            (PID_NETWORK, "network"),
+            (PID_DRIVER, "driver"),
+        ] {
+            if pid != PID_CORES {
+                out.push_str(",\n");
+            }
+            open_meta(&mut out, pid, 0, "process_name", name);
+            out.push_str("\"}}");
         }
-        let core_tracks = sorted_set(cores)
-            .into_iter()
-            .map(|c| (PID_CORES, "core", c));
-        let node_tracks = sorted_set(nodes)
-            .into_iter()
-            .map(|n| (PID_NETWORK, "node", n));
+        let core_tracks = distinct_ascending(cores).map(|c| (PID_CORES, "core ", c));
+        let node_tracks = distinct_ascending(nodes).map(|n| (PID_NETWORK, "node ", n));
         for (pid, what, tid) in core_tracks.chain(node_tracks) {
             out.push_str(",\n");
-            meta(out, pid, tid, "thread_name", format_args!("{what} {tid}"))?;
+            open_meta(&mut out, pid, tid, "thread_name", what);
+            push_uint(&mut out, tid as u64);
+            out.push_str("\"}}");
         }
 
         for (id, e) in self.events.iter().enumerate() {
             let (start, end, phase) = (e.start_s, e.end_s, text(e.phase));
             let span = (start, end);
+            let out = &mut out;
             match e.kind {
                 EventKind::Task { label, speculative } => {
-                    open_slice(out, PID_CORES, e.core, text(label), "task", span, phase)?;
-                    write!(
-                        out,
-                        ",\"killed\":{},\"speculative\":{speculative},\"ready_us\":{}}}}}",
-                        e.killed,
-                        Us(e.ready_s)
-                    )?;
+                    open_slice(out, PID_CORES, e.core, text(label), "task", span, phase);
+                    out.push_str(",\"killed\":");
+                    push_bool(out, e.killed);
+                    out.push_str(",\"speculative\":");
+                    push_bool(out, speculative);
+                    out.push_str(",\"ready_us\":");
+                    push_us(out, e.ready_s);
                 }
                 EventKind::Fetch {
                     from_node,
@@ -166,62 +248,58 @@ impl Trace {
                     // The fetch occupies the destination's network track,
                     // with an async arrow from a zero-width marker on the
                     // source track (flow events bind to enclosing slices).
+                    let args = [
+                        ("from_node", from_node as u64),
+                        ("to_node", to_node as u64),
+                        ("bytes", bytes),
+                    ];
                     for (tid, name, end) in [(to_node, "fetch", end), (from_node, "send", start)] {
-                        open_slice(out, PID_NETWORK, tid, name, "fetch", (start, end), phase)?;
-                        write!(
-                            out,
-                            ",\"from_node\":{from_node},\"to_node\":{to_node},\"bytes\":{bytes},\"lost\":{}}}}}",
-                            e.killed
-                        )?;
+                        open_slice(out, PID_NETWORK, tid, name, "fetch", (start, end), phase);
+                        push_args(out, &args);
+                        out.push_str(",\"lost\":");
+                        push_bool(out, e.killed);
+                        out.push_str("}}");
                     }
-                    write!(
-                        out,
-                        ",\n{{\"ph\":\"s\",\"pid\":{PID_NETWORK},\"tid\":{from_node},\"name\":\"xfer\",\"cat\":\"fetch\",\"id\":{id},\"ts\":{}}}",
-                        Us(start)
-                    )?;
-                    write!(
-                        out,
-                        ",\n{{\"ph\":\"f\",\"bp\":\"e\",\"pid\":{PID_NETWORK},\"tid\":{to_node},\"name\":\"xfer\",\"cat\":\"fetch\",\"id\":{id},\"ts\":{}}}",
-                        Us(end)
-                    )?;
+                    for (ph, tid, ts) in [
+                        ("\"s\"", from_node, start),
+                        ("\"f\",\"bp\":\"e\"", to_node, end),
+                    ] {
+                        out.push_str(",\n{\"ph\":");
+                        out.push_str(ph);
+                        out.push_str(",\"pid\":");
+                        push_uint(out, PID_NETWORK.into());
+                        out.push_str(",\"tid\":");
+                        push_uint(out, tid as u64);
+                        out.push_str(",\"name\":\"xfer\",\"cat\":\"fetch\",\"id\":");
+                        push_uint(out, id as u64);
+                        out.push_str(",\"ts\":");
+                        push_us(out, ts);
+                        out.push('}');
+                    }
+                    continue; // every record above is closed
                 }
                 EventKind::Broadcast { bytes, dest_nodes } => {
-                    open_slice(
-                        out,
-                        PID_NETWORK,
-                        e.core,
-                        "broadcast",
-                        "broadcast",
-                        span,
-                        phase,
-                    )?;
-                    write!(out, ",\"bytes\":{bytes},\"dest_nodes\":{dest_nodes}}}}}")?;
+                    let (name, cat) = ("broadcast", "broadcast");
+                    open_slice(out, PID_NETWORK, e.core, name, cat, span, phase);
+                    push_args(out, &[("bytes", bytes), ("dest_nodes", dest_nodes as u64)]);
                 }
                 EventKind::Recovery { label } | EventKind::Fenced { label } => {
                     let cat = e.kind.kind_name();
-                    open_slice(out, PID_DRIVER, 0, text(label), cat, span, phase)?;
-                    out.push_str("}}");
+                    open_slice(out, PID_DRIVER, 0, text(label), cat, span, phase);
                 }
                 EventKind::Spill { node, bytes } | EventKind::Evict { node, bytes } => {
                     let name = e.kind.kind_name();
-                    open_slice(out, PID_NETWORK, node, name, "memory", span, phase)?;
-                    write!(out, ",\"node\":{node},\"bytes\":{bytes}}}}}")?;
+                    open_slice(out, PID_NETWORK, node, name, "memory", span, phase);
+                    push_args(out, &[("node", node as u64), ("bytes", bytes)]);
                 }
                 EventKind::OomKill { node } => {
-                    open_slice(out, PID_DRIVER, 0, "oom-kill", "memory", span, phase)?;
-                    write!(out, ",\"node\":{node}}}}}")?;
+                    open_slice(out, PID_DRIVER, 0, "oom-kill", "memory", span, phase);
+                    push_args(out, &[("node", node as u64)]);
                 }
                 EventKind::Backpressure { node } => {
-                    open_slice(
-                        out,
-                        PID_NETWORK,
-                        node,
-                        "backpressure",
-                        "stream",
-                        span,
-                        phase,
-                    )?;
-                    write!(out, ",\"node\":{node}}}}}")?;
+                    let (name, cat) = ("backpressure", "stream");
+                    open_slice(out, PID_NETWORK, node, name, cat, span, phase);
+                    push_args(out, &[("node", node as u64)]);
                 }
                 // Service-plane events (mdtaskd) render on the driver
                 // track like recovery windows.
@@ -229,13 +307,14 @@ impl Trace {
                 | EventKind::Admit { tenant, job }
                 | EventKind::Reject { tenant, job } => {
                     let name = e.kind.kind_name();
-                    open_slice(out, PID_DRIVER, 0, name, "service", span, phase)?;
-                    write!(out, ",\"tenant\":{tenant},\"job\":{job}}}}}")?;
+                    open_slice(out, PID_DRIVER, 0, name, "service", span, phase);
+                    push_args(out, &[("tenant", tenant as u64), ("job", job as u64)]);
                 }
             }
+            out.push_str("}}");
         }
         out.push_str("\n],\"displayTimeUnit\":\"ms\"}\n");
-        Ok(())
+        out
     }
 }
 
@@ -398,6 +477,69 @@ mod tests {
         assert!(json.contains("\"pid\":2,\"tid\":0,\"name\":\"oom-kill\",\"cat\":\"memory\""));
         // Spill/evict land on the node's network track.
         assert!(json.contains("\"name\":\"node 1\""));
+    }
+
+    fn us(secs: f64) -> String {
+        let mut out = String::new();
+        push_us(&mut out, secs);
+        out
+    }
+
+    #[test]
+    fn integers_are_written_as_to_string_writes_them() {
+        for n in [0, 9, 10, 99, 100, 4096, u64::MAX] {
+            let mut out = String::new();
+            push_uint(&mut out, n);
+            assert_eq!(out, n.to_string());
+        }
+    }
+
+    /// Exact binary ties at the fourth decimal round to even, as `{:.3}`
+    /// rounds them.
+    #[test]
+    fn ties_round_to_even() {
+        // 2⁻¹⁰ s is 976.5625 µs and 3·2⁻¹⁰ s is 2929.6875 µs.
+        assert_eq!(us(1.0 / 1024.0), "976.562");
+        assert_eq!(us(3.0 / 1024.0), "2929.688");
+        assert_eq!(us(0.0), "0.000");
+        assert_eq!(us(-0.0), "-0.000");
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1 << 14))]
+
+        /// `push_us` writes the bytes of `{:.3}` for every `f64`: random
+        /// bit patterns (mostly huge or tiny), times in a run's range,
+        /// exact binary fractions k/2ⁿ (ties at the fourth decimal among
+        /// them), and the values handed to `{:.3}`: subnormals, ±0, NaN,
+        /// ±∞ and products of 2⁵³ and more.
+        #[test]
+        fn microseconds_are_written_as_fmt_writes_them(
+            family in 0u8..5,
+            bits in any::<u64>(),
+            k in 0u64..1 << 32,
+            n in 0i32..25,
+            unit in any::<f64>(),
+        ) {
+            let v = match family {
+                0 => f64::from_bits(bits),
+                1 => unit * 1e4,
+                2 => k as f64 / 2f64.powi(n),
+                // Odd multiples of 2⁻¹⁰ s: every one a tie in µs.
+                3 => (k | 1) as f64 / 1024.0,
+                _ => match bits % 6 {
+                    0 => f64::from_bits(bits >> 12), // subnormal (or 0)
+                    1 => [0.0, -0.0][(bits >> 3) as usize % 2],
+                    2 => f64::NAN,
+                    3 => [f64::INFINITY, f64::NEG_INFINITY][(bits >> 3) as usize % 2],
+                    4 => 2f64.powi(53) / 1e6 * (1.0 + unit),
+                    _ => -unit * 1e4,
+                },
+            };
+            prop_assert_eq!(us(v), format!("{:.3}", v * 1e6), "v = {:e}", v);
+        }
     }
 
     #[test]

@@ -89,29 +89,42 @@ fn predecessor(
     pred
 }
 
+/// `f64::total_cmp`'s order as an unsigned key: negative values have
+/// every bit flipped, the rest only their sign bit.
+fn total_order_key(x: f64) -> u64 {
+    let bits = x.to_bits();
+    bits ^ ((bits as i64 >> 63) as u64 | 1 << 63)
+}
+
 impl CriticalPath {
     /// Walk the event graph backwards from the last-finishing event.
     pub fn from_trace(trace: &Trace) -> CriticalPath {
         let events = &trace.events;
-        if events.is_empty() {
-            return CriticalPath::default();
-        }
-        let eps = trace.span() * 1e-9 + 1e-12;
-        let mut visited = vec![false; events.len()];
-        let mut by_end: Vec<usize> = (0..events.len()).collect();
-        by_end.sort_unstable_by(|&a, &b| events[a].end_s.total_cmp(&events[b].end_s));
-        let mut cluster = Vec::new();
         // Start from the event that ends last (ties: the later starter,
         // i.e. the shorter tail — it is the one that was actually waited
         // on last).
-        let mut cur = (0..events.len())
-            .max_by(|&a, &b| {
-                events[a]
-                    .end_s
-                    .total_cmp(&events[b].end_s)
-                    .then(events[a].start_s.total_cmp(&events[b].start_s))
-            })
-            .expect("non-empty");
+        let last = (0..events.len()).max_by(|&a, &b| {
+            events[a]
+                .end_s
+                .total_cmp(&events[b].end_s)
+                .then(events[a].start_s.total_cmp(&events[b].start_s))
+        });
+        let Some(mut cur) = last else {
+            return CriticalPath::default();
+        };
+        let eps = trace.span() * 1e-9 + 1e-12;
+        let mut visited = vec![false; events.len()];
+        // Sorted as inline keys, not through an index: the order among
+        // equal ends is immaterial, as `predecessor` replays candidates in
+        // record order.
+        let mut keyed: Vec<(u64, usize)> = events
+            .iter()
+            .enumerate()
+            .map(|(i, e)| (total_order_key(e.end_s), i))
+            .collect();
+        keyed.sort_unstable();
+        let by_end: Vec<usize> = keyed.into_iter().map(|(_, i)| i).collect();
+        let mut cluster = Vec::new();
         let mut chain: Vec<CpSegment> = Vec::new();
         loop {
             visited[cur] = true;
@@ -351,12 +364,16 @@ mod tests {
     /// Seeded random traces built to hit the walk's tie rules: start and
     /// end times drawn from a small grid (exact ties, same-core
     /// handovers), jittered by thirds of `eps` (near-ties, and chains of
-    /// them spanning more than `eps`), with zero-duration events.
+    /// them spanning more than `eps`), with zero-duration events. Seeds
+    /// from 600 on leave the grid unjittered: most ends then equal some
+    /// other event's end, so any order the end sort gives equal keys is
+    /// exercised too.
     #[test]
     fn indexed_walk_matches_the_rescanning_walk_on_random_traces() {
         use crate::fault::mix;
-        let (mut links, mut waits) = (0, 0);
-        for seed in 0..600u64 {
+        let (mut links, mut waits, mut equal_ends, mut zero_width) = (0, 0, 0, 0);
+        for seed in 0..1200u64 {
+            let quantised = seed >= 600;
             let mut draws = 0u64;
             let mut next = |n: u64| {
                 draws += 1;
@@ -365,7 +382,11 @@ mod tests {
             let n = 1 + next(150) as usize;
             let cores = 1 + next(4) as usize;
             let grid = 1 + next(16);
-            let third_eps = grid as f64 * 1e-9 / 3.0;
+            let third_eps = if quantised {
+                0.0
+            } else {
+                grid as f64 * 1e-9 / 3.0
+            };
             let mut t = Trace::default();
             for _ in 0..n {
                 let begin = next(grid) as f64;
@@ -381,8 +402,39 @@ mod tests {
             assert_eq!(got, from_trace_rescanning(&t), "seed {seed}");
             links += got.segments.len();
             waits += got.segments.iter().filter(|s| s.label == "wait").count();
+            if quantised {
+                let mut ends: Vec<f64> = t.events.iter().map(|e| e.end_s).collect();
+                ends.sort_by(f64::total_cmp);
+                equal_ends += ends.windows(2).filter(|w| w[0] == w[1]).count();
+                zero_width += t.events.iter().filter(|e| e.end_s == e.start_s).count();
+            }
         }
         assert!(links > 3000 && waits > 100, "{links} links, {waits} waits");
+        assert!(
+            equal_ends > 20_000 && zero_width > 10_000,
+            "{equal_ends} equal ends, {zero_width} zero-width events"
+        );
+    }
+
+    #[test]
+    fn end_keys_sort_as_total_cmp_sorts() {
+        let mut values = vec![
+            f64::NAN,
+            f64::INFINITY,
+            1.5,
+            f64::MIN_POSITIVE / 4.0,
+            0.0,
+            -0.0,
+            -f64::MIN_POSITIVE / 4.0,
+            -1.5,
+            f64::NEG_INFINITY,
+            -f64::NAN,
+        ];
+        let mut by_key = values.clone();
+        by_key.sort_by_key(|&v| total_order_key(v));
+        values.sort_by(f64::total_cmp);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&by_key), bits(&values));
     }
 
     #[test]

@@ -238,15 +238,17 @@ impl Metrics {
         let mut traffic: Vec<NodeTraffic> = Vec::new();
         let mut memory: Vec<NodeMemory> = Vec::new();
         fn mem_entry(memory: &mut Vec<NodeMemory>, node: usize) -> &mut NodeMemory {
-            if let Some(i) = memory.iter().position(|m| m.node == node) {
-                &mut memory[i]
-            } else {
-                memory.push(NodeMemory {
-                    node,
-                    ..Default::default()
+            let i = memory
+                .iter()
+                .position(|m| m.node == node)
+                .unwrap_or_else(|| {
+                    memory.push(NodeMemory {
+                        node,
+                        ..Default::default()
+                    });
+                    memory.len() - 1
                 });
-                memory.last_mut().expect("just pushed")
-            }
+            &mut memory[i]
         }
         let bump = |node: usize, inb: u64, outb: u64, traffic: &mut Vec<NodeTraffic>| {
             if let Some(t) = traffic.iter_mut().find(|t| t.node == node) {
@@ -263,10 +265,18 @@ impl Metrics {
         let (utilization, busy_fraction) = match &report.trace {
             Some(trace) => {
                 let mut releases: Vec<f64> = Vec::new();
+                // Core time held by task attempts, all and useful only,
+                // summed in event order from `Iterator::sum`'s neutral
+                // element: the bits `Trace::utilization` and
+                // `Trace::busy_fraction` give.
+                let (mut busy, mut useful) = (-0.0f64, -0.0f64);
                 for e in &trace.events {
                     match &e.kind {
                         EventKind::Task { .. } => {
+                            let held = e.end_s - e.start_s;
+                            busy += held;
                             if !e.killed {
+                                useful += held;
                                 queue_wait.record(e.start_s - e.ready_s);
                                 releases.push(e.ready_s);
                             }
@@ -309,7 +319,10 @@ impl Metrics {
                 for w in releases.windows(2) {
                     dispatch_latency.record(w[1] - w[0]);
                 }
-                (trace.utilization(n_cores), trace.busy_fraction(n_cores))
+                (
+                    trace.core_share(useful, n_cores),
+                    trace.core_share(busy, n_cores),
+                )
             }
             None => {
                 let u = if makespan > 0.0 && n_cores > 0 {
@@ -565,6 +578,9 @@ mod tests {
         let m = Metrics::from_report(e.report(), 2);
         assert_eq!(m.tasks, 2);
         assert!((m.utilization - 2.0 / 3.0).abs() < 1e-12);
+        let trace = e.report().trace.as_ref().expect("traced");
+        assert_eq!(m.utilization.to_bits(), trace.utilization(2).to_bits());
+        assert_eq!(m.busy_fraction.to_bits(), trace.busy_fraction(2).to_bits());
         assert_eq!(m.phases.len(), 1);
         assert_eq!(m.phases[0].name, "map");
         assert_eq!(m.queue_wait.count(), 2);

@@ -412,16 +412,22 @@ impl Trace {
     }
 
     fn occupancy(&self, n_cores: usize, include_killed: bool) -> f64 {
-        let span = self.span();
-        if span <= 0.0 || n_cores == 0 {
-            return 0.0;
-        }
         let busy: f64 = self
             .events
             .iter()
             .filter(|e| e.occupies_core() && (include_killed || !e.killed))
             .map(|e| e.end_s - e.start_s)
             .sum();
+        self.core_share(busy, n_cores)
+    }
+
+    /// `busy` core-seconds as a fraction of `n_cores` over the span (0
+    /// for an empty span or no cores).
+    pub(crate) fn core_share(&self, busy: f64, n_cores: usize) -> f64 {
+        let span = self.span();
+        if span <= 0.0 || n_cores == 0 {
+            return 0.0;
+        }
         busy / (n_cores as f64 * span)
     }
 

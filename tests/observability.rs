@@ -91,13 +91,10 @@ fn chrome_export_of_lf_run_is_structurally_valid() {
     );
 }
 
-/// The bare executor under a cut that outlives the suspicion timeout:
-/// killed attempts, fences and recovery windows on the driver track. The
-/// export is left under `target/tmp/` for CI to load with a real JSON
-/// parser — the structural check here cannot see a missing comma.
-#[test]
-fn chrome_export_of_a_partitioned_policied_run_is_left_for_ci() {
-    use mdtask::cluster::SimExecutor;
+/// The bare executor under a cut that outlives the suspicion timeout,
+/// before its report is taken: killed attempts, fences and recovery
+/// windows on the driver track, in a phase that needs escaping.
+fn partitioned_policied_run() -> mdtask::cluster::SimExecutor {
     let plan = FaultPlan::none()
         .kill_node(2, 1.5)
         .partition(vec![vec![1]], 1.0, 3.0);
@@ -106,7 +103,7 @@ fn chrome_export_of_a_partitioned_policied_run_is_left_for_ci() {
         .cores_per_node(4)
         .fault_plan(plan)
         .build();
-    let mut exec = SimExecutor::new(cluster);
+    let mut exec = mdtask::cluster::SimExecutor::new(cluster);
     exec.enable_trace();
     exec.set_phase("policied \"cut\"");
     let policy = RetryPolicy::new(4)
@@ -116,7 +113,19 @@ fn chrome_export_of_a_partitioned_policied_run_is_left_for_ci() {
         exec.run_task_policied(0.0, 0.25 + 0.01 * (i % 50) as f64, &policy)
             .expect("one death and one healed cut leave cores to retry on");
     }
-    let report = exec.into_report();
+    exec
+}
+
+/// Leave `json` under `target/tmp/` for CI to load with a real JSON
+/// parser — the structural check here cannot see a missing comma.
+fn leave_for_ci(name: &str, json: String) {
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
+    std::fs::write(&path, json).expect("write the export for CI");
+}
+
+#[test]
+fn chrome_export_of_a_partitioned_policied_run_is_left_for_ci() {
+    let report = partitioned_policied_run().into_report();
     assert!(report.fenced_results > 0 && report.retries > report.fenced_results);
     let json = report.trace.as_ref().expect("traced").to_chrome_json();
     assert_structurally_valid_json(&json);
@@ -126,9 +135,48 @@ fn chrome_export_of_a_partitioned_policied_run_is_left_for_ci() {
             "no {cat} slice"
         );
     }
-    let path =
-        std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("partitioned_policied.trace.json");
-    std::fs::write(&path, json).expect("write the export for CI");
+    leave_for_ci("partitioned_policied.trace.json", json);
+}
+
+/// The partitioned run above plus one event of every other kind, through
+/// the recorders the engines, the stream loop and `mdtaskd` call: every
+/// arm of the Chrome writer in one export, whose flows CI also pairs.
+#[test]
+fn chrome_export_with_every_event_kind_is_left_for_ci() {
+    let mut exec = partitioned_policied_run();
+    exec.set_phase("every kind");
+    exec.record_fetch(0, 3, 4096, 4.0, 4.5);
+    exec.record_fetch_lost(3, 1, 512, 4.5, 4.75);
+    exec.record_broadcast(1 << 20, 3, 5.0, 5.25);
+    exec.record_spill(1, 2048, 5.25, 5.5);
+    exec.record_evict(1, 1024, 5.5);
+    exec.record_oom_kill(2, 5.5);
+    exec.record_backpressure(0, 5.5, 6.0);
+    exec.record_enqueue(1, 7, 6.0);
+    exec.record_admit(1, 7, 6.0, 6.5);
+    exec.record_reject(1, 8, 6.5);
+    let report = exec.into_report();
+    let trace = report.trace.as_ref().expect("traced");
+    let kinds: Vec<&str> = trace.events.iter().map(|e| e.kind.kind_name()).collect();
+    for kind in [
+        "task",
+        "fetch",
+        "broadcast",
+        "recovery",
+        "fenced",
+        "spill",
+        "evict",
+        "oomkill",
+        "enqueue",
+        "admit",
+        "reject",
+        "backpressure",
+    ] {
+        assert!(kinds.contains(&kind), "no {kind} event");
+    }
+    let json = trace.to_chrome_json();
+    assert_structurally_valid_json(&json);
+    leave_for_ci("every_kind.trace.json", json);
 }
 
 #[test]
