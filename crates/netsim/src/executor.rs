@@ -122,18 +122,26 @@ fn redispatch_for_free(log: RecoveryLog) -> Redispatch<impl FnMut(f64) -> f64> {
 /// that replaces the linear scan on the placement hot path.
 ///
 /// A complete binary tree over `leaves` (next power of two ≥ core count)
-/// slots. Each leaf holds its core's *key* — the core's free time while the
-/// core is admitted, `+∞` while admission control has it closed (and for
-/// padding slots) — and its *cap*, the node's scripted death time (`+∞`
-/// when the node never dies, `-∞` for padding). Internal nodes hold
-/// `min(key)` and `max(cap)` of their subtrees.
+/// slots. Each leaf holds its core's *key* and its *cap*, the node's
+/// scripted death time (`+∞` when the node never dies, `-∞` for padding).
+/// The key is the core's free time while the core is *open*, `+∞` once it
+/// is closed: by admission control, or because it is free no earlier than
+/// its cap (a dead core, which the leaf test below would reject on every
+/// later pick anyway, since each start it could offer is `≥ free ≥ cap`),
+/// and for padding slots. [`Self::key`] is the one place that rule lives.
+/// Internal nodes hold `min(key)` and `max(cap)` of their subtrees.
 ///
-/// [`Self::pick`] descends left-first with branch-and-bound pruning:
-/// * a subtree whose `min_key` is `+∞` holds no admitted core;
-/// * a subtree whose `max_cap ≤ ready` is entirely dead by the release;
-/// * a subtree whose optimistic bound `max(min_key, ready)` is not
-///   *strictly* earlier than the incumbent cannot win (left-first descent
-///   therefore reproduces the linear scan's lowest-id tie-break exactly).
+/// [`Self::pick`] finds the eligible core with the least `(start, id)` —
+/// the linear scan's earliest start, ties to the lowest id — in one
+/// best-first descent over a fixed-size stack. A subtree's optimistic
+/// bound is `max(min_key, ready)`; the child with the smaller bound is
+/// taken first (ties left), the other is stacked. A subtree is dropped
+/// when:
+/// * its `min_key` is `+∞`: it holds no open core;
+/// * its `max_cap ≤ ready`: it is entirely dead by the release;
+/// * `(bound, first id)` is not below the incumbent's `(start, id)`: no
+///   leaf under it starts earlier than its bound or has an id below its
+///   first leaf's, so none can win.
 ///
 /// At a leaf the bound is exact for the core alone; the caller's `reach`
 /// turns it into the start the driver can actually dispatch at (the
@@ -142,25 +150,37 @@ fn redispatch_for_free(log: RecoveryLog) -> Redispatch<impl FnMut(f64) -> f64> {
 /// be monotone in `t`, so the subtree bound stays optimistic under it. A
 /// leaf survives only if it can start before its cap (`start < died_at`)
 /// — the same "node gone before the task could begin" rule the linear
-/// scan applies. Typical picks touch O(log cores) tree nodes.
+/// scan applies. The descent returns at the first surviving leaf whose
+/// start equals the root's bound: no core starts earlier, and a lower id
+/// with the same start would sit in a left subtree of bound equal to the
+/// root's, which ties-left order visits first. On a saturated backlog
+/// that is the first leaf reached, so a pick touches `log2(leaves) + 1`
+/// tree nodes.
 #[derive(Clone, Debug)]
 struct CoreIndex {
     leaves: usize,
     min_key: Vec<f64>,
     max_cap: Vec<f64>,
+    /// Tree nodes popped by [`Self::pick`] so far.
+    #[cfg(test)]
+    examined: u64,
 }
 
 impl CoreIndex {
+    /// An index over open cores free at `core_free`, core `c` dying at
+    /// `caps(c)`.
     fn new(core_free: &[f64], caps: impl Fn(usize) -> f64) -> CoreIndex {
         let leaves = core_free.len().next_power_of_two().max(1);
         let mut idx = CoreIndex {
             leaves,
             min_key: vec![f64::INFINITY; 2 * leaves],
             max_cap: vec![f64::NEG_INFINITY; 2 * leaves],
+            #[cfg(test)]
+            examined: 0,
         };
         for (c, &free) in core_free.iter().enumerate() {
-            idx.min_key[leaves + c] = free;
             idx.max_cap[leaves + c] = caps(c);
+            idx.min_key[leaves + c] = idx.key(c, free, true);
         }
         for n in (1..leaves).rev() {
             idx.min_key[n] = idx.min_key[2 * n].min(idx.min_key[2 * n + 1]);
@@ -169,11 +189,21 @@ impl CoreIndex {
         idx
     }
 
-    /// Update core `c`'s key (`+∞` closes the core to placement) and
-    /// re-aggregate its ancestors.
-    fn set_key(&mut self, c: usize, key: f64) {
+    /// Core `c`'s key when it is free at `free`: `free` while the core is
+    /// admitted and free before its cap, `+∞` (closed) otherwise.
+    fn key(&self, c: usize, free: f64, admitted: bool) -> f64 {
+        if admitted && free < self.max_cap[self.leaves + c] {
+            free
+        } else {
+            f64::INFINITY
+        }
+    }
+
+    /// Re-key core `c` (free at `free`, admitted or not) and re-aggregate
+    /// its ancestors.
+    fn update(&mut self, c: usize, free: f64, admitted: bool) {
         let mut n = self.leaves + c;
-        self.min_key[n] = key;
+        self.min_key[n] = self.key(c, free, admitted);
         while n > 1 {
             n /= 2;
             let m = self.min_key[2 * n].min(self.min_key[2 * n + 1]);
@@ -185,44 +215,80 @@ impl CoreIndex {
     }
 
     fn pick(
-        &self,
+        &mut self,
         ready: f64,
         avoid: Option<usize>,
-        reach: impl Fn(usize, f64) -> f64 + Copy,
+        reach: impl Fn(usize, f64) -> f64,
     ) -> Option<(usize, f64)> {
+        let (min_key, max_cap) = (&self.min_key, &self.max_cap);
+        // A subtree's optimistic start, or `None` when it holds no open
+        // core alive after the release.
+        let bound = |n: usize| {
+            let key = min_key[n];
+            (key != f64::INFINITY && max_cap[n] > ready).then_some(if key > ready {
+                key
+            } else {
+                ready
+            })
+        };
+        let floor = bound(1)?;
+        let levels = self.leaves.ilog2();
         let mut best: Option<(usize, f64)> = None;
-        self.descend(1, ready, avoid, reach, &mut best);
-        best
-    }
-
-    fn descend(
-        &self,
-        n: usize,
-        ready: f64,
-        avoid: Option<usize>,
-        reach: impl Fn(usize, f64) -> f64 + Copy,
-        best: &mut Option<(usize, f64)>,
-    ) {
-        let key = self.min_key[n];
-        if key == f64::INFINITY || self.max_cap[n] <= ready {
-            return; // no admitted core below, or all dead by the release
-        }
-        let bound = if key > ready { key } else { ready };
-        if best.is_some_and(|(_, incumbent)| bound >= incumbent) {
-            return; // cannot start strictly earlier than the incumbent
-        }
-        if n >= self.leaves {
-            let c = n - self.leaves;
-            if Some(c) != avoid {
-                let start = reach(c, bound);
-                if start < self.max_cap[n] && best.is_none_or(|(_, s)| start < s) {
-                    *best = Some((c, start));
+        // Stacked subtrees sit at strictly increasing depths, so one slot
+        // per tree level suffices.
+        let mut stack = [(0usize, 0.0); usize::BITS as usize];
+        let mut depth = 0;
+        let mut next = Some((1, floor));
+        loop {
+            let (n, b) = match next.take() {
+                Some(top) => top,
+                None if depth > 0 => {
+                    depth -= 1;
+                    stack[depth]
+                }
+                None => return best,
+            };
+            #[cfg(test)]
+            {
+                self.examined += 1;
+            }
+            if let Some((bc, bs)) = best {
+                let first = (n << (levels - n.ilog2())) - self.leaves;
+                if b > bs || (b == bs && first >= bc) {
+                    continue; // no leaf below comes before the incumbent
                 }
             }
-            return;
+            if n >= self.leaves {
+                let c = n - self.leaves;
+                if Some(c) == avoid {
+                    continue;
+                }
+                let start = reach(c, b);
+                let wins = best.is_none_or(|(bc, bs)| start < bs || (start == bs && c < bc));
+                if start < max_cap[n] && wins {
+                    if start == floor {
+                        return Some((c, start)); // nothing can come before it
+                    }
+                    best = Some((c, start));
+                }
+                continue;
+            }
+            let (l, r) = (2 * n, 2 * n + 1);
+            next = match (bound(l), bound(r)) {
+                (Some(bl), Some(br)) => {
+                    let (near, far) = if br < bl {
+                        ((r, br), (l, bl))
+                    } else {
+                        ((l, bl), (r, br))
+                    };
+                    stack[depth] = far;
+                    depth += 1;
+                    Some(near)
+                }
+                (Some(bl), None) => Some((l, bl)),
+                (None, br) => br.map(|br| (r, br)),
+            };
         }
-        self.descend(2 * n, ready, avoid, reach, best);
-        self.descend(2 * n + 1, ready, avoid, reach, best);
     }
 }
 
@@ -348,10 +414,7 @@ impl SimExecutor {
     /// ([`Trace::sample_stride`]) so consumers know counts are partial.
     pub fn enable_trace_sampled(&mut self, stride: u32) {
         let stride = stride.max(1);
-        if self.report.trace.is_none() {
-            self.report.trace = Some(Trace::default());
-        }
-        let trace = self.report.trace.as_mut().expect("just created");
+        let trace = self.report.trace.get_or_insert_with(Trace::default);
         trace.set_sample_stride(stride);
         self.trace_stride = stride;
         self.phase_sym = trace.intern(&self.phase);
@@ -418,9 +481,7 @@ impl SimExecutor {
     fn set_core_free(&mut self, c: usize, t: f64) {
         debug_assert!(t >= self.core_free[c], "core free time moved backwards");
         self.core_free[c] = t;
-        if self.core_admitted(c) {
-            self.index.set_key(c, t);
-        }
+        self.index.update(c, t, self.core_admitted(c));
         if t > self.max_free {
             self.max_free = t;
         }
@@ -1043,19 +1104,15 @@ impl SimExecutor {
         let limit = limit.min(per_node);
         self.node_core_limit[node] = limit;
         // Re-key the node's cores in the index: closed cores read +∞ (never
-        // picked), re-opened ones resume at their tracked free time.
+        // picked), re-opened ones resume at their tracked free time (or stay
+        // closed if that is past their node's death).
         let base = node * per_node;
         for i in 0..per_node {
             let c = base + i;
             if c >= self.core_free.len() {
                 break;
             }
-            let key = if i < limit {
-                self.core_free[c]
-            } else {
-                f64::INFINITY
-            };
-            self.index.set_key(c, key);
+            self.index.update(c, self.core_free[c], i < limit);
         }
     }
 
@@ -1617,6 +1674,117 @@ mod tests {
         }
         assert_eq!(compared, 120 * 64);
         assert!(pushed_by_a_cut > 200, "cuts rarely bit: {pushed_by_a_cut}");
+    }
+
+    /// One randomized state on a 0.5 s grid — deaths, free-time bumps and
+    /// admission limits — so many cores tie exactly on their start; with
+    /// `cut` a group of nodes sits behind one partition, so their
+    /// `earliest_reach` answers the same heal time.
+    fn tied_state(seed: u64, cut: bool) -> (SimExecutor, u64) {
+        let grid = |rng: &mut u64, steps: u64| (mix(rng) % (steps + 1)) as f64 * 0.5;
+        let mut rng = seed.wrapping_mul(0x5851f42d4c957f2d) + 11;
+        let nodes = 1 + (mix(&mut rng) % 6) as usize;
+        let per_node = 1 + (mix(&mut rng) % 12) as usize;
+        let mut plan = FaultPlan::none();
+        for node in 0..nodes {
+            if unit(&mut rng) < 0.4 {
+                plan = plan.kill_node(node, grid(&mut rng, 12));
+            }
+        }
+        if cut {
+            // One or two windows over the same group of nodes; the second
+            // may continue the first at its heal.
+            let group: Vec<usize> = (1..nodes).filter(|_| unit(&mut rng) < 0.7).collect();
+            let from_s = grid(&mut rng, 8);
+            let to_s = from_s + 0.5 + grid(&mut rng, 6);
+            plan = plan.partition(vec![group.clone()], from_s, to_s);
+            if unit(&mut rng) < 0.5 {
+                let again = if unit(&mut rng) < 0.5 {
+                    to_s
+                } else {
+                    grid(&mut rng, 10)
+                };
+                plan = plan.partition(vec![group], again, again + 0.5 + grid(&mut rng, 4));
+            }
+        }
+        let mut e = faulty(per_node, nodes, plan);
+        for node in 0..nodes {
+            if unit(&mut rng) < 0.3 {
+                e.set_node_core_limit(node, (mix(&mut rng) % (per_node as u64 + 1)) as usize);
+            }
+        }
+        let cores = nodes * per_node;
+        for _ in 0..cores * 2 {
+            let c = (mix(&mut rng) % cores as u64) as usize;
+            let bump = e.core_free[c] + grid(&mut rng, 2);
+            e.set_core_free(c, bump);
+        }
+        (e, rng)
+    }
+
+    /// Best-first order may reach a tied core in a right subtree before a
+    /// lower id in a left one: on states where starts tie exactly the index
+    /// must still pick what the linear scans pick, reachable or not.
+    #[test]
+    fn index_matches_linear_scan_on_tied_states() {
+        for cut in [false, true] {
+            let oracle = if cut {
+                pick_reachable_linear
+            } else {
+                try_pick_core_linear
+            };
+            let mut ties = 0;
+            for seed in 0..300u64 {
+                let (mut e, mut rng) = tied_state(seed, cut);
+                let cores = e.core_free.len() as u64;
+                for _ in 0..32 {
+                    let ready = (mix(&mut rng) % 5) as f64 * 0.5;
+                    // No core to avoid, a random one, or the core the scan
+                    // chooses, as a retry of that pick would ask.
+                    let avoid = match mix(&mut rng) % 3 {
+                        0 => None,
+                        1 => Some((mix(&mut rng) % cores) as usize),
+                        _ => oracle(&e, ready, None).map(|(c, _)| c),
+                    };
+                    let fast = e.pick(ready, avoid, cut);
+                    let slow = oracle(&e, ready, avoid);
+                    assert_eq!(
+                        fast, slow,
+                        "seed {seed}, cut {cut}: index and linear scan disagree at \
+                         ready={ready}, avoid={avoid:?}"
+                    );
+                    if let Some((c, start)) = slow.filter(|_| avoid.is_none()) {
+                        ties +=
+                            oracle(&e, ready, Some(c)).is_some_and(|(_, s)| s == start) as usize;
+                    }
+                }
+            }
+            assert!(ties > 1_000, "cut {cut}: starts rarely tied: {ties}");
+        }
+    }
+
+    /// Tree nodes examined per core pick on the benchmark's saturated
+    /// backlog (128 × 32 cores, every task released at 0, 0.5–1.5 s each),
+    /// fault-free and with a node dying mid-run: a pick descends one
+    /// root-to-leaf path, give or take a retry's detour around the core it
+    /// must avoid.
+    #[test]
+    fn saturated_picks_examine_one_path() {
+        for dies in [false, true] {
+            let plan = FaultPlan::none();
+            let mut e = faulty(32, 128, if dies { plan.kill_node(5, 2.0) } else { plan });
+            for i in 0..20_000u64 {
+                let h = (i ^ 7u64.rotate_left(17)).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 40;
+                e.run_task(0.0, 0.5 + (h % 1000 + 1) as f64 * 1e-3);
+            }
+            assert_eq!(e.report().retries > 0, dies, "the death falls mid-run");
+            let bound = (e.index.leaves.ilog2() + 2) as f64;
+            let mean = e.index.examined as f64 / e.picks as f64;
+            assert!(
+                mean <= bound,
+                "{mean} nodes examined per pick, bound {bound}"
+            );
+        }
     }
 
     #[test]
