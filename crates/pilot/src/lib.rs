@@ -16,14 +16,15 @@
 //!   RADICAL-Pilot curves and Fig. 9's overhead-dominated runtimes.
 //! * **Filesystem staging, no shuffle** (Table 1) — unit inputs are
 //!   *really written* to a staging directory and read back by the unit;
-//!   there is no inter-task communication primitive at all.
+//!   there is no inter-task communication primitive at all. A
+//!   compute-only unit has no input and touches no file.
 //! * **Scale ceiling** — submitting more than 16,384 units is refused,
 //!   matching "we were not able to scale RADICAL-Pilot to 32k or more
 //!   tasks" (§4.1).
 
 use mdio::StagingArea;
 use netsim::{lock, Cluster, RetryPolicy, SimExecutor, SimReport};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 use taskframe::{pilot_profile, EngineError, FrameworkProfile, Payload, TaskCtx};
 
 /// Compute-Unit states, in ladder order. Each transition is one DB
@@ -138,7 +139,8 @@ struct SessionState {
 pub struct Session {
     cluster: Cluster,
     profile: FrameworkProfile,
-    staging: StagingArea,
+    /// Created with the first unit that has input to stage.
+    staging: OnceLock<StagingArea>,
     state: Mutex<SessionState>,
 }
 
@@ -146,7 +148,9 @@ impl Drop for Session {
     fn drop(&mut self) {
         // Staged unit files are per-session scratch; remove them so long
         // experiment sweeps do not fill the shared filesystem.
-        std::fs::remove_dir_all(self.staging.root()).ok();
+        if let Some(area) = self.staging.get() {
+            std::fs::remove_dir_all(area.root()).ok();
+        }
     }
 }
 
@@ -157,8 +161,6 @@ impl Session {
     }
 
     pub fn with_profile(cluster: Cluster, profile: FrameworkProfile) -> Result<Self, EngineError> {
-        let staging = StagingArea::temp("pilot")
-            .map_err(|e| EngineError::Unsupported(format!("cannot create staging area: {e}")))?;
         let mut exec = SimExecutor::new(cluster.clone());
         exec.report_mut().overhead_s += profile.startup_s;
         exec.advance_makespan(profile.startup_s);
@@ -167,7 +169,7 @@ impl Session {
         Ok(Session {
             cluster,
             profile,
-            staging,
+            staging: OnceLock::new(),
             state: Mutex::new(SessionState {
                 exec,
                 db,
@@ -190,6 +192,17 @@ impl Session {
 
     pub fn cluster(&self) -> &Cluster {
         &self.cluster
+    }
+
+    /// The session's staging directory, created on first use. Callers
+    /// hold the state lock, so two never race to create it.
+    fn staging(&self) -> Result<&StagingArea, EngineError> {
+        if let Some(area) = self.staging.get() {
+            return Ok(area);
+        }
+        let area = StagingArea::temp("pilot")
+            .map_err(|e| EngineError::Unsupported(format!("cannot create staging area: {e}")))?;
+        Ok(self.staging.get_or_init(|| area))
     }
 
     /// Run an event-time windowed streaming job over a delivery schedule.
@@ -251,19 +264,19 @@ impl Session {
             let t_new = st.db.roundtrip(startup);
             let t_umgr = st.db.roundtrip(t_new);
             let input_bytes = desc.input.len() as u64;
-            self.staging
-                .stage_in(unit_id, "input", &desc.input)
-                .map_err(|e| EngineError::Unsupported(format!("staging failed: {e}")))?;
             let t_in = t_umgr
                 + net.transfer_time(input_bytes, false)
                 + self.profile.per_transfer_overhead_s;
             if input_bytes > 0 {
+                self.staging()?
+                    .stage_in(unit_id, "input", &desc.input)
+                    .map_err(|e| EngineError::Unsupported(format!("staging failed: {e}")))?;
                 // Client → shared filesystem (node 0 hosts the FS track).
                 st.exec.record_fetch(0, 0, input_bytes, t_umgr, t_in);
             }
             t_staged.push(t_in);
             st.exec.report_mut().bytes_staged += input_bytes;
-            ids.push(unit_id);
+            ids.push((unit_id, input_bytes > 0));
             tasks.push(desc.task);
         }
         // The units' real work — staged-input read-back plus the task
@@ -274,13 +287,16 @@ impl Session {
         // error surfaces at the same per-unit point it would have serially.
         let host_threads = st.exec.host_threads();
         let computed: Vec<Result<(T, f64), EngineError>> = {
-            let staging = &self.staging;
+            let staging = self.staging.get();
             let ids = &ids;
             netsim::parallel::run_owned_with(host_threads, tasks, |i, task| {
-                let unit_id = ids[i];
-                let staged = staging
-                    .stage_out(unit_id, "input")
-                    .map_err(|e| EngineError::Unsupported(format!("staging failed: {e}")))?;
+                let (unit_id, has_input) = ids[i];
+                let staged = match staging.filter(|_| has_input) {
+                    Some(area) => area
+                        .stage_out(unit_id, "input")
+                        .map_err(|e| EngineError::Unsupported(format!("staging failed: {e}")))?,
+                    None => Vec::new(),
+                };
                 let tctx = TaskCtx::new(unit_id, unit_id);
                 let (out, host_s) = netsim::measure(move || task(&tctx, &staged));
                 Ok((out, host_s))
@@ -297,7 +313,7 @@ impl Session {
         let mut in_flight: Vec<(usize, f64, u64)> = Vec::new();
         let per_node = self.cluster.profile.cores_per_node;
         st.exec.set_phase("execute");
-        for (((_unit_id, comp), ready), ws) in ids.iter().zip(computed).zip(&t_staged).zip(&wsets) {
+        for ((comp, ready), ws) in computed.into_iter().zip(&t_staged).zip(&wsets) {
             let ws = *ws;
             let mut t_sched = st.db.roundtrip(*ready);
             // Admission control: the agent scheduler admits only as many
@@ -476,6 +492,28 @@ mod tests {
         let out = s.submit_and_wait(units).unwrap();
         assert_eq!(out.results, vec![5, 2]);
         assert!(out.report.bytes_staged >= 7);
+    }
+
+    /// Only units with input touch the filesystem; the staging directory
+    /// appears with the first of them and leaves with the session.
+    #[test]
+    fn staging_directory_is_made_for_input_only() {
+        let s = session();
+        let units = vec![
+            UnitDescription::compute_only(|_, input: &[u8]| input.len() as u64),
+            UnitDescription::new(Vec::new(), |_, input| input.len() as u64),
+        ];
+        assert_eq!(s.submit_and_wait(units).unwrap().results, vec![0, 0]);
+        assert!(s.staging.get().is_none(), "no input, yet a directory");
+        let units = vec![
+            UnitDescription::compute_only(|_, input: &[u8]| input.len() as u64),
+            UnitDescription::new(b"abc".to_vec(), |_, input| input.len() as u64),
+        ];
+        assert_eq!(s.submit_and_wait(units).unwrap().results, vec![0, 3]);
+        let root = s.staging.get().expect("staged input").root().to_path_buf();
+        assert!(root.is_dir());
+        drop(s);
+        assert!(!root.exists(), "session left {root:?} behind");
     }
 
     #[test]
